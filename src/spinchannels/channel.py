@@ -31,8 +31,9 @@ class KrausChannel:
     """Kraus stack of shape (n_kraus, dim_out, dim_in).
 
     Construction enforces trace preservation, sum_k X_k^dagger X_k = I,
-    within 1e-10 per entry. The stored array is write-protected; build a new
-    channel instead of mutating one.
+    within 1e-10 per entry, which also rejects NaN and infinite entries. The
+    stored array is write-protected; build a new channel instead of mutating
+    one.
     """
 
     kraus: np.ndarray
@@ -51,8 +52,11 @@ class KrausChannel:
         ops = ops.copy()
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
-        defect = self.trace_preservation_defect()
-        if defect > TP_TOL:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf entries give NaN
+            defect = self.trace_preservation_defect()
+        if not defect <= TP_TOL:
+            if math.isnan(defect):
+                raise ContractViolation("Kraus set is not trace preserving: non-finite entries")
             raise ContractViolation(
                 f"Kraus set is not trace preserving: residual {defect:.3e} exceeds {TP_TOL:.0e}"
             )
@@ -70,15 +74,24 @@ class KrausChannel:
         return self.kraus.shape[2]
 
     def trace_preservation_defect(self) -> float:
-        """Max-entry residual of sum_k X_k^dagger X_k - I."""
-        gram = np.einsum("kji,kjl->il", self.kraus.conj(), self.kraus)
+        """Max-entry residual of sum_k X_k^dagger X_k - I.
+
+        The operators stacked on top of each other form one tall matrix K, and
+        the sum is the single product K^dagger K.
+        """
+        tall = self.kraus.reshape(-1, self.dim_in)
+        gram = tall.conj().T @ tall
         return float(np.abs(gram - np.eye(self.dim_in)).max())
 
     def bistochastic_defect(self) -> float:
-        """Max-entry residual of sum_k X_k X_k^dagger - I (unital direction)."""
+        """Max-entry residual of sum_k X_k X_k^dagger - I (unital direction).
+
+        The operators side by side form one wide matrix K, and the sum is K K^dagger.
+        """
         if self.dim_in != self.dim_out:
             raise ContractViolation("bistochasticity is undefined for rectangular channels")
-        out = np.einsum("kij,klj->il", self.kraus, self.kraus.conj())
+        wide = self.kraus.transpose(1, 0, 2).reshape(self.dim_out, -1)
+        out = wide @ wide.conj().T
         return float(np.abs(out - np.eye(self.dim_out)).max())
 
     def is_bistochastic(self, tol: float = TP_TOL) -> bool:

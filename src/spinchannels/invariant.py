@@ -14,6 +14,14 @@ must match it because an invariant state is constant on each block; and for
 the decohered singlet specifically a closed moment formula in the spin
 matrix elements must match as well. Disagreement between routes raises
 instead of silently picking one.
+
+Product channels act factor by factor. With the row-major flattening of
+`linalg.kron`, a two-spin vector psi is the d x d matrix Psi, and
+
+    (X_k tensor X_l) vec Psi = vec(X_k Psi X_l^T),
+
+so the output of Lambda tensor Lambda on |psi><psi| is sum_kl v_kl v_kl^dagger
+with v_kl = vec(X_k Psi X_l^T). No d^2 x d^2 Kraus operator is built.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import isotropic_channel, tensor, apply
+from .channel import isotropic_channel
 from .linalg import (
     ConsistencyError,
     ContractViolation,
@@ -34,8 +42,8 @@ from .linalg import (
 )
 from .spin import (
     SpinLabel,
+    _coupled_zero_m_states,
     casimir_projectors,
-    coupled_zero_m_state,
     rotation_unitary,
     singlet_state,
     spin_operators,
@@ -77,6 +85,10 @@ EXCESS_CLOSED_FORM = {
 _INVARIANCE_CHECK_SEED = 171717
 _CROSS_CHECK_TOL = 1e-9
 _MOMENT_TOL = 1e-10
+# Byte cap on the d^2 x d^2 complex arrays `singlet_decoherence` holds at once:
+# the 2s+1 Casimir projectors plus J^2, its eigenvectors and the output state.
+# It admits 2s <= 35; 2s = 16 needs 27 MB.
+SINGLET_BYTE_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -135,6 +147,13 @@ class SingletDecoherenceReport:
         return payload
 
 
+def _left_product(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(u tensor u) @ m as two contractions over d-sized indices, O(d^5)."""
+    d = u.shape[0]
+    first = (u @ m.reshape(d, -1)).reshape(d, d, -1)
+    return np.matmul(u, first).reshape(m.shape)
+
+
 def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float, samples: int = 10):
     """Reject states that fail invariance under sampled U tensor U rotations."""
     rng = np.random.default_rng(_INVARIANCE_CHECK_SEED)
@@ -144,8 +163,9 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float, samples: i
         axis /= np.linalg.norm(axis)
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         u = rotation_unitary(label, axis, angle)
-        w = np.kron(u, u)
-        worst = max(worst, float(np.abs(w @ rho @ w.conj().T - rho).max()))
+        # W rho W^dagger = (W (W rho)^dagger)^dagger with W = u tensor u.
+        rotated = _left_product(u, _left_product(u, rho).conj().T).conj().T
+        worst = max(worst, float(np.abs(rotated - rho).max()))
     if worst > tol:
         raise ContractViolation(
             f"state is not rotationally invariant: worst deviation {worst:.3e} "
@@ -159,6 +179,7 @@ def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicD
     Computes tr(P_j rho) from the Casimir projectors and cross-checks it
     against the matrix elements (2j+1) <j;0|rho|j;0>; the two must agree
     within 1e-9 or the call fails. The projector route's values are returned.
+    The |j;0> stack is built once per call.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -172,19 +193,24 @@ def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicD
         raise ContractViolation(f"state trace is {trace!r}, not 1")
     _require_invariant(m, label, invariance_tol)
 
-    from_projectors = [
-        float(np.real(np.trace(p @ m))) for p in casimir_projectors(label)
-    ]
-    from_elements = [
-        (2 * j + 1) * float(np.real(np.vdot(coupled_zero_m_state(label, j), m @ coupled_zero_m_state(label, j))))
-        for j in range(label.twice_s + 1)
-    ]
+    # tr(P_j rho) = sum_ab conj(P_j)_ab rho_ab because P_j is Hermitian.
+    from_projectors = [float(np.real(np.vdot(p, m))) for p in casimir_projectors(label)]
+    states = _coupled_zero_m_states(label)
+    diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m.T))
+    from_elements = [(2 * j + 1) * float(e) for j, e in enumerate(diagonal)]
     worst = max(abs(a - b) for a, b in zip(from_projectors, from_elements))
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"projector-trace and matrix-element block probabilities disagree by {worst:.3e}"
         )
     return IsotypicDistribution(label, tuple(from_projectors))
+
+
+def _product_vectors(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Rows (X_k tensor X_l) psi = vec(X_k Psi X_l^T), pairs (k, l) row major."""
+    d = ops.shape[-1]
+    left = ops @ psi.reshape(d, d)
+    return (left[:, np.newaxis] @ ops.transpose(0, 2, 1)[np.newaxis]).reshape(-1, d * d)
 
 
 def moment_probabilities(spin) -> IsotypicDistribution:
@@ -194,24 +220,19 @@ def moment_probabilities(spin) -> IsotypicDistribution:
 
         p_j = (2j+1) / (s(s+1))^2 * sum_kl |<j;0| S_k tensor S_l |singlet>|^2.
 
-    Must agree with the channel route within 1e-10 (cross-checked by
+    Each S_k tensor S_l |singlet> is formed factor by factor as
+    vec(S_k Psi S_l^T), and the |j;0> stack is built once per call. Must
+    agree with the channel route within 1e-10 (cross-checked by
     `singlet_decoherence` and the test suite, not recomputed here).
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
         raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
-    ops = spin_operators(label)
-    psi = singlet_state(label)
+    states = _coupled_zero_m_states(label)
+    moved = _product_vectors(np.stack(spin_operators(label)), states[0])
     scale = 1.0 / (label.s * (label.s + 1.0)) ** 2
-    probs = []
-    for j in range(label.twice_s + 1):
-        bra = coupled_zero_m_state(label, j)
-        total = 0.0
-        for s_k in ops:
-            for s_l in ops:
-                amp = np.vdot(bra, np.kron(s_k, s_l) @ psi)
-                total += float(abs(amp) ** 2)
-        probs.append((2 * j + 1) * scale * total)
+    totals = (np.abs(states.conj() @ moved.T) ** 2).sum(axis=1)
+    probs = [(2 * j + 1) * scale * float(t) for j, t in enumerate(totals)]
     return IsotypicDistribution(label, tuple(probs))
 
 
@@ -239,11 +260,15 @@ def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
 
 
 def decohered_singlet(spin) -> np.ndarray:
-    """(Lambda_s tensor Lambda_s)(|singlet><singlet|), the invariant output."""
+    """(Lambda_s tensor Lambda_s)(|singlet><singlet|), the invariant output.
+
+    Applied factor by factor: with v_kl = vec(X_k Psi X_l^T) for the Kraus
+    operators X_k of Lambda_s, the output is sum_kl v_kl v_kl^dagger. This
+    takes O(d^4) memory and never builds the 9-operator d^2 x d^2 Kraus stack.
+    """
     label = SpinLabel.coerce(spin)
-    one = isotropic_channel(label)
-    psi = singlet_state(label)
-    return apply(tensor(one, one), np.outer(psi, psi.conj()))
+    vectors = _product_vectors(isotropic_channel(label).kraus, singlet_state(label))
+    return vectors.T @ vectors.conj()
 
 
 def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
@@ -259,6 +284,13 @@ def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
         raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
+    d = label.dimension
+    needed = (d + 3) * d**4 * np.dtype(np.complex128).itemsize
+    if needed > SINGLET_BYTE_CAP:
+        raise ContractViolation(
+            f"spin {label} needs about {needed / 2**30:.3g} GiB of d^2 x d^2 arrays, "
+            f"more than the {SINGLET_BYTE_CAP / 2**30:.3g} GiB cap"
+        )
     rho = decohered_singlet(label)
     distribution = isotypic_probabilities(rho, label)
 

@@ -183,20 +183,27 @@ def spectrum_entropy(eigenvalues) -> float:
 
     Small negative eigenvalues (float noise from diagonalization) are clamped
     to zero; anything below -1e-8 raises, because that indicates a genuinely
-    non-positive input rather than roundoff.
+    non-positive input rather than roundoff. NaN and infinite eigenvalues
+    raise too: the minimum of a spectrum holding NaN is NaN, and an infinite
+    eigenvalue makes the sum infinite, so neither needs an extra pass.
     """
     w = np.asarray(eigenvalues, dtype=float)
     if w.size == 0:
         raise ContractViolation("empty spectrum")
     lowest = float(w.min())
-    if lowest < -EIGENVALUE_ERROR:
+    if not lowest >= -EIGENVALUE_ERROR:
+        if math.isnan(lowest):
+            raise ContractViolation("spectrum contains NaN")
         raise ContractViolation(
             f"eigenvalue {lowest:.3e} violates positivity beyond {EIGENVALUE_ERROR:.0e}"
         )
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log(w)).sum())
+    value = float(-(w * np.log(w)).sum())
+    if not math.isfinite(value):
+        raise ContractViolation("spectrum is not finite")
+    return value
 
 
 def von_neumann_entropy(rho, base=None) -> float:

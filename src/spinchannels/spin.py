@@ -123,14 +123,17 @@ def rotation_unitary(spin, axis, angle: float) -> np.ndarray:
 
 
 def total_spin_squared(spin) -> np.ndarray:
-    """J^2 on the two-spin space, with J_k = S_k x I + I x S_k."""
+    """J^2 on the two-spin space, with J_k = S_k x I + I x S_k.
+
+    Formed as 2s(s+1) I + 2 sum_k S_k x S_k, which is the same matrix since
+    sum_k S_k^2 = s(s+1) I. Cost per call: three d x d krons, O(d^4) time and
+    one d^2 x d^2 complex array.
+    """
     label = SpinLabel.coerce(spin)
     d = label.dimension
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    out = np.eye(d * d, dtype=np.complex128) * (2.0 * label.s * (label.s + 1.0))
     for s_k in spin_operators(label):
-        j_k = np.kron(s_k, eye) + np.kron(eye, s_k)
-        out += j_k @ j_k
+        out += 2.0 * np.kron(s_k, s_k)
     return out
 
 
@@ -145,17 +148,14 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     The m = 0 sector spanned by |m> x |-m> is invariant under J^2 and meets
     each total-spin block exactly once, so diagonalizing the restriction of
     J^2 there yields every |j; 0> at once. The overall phase is fixed by
-    making the coefficient of |s> x |-s> real and positive.
+    making the coefficient of |s> x |-s> real and positive. Callers that need
+    several |j; 0> build this stack once and index into it.
     """
     d = label.dimension
     idx = _zero_m_indices(d)
     j_squared = total_spin_squared(label)
     restricted = j_squared[np.ix_(idx, idx)]
     w, v = np.linalg.eigh(restricted)
-
-    eye = np.eye(d)
-    s3 = spin_operators(label)[2]
-    j_3 = np.kron(s3, eye) + np.kron(eye, s3)
 
     states = np.zeros((d, d * d), dtype=np.complex128)
     for col in range(d):
@@ -170,14 +170,21 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
             raise ConsistencyError(
                 f"|j;0> phase convention undefined: vanishing |s>|-s> amplitude at j = {j}"
             )
-        column = column * (abs(leading) / leading)
-        full = np.zeros(d * d, dtype=np.complex128)
-        full[idx] = column
-        if float(np.linalg.norm(j_squared @ full - j * (j + 1) * full)) > 1e-10:
+        states[j, idx] = column * (abs(leading) / leading)
+
+    # Residuals of every row at once: J^2 |j;0> = j(j+1) |j;0>, and J_3, which
+    # is diagonal with entries m + m', annihilates |j;0>.
+    j_values = np.arange(d)
+    m = label.s - np.arange(d)
+    j_3 = np.add.outer(m, m).ravel()
+    eigenvalues = (j_values * (j_values + 1))[:, None]
+    casimir = np.linalg.norm(states @ j_squared.T - eigenvalues * states, axis=1)
+    magnetic = np.linalg.norm(states * j_3, axis=1)
+    for j in range(d):
+        if float(casimir[j]) > 1e-10:
             raise ConsistencyError(f"|{j};0> fails the J^2 eigenvector residual check")
-        if float(np.linalg.norm(j_3 @ full)) > 1e-10:
+        if float(magnetic[j]) > 1e-10:
             raise ConsistencyError(f"|{j};0> fails the J_3 eigenvector residual check")
-        states[j] = full
     return states
 
 
@@ -185,7 +192,9 @@ def coupled_zero_m_state(spin, j: int) -> np.ndarray:
     """The total-spin state |j; m=0> of two spin-s systems, as a d^2 vector.
 
     Valid for integer j with 0 <= j <= 2s. The phase makes the coefficient
-    of |m=s> x |m=-s> real and positive.
+    of |m=s> x |m=-s> real and positive. Each call builds all 2s+1 vectors:
+    one `total_spin_squared`, a d x d eigh and an O(d^5) residual check.
+    Index one stack instead of calling this once per j.
     """
     label = SpinLabel.coerce(spin)
     if not isinstance(j, (int, np.integer)) or isinstance(j, bool):

@@ -327,3 +327,29 @@ def test_entropy_never_decreases_under_isotropic_channels():
         for _ in range(10):
             rho = random_density(rng, label.dimension)
             assert von_neumann_entropy(apply(channel, rho)) >= von_neumann_entropy(rho) - 1e-10
+
+
+class TestNonFiniteAndDefects:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ContractViolation, match="trace preserving"):
+            KrausChannel([[[bad, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ContractViolation, match="trace preserving"):
+            KrausChannel(np.stack([np.eye(2) / math.sqrt(2.0), np.diag([bad, 0.0])]))
+
+    def test_defects_match_the_kraus_sums(self):
+        rng = np.random.default_rng(77)
+        gaussian = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        q, _ = np.linalg.qr(gaussian)
+        rectangular = KrausChannel(q.reshape(4, 3, 2))
+        gram = sum(x.conj().T @ x for x in rectangular.kraus)
+        assert rectangular.trace_preservation_defect() == pytest.approx(
+            np.abs(gram - np.eye(2)).max(), abs=1e-15
+        )
+        leaky = replacement_channel(3)
+        unital = sum(x @ x.conj().T for x in leaky.kraus)
+        assert leaky.bistochastic_defect() == pytest.approx(
+            np.abs(unital - np.eye(3)).max(), abs=1e-15
+        )
+        with pytest.raises(ContractViolation, match="rectangular"):
+            rectangular.bistochastic_defect()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,3 +221,31 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "min-output", "--channel", str(path))
         assert code == 1
         assert "residual" in err
+
+
+class TestBadInputFailsCleanly:
+    def test_nan_channel_file(self, capsys, tmp_path):
+        payload = {
+            "dim_in": 2,
+            "dim_out": 2,
+            "kraus": [[[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_oversized_singlet_allocates_nothing_large(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "singlet", "--spin", "400")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "GiB" in err
+        assert "Traceback" not in err
+        assert peak < 2**20

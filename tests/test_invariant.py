@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import random_density, random_unitary
+from spinchannels import spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
     EXACT_EXCESS,
     EXACT_PAIR_ENTROPY,
     EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
+    _left_product,
+    _require_invariant,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
@@ -187,3 +190,59 @@ class TestDecoheredSinglet:
     def test_spin_zero_rejected(self):
         with pytest.raises(ContractViolation, match="spin 0"):
             singlet_decoherence(0)
+
+
+class TestSampledInvariance:
+    def test_reshaped_rotation_matches_kron(self):
+        rng = np.random.default_rng(64)
+        for d in (2, 3, 5):
+            u = random_unitary(rng, d)
+            m = random_density(rng, d * d)
+            assert np.abs(_left_product(u, m) - np.kron(u, u) @ m).max() < 1e-12
+
+    def test_rejects_non_invariant_states(self):
+        rng = np.random.default_rng(65)
+        for twice_s in (1, 2, 3):
+            d = twice_s + 1
+            with pytest.raises(ContractViolation, match="invariant"):
+                _require_invariant(random_density(rng, d * d), SpinLabel(twice_s), 1e-8)
+            top = np.zeros((d * d, d * d), dtype=complex)
+            top[0, 0] = 1.0  # |m=s> x |m=s>, the top of the j = 2s block
+            with pytest.raises(ContractViolation, match="invariant"):
+                _require_invariant(top, SpinLabel(twice_s), 1e-8)
+
+    @pytest.mark.parametrize("twice_s", range(1, 9))
+    def test_accepts_decohered_singlets(self, twice_s):
+        label = SpinLabel(twice_s)
+        _require_invariant(decohered_singlet(label), label, 1e-8)
+
+
+class TestWorkCount:
+    def test_total_spin_squared_runs_a_constant_number_of_times(self, monkeypatch):
+        original = spin.total_spin_squared
+        calls = []
+
+        def counted(label):
+            calls.append(label)
+            return original(label)
+
+        monkeypatch.setattr(spin, "total_spin_squared", counted)
+        counts = []
+        for twice_s in (2, 8):
+            calls.clear()
+            singlet_decoherence(SpinLabel(twice_s))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert 1 <= counts[0] <= 4
+
+
+class TestSizeGuard:
+    def test_oversized_spin_is_rejected_before_allocating(self):
+        with pytest.raises(ContractViolation, match="cap"):
+            singlet_decoherence(400)
+
+    def test_cap_admits_spin_eight(self):
+        report = singlet_decoherence(8)
+        q = 1.0 / (2.0 * 8.0 * 9.0)
+        expected = [1.0 / 3.0, q, 2.0 / 3.0 - q] + [0.0] * 14
+        assert np.abs(np.array(report.probs) - expected).max() < 1e-10

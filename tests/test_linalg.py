@@ -275,3 +275,9 @@ def test_matrix_deserialization_rejects_garbage():
         matrix_from_json([[[1.0, 0.0, 0.0]]])
     with pytest.raises(ContractViolation):
         vector_from_json([[1.0]])
+
+
+@pytest.mark.parametrize("spectrum", [[math.nan, 0.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [math.inf]])
+def test_spectrum_entropy_rejects_non_finite_eigenvalues(spectrum):
+    with pytest.raises(ContractViolation):
+        spectrum_entropy(spectrum)

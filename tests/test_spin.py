@@ -233,3 +233,16 @@ class TestCasimirProjectors:
             for k, p in enumerate(blocks):
                 expected = v if k == j else np.zeros_like(v)
                 assert np.linalg.norm(p @ v - expected) < 1e-10
+
+
+class TestTotalSpinSquared:
+    @pytest.mark.parametrize("twice_s", range(1, 9))
+    def test_matches_sum_of_squared_total_components(self, twice_s):
+        # the definition: J^2 = sum_k (S_k x I + I x S_k)^2
+        label = SpinLabel(twice_s)
+        eye = np.eye(label.dimension)
+        expected = np.zeros((label.dimension**2, label.dimension**2), dtype=complex)
+        for s_k in spin_operators(label):
+            j_k = np.kron(s_k, eye) + np.kron(eye, s_k)
+            expected += j_k @ j_k
+        assert np.abs(total_spin_squared(label) - expected).max() < 1e-12
