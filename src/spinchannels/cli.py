@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from .channel import isotropic_channel, load_channel
 from .invariant import (
@@ -40,6 +42,7 @@ from .spin import SpinLabel
 from .verify import format_table, run_checks
 
 _GAP_ALERT = 1e-8
+_PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
 
 
 def _spin_argument(text: str) -> SpinLabel:
@@ -67,6 +70,8 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -145,227 +150,152 @@ def _base_from_args(args) -> float | None:
     return None if args.log_base == "e" else 2.0
 
 
-def _config_from_args(args) -> SearchConfig:
-    return SearchConfig(
+def _search_head(args, command: str):
+    """Shared front end of the search commands.
+
+    Resolves the channel and the search config and returns them with the
+    payload head and the text head rows that every search result starts with.
+    """
+    if args.spin is not None:
+        channel = isotropic_channel(args.spin)
+        descriptor = {"kind": "isotropic", "spin": str(args.spin)}
+        described = f"isotropic, spin {args.spin}"
+    else:
+        channel = load_channel(args.channel)
+        descriptor = {"kind": "file", "path": args.channel}
+        described = f"file {args.channel}"
+    config = SearchConfig(
         restarts=args.restarts,
         seed=args.seed,
         simplex_tolerance=args.tolerance,
         log_base=_base_from_args(args),
     )
-
-
-def _config_dict(config: SearchConfig) -> dict:
-    return {
-        "restarts": config.restarts,
-        "seed": config.seed,
-        "max_iterations_per_restart": config.max_iterations_per_restart,
-        "simplex_tolerance": config.simplex_tolerance,
-        "objective_tolerance": config.objective_tolerance,
+    payload = {
+        "command": command,
+        "channel": descriptor,
+        # the base is reported once, as the flag value under "log_base"
+        "config": {k: v for k, v in asdict(config).items() if k != "log_base"},
+        "log_base": args.log_base,
     }
+    return channel, config, payload, [("channel", described), ("log base", args.log_base)]
 
 
-def _resolve_channel(args):
-    """Return (channel, descriptor, spin_label_or_None)."""
-    if args.spin is not None:
-        label = args.spin
-        return isotropic_channel(label), {"kind": "isotropic", "spin": str(label)}, label
-    return load_channel(args.channel), {"kind": "file", "path": args.channel}, None
+def _emit(args, title: str, payload: dict, rows, restart_values=(), notes=()) -> int:
+    """Print one result in the requested format and return exit status 0.
+
+    json is the sorted-key payload, csv ranks the restart values, and text is
+    the title, one aligned row per (label, value) pair, then the note lines.
+    """
+    if args.output == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.output == "csv":
+        print("rank,value")
+        for rank, value in enumerate(restart_values):
+            print(f"{rank},{value!r}")
+    else:
+        lines = [title, *(f"  {label:<20} {value}" for label, value in rows)]
+        print("\n".join(lines + [f"  {note}" for note in notes]))
+    return 0
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit_search(args, title, payload, rows, report, reference) -> int:
+    """Rows and payload fields shared by min-output and gain.
 
-
-def _print_csv(values) -> None:
-    print("rank,value")
-    for rank, value in enumerate(values):
-        print(f"{rank},{value!r}")
-
-
-def _describe(descriptor: dict) -> str:
-    if descriptor["kind"] == "isotropic":
-        return f"isotropic, spin {descriptor['spin']}"
-    return f"file {descriptor['path']}"
+    reference is None or a (payload entry, text row value) pair.
+    """
+    payload.update(
+        value=report.value,
+        restart_values=list(report.restart_values),
+        converged_fraction=report.converged_fraction,
+        evaluations=report.evaluations,
+    )
+    rows.append(("value", repr(report.value)))
+    if reference is not None:
+        payload["reference"], text = reference
+        rows.append(("reference", text))
+    restarts = payload["config"]["restarts"]
+    rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
+    rows.append(("evaluations", report.evaluations))
+    return _emit(args, title, payload, rows, report.restart_values)
 
 
 def _cmd_min_output(args) -> int:
-    channel, descriptor, label = _resolve_channel(args)
-    config = _config_from_args(args)
+    channel, config, payload, rows = _search_head(args, "min-output")
     report = min_output_entropy(channel, config)
-    divisor = log_divisor(config.log_base)
-
-    payload = {
-        "command": "min-output",
-        "channel": descriptor,
-        "config": _config_dict(config),
-        "log_base": args.log_base,
-        "value": report.value,
-        "restart_values": list(report.restart_values),
-        "converged_fraction": report.converged_fraction,
-        "evaluations": report.evaluations,
-        "argmin": vector_to_json(report.argmin),
-    }
     reference = None
-    if label is not None and label.twice_s in EXACT_SINGLE_CHANNEL_MIN:
-        reference = {
-            "closed_form": SINGLE_MIN_CLOSED_FORM[label.twice_s],
-            "value": EXACT_SINGLE_CHANNEL_MIN[label.twice_s] / divisor,
-        }
-        payload["reference"] = reference
-
-    if args.output == "json":
-        _print_json(payload)
-    elif args.output == "csv":
-        _print_csv(report.restart_values)
-    else:
-        lines = [
-            "minimum output entropy",
-            f"  channel              {_describe(descriptor)}",
-            f"  log base             {args.log_base}",
-            f"  value                {report.value!r}",
-        ]
-        if reference is not None:
-            lines.append(
-                f"  reference            {reference['closed_form']} = {reference['value']!r}"
-            )
-        lines.append(
-            f"  restarts             {config.restarts}"
-            f" (converged fraction {report.converged_fraction:.3f})"
-        )
-        lines.append(f"  evaluations          {report.evaluations}")
-        print("\n".join(lines))
-    return 0
+    if args.spin is not None and args.spin.twice_s in EXACT_SINGLE_CHANNEL_MIN:
+        closed_form = SINGLE_MIN_CLOSED_FORM[args.spin.twice_s]
+        value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / log_divisor(config.log_base)
+        reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
+    payload["argmin"] = vector_to_json(report.argmin)
+    return _emit_search(args, "minimum output entropy", payload, rows, report, reference)
 
 
 def _cmd_gain(args) -> int:
-    channel, descriptor, label = _resolve_channel(args)
-    config = _config_from_args(args)
+    channel, config, payload, rows = _search_head(args, "gain")
     report = min_entropy_gain(channel, config)
-
-    payload = {
-        "command": "gain",
-        "channel": descriptor,
-        "config": _config_dict(config),
-        "log_base": args.log_base,
-        "value": report.value,
-        "restart_values": list(report.restart_values),
-        "converged_fraction": report.converged_fraction,
-        "evaluations": report.evaluations,
-        "argmin": matrix_to_json(report.argmin),
-    }
     reference = None
     if channel.dim_in == channel.dim_out and channel.is_bistochastic():
         # bistochastic channels never shrink entropy, so their minimum gain is 0
-        reference = {"closed_form": "0", "value": 0.0}
-        payload["reference"] = reference
-
-    if args.output == "json":
-        _print_json(payload)
-    elif args.output == "csv":
-        _print_csv(report.restart_values)
-    else:
-        lines = [
-            "minimum entropy gain",
-            f"  channel              {_describe(descriptor)}",
-            f"  log base             {args.log_base}",
-            f"  value                {report.value!r}",
-        ]
-        if reference is not None:
-            lines.append("  reference            0 (bistochastic channel)")
-        lines.append(
-            f"  restarts             {config.restarts}"
-            f" (converged fraction {report.converged_fraction:.3f})"
-        )
-        lines.append(f"  evaluations          {report.evaluations}")
-        print("\n".join(lines))
-    return 0
+        reference = ({"closed_form": "0", "value": 0.0}, "0 (bistochastic channel)")
+    payload["argmin"] = matrix_to_json(report.argmin)
+    return _emit_search(args, "minimum entropy gain", payload, rows, report, reference)
 
 
 def _cmd_singlet(args) -> int:
     label = args.spin
-    base = _base_from_args(args)
-    report = singlet_decoherence(label, base)
-
+    report = singlet_decoherence(label, _base_from_args(args))
     payload = {"command": "singlet", **report.as_dict()}
-    known = label.twice_s in EXACT_SINGLE_CHANNEL_MIN
-    if known:
+    rows = [("spin", label), ("log base", args.log_base)]
+    rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
+    rows.append(("entropy", repr(report.entropy)))
+    if label.twice_s in EXACT_SINGLE_CHANNEL_MIN:
         payload["entropy_closed_form"] = PAIR_ENTROPY_CLOSED_FORM[label.twice_s]
         payload["single_channel_min_closed_form"] = SINGLE_MIN_CLOSED_FORM[label.twice_s]
         payload["excess_closed_form"] = EXCESS_CLOSED_FORM[label.twice_s]
-
-    if args.output == "json":
-        _print_json(payload)
-    else:
-        lines = [
-            "decohered singlet block decomposition",
-            f"  spin                 {label}",
-            f"  log base             {args.log_base}",
+        rows += [
+            ("entropy closed form", PAIR_ENTROPY_CLOSED_FORM[label.twice_s]),
+            ("2 x single minimum", repr(report.two_channel_reference)),
+            ("excess", f"{report.excess!r}  ({EXCESS_CLOSED_FORM[label.twice_s]})"),
         ]
-        for j, p in enumerate(report.probs):
-            lines.append(f"  p_{j}                  {p!r}")
-        lines.append(f"  entropy              {report.entropy!r}")
-        if known:
-            lines.append(f"  entropy closed form  {PAIR_ENTROPY_CLOSED_FORM[label.twice_s]}")
-            lines.append(f"  2 x single minimum   {report.two_channel_reference!r}")
-            lines.append(
-                f"  excess               {report.excess!r}"
-                f"  ({EXCESS_CLOSED_FORM[label.twice_s]})"
-            )
-        print("\n".join(lines))
-    return 0
+    return _emit(args, "decohered singlet block decomposition", payload, rows)
 
 
 def _cmd_probe(args) -> int:
-    channel, descriptor, label = _resolve_channel(args)
-    config = _config_from_args(args)
+    channel, config, payload, rows = _search_head(args, "probe")
     probe = additivity_probe(channel, channel, config)
     violation = probe.gap < -_GAP_ALERT
-
-    payload = {
-        "command": "probe",
-        "channel": descriptor,
-        "config": _config_dict(config),
-        "log_base": args.log_base,
-        "joint_min": probe.joint_min,
-        "sum_of_singles": probe.sum_of_singles,
-        "gap": probe.gap,
-        "additivity_violation_candidate": violation,
-        "schmidt_coefficients": [float(c) for c in probe.schmidt_coefficients],
-        "argmin": vector_to_json(probe.argmin),
-        "single_values": [probe.single_a.value, probe.single_b.value],
-        "joint_search": {
+    payload.update(
+        joint_min=probe.joint_min,
+        sum_of_singles=probe.sum_of_singles,
+        gap=probe.gap,
+        additivity_violation_candidate=violation,
+        schmidt_coefficients=[float(c) for c in probe.schmidt_coefficients],
+        argmin=vector_to_json(probe.argmin),
+        single_values=[probe.single_a.value, probe.single_b.value],
+        joint_search={
             "restart_values": list(probe.joint.restart_values),
             "converged_fraction": probe.joint.converged_fraction,
             "evaluations": probe.joint.evaluations,
         },
-        "note": "heuristic search evidence; a zero gap is not a proof of additivity",
-    }
-
-    if args.output == "json":
-        _print_json(payload)
-    elif args.output == "csv":
-        _print_csv(probe.joint.restart_values)
+        note=_PROBE_NOTE,
+    )
+    rows += [
+        ("joint minimum", repr(probe.joint_min)),
+        ("sum of singles", repr(probe.sum_of_singles)),
+        ("gap", repr(probe.gap)),
+        ("schmidt coefficients", ", ".join(f"{c:.6e}" for c in probe.schmidt_coefficients)),
+    ]
+    if violation:
+        verdict = (
+            "ADDITIVITY VIOLATION CANDIDATE: the joint search undercut the sum of"
+            f" single-channel minima by {-probe.gap!r}; inspect the argmin state"
+        )
     else:
-        schmidt = ", ".join(f"{c:.6e}" for c in probe.schmidt_coefficients)
-        lines = [
-            "additivity probe (two copies in parallel)",
-            f"  channel              {_describe(descriptor)}",
-            f"  log base             {args.log_base}",
-            f"  joint minimum        {probe.joint_min!r}",
-            f"  sum of singles       {probe.sum_of_singles!r}",
-            f"  gap                  {probe.gap!r}",
-            f"  schmidt coefficients {schmidt}",
-        ]
-        if violation:
-            lines.append(
-                "  ADDITIVITY VIOLATION CANDIDATE: the joint search undercut the sum of"
-                f" single-channel minima by {-probe.gap!r}; inspect the argmin state"
-            )
-        else:
-            lines.append("  no subadditivity violation detected (gap within tolerance)")
-        lines.append("  note: heuristic search evidence; a zero gap is not a proof of additivity")
-        print("\n".join(lines))
-    return 0
+        verdict = "no subadditivity violation detected (gap within tolerance)"
+    title = "additivity probe (two copies in parallel)"
+    notes = [verdict, f"note: {_PROBE_NOTE}"]
+    return _emit(args, title, payload, rows, probe.joint.restart_values, notes)
 
 
 def _cmd_verify(args) -> int:

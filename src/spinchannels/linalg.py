@@ -11,6 +11,7 @@ number.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -259,24 +260,29 @@ def matrix_to_json(matrix) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _complex_from_json(entry, kind: str, index) -> complex:
+    """One [re, im] pair of the wire format; NaN and inf are rejected."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ContractViolation(f"{kind} entries must be [re, im] pairs, got {entry!r}")
+    z = complex(float(entry[0]), float(entry[1]))
+    if not cmath.isfinite(z):
+        raise ContractViolation(f"{kind} entry {index} is not finite: {entry!r}")
+    return z
+
+
 def matrix_from_json(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ContractViolation("matrix payload must be a nonempty list of rows")
     width = None
     out = []
-    for row in rows:
+    for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise ContractViolation("matrix rows must be nonempty lists")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ContractViolation("matrix rows have inconsistent lengths")
-        parsed = []
-        for entry in row:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ContractViolation(f"matrix entries must be [re, im] pairs, got {entry!r}")
-            parsed.append(complex(float(entry[0]), float(entry[1])))
-        out.append(parsed)
+        out.append([_complex_from_json(entry, "matrix", (i, k)) for k, entry in enumerate(row)])
     return np.asarray(out, dtype=np.complex128)
 
 
@@ -288,9 +294,5 @@ def vector_to_json(vector) -> list:
 def vector_from_json(entries) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise ContractViolation("vector payload must be a nonempty list")
-    parsed = []
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ContractViolation(f"vector entries must be [re, im] pairs, got {entry!r}")
-        parsed.append(complex(float(entry[0]), float(entry[1])))
+    parsed = [_complex_from_json(entry, "vector", k) for k, entry in enumerate(entries)]
     return np.asarray(parsed, dtype=np.complex128)

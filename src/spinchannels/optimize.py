@@ -58,8 +58,10 @@ class SearchConfig:
             raise ContractViolation(f"seed must be nonnegative, got {self.seed}")
         if int(self.max_iterations_per_restart) < 1:
             raise ContractViolation("max_iterations_per_restart must be >= 1")
-        if float(self.simplex_tolerance) <= 0 or float(self.objective_tolerance) <= 0:
-            raise ContractViolation("tolerances must be positive")
+        for tol in (float(self.simplex_tolerance), float(self.objective_tolerance)):
+            # written so that NaN fails too: every comparison with NaN is False
+            if not (tol > 0 and math.isfinite(tol)):
+                raise ContractViolation(f"tolerances must be positive and finite, got {tol!r}")
         log_divisor(self.log_base)  # validates the base
 
 
@@ -180,8 +182,14 @@ def _gain_objective(channel: KrausChannel):
     return objective
 
 
-def _multistart(objective, config: SearchConfig, deterministic_inits, random_init):
-    """Shared engine: run the restarts, track the best point and statistics."""
+def _multistart(
+    objective, config: SearchConfig, deterministic_inits, random_init, decode
+) -> SearchReport:
+    """Shared engine: run the restarts and report the best point found.
+
+    decode maps the best parameter vector to the report's argmin. Values are
+    searched in nats and divided by the configured base's log only here.
+    """
     best_value = math.inf
     best_x = None
     values = []
@@ -211,7 +219,32 @@ def _multistart(objective, config: SearchConfig, deterministic_inits, random_ini
         if value < best_value:
             best_value = value
             best_x = np.asarray(result.x, dtype=float).copy()
-    return best_value, best_x, sorted(values), converged / int(config.restarts), evaluations
+    divisor = log_divisor(config.log_base)
+    return SearchReport(
+        value=best_value / divisor,
+        argmin=decode(best_x),
+        restart_values=[v / divisor for v in sorted(values)],
+        converged_fraction=converged / int(config.restarts),
+        evaluations=evaluations,
+    )
+
+
+def _pure_search(channel: KrausChannel, config: SearchConfig, leading_inits) -> SearchReport:
+    """Pure-input search from the given starts, then the first basis vector.
+
+    The remaining restarts start from Haar states seeded by
+    (config.seed, restart_index).
+    """
+    dim = channel.dim_in
+    basis = np.zeros(dim, dtype=np.complex128)
+    basis[0] = 1.0
+    return _multistart(
+        _pure_objective(channel),
+        config,
+        [*leading_inits, _params_from_state(basis)],
+        lambda rng: _params_from_state(_haar_from_rng(rng, dim)),
+        lambda x: _state_from_params(x, dim),
+    )
 
 
 def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
@@ -221,27 +254,7 @@ def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None
     states seeded by (config.seed, restart_index). The returned value is the
     best local minimum seen, an upper bound on the true minimum.
     """
-    cfg = config if config is not None else SearchConfig()
-    objective = _pure_objective(channel)
-    dim = channel.dim_in
-    basis = np.zeros(dim, dtype=np.complex128)
-    basis[0] = 1.0
-    deterministic = [_params_from_state(basis)]
-
-    def random_init(rng):
-        return _params_from_state(_haar_from_rng(rng, dim))
-
-    best, best_x, values, fraction, evaluations = _multistart(
-        objective, cfg, deterministic, random_init
-    )
-    divisor = log_divisor(cfg.log_base)
-    return SearchReport(
-        value=best / divisor,
-        argmin=_state_from_params(best_x, dim),
-        restart_values=[v / divisor for v in values],
-        converged_fraction=fraction,
-        evaluations=evaluations,
-    )
+    return _pure_search(channel, config if config is not None else SearchConfig(), [])
 
 
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
@@ -255,7 +268,6 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("entropy gain search requires matching input and output dims")
-    objective = _gain_objective(channel)
     dim = channel.dim_in
     block = dim * dim
 
@@ -263,34 +275,25 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
         flat = np.asarray(a, dtype=np.complex128).reshape(block)
         return np.concatenate([flat.real, flat.imag])
 
-    pure = np.zeros((dim, dim), dtype=np.complex128)
-    pure[0, 0] = 1.0
-    deterministic = [pack(np.eye(dim)), pack(pure)]
-
     def random_init(rng):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         return pack(a)
 
-    best, best_x, values, fraction, evaluations = _multistart(
-        objective, cfg, deterministic, random_init
-    )
-    a = (best_x[:block] + 1j * best_x[block:]).reshape(dim, dim)
-    rho = (a @ a.conj().T) / float(np.vdot(a, a).real)
+    def decode(x):
+        a = (x[:block] + 1j * x[block:]).reshape(dim, dim)
+        return (a @ a.conj().T) / float(np.vdot(a, a).real)
 
-    divisor = log_divisor(cfg.log_base)
-    value = best / divisor
-    lower = -math.log(dim) / divisor
-    if value < lower - 1e-8 or value > 1e-8:
-        raise ConsistencyError(
-            f"entropy gain minimum {value!r} escaped the certified range [{lower!r}, 0]"
-        )
-    return SearchReport(
-        value=value,
-        argmin=rho,
-        restart_values=[v / divisor for v in values],
-        converged_fraction=fraction,
-        evaluations=evaluations,
+    pure = np.zeros((dim, dim), dtype=np.complex128)
+    pure[0, 0] = 1.0
+    report = _multistart(
+        _gain_objective(channel), cfg, [pack(np.eye(dim)), pack(pure)], random_init, decode
     )
+    lower = -math.log(dim) / log_divisor(cfg.log_base)
+    if report.value < lower - 1e-8 or report.value > 1e-8:
+        raise ConsistencyError(
+            f"entropy gain minimum {report.value!r} escaped the certified range [{lower!r}, 0]"
+        )
+    return report
 
 
 def _entangled_init(d_a: int, d_b: int) -> np.ndarray:
@@ -327,43 +330,23 @@ def additivity_probe(
     cfg = config if config is not None else SearchConfig()
     report_a = min_output_entropy(channel_a, cfg)
     report_b = min_output_entropy(channel_b, cfg)
-    joint_channel = tensor(channel_a, channel_b)
     d_a = channel_a.dim_in
     d_b = channel_b.dim_in
-
-    basis = np.zeros(d_a * d_b, dtype=np.complex128)
-    basis[0] = 1.0
-    deterministic = [
-        _params_from_state(np.kron(report_a.argmin, report_b.argmin)),
-        _params_from_state(_entangled_init(d_a, d_b)),
-        _params_from_state(basis),
-    ]
-
-    objective = _pure_objective(joint_channel)
-    dim = d_a * d_b
-
-    def random_init(rng):
-        return _params_from_state(_haar_from_rng(rng, dim))
-
-    best, best_x, values, fraction, evaluations = _multistart(
-        objective, cfg, deterministic, random_init
-    )
-    divisor = log_divisor(cfg.log_base)
-    phi = _state_from_params(best_x, dim)
-    joint = SearchReport(
-        value=best / divisor,
-        argmin=phi,
-        restart_values=[v / divisor for v in values],
-        converged_fraction=fraction,
-        evaluations=evaluations,
+    joint = _pure_search(
+        tensor(channel_a, channel_b),
+        cfg,
+        [
+            _params_from_state(np.kron(report_a.argmin, report_b.argmin)),
+            _params_from_state(_entangled_init(d_a, d_b)),
+        ],
     )
     total_singles = report_a.value + report_b.value
     return ProbeReport(
         joint_min=joint.value,
         sum_of_singles=total_singles,
         gap=joint.value - total_singles,
-        argmin=phi,
-        schmidt_coefficients=schmidt_coefficients(phi, (d_a, d_b)),
+        argmin=joint.argmin,
+        schmidt_coefficients=schmidt_coefficients(joint.argmin, (d_a, d_b)),
         joint=joint,
         single_a=report_a,
         single_b=report_b,

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from spinchannels.channel import random_channel, save_channel
-from spinchannels.cli import main
+from spinchannels.cli import build_parser, main
 from spinchannels.invariant import EXACT_PAIR_ENTROPY, EXACT_SINGLE_CHANNEL_MIN
 from spinchannels.linalg import vector_from_json
 
@@ -193,6 +195,13 @@ class TestErrorHandling:
             main(["min-output", "--spin", "1", "--restarts", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("tolerance", ["inf", "1e999", "nan"])
+    def test_non_finite_tolerance_is_a_flag_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
     def test_spin_zero_is_a_contract_error(self, capsys):
         code, _, err = run_cli(capsys, "min-output", "--spin", "0")
         assert code == 1
@@ -249,3 +258,57 @@ class TestBadInputFailsCleanly:
         assert err.startswith("error:") and "GiB" in err
         assert "Traceback" not in err
         assert peak < 2**20
+
+
+_FAST_ARGS = {
+    "min-output": ["--spin", "1", "--restarts", "3", "--seed", "2"],
+    "gain": ["--spin", "1/2", "--restarts", "3", "--seed", "2"],
+    "probe": ["--spin", "1/2", "--restarts", "3", "--seed", "2"],
+    "singlet": ["--spin", "1"],
+}
+_TITLES = {
+    "min-output": "minimum output entropy",
+    "gain": "minimum entropy gain",
+    "probe": "additivity probe (two copies in parallel)",
+    "singlet": "decohered singlet block decomposition",
+}
+_NOTE_LINES = {"probe": 2}  # free-text lines after the aligned rows
+_TEXT_ROW = re.compile(r"  \S.{19} \S")  # two spaces, a 20-wide label, one space, the value
+
+
+def _output_pairs():
+    """Every (command, --output) pair the parser accepts, at both log bases."""
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest == "output":
+                for fmt in action.choices:
+                    yield from ((name, fmt, base) for base in ("e", "2"))
+
+
+@pytest.mark.parametrize("command, fmt, base", list(_output_pairs()))
+def test_every_output_format(capsys, command, fmt, base):
+    argv = [command, *_FAST_ARGS[command], "--log-base", base]
+    code, out, _ = run_cli(capsys, *argv, "--output", fmt)
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["command"] == command
+        assert payload["log_base"] == base
+    elif fmt == "csv":
+        _, json_out, _ = run_cli(capsys, *argv)
+        payload = json.loads(json_out)
+        expected = payload.get("joint_search", payload)["restart_values"]
+        lines = out.splitlines()
+        assert lines[0] == "rank,value"
+        assert len(lines) == 1 + payload["config"]["restarts"]
+        assert [float(line.split(",")[1]) for line in lines[1:]] == expected
+    else:
+        lines = out.splitlines()
+        assert lines[0] == _TITLES[command]
+        notes = _NOTE_LINES.get(command, 0)
+        rows = lines[1 : len(lines) - notes]
+        assert rows and all(_TEXT_ROW.match(row) for row in rows), rows
+        assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])

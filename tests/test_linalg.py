@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -281,3 +282,19 @@ def test_matrix_deserialization_rejects_garbage():
 def test_spectrum_entropy_rejects_non_finite_eigenvalues(spectrum):
     with pytest.raises(ContractViolation):
         spectrum_entropy(spectrum)
+
+
+@pytest.mark.parametrize(
+    "decode, text, where",
+    [
+        (vector_from_json, "[[NaN, 0.0]]", "vector entry 0"),
+        (vector_from_json, "[[1.0, 0.0], [0.0, -Infinity]]", "vector entry 1"),
+        (matrix_from_json, "[[[1.0, 0.0], [Infinity, 0.0]]]", r"matrix entry \(0, 1\)"),
+        (matrix_from_json, "[[[1.0, 0.0]], [[0.0, NaN]]]", r"matrix entry \(1, 0\)"),
+    ],
+    ids=["vector-nan", "vector-minus-inf", "matrix-inf", "matrix-nan"],
+)
+def test_json_decoding_rejects_non_finite_entries(decode, text, where):
+    # Python's json module parses NaN and Infinity, so the decoders must refuse them
+    with pytest.raises(ContractViolation, match=f"{where} is not finite"):
+        decode(json.loads(text))

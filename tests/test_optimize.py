@@ -94,6 +94,19 @@ class TestSearchConfig:
         with pytest.raises(ContractViolation):
             SearchConfig(log_base=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("simplex_tolerance", math.nan),
+            ("simplex_tolerance", math.inf),
+            ("objective_tolerance", math.nan),
+            ("objective_tolerance", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_tolerances(self, field, value):
+        with pytest.raises(ContractViolation, match="finite"):
+            SearchConfig(**{field: value})
+
 
 class TestHaarPure:
     def test_deterministic_and_normalized(self):
@@ -262,3 +275,30 @@ class TestAdditivityProbe:
         probe = additivity_probe(a, b, SearchConfig(restarts=4, seed=12))
         assert abs(probe.joint_min) < 1e-9
         assert abs(probe.gap) < 1e-9
+
+
+def _joint_report(channel, config):
+    return additivity_probe(channel, channel, config).joint
+
+
+@pytest.mark.parametrize(
+    "search, channel",
+    [
+        (min_output_entropy, isotropic_channel("1")),
+        (min_entropy_gain, random_channel(2, 3, seed=21)),
+        (_joint_report, isotropic_channel("1/2")),
+    ],
+    ids=["min-output", "gain", "probe-joint"],
+)
+def test_report_invariants_of_every_search(search, channel):
+    """All three searches report through one engine, so they share its invariants."""
+    nats = search(channel, SearchConfig(restarts=5, seed=1))
+    assert len(nats.restart_values) == 5
+    assert nats.restart_values == sorted(nats.restart_values)
+    assert nats.value == nats.restart_values[0]
+    assert 0.0 <= nats.converged_fraction <= 1.0
+    assert nats.evaluations > 0
+    # the search runs in nats; only the report is rescaled to the configured base
+    bits = search(channel, SearchConfig(restarts=5, seed=1, log_base=2.0))
+    assert bits.restart_values == [v / LN2 for v in nats.restart_values]
+    assert np.array_equal(bits.argmin, nats.argmin)
