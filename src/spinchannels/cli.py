@@ -37,7 +37,13 @@ from .linalg import (
     matrix_to_json,
     vector_to_json,
 )
-from .optimize import SearchConfig, additivity_probe, min_entropy_gain, min_output_entropy
+from .optimize import (
+    MAX_SIMPLEX_TOLERANCE,
+    SearchConfig,
+    additivity_probe,
+    min_entropy_gain,
+    min_output_entropy,
+)
 from .spin import SpinLabel
 from .verify import format_table, run_checks
 
@@ -72,6 +78,8 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    if value > MAX_SIMPLEX_TOLERANCE:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SIMPLEX_TOLERANCE:g}, got {text}")
     return value
 
 
@@ -100,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance",
             type=_positive_float,
             default=1e-9,
-            help="simplex size tolerance per restart (default 1e-9)",
+            help=f"per-restart tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}: the gradient"
+            " norm in min-output and probe, the simplex size in gain (default 1e-9)",
         )
 
     def add_output(sub, formats=("json", "csv", "text")):

@@ -1,18 +1,21 @@
-"""Multi-start derivative-free search for entropy minima of channels.
+"""Multi-start searches for entropy minima of channels.
 
-Both searches run Nelder-Mead from a mix of deterministic and seeded random
-starting points and keep the best local minimum found. The results are
-heuristic upper bounds: nothing here certifies global optimality, and the
-reports say so through their restart statistics rather than pretending to a
-proof.
+Both searches start from a mix of deterministic and seeded random points and
+keep the best local minimum found. Pure-input searches run L-BFGS-B with the
+exact gradient of the output entropy; the entropy-gain search runs
+Nelder-Mead, because its minimizers are rank-deficient inputs where log rho
+diverges. The results are heuristic upper bounds: nothing here certifies
+global optimality, and the reports say so through their restart statistics
+rather than pretending to a proof.
 
 Parametrizations
 ----------------
 Pure states use 2d real parameters (re, im interleaved blockwise); the
 objective normalizes internally, so the search space is effectively the unit
-sphere with a redundant scale direction. Input states for the entropy gain
-use a full complex d x d matrix A with rho = A A^dagger / tr(A A^dagger),
-which covers every density matrix including rank-deficient ones.
+sphere with a redundant scale direction, along which the gradient vanishes.
+Input states for the entropy gain use a full complex d x d matrix A with
+rho = A A^dagger / tr(A A^dagger), which covers every density matrix
+including rank-deficient ones.
 
 All objective evaluation happens in nats; the requested logarithm base only
 rescales the final report.
@@ -30,16 +33,26 @@ from .channel import KrausChannel, _apply_stack, tensor
 from .linalg import ConsistencyError, ContractViolation, log_divisor, spectrum_entropy
 
 # Returned when the parameter vector collapses below numerical rank; large
-# enough to repel the simplex from the origin without overflowing anything.
+# enough to repel either search from the origin without overflowing anything;
+# the pure objective pairs it with a zero gradient.
 _COLLAPSE_PENALTY = 1e3
 _COLLAPSE_NORM = 1e-8
+
+# Largest accepted simplex_tolerance. Parameters live on the unit sphere, so
+# a gradient tolerance near 1 stops every pure-input restart at its start.
+MAX_SIMPLEX_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the multi-start simplex search.
+    """Knobs for the multi-start searches.
 
-    restart seeds derive from (seed, restart_index), so reports are
+    simplex_tolerance is the gradient tolerance of each pure-input restart
+    (L-BFGS-B gtol) and the simplex size tolerance of each entropy-gain
+    restart (Nelder-Mead xatol); it must lie in (0, MAX_SIMPLEX_TOLERANCE].
+    objective_tolerance is the matching stop on objective changes (ftol,
+    fatol), and max_iterations_per_restart caps the iterations of either.
+    Restart seeds derive from (seed, restart_index), so reports are
     reproducible bit for bit at fixed config and identical across channels
     given on different occasions.
     """
@@ -62,6 +75,11 @@ class SearchConfig:
             # written so that NaN fails too: every comparison with NaN is False
             if not (tol > 0 and math.isfinite(tol)):
                 raise ContractViolation(f"tolerances must be positive and finite, got {tol!r}")
+        if float(self.simplex_tolerance) > MAX_SIMPLEX_TOLERANCE:
+            raise ContractViolation(
+                f"simplex_tolerance must be at most {MAX_SIMPLEX_TOLERANCE:g},"
+                f" got {self.simplex_tolerance!r}"
+            )
         log_divisor(self.log_base)  # validates the base
 
 
@@ -70,8 +88,9 @@ class SearchReport:
     """Outcome of one multi-start search, values in the configured base.
 
     restart_values holds every restart's local minimum, sorted ascending;
-    value equals its first entry. converged_fraction counts restarts whose
-    simplex met both tolerance targets before hitting iteration limits.
+    value equals its first entry. converged_fraction counts restarts that
+    stopped on a tolerance target (scipy status 0) rather than an iteration
+    or evaluation limit or a failed line search.
     """
 
     value: float
@@ -141,13 +160,19 @@ def _state_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _pure_objective(channel: KrausChannel):
-    """Output entropy (nats) as a function of 2*dim_in real parameters.
+def _pure_entropy_and_gradient(channel: KrausChannel):
+    """Output entropy (nats) and its gradient in the 2*dim_in real parameters.
 
-    Diagonalizes whichever of the Gram matrix <X_l phi, X_k phi> or the
-    output state is smaller; both carry the same nonzero spectrum.
+    One eigh of whichever of the Gram matrix <X_k phi, X_l phi> or the output
+    state is smaller gives the value and, with f(w) = log w + 1 on the
+    support and 0 off it, the vector B phi = sum_k X_k^dagger f(rho) X_k phi.
+    The Gram route uses f(M M^dagger) M = M f(M^dagger M) for the matrix M
+    whose columns are X_k phi, so the output state is never formed. The
+    gradient of S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the
+    entropy's derivative projected onto the sphere's tangent space.
     """
     ops = channel.kraus
+    conj_ops = ops.conj()
     n, dim_out, dim_in = ops.shape
     use_gram = n <= dim_out
 
@@ -155,10 +180,19 @@ def _pure_objective(channel: KrausChannel):
         v = x[:dim_in] + 1j * x[dim_in:]
         norm = np.linalg.norm(v)
         if norm < _COLLAPSE_NORM:
-            return _COLLAPSE_PENALTY
-        moved = ops @ (v / norm)
-        small = moved @ moved.conj().T if use_gram else moved.T @ moved.conj()
-        return spectrum_entropy(np.linalg.eigvalsh(small))
+            return _COLLAPSE_PENALTY, np.zeros(2 * dim_in)
+        phi = v / norm
+        m = (ops @ phi).T  # column k is X_k phi
+        w, u = np.linalg.eigh(m.conj().T @ m if use_gram else m @ m.conj().T)
+        value = spectrum_entropy(w)
+        positive = w > 0.0
+        f = np.zeros_like(w)
+        f[positive] = np.log(w[positive]) + 1.0
+        f_of = (u * f) @ u.conj().T
+        fm = m @ f_of if use_gram else f_of @ m
+        b_phi = np.einsum("kij,ik->j", conj_ops, fm)
+        g = (-2.0 / norm) * (b_phi - np.vdot(phi, b_phi).real * phi)
+        return value, np.concatenate([g.real, g.imag])
 
     return objective
 
@@ -183,12 +217,14 @@ def _gain_objective(channel: KrausChannel):
 
 
 def _multistart(
-    objective, config: SearchConfig, deterministic_inits, random_init, decode
+    objective, config: SearchConfig, deterministic_inits, random_init, decode, solver: dict
 ) -> SearchReport:
     """Shared engine: run the restarts and report the best point found.
 
-    decode maps the best parameter vector to the report's argmin. Values are
-    searched in nats and divided by the configured base's log only here.
+    solver holds the keywords (method, jac, options) passed to every
+    minimize call. decode maps the best parameter vector to the report's
+    argmin. Values are searched in nats and divided by the configured base's
+    log only here.
     """
     best_value = math.inf
     best_x = None
@@ -200,17 +236,7 @@ def _multistart(
             x0 = np.asarray(deterministic_inits[index], dtype=float)
         else:
             x0 = random_init(np.random.default_rng([int(config.seed), index]))
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": int(config.max_iterations_per_restart),
-                "maxfev": 4 * int(config.max_iterations_per_restart) + 100,
-                "xatol": float(config.simplex_tolerance),
-                "fatol": float(config.objective_tolerance),
-            },
-        )
+        result = minimize(objective, x0, **solver)
         value = float(result.fun)
         values.append(value)
         evaluations += int(result.nfev)
@@ -230,20 +256,31 @@ def _multistart(
 
 
 def _pure_search(channel: KrausChannel, config: SearchConfig, leading_inits) -> SearchReport:
-    """Pure-input search from the given starts, then the first basis vector.
+    """Pure-input L-BFGS-B search from the given starts, then the first basis vector.
 
     The remaining restarts start from Haar states seeded by
-    (config.seed, restart_index).
+    (config.seed, restart_index). A restart converges when the gradient's
+    largest component falls to simplex_tolerance or a step improves the
+    entropy by less than objective_tolerance (relative).
     """
     dim = channel.dim_in
     basis = np.zeros(dim, dtype=np.complex128)
     basis[0] = 1.0
     return _multistart(
-        _pure_objective(channel),
+        _pure_entropy_and_gradient(channel),
         config,
         [*leading_inits, _params_from_state(basis)],
         lambda rng: _params_from_state(_haar_from_rng(rng, dim)),
         lambda x: _state_from_params(x, dim),
+        {
+            "method": "L-BFGS-B",
+            "jac": True,
+            "options": {
+                "maxiter": int(config.max_iterations_per_restart),
+                "gtol": float(config.simplex_tolerance),
+                "ftol": float(config.objective_tolerance),
+            },
+        },
     )
 
 
@@ -255,6 +292,19 @@ def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None
     best local minimum seen, an upper bound on the true minimum.
     """
     return _pure_search(channel, config if config is not None else SearchConfig(), [])
+
+
+def gain_lower_bound(channel: KrausChannel) -> float:
+    """Certified lower bound -ln||Lambda(I)|| on the entropy gain, in nats.
+
+    Monotonicity of relative entropy under the channel, applied to D(rho||I)
+    and D(Lambda(rho)||Lambda(I)), gives S(Lambda(rho)) - S(rho) >= -ln of
+    the largest eigenvalue of Lambda(I). That eigenvalue is at most
+    tr Lambda(I) = d, so the bound is never below -ln d, and it is 0 for
+    unital channels.
+    """
+    image = _apply_stack(channel.kraus, np.eye(channel.dim_in, dtype=np.complex128))
+    return -math.log(float(np.linalg.eigvalsh(image)[-1]))
 
 
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
@@ -285,10 +335,24 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
 
     pure = np.zeros((dim, dim), dtype=np.complex128)
     pure[0, 0] = 1.0
+    nelder_mead = {
+        "method": "Nelder-Mead",
+        "options": {
+            "maxiter": int(cfg.max_iterations_per_restart),
+            "maxfev": 4 * int(cfg.max_iterations_per_restart) + 100,
+            "xatol": float(cfg.simplex_tolerance),
+            "fatol": float(cfg.objective_tolerance),
+        },
+    }
     report = _multistart(
-        _gain_objective(channel), cfg, [pack(np.eye(dim)), pack(pure)], random_init, decode
+        _gain_objective(channel),
+        cfg,
+        [pack(np.eye(dim)), pack(pure)],
+        random_init,
+        decode,
+        nelder_mead,
     )
-    lower = -math.log(dim) / log_divisor(cfg.log_base)
+    lower = gain_lower_bound(channel) / log_divisor(cfg.log_base)
     if report.value < lower - 1e-8 or report.value > 1e-8:
         raise ConsistencyError(
             f"entropy gain minimum {report.value!r} escaped the certified range [{lower!r}, 0]"
@@ -323,7 +387,7 @@ def additivity_probe(
     Runs the single-channel searches first, then searches the product channel
     starting from (in order) the product of the single argmins, an entangled
     state, the first basis vector, and seeded Haar states. The product start
-    guarantees gap <= 0 up to simplex noise; the entangled start gives
+    guarantees gap <= 0 up to search noise; the entangled start gives
     entanglement a genuine chance to win. Heuristic evidence only: a zero gap
     here is not a proof of additivity.
     """

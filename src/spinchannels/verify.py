@@ -313,7 +313,7 @@ def _check_search() -> list:
         bound_violation = max(
             bound_violation,
             max(0.0, report.value - 1e-8),
-            max(0.0, -math.log(2.0) - 1e-8 - report.value),
+            max(0.0, opt.gain_lower_bound(channel) - 1e-8 - report.value),
         )
 
     probe_cfg = opt.SearchConfig(restarts=8, seed=_SEED)

@@ -312,3 +312,21 @@ def test_every_output_format(capsys, command, fmt, base):
         rows = lines[1 : len(lines) - notes]
         assert rows and all(_TEXT_ROW.match(row) for row in rows), rows
         assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])
+
+
+class TestToleranceUpperBound:
+    @pytest.mark.parametrize("tolerance", ["1e300", "1", "0.0011"])
+    def test_tolerance_above_the_bound_is_a_flag_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tolerance" in err
+        assert "at most" in err
+
+    def test_tolerance_at_the_bound_is_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "gain", "--spin", "1/2", "--restarts", "2", "--tolerance", "1e-3"
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["simplex_tolerance"] == 1e-3

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from helpers import replacement_channel
+from spinchannels import optimize
 from spinchannels.channel import (
     KrausChannel,
     apply,
     entropy_gain,
     isotropic_channel,
     random_channel,
+    tensor,
 )
-from spinchannels.linalg import ContractViolation, von_neumann_entropy
+from spinchannels.linalg import ConsistencyError, ContractViolation, von_neumann_entropy
 from spinchannels.optimize import (
+    MAX_SIMPLEX_TOLERANCE,
     SearchConfig,
+    SearchReport,
+    _pure_entropy_and_gradient,
     additivity_probe,
+    gain_lower_bound,
     haar_pure,
     min_entropy_gain,
     min_output_entropy,
@@ -302,3 +308,114 @@ def test_report_invariants_of_every_search(search, channel):
     bits = search(channel, SearchConfig(restarts=5, seed=1, log_base=2.0))
     assert bits.restart_values == [v / LN2 for v in nats.restart_values]
     assert np.array_equal(bits.argmin, nats.argmin)
+
+
+def _binary_entropy(p):
+    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        isotropic_channel("1/2"),
+        random_channel(3, 5, seed=1),
+        isotropic_channel("5/2"),
+        random_channel(3, 2, seed=2),
+        tensor(isotropic_channel("1"), isotropic_channel("1")),
+    ],
+    ids=["output-spin-half", "output-random-d3-k5", "gram-spin-5/2", "gram-random-d3-k2", "s1xs1"],
+)
+def test_pure_gradient_matches_central_differences(channel):
+    objective = _pure_entropy_and_gradient(channel)
+    dim = channel.dim_in
+    rng = np.random.default_rng(17)
+    # an unnormalized point, so the 1/|v| factor and the projection are both exercised
+    x = 1.7 * rng.standard_normal(2 * dim)
+    value, gradient = objective(x)
+    phi = (x[:dim] + 1j * x[dim:]) / np.linalg.norm(x)
+    assert abs(value - von_neumann_entropy(apply(channel, np.outer(phi, phi.conj())))) < 1e-12
+    step = 1e-6
+    central = np.array(
+        [
+            (objective(x + step * e)[0] - objective(x - step * e)[0]) / (2 * step)
+            for e in np.eye(2 * dim)
+        ]
+    )
+    assert np.abs(gradient - central).max() < 1e-8
+    # the scale direction is flat
+    assert abs(gradient @ x) < 1e-12
+
+
+def test_collapsed_parameters_get_the_penalty_and_no_gradient():
+    value, gradient = _pure_entropy_and_gradient(isotropic_channel("1"))(np.zeros(6))
+    assert value > 1.0
+    assert np.array_equal(gradient, np.zeros(6))
+
+
+def test_spin_three_search_converges_to_the_coherent_state_value():
+    report = min_output_entropy(isotropic_channel("3"), SearchConfig(restarts=64))
+    assert report.converged_fraction == 1.0
+    assert abs(report.value - _binary_entropy(0.25)) < 1e-9
+
+
+def _bloch_grid_min_output(channel, points=400):
+    """Minimum output entropy of a qubit channel over a dense theta x phi grid of pure inputs."""
+    theta, phase = np.meshgrid(
+        np.linspace(0.0, np.pi, points), np.linspace(0.0, 2.0 * np.pi, 2 * points, endpoint=False)
+    )
+    states = np.stack(
+        [np.cos(theta / 2).ravel(), np.exp(1j * phase).ravel() * np.sin(theta / 2).ravel()], axis=1
+    )
+    moved = np.einsum("kij,sj->ski", channel.kraus, states)
+    outputs = np.einsum("ski,skj->sij", moved, moved.conj())
+    w = np.clip(np.linalg.eigvalsh(outputs), 1e-300, None)
+    return float((-(w * np.log(w)).sum(axis=1)).min())
+
+
+@pytest.mark.parametrize("seed, n_kraus", [(51, 2), (52, 3), (53, 4), (54, 2)])
+def test_qubit_search_is_no_worse_than_a_dense_bloch_grid(seed, n_kraus):
+    channel = random_channel(2, n_kraus, seed=seed)
+    report = min_output_entropy(channel, SearchConfig(restarts=8, seed=2))
+    assert report.value <= _bloch_grid_min_output(channel) + 1e-12
+
+
+class TestToleranceBound:
+    def test_rejects_simplex_tolerance_above_the_bound(self):
+        with pytest.raises(ContractViolation, match="at most"):
+            SearchConfig(simplex_tolerance=MAX_SIMPLEX_TOLERANCE * 1.01)
+        with pytest.raises(ContractViolation, match="at most"):
+            SearchConfig(simplex_tolerance=1e300)
+
+    def test_accepts_the_bound_itself(self):
+        assert SearchConfig(simplex_tolerance=MAX_SIMPLEX_TOLERANCE).simplex_tolerance == 1e-3
+
+
+class TestGainLowerBound:
+    def test_unital_and_replacement_channels(self):
+        assert abs(gain_lower_bound(isotropic_channel("3/2"))) < 1e-12
+        for d in (2, 3):
+            assert abs(gain_lower_bound(replacement_channel(d)) + math.log(d)) < 1e-12
+
+    def test_non_unital_bound_is_tighter_than_minus_log_d(self):
+        channel = random_channel(2, 3, seed=0)
+        image = sum(k @ k.conj().T for k in channel.kraus)
+        expected = -math.log(np.linalg.eigvalsh(image).max())
+        bound = gain_lower_bound(channel)
+        assert abs(bound - expected) < 1e-12
+        assert bound > -math.log(2.0) + 0.3  # -0.357 against -0.693
+        report = min_entropy_gain(channel, SearchConfig(restarts=6, seed=3))
+        assert bound - 1e-8 <= report.value <= 1e-8
+
+    def test_range_check_uses_the_certified_bound(self, monkeypatch):
+        channel = random_channel(2, 3, seed=0)
+        # a value inside [-ln d, 0] but below -ln||Lambda(I)|| must be caught
+        fake = SearchReport(
+            value=-0.5,
+            argmin=np.eye(2) / 2.0,
+            restart_values=[-0.5],
+            converged_fraction=1.0,
+            evaluations=1,
+        )
+        monkeypatch.setattr(optimize, "_multistart", lambda *args, **kwargs: fake)
+        with pytest.raises(ConsistencyError, match="certified range"):
+            min_entropy_gain(channel, SearchConfig(restarts=1))
