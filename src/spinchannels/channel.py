@@ -234,9 +234,13 @@ def channel_from_json(data) -> KrausChannel:
         if op.shape != shape:
             raise ContractViolation("Kraus matrices in the payload have inconsistent shapes")
     dim_out, dim_in = shape
-    if int(data["dim_in"]) != dim_in or int(data["dim_out"]) != dim_out:
+    try:
+        matches = (int(data["dim_in"]), int(data["dim_out"])) == (dim_in, dim_out)
+    except (TypeError, ValueError, OverflowError):  # not integers
+        matches = False
+    if not matches:
         raise ContractViolation(
-            f"declared dimensions ({data['dim_in']}, {data['dim_out']}) do not match "
+            f"declared dimensions ({data['dim_in']!r}, {data['dim_out']!r}) do not match "
             f"matrix shape {shape}"
         )
     return KrausChannel(np.stack(ops))
@@ -247,7 +251,7 @@ def load_channel(path) -> KrausChannel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ContractViolation(f"malformed channel file {path}: {exc}") from None
     return channel_from_json(data)
 

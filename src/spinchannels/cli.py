@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance",
             type=_positive_float,
             default=1e-9,
-            help=f"per-restart tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}: the gradient"
-            " norm in min-output and probe, the simplex size in gain (default 1e-9)",
+            help=f"per-restart gradient tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}"
+            " (default 1e-9)",
         )
 
     def add_output(sub, formats=("json", "csv", "text")):

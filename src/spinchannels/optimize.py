@@ -1,12 +1,10 @@
 """Multi-start searches for entropy minima of channels.
 
 Both searches start from a mix of deterministic and seeded random points and
-keep the best local minimum found. Pure-input searches run L-BFGS-B with the
-exact gradient of the output entropy; the entropy-gain search runs
-Nelder-Mead, because its minimizers are rank-deficient inputs where log rho
-diverges. The results are heuristic upper bounds: nothing here certifies
-global optimality, and the reports say so through their restart statistics
-rather than pretending to a proof.
+keep the best local minimum found. Every restart runs L-BFGS-B with the exact
+gradient of its objective. The results are heuristic upper bounds: nothing
+here certifies global optimality, and the reports say so through their
+restart statistics rather than pretending to a proof.
 
 Parametrizations
 ----------------
@@ -32,9 +30,9 @@ from scipy.optimize import minimize
 from .channel import KrausChannel, _apply_stack, tensor
 from .linalg import ConsistencyError, ContractViolation, log_divisor, spectrum_entropy
 
-# Returned when the parameter vector collapses below numerical rank; large
-# enough to repel either search from the origin without overflowing anything;
-# the pure objective pairs it with a zero gradient.
+# Returned, with a zero gradient, when the parameter vector collapses below
+# numerical rank; large enough to repel either search from the origin without
+# overflowing anything.
 _COLLAPSE_PENALTY = 1e3
 _COLLAPSE_NORM = 1e-8
 
@@ -47,11 +45,10 @@ MAX_SIMPLEX_TOLERANCE = 1e-3
 class SearchConfig:
     """Knobs for the multi-start searches.
 
-    simplex_tolerance is the gradient tolerance of each pure-input restart
-    (L-BFGS-B gtol) and the simplex size tolerance of each entropy-gain
-    restart (Nelder-Mead xatol); it must lie in (0, MAX_SIMPLEX_TOLERANCE].
-    objective_tolerance is the matching stop on objective changes (ftol,
-    fatol), and max_iterations_per_restart caps the iterations of either.
+    simplex_tolerance is the gradient tolerance of each restart (L-BFGS-B
+    gtol); it must lie in (0, MAX_SIMPLEX_TOLERANCE]. objective_tolerance is
+    the relative stop on objective changes (ftol), and
+    max_iterations_per_restart caps the iterations of each restart.
     Restart seeds derive from (seed, restart_index), so reports are
     reproducible bit for bit at fixed config and identical across channels
     given on different occasions.
@@ -90,7 +87,7 @@ class SearchReport:
     restart_values holds every restart's local minimum, sorted ascending;
     value equals its first entry. converged_fraction counts restarts that
     stopped on a tolerance target (scipy status 0) rather than an iteration
-    or evaluation limit or a failed line search.
+    limit or a failed line search.
     """
 
     value: float
@@ -160,16 +157,28 @@ def _state_from_params(x: np.ndarray, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _entropy_and_log_term(m: np.ndarray):
+    """Entropy of a positive matrix m and f(m), from one eigh.
+
+    f(w) = log w + 1 on the support and 0 off it: dS = -tr(f(m) dm).
+    """
+    w, u = np.linalg.eigh(m)
+    positive = w > 0.0
+    f = np.zeros_like(w)
+    f[positive] = np.log(w[positive]) + 1.0
+    return spectrum_entropy(w), (u * f) @ u.conj().T
+
+
 def _pure_entropy_and_gradient(channel: KrausChannel):
     """Output entropy (nats) and its gradient in the 2*dim_in real parameters.
 
     One eigh of whichever of the Gram matrix <X_k phi, X_l phi> or the output
-    state is smaller gives the value and, with f(w) = log w + 1 on the
-    support and 0 off it, the vector B phi = sum_k X_k^dagger f(rho) X_k phi.
-    The Gram route uses f(M M^dagger) M = M f(M^dagger M) for the matrix M
-    whose columns are X_k phi, so the output state is never formed. The
-    gradient of S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the
-    entropy's derivative projected onto the sphere's tangent space.
+    state is smaller gives the value and the vector
+    B phi = sum_k X_k^dagger f(rho) X_k phi. The Gram route uses
+    f(M M^dagger) M = M f(M^dagger M) for the matrix M whose columns are
+    X_k phi, so the output state is never formed. The gradient of
+    S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the entropy's
+    derivative projected onto the sphere's tangent space.
     """
     ops = channel.kraus
     conj_ops = ops.conj()
@@ -183,12 +192,7 @@ def _pure_entropy_and_gradient(channel: KrausChannel):
             return _COLLAPSE_PENALTY, np.zeros(2 * dim_in)
         phi = v / norm
         m = (ops @ phi).T  # column k is X_k phi
-        w, u = np.linalg.eigh(m.conj().T @ m if use_gram else m @ m.conj().T)
-        value = spectrum_entropy(w)
-        positive = w > 0.0
-        f = np.zeros_like(w)
-        f[positive] = np.log(w[positive]) + 1.0
-        f_of = (u * f) @ u.conj().T
+        value, f_of = _entropy_and_log_term(m.conj().T @ m if use_gram else m @ m.conj().T)
         fm = m @ f_of if use_gram else f_of @ m
         b_phi = np.einsum("kij,ik->j", conj_ops, fm)
         g = (-2.0 / norm) * (b_phi - np.vdot(phi, b_phi).real * phi)
@@ -198,8 +202,15 @@ def _pure_entropy_and_gradient(channel: KrausChannel):
 
 
 def _gain_objective(channel: KrausChannel):
-    """Entropy gain (nats) over density matrices rho = A A^dagger / tr."""
+    """Entropy gain (nats) and its gradient over rho = A A^dagger / t, t = |A|_F^2.
+
+    With B = Lambda^dagger(f(Lambda rho)) - f(rho), the gain changes by
+    -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
+    returned as [re, im] of the flattened matrix. It stays bounded where rho
+    is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w.
+    """
     ops = channel.kraus
+    adjoint_ops = ops.conj().transpose(0, 2, 1)
     dim = channel.dim_in
     block = dim * dim
 
@@ -207,25 +218,32 @@ def _gain_objective(channel: KrausChannel):
         a = (x[:block] + 1j * x[block:]).reshape(dim, dim)
         total = float(np.vdot(a, a).real)
         if total < _COLLAPSE_NORM**2:
-            return _COLLAPSE_PENALTY
+            return _COLLAPSE_PENALTY, np.zeros(2 * block)
         rho = (a @ a.conj().T) / total
-        s_in = spectrum_entropy(np.linalg.eigvalsh(rho))
-        s_out = spectrum_entropy(np.linalg.eigvalsh(_apply_stack(ops, rho)))
-        return s_out - s_in
+        s_in, f_in = _entropy_and_log_term(rho)
+        s_out, f_out = _entropy_and_log_term(_apply_stack(ops, rho))
+        b = _apply_stack(adjoint_ops, f_out) - f_in
+        g = (-2.0 / total) * (b @ a - np.trace(b @ rho).real * a)
+        return s_out - s_in, np.concatenate([g.real.ravel(), g.imag.ravel()])
 
     return objective
 
 
 def _multistart(
-    objective, config: SearchConfig, deterministic_inits, random_init, decode, solver: dict
+    objective, config: SearchConfig, deterministic_inits, random_init, decode
 ) -> SearchReport:
     """Shared engine: run the restarts and report the best point found.
 
-    solver holds the keywords (method, jac, options) passed to every
-    minimize call. decode maps the best parameter vector to the report's
-    argmin. Values are searched in nats and divided by the configured base's
-    log only here.
+    objective returns (value, gradient); each restart is one L-BFGS-B run
+    with the stops of SearchConfig. decode maps the best parameter vector to
+    the report's argmin. Values are searched in nats and divided by the
+    configured base's log only here.
     """
+    options = {
+        "maxiter": int(config.max_iterations_per_restart),
+        "gtol": float(config.simplex_tolerance),
+        "ftol": float(config.objective_tolerance),
+    }
     best_value = math.inf
     best_x = None
     values = []
@@ -236,7 +254,7 @@ def _multistart(
             x0 = np.asarray(deterministic_inits[index], dtype=float)
         else:
             x0 = random_init(np.random.default_rng([int(config.seed), index]))
-        result = minimize(objective, x0, **solver)
+        result = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
         value = float(result.fun)
         values.append(value)
         evaluations += int(result.nfev)
@@ -256,13 +274,7 @@ def _multistart(
 
 
 def _pure_search(channel: KrausChannel, config: SearchConfig, leading_inits) -> SearchReport:
-    """Pure-input L-BFGS-B search from the given starts, then the first basis vector.
-
-    The remaining restarts start from Haar states seeded by
-    (config.seed, restart_index). A restart converges when the gradient's
-    largest component falls to simplex_tolerance or a step improves the
-    entropy by less than objective_tolerance (relative).
-    """
+    """Pure-input search from the given starts, the first basis vector, then Haar states."""
     dim = channel.dim_in
     basis = np.zeros(dim, dtype=np.complex128)
     basis[0] = 1.0
@@ -272,15 +284,6 @@ def _pure_search(channel: KrausChannel, config: SearchConfig, leading_inits) -> 
         [*leading_inits, _params_from_state(basis)],
         lambda rng: _params_from_state(_haar_from_rng(rng, dim)),
         lambda x: _state_from_params(x, dim),
-        {
-            "method": "L-BFGS-B",
-            "jac": True,
-            "options": {
-                "maxiter": int(config.max_iterations_per_restart),
-                "gtol": float(config.simplex_tolerance),
-                "ftol": float(config.objective_tolerance),
-            },
-        },
     )
 
 
@@ -311,8 +314,10 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     """Search for the minimum entropy gain over all input states.
 
     Restart 0 starts from the maximally mixed state (gain <= 0 there for
-    bistochastic channels), restart 1 from a pure basis state; the rest use
-    seeded complex Gaussian matrices. The report's argmin is the best density
+    bistochastic channels); the rest use complex Gaussian matrices seeded by
+    (config.seed, restart_index). No start is rank-deficient: the gradient
+    B A - tr(B rho) A vanishes on every zero column of A, so such a start
+    would never leave its rank. The report's argmin is the best density
     matrix itself.
     """
     cfg = config if config is not None else SearchConfig()
@@ -333,25 +338,7 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
         a = (x[:block] + 1j * x[block:]).reshape(dim, dim)
         return (a @ a.conj().T) / float(np.vdot(a, a).real)
 
-    pure = np.zeros((dim, dim), dtype=np.complex128)
-    pure[0, 0] = 1.0
-    nelder_mead = {
-        "method": "Nelder-Mead",
-        "options": {
-            "maxiter": int(cfg.max_iterations_per_restart),
-            "maxfev": 4 * int(cfg.max_iterations_per_restart) + 100,
-            "xatol": float(cfg.simplex_tolerance),
-            "fatol": float(cfg.objective_tolerance),
-        },
-    }
-    report = _multistart(
-        _gain_objective(channel),
-        cfg,
-        [pack(np.eye(dim)), pack(pure)],
-        random_init,
-        decode,
-        nelder_mead,
-    )
+    report = _multistart(_gain_objective(channel), cfg, [pack(np.eye(dim))], random_init, decode)
     lower = gain_lower_bound(channel) / log_divisor(cfg.log_base)
     if report.value < lower - 1e-8 or report.value > 1e-8:
         raise ConsistencyError(

@@ -330,3 +330,25 @@ class TestToleranceUpperBound:
         )
         assert code == 0
         assert json.loads(out)["config"]["simplex_tolerance"] == 1e-3
+
+
+def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    string_entry = [[[["x", 0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    null_entry = [[[[None, 0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    files = {
+        "string-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": string_entry}),
+        "null-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": null_entry}),
+        "word-dim.json": json.dumps({"dim_in": "two", "dim_out": 2, "kraus": [identity]}),
+        "latin-1.json": b'{"dim_in": 2, "dim_out": 2, "name": "caf\xe9"}',
+    }
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, _, err = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "1")
+        assert code == 1, name
+        assert err.startswith("error: "), (name, err)
+        assert "Traceback" not in err, name

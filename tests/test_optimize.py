@@ -419,3 +419,66 @@ class TestGainLowerBound:
         monkeypatch.setattr(optimize, "_multistart", lambda *args, **kwargs: fake)
         with pytest.raises(ConsistencyError, match="certified range"):
             min_entropy_gain(channel, SearchConfig(restarts=1))
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        random_channel(2, 3, seed=0),
+        random_channel(3, 2, seed=1),
+        isotropic_channel("1"),
+        random_channel(4, 3, seed=2),
+        tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4)),
+    ],
+    ids=["random-d2-k3", "random-d3-k2", "spin-1", "random-d4-k3", "product-2x2"],
+)
+def test_gain_gradient_matches_central_differences(channel):
+    objective = optimize._gain_objective(channel)
+    dim = channel.dim_in
+    rng = np.random.default_rng(19)
+    # an unnormalized full-rank A, so the 1/t factor and the trace term are both exercised
+    x = 1.3 * rng.standard_normal(2 * dim * dim)
+    value, gradient = objective(x)
+    a = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
+    rho = a @ a.conj().T / np.vdot(a, a).real
+    assert abs(value - entropy_gain(channel, rho)) < 1e-12
+    step = 1e-6
+    central = np.array(
+        [
+            (objective(x + step * e)[0] - objective(x - step * e)[0]) / (2 * step)
+            for e in np.eye(x.size)
+        ]
+    )
+    assert np.abs(gradient - central).max() < 1e-8
+    # the scale direction is flat
+    assert abs(gradient @ x) < 1e-12
+
+
+def test_collapsed_gain_parameters_get_the_penalty_and_no_gradient():
+    value, gradient = optimize._gain_objective(random_channel(3, 2, seed=0))(np.zeros(18))
+    assert value == optimize._COLLAPSE_PENALTY
+    assert np.array_equal(gradient, np.zeros(18))
+
+
+def test_gain_searches_on_the_criterion_10_pairs_converge_and_add_up():
+    """The joint gain of a product equals the sum of the single gains, every restart converging."""
+    single_cfg = SearchConfig(restarts=8, seed=20)
+    joint_cfg = SearchConfig(restarts=12, seed=21)
+    for pair in range(10):
+        chan_a = random_channel(2, 3, seed=2000 + pair)
+        chan_b = random_channel(2, 3, seed=3000 + pair)
+        reports = [
+            min_entropy_gain(chan_a, single_cfg),
+            min_entropy_gain(chan_b, single_cfg),
+            min_entropy_gain(tensor(chan_a, chan_b), joint_cfg),
+        ]
+        assert [r.converged_fraction for r in reports] == [1.0, 1.0, 1.0]
+        g_a, g_b, g_joint = (r.value for r in reports)
+        assert abs(g_joint - g_a - g_b) <= 1e-9
+
+
+@pytest.mark.parametrize("dim, n_kraus", [(2, 3), (3, 2)])
+def test_gain_restarts_agree(dim, n_kraus):
+    for seed in range(6):
+        report = min_entropy_gain(random_channel(dim, n_kraus, seed), SearchConfig(restarts=10))
+        assert report.restart_values[-1] - report.restart_values[0] <= 1e-9
