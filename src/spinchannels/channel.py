@@ -234,11 +234,10 @@ def channel_from_json(data) -> KrausChannel:
         if op.shape != shape:
             raise ContractViolation("Kraus matrices in the payload have inconsistent shapes")
     dim_out, dim_in = shape
-    try:
-        matches = (int(data["dim_in"]), int(data["dim_out"])) == (dim_in, dim_out)
-    except (TypeError, ValueError, OverflowError):  # not integers
-        matches = False
-    if not matches:
+    declared = (data["dim_in"], data["dim_out"])
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in declared):
+        raise ContractViolation(f"declared dimensions {declared!r} must be JSON integers")
+    if declared != (dim_in, dim_out):
         raise ContractViolation(
             f"declared dimensions ({data['dim_in']!r}, {data['dim_out']!r}) do not match "
             f"matrix shape {shape}"

@@ -15,6 +15,12 @@ the decohered singlet specifically a closed moment formula in the spin
 matrix elements must match as well. Disagreement between routes raises
 instead of silently picking one.
 
+J^2 conserves the total magnetic number M = m + m', so every P_j is block
+diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
+against P_j and sums of weighted P_j are therefore taken one sector at a
+time from `spin._casimir_sectors`; no d^2 x d^2 projector or eigensolve of
+the full J^2 is formed on this path.
+
 Product channels act factor by factor. With the row-major flattening of
 `linalg.kron`, a two-spin vector psi is the d x d matrix Psi, and
 
@@ -42,8 +48,8 @@ from .linalg import (
 )
 from .spin import (
     SpinLabel,
+    _casimir_sectors,
     _coupled_zero_m_states,
-    casimir_projectors,
     rotation_unitary,
     singlet_state,
     spin_operators,
@@ -85,9 +91,11 @@ EXCESS_CLOSED_FORM = {
 _INVARIANCE_CHECK_SEED = 171717
 _CROSS_CHECK_TOL = 1e-9
 _MOMENT_TOL = 1e-10
-# Byte cap on the d^2 x d^2 complex arrays `singlet_decoherence` holds at once:
-# the 2s+1 Casimir projectors plus J^2, its eigenvectors and the output state.
-# It admits 2s <= 35; 2s = 16 needs 27 MB.
+# Byte cap on `singlet_decoherence`, estimated as (d+3) complex d^2 x d^2
+# arrays. The path holds only a few such arrays at once (the output state,
+# J^2 for the |j;0> residual check, the invariance check's rotated copies and
+# the eigvalsh workspace), so the estimate is generous; it is kept so that
+# the admitted range stays 2s <= 35. 2s = 16 is estimated at 27 MB.
 SINGLET_BYTE_CAP = 2**30
 
 
@@ -176,10 +184,11 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float, samples: i
 def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicDistribution:
     """Block probabilities of an invariant state on two spin-s systems.
 
-    Computes tr(P_j rho) from the Casimir projectors and cross-checks it
-    against the matrix elements (2j+1) <j;0|rho|j;0>; the two must agree
-    within 1e-9 or the call fails. The projector route's values are returned.
-    The |j;0> stack is built once per call.
+    Computes tr(P_j rho) one total-M sector at a time, as the sum of
+    <j;M|rho|j;M> over the sectors |M| <= j, and cross-checks it against the
+    matrix elements (2j+1) <j;0|rho|j;0>; the two must agree within 1e-9 or
+    the call fails. The projector route's values are returned. The |j;0>
+    stack is built once per call.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -193,8 +202,13 @@ def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicD
         raise ContractViolation(f"state trace is {trace!r}, not 1")
     _require_invariant(m, label, invariance_tol)
 
-    # tr(P_j rho) = sum_ab conj(P_j)_ab rho_ab because P_j is Hermitian.
-    from_projectors = [float(np.real(np.vdot(p, m))) for p in casimir_projectors(label)]
+    # P_j = sum_M |j;M><j;M| with real sector vectors, so tr(P_j rho) sums
+    # v^T rho_MM v over the columns v of each sector that belong to block j.
+    traces = np.zeros(d)
+    for indices, j_values, vectors in _casimir_sectors(label):
+        block = m[np.ix_(indices, indices)]
+        traces[j_values] += np.real(np.sum(vectors * (block @ vectors), axis=0))
+    from_projectors = [float(t) for t in traces]
     states = _coupled_zero_m_states(label)
     diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m.T))
     from_elements = [(2 * j + 1) * float(e) for j, e in enumerate(diagonal)]
@@ -250,12 +264,18 @@ def invariant_state_entropy(distribution: IsotypicDistribution, base=None) -> fl
 
 
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
-    """Reconstruct the invariant state sum_j p_j P_j / (2j+1)."""
-    projectors = casimir_projectors(distribution.spin)
-    d2 = projectors[0].shape[0]
-    out = np.zeros((d2, d2), dtype=np.complex128)
-    for j, p in enumerate(distribution.probs):
-        out += p * projectors[j] / (2 * j + 1)
+    """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
+
+    Assembled block by block over the total-M sectors: the block of sector M
+    is V diag(p_j / (2j+1)) V^T for its real eigenvectors V, and every entry
+    between two sectors is zero.
+    """
+    label = distribution.spin
+    d = label.dimension
+    weights = np.asarray(distribution.probs) / (2 * np.arange(d) + 1)
+    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    for indices, j_values, vectors in _casimir_sectors(label):
+        out[np.ix_(indices, indices)] = (vectors * weights[j_values]) @ vectors.T
     return out
 
 

@@ -261,15 +261,19 @@ def matrix_to_json(matrix) -> list:
 
 
 def _complex_from_json(entry, kind: str, index) -> complex:
-    """One [re, im] pair of the wire format; non-numbers, NaN and inf are rejected."""
+    """One [re, im] pair of the wire format.
+
+    Both parts must be JSON numbers: booleans, strings and null are rejected,
+    as are NaN, inf and integers too large for a float.
+    """
     if not isinstance(entry, list) or len(entry) != 2:
         raise ContractViolation(f"{kind} entries must be [re, im] pairs, got {entry!r}")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry):
+        raise ContractViolation(f"{kind} entry {index} is not a pair of numbers: {entry!r}")
     try:
         z = complex(float(entry[0]), float(entry[1]))
-    except (TypeError, ValueError, OverflowError):
-        raise ContractViolation(
-            f"{kind} entry {index} is not a pair of numbers: {entry!r}"
-        ) from None
+    except OverflowError:
+        raise ContractViolation(f"{kind} entry {index} is too large: {entry!r}") from None
     if not cmath.isfinite(z):
         raise ContractViolation(f"{kind} entry {index} is not finite: {entry!r}")
     return z

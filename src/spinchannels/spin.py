@@ -11,7 +11,6 @@ Two-spin indices flatten as (m_row, m'_col) -> row * d + col, matching
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,6 +85,13 @@ class SpinLabel:
         return f"{self.twice_s}/2"
 
 
+def _raising_elements(label: SpinLabel) -> np.ndarray:
+    """The superdiagonal <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)), m = s-1, ..., -s."""
+    s = label.s
+    m = s - np.arange(1, label.dimension)
+    return np.sqrt(s * (s + 1) - m * (m + 1))
+
+
 def spin_operators(spin):
     """Return the triple (S_1, S_2, S_3) for the given spin.
 
@@ -94,13 +100,8 @@ def spin_operators(spin):
     sum_k S_k^2 = s(s+1) I hold to machine precision.
     """
     label = SpinLabel.coerce(spin)
-    s = label.s
-    d = label.dimension
-    m = s - np.arange(d)
-    s3 = np.diag(m.astype(np.complex128))
-    raising = np.zeros((d, d), dtype=np.complex128)
-    for col in range(1, d):
-        raising[col - 1, col] = math.sqrt(s * (s + 1) - m[col] * (m[col] + 1))
+    s3 = np.diag((label.s - np.arange(label.dimension)).astype(np.complex128))
+    raising = np.diag(_raising_elements(label), 1).astype(np.complex128)
     lowering = raising.conj().T
     s1 = (raising + lowering) / 2.0
     s2 = (raising - lowering) / 2.0j
@@ -137,43 +138,81 @@ def total_spin_squared(spin) -> np.ndarray:
     return out
 
 
-def _zero_m_indices(d: int) -> list:
-    # Flattened positions of |m> x |-m>, i.e. row i paired with column d-1-i.
-    return [i * d + (d - 1 - i) for i in range(d)]
+def _sector_matrix(label: SpinLabel, k: int):
+    """J^2 on the total-M sector M = 2s - k, with the flattened indices it acts on.
+
+    The sector holds |m_a> x |m_b> with a + b = k (a ascending), at flattened
+    index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+ keeps
+    a + b fixed, so its restriction is real symmetric tridiagonal: diagonal
+    2s(s+1) + 2 m_a m_b, and r_a r_(b-1) between (a, b) and (a+1, b-1), with
+    r the ladder elements of `spin_operators`. Entries of J^2 between two
+    sectors are exactly zero.
+    """
+    d = label.dimension
+    a = np.arange(max(0, k - d + 1), min(k, d - 1) + 1)
+    b = k - a
+    m = label.s - np.arange(d)
+    ladder = _raising_elements(label)
+    off = ladder[a[:-1]] * ladder[b[:-1] - 1]
+    matrix = np.diag(2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b])
+    matrix += np.diag(off, 1) + np.diag(off, -1)
+    return a * d + b, matrix
+
+
+def _casimir_sector(label: SpinLabel, k: int):
+    """Eigenvectors of J^2 on sector M = 2s - k: (indices, j values, vectors).
+
+    Sector M meets each block j = |M|..2s exactly once, so the c-th
+    ascending eigenvalue must lie within CLUSTER_TOL of j(j+1) for
+    j = |M| + c, or the call raises. Column c of the real n x n `vectors`
+    is |j; M> on the sector's flattened `indices`, up to sign.
+    """
+    indices, matrix = _sector_matrix(label, k)
+    w, v = np.linalg.eigh(matrix)
+    j_values = abs(label.twice_s - k) + np.arange(len(indices))
+    worst = float(np.abs(w - j_values * (j_values + 1)).max())
+    if worst > CLUSTER_TOL:
+        raise ConsistencyError(
+            f"Casimir eigenvalues of sector M = {label.twice_s - k} are {worst:.3e} "
+            f"from j(j+1), j = {j_values[0]}..{label.twice_s}; clustering failed"
+        )
+    return indices, j_values, v
+
+
+def _casimir_sectors(label: SpinLabel) -> list:
+    """`_casimir_sector` for every total M, in order M = 2s, 2s-1, ..., -2s.
+
+    This diagonalizes J^2 one sector at a time: 2d-1 real tridiagonal blocks
+    of size at most d, O(d^4) work in all, and no d^2 x d^2 array.
+    """
+    return [_casimir_sector(label, k) for k in range(2 * label.twice_s + 1)]
 
 
 def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     """All |j; m=0> vectors for j = 0..2s, as rows of a (d, d^2) array.
 
-    The m = 0 sector spanned by |m> x |-m> is invariant under J^2 and meets
-    each total-spin block exactly once, so diagonalizing the restriction of
-    J^2 there yields every |j; 0> at once. The overall phase is fixed by
-    making the coefficient of |s> x |-s> real and positive. Callers that need
-    several |j; 0> build this stack once and index into it.
+    The M = 0 sector spanned by |m> x |-m> meets each total-spin block
+    exactly once, so its eigenvectors from `_casimir_sector` are every |j; 0>
+    at once. The overall phase is fixed by making the coefficient of
+    |s> x |-s> real and positive. Callers that need several |j; 0> build this
+    stack once and index into it.
     """
     d = label.dimension
-    idx = _zero_m_indices(d)
-    j_squared = total_spin_squared(label)
-    restricted = j_squared[np.ix_(idx, idx)]
-    w, v = np.linalg.eigh(restricted)
-
+    indices, _, vectors = _casimir_sector(label, label.twice_s)
+    leading = vectors[0]
+    vanishing = np.flatnonzero(np.abs(leading) < 1e-12)
+    if vanishing.size:
+        raise ConsistencyError(
+            "|j;0> phase convention undefined: vanishing |s>|-s> amplitude "
+            f"at j = {int(vanishing[0])}"
+        )
     states = np.zeros((d, d * d), dtype=np.complex128)
-    for col in range(d):
-        j = round((math.sqrt(1.0 + 4.0 * float(w[col])) - 1.0) / 2.0)
-        if abs(float(w[col]) - j * (j + 1)) > CLUSTER_TOL or j != col:
-            raise ConsistencyError(
-                f"Casimir eigenvalue {w[col]!r} did not cluster to j(j+1) for j = {col}"
-            )
-        column = v[:, col]
-        leading = column[0]
-        if abs(leading) < 1e-12:
-            raise ConsistencyError(
-                f"|j;0> phase convention undefined: vanishing |s>|-s> amplitude at j = {j}"
-            )
-        states[j, idx] = column * (abs(leading) / leading)
+    states[:, indices] = (vectors * np.sign(leading)).T
 
-    # Residuals of every row at once: J^2 |j;0> = j(j+1) |j;0>, and J_3, which
-    # is diagonal with entries m + m', annihilates |j;0>.
+    # Residuals of every row at once against the full J^2: J^2 |j;0> =
+    # j(j+1) |j;0>, and J_3, which is diagonal with entries m + m',
+    # annihilates |j;0>.
+    j_squared = total_spin_squared(label)
     j_values = np.arange(d)
     m = label.s - np.arange(d)
     j_3 = np.add.outer(m, m).ravel()
@@ -193,7 +232,8 @@ def coupled_zero_m_state(spin, j: int) -> np.ndarray:
 
     Valid for integer j with 0 <= j <= 2s. The phase makes the coefficient
     of |m=s> x |m=-s> real and positive. Each call builds all 2s+1 vectors:
-    one `total_spin_squared`, a d x d eigh and an O(d^5) residual check.
+    the d x d tridiagonal eigh of the M = 0 sector, then one
+    `total_spin_squared` for an O(d^5) residual check against the full J^2.
     Index one stack instead of calling this once per j.
     """
     label = SpinLabel.coerce(spin)
@@ -214,30 +254,22 @@ def singlet_state(spin) -> np.ndarray:
 def casimir_projectors(spin) -> list:
     """Orthogonal projectors onto the total-spin-j blocks, j = 0..2s.
 
-    Eigenvalues of J^2 are clustered to the nearest j(j+1); a value farther
-    than 1e-6 from every admissible cluster raises. Each projector trace must
-    come out to exactly 2j+1 states.
+    Assembled from `_casimir_sectors`: P_j is block diagonal over the total-M
+    sectors, with one |j; M> outer product in each sector |M| <= j. Each
+    projector is its own d^2 x d^2 array, and its trace must come out to
+    2j+1 states or the call raises.
     """
     label = SpinLabel.coerce(spin)
-    w, v = np.linalg.eigh(total_spin_squared(label))
-    assigned = []
-    for value in w:
-        j = round((math.sqrt(1.0 + 4.0 * max(float(value), 0.0)) - 1.0) / 2.0)
-        if j < 0 or j > label.twice_s or abs(float(value) - j * (j + 1)) > CLUSTER_TOL:
-            raise ContractViolation(
-                f"Casimir eigenvalue {value!r} is farther than {CLUSTER_TOL:.0e} "
-                "from every j(j+1); clustering failed"
-            )
-        assigned.append(j)
-    assigned = np.asarray(assigned)
-    projectors = []
-    for j in range(label.twice_s + 1):
-        cols = assigned == j
-        count = int(cols.sum())
-        if count != 2 * j + 1:
+    d2 = label.dimension**2
+    projectors = [np.zeros((d2, d2), dtype=np.complex128) for _ in range(label.twice_s + 1)]
+    for indices, j_values, vectors in _casimir_sectors(label):
+        block = np.ix_(indices, indices)
+        for c, j in enumerate(j_values):
+            projectors[j][block] = np.outer(vectors[:, c], vectors[:, c])
+    for j, p in enumerate(projectors):
+        trace = float(np.trace(p).real)
+        if abs(trace - (2 * j + 1)) > 1e-9:
             raise ConsistencyError(
-                f"block j = {j} has multiplicity {count}, expected {2 * j + 1}"
+                f"block j = {j} has trace {trace!r}, expected {2 * j + 1} states"
             )
-        basis = v[:, cols]
-        projectors.append(basis @ basis.conj().T)
     return projectors

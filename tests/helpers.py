@@ -3,6 +3,7 @@
 import numpy as np
 
 from spinchannels.channel import KrausChannel
+from spinchannels.spin import total_spin_squared
 
 
 def replacement_channel(dim, target=0):
@@ -40,3 +41,20 @@ def random_axis_angle(rng):
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return axis, float(rng.uniform(0.0, 2.0 * np.pi))
+
+
+def dense_casimir_projectors(label):
+    """Reference P_j, j = 0..2s, from one eigh of the full d^2 x d^2 J^2.
+
+    Each eigenvalue is clustered to the nearest j(j+1) within 1e-6, and block
+    j must hold 2j+1 eigenvectors. Independent of the package's sector route.
+    """
+    w, v = np.linalg.eigh(total_spin_squared(label))
+    j = np.rint((np.sqrt(1.0 + 4.0 * np.clip(w, 0.0, None)) - 1.0) / 2.0).astype(int)
+    assert np.abs(w - j * (j + 1)).max() < 1e-6
+    projectors = []
+    for block in range(label.twice_s + 1):
+        basis = v[:, j == block]
+        assert basis.shape[1] == 2 * block + 1
+        projectors.append(basis @ basis.conj().T)
+    return projectors

@@ -353,3 +353,25 @@ class TestNonFiniteAndDefects:
         )
         with pytest.raises(ContractViolation, match="rectangular"):
             rectangular.bistochastic_defect()
+
+
+_IDENTITY_KRAUS = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim_in": 2.9, "dim_out": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        {"dim_in": 2.9, "dim_out": 2, "kraus": _IDENTITY_KRAUS},
+        {"dim_in": 2, "dim_out": 2.0, "kraus": _IDENTITY_KRAUS},
+        {"dim_in": True, "dim_out": 2, "kraus": _IDENTITY_KRAUS},
+        {"dim_in": "2", "dim_out": 2, "kraus": _IDENTITY_KRAUS},
+        {"dim_in": 2, "dim_out": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+        {"dim_in": 2, "dim_out": 2, "kraus": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    ],
+    ids=["float-dim-and-bool", "float-dim", "integral-float-dim", "bool-dim", "string-dim",
+         "bool-entry", "string-entry"],
+)
+def test_wire_format_rejects_values_that_only_look_like_numbers(payload):
+    with pytest.raises(ContractViolation):
+        channel_from_json(payload)

@@ -352,3 +352,22 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         assert code == 1, name
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err, name
+
+
+def test_channel_files_with_look_alike_numbers_fail_with_a_reason(capsys, tmp_path):
+    files = {
+        "bool-entry-float-dim.json": {
+            "dim_in": 2.9, "dim_out": 2, "kraus": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        },
+        "string-entry.json": {
+            "dim_in": 2, "dim_out": 2, "kraus": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]],
+        },
+    }
+    for name, payload in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "1")
+        assert code == 1, name
+        assert out == ""
+        assert err.startswith("error: "), (name, err)
+        assert "Traceback" not in err, name

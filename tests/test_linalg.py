@@ -298,3 +298,17 @@ def test_json_decoding_rejects_non_finite_entries(decode, text, where):
     # Python's json module parses NaN and Infinity, so the decoders must refuse them
     with pytest.raises(ContractViolation, match=f"{where} is not finite"):
         decode(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[true, 0]]", "[[0, false]]", '[["1", 0]]', '[[1.0, "0"]]', "[[null, 0]]", "[[[1], 0]]"],
+    ids=["true", "false", "numeric-string", "numeric-string-imag", "null", "nested"],
+)
+def test_json_decoding_rejects_entries_that_are_not_numbers(text):
+    with pytest.raises(ContractViolation, match="vector entry 0 is not a pair of numbers"):
+        vector_from_json(json.loads(text))
+
+
+def test_json_decoding_accepts_integer_and_float_parts():
+    assert vector_from_json(json.loads("[[1, 0], [0.5, -2]]")).tolist() == [1 + 0j, 0.5 - 2j]

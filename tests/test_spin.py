@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_axis_angle
-from spinchannels.linalg import ContractViolation
+from helpers import dense_casimir_projectors, random_axis_angle
+from spinchannels import spin
+from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
+    CLUSTER_TOL,
     SpinLabel,
     casimir_projectors,
     coupled_zero_m_state,
@@ -246,3 +248,78 @@ class TestTotalSpinSquared:
             j_k = np.kron(s_k, eye) + np.kron(eye, s_k)
             expected += j_k @ j_k
         assert np.abs(total_spin_squared(label) - expected).max() < 1e-12
+
+
+def _sector_of_each_index(label):
+    # Flattened index a*d + b lies in sector k = a + b, where M = 2s - k.
+    d = label.dimension
+    return np.add.outer(np.arange(d), np.arange(d)).ravel()
+
+
+class TestCasimirSectors:
+    @pytest.mark.parametrize("twice_s", range(1, 13))
+    def test_projectors_match_the_dense_reference(self, twice_s):
+        label = SpinLabel(twice_s)
+        for p, ref in zip(casimir_projectors(label), dense_casimir_projectors(label), strict=True):
+            assert np.abs(p - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("twice_s", range(1, 13))
+    def test_total_spin_squared_vanishes_between_sectors(self, twice_s):
+        label = SpinLabel(twice_s)
+        sector = _sector_of_each_index(label)
+        between = sector[:, None] != sector[None, :]
+        assert np.count_nonzero(total_spin_squared(label)[between]) == 0
+
+    @pytest.mark.parametrize("twice_s", range(1, 13))
+    def test_sector_matrices_are_slices_of_total_spin_squared(self, twice_s):
+        label = SpinLabel(twice_s)
+        j_squared = total_spin_squared(label)
+        sector = _sector_of_each_index(label)
+        covered = []
+        for k in range(2 * twice_s + 1):
+            indices, matrix = spin._sector_matrix(label, k)
+            assert np.all(sector[indices] == k)
+            assert np.abs(j_squared[np.ix_(indices, indices)] - matrix).max() < 1e-12
+            covered.extend(indices)
+        assert sorted(covered) == list(range(label.dimension**2))
+
+    def test_sector_vectors_carry_the_expected_j(self):
+        label = SpinLabel(4)
+        j_squared = total_spin_squared(label)
+        for indices, j_values, vectors in spin._casimir_sectors(label):
+            full = np.zeros((label.dimension**2, len(indices)))
+            full[indices] = vectors
+            residual = j_squared @ full - full * (j_values * (j_values + 1))
+            assert np.abs(residual).max() < 1e-10
+
+    @pytest.mark.parametrize("shift", [10 * CLUSTER_TOL, -10 * CLUSTER_TOL], ids=["up", "down"])
+    def test_perturbed_sector_eigenvalue_fails_clustering(self, monkeypatch, shift):
+        label = SpinLabel(3)
+        original = spin._sector_matrix
+
+        def perturbed(lab, k):
+            indices, matrix = original(lab, k)
+            if k == 2:
+                matrix = matrix + shift * np.eye(len(indices))
+            return indices, matrix
+
+        monkeypatch.setattr(spin, "_sector_matrix", perturbed)
+        with pytest.raises(ConsistencyError, match="clustering"):
+            casimir_projectors(label)
+        with pytest.raises(ConsistencyError, match="clustering"):
+            spin._casimir_sectors(label)
+
+    def test_eigenvalue_on_the_wrong_j_fails_clustering(self, monkeypatch):
+        # At spin 1/2 the M = 1 sector holds only |1;1>, with J^2 = 2. Shifted
+        # by -2 its eigenvalue lands on j(j+1) for j = 0, which is admissible
+        # on its own but not in a sector with |M| = 1.
+        label = SpinLabel(1)
+        original = spin._sector_matrix
+
+        def shifted(lab, k):
+            indices, matrix = original(lab, k)
+            return indices, (matrix - 2.0 * np.eye(len(indices)) if k == 0 else matrix)
+
+        monkeypatch.setattr(spin, "_sector_matrix", shifted)
+        with pytest.raises(ConsistencyError, match="sector M = 1"):
+            spin._casimir_sectors(label)
