@@ -13,7 +13,6 @@ from .channel import (
     channel_from_json,
     channel_to_json,
     entropy_gain,
-    fixed_point_state,
     isotropic_channel,
     load_channel,
     output_gram,
@@ -38,13 +37,8 @@ from .invariant import (
 from .linalg import (
     ConsistencyError,
     ContractViolation,
-    check_density_matrix,
     check_pure_state,
-    hermitian_eigensystem,
-    hermiticity_defect,
-    is_unitary,
     kron,
-    kron_vec,
     log_divisor,
     operator_norm,
     partial_trace,
@@ -94,22 +88,16 @@ __all__ = [
     "casimir_projectors",
     "channel_from_json",
     "channel_to_json",
-    "check_density_matrix",
     "check_pure_state",
     "coupled_zero_m_state",
     "decohered_singlet",
     "entropy_gain",
-    "fixed_point_state",
     "gain_lower_bound",
     "haar_pure",
-    "hermitian_eigensystem",
-    "hermiticity_defect",
     "invariant_state_entropy",
-    "is_unitary",
     "isotropic_channel",
     "isotypic_probabilities",
     "kron",
-    "kron_vec",
     "load_channel",
     "log_divisor",
     "min_entropy_gain",

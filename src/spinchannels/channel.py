@@ -190,26 +190,6 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     return KrausChannel(q.reshape(n_kraus, dim, dim))
 
 
-def fixed_point_state(channel: KrausChannel, tol: float = 1e-12, max_iterations: int = 10000):
-    """Iterate rho <- Lambda(rho) from the maximally mixed state.
-
-    Returns the fixed point once successive iterates agree within `tol` per
-    entry, or None if the iteration has not settled after `max_iterations`
-    steps (peripheral spectrum of the superoperator).
-    """
-    if channel.dim_in != channel.dim_out:
-        raise ContractViolation("fixed points require matching input and output dimensions")
-    d = channel.dim_in
-    rho = np.eye(d, dtype=np.complex128) / d
-    for _ in range(int(max_iterations)):
-        advanced = _apply_stack(channel.kraus, rho)
-        residual = float(np.abs(advanced - rho).max())
-        rho = advanced
-        if residual <= tol:
-            return (rho + rho.conj().T) / 2.0
-    return None
-
-
 def channel_to_json(channel: KrausChannel) -> dict:
     return {
         "dim_in": channel.dim_in,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -72,14 +71,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _tolerance(text: str) -> float:
+    """A --tolerance value, validated by the same rule as SearchConfig."""
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    if value > MAX_SIMPLEX_TOLERANCE:
-        raise argparse.ArgumentTypeError(f"expected at most {MAX_SIMPLEX_TOLERANCE:g}, got {text}")
+    try:
+        SearchConfig(simplex_tolerance=value)
+    except ContractViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -106,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=_nonnegative_int, default=0)
         sub.add_argument(
             "--tolerance",
-            type=_positive_float,
+            type=_tolerance,
             default=1e-9,
             help=f"per-restart gradient tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}"
             " (default 1e-9)",

@@ -50,6 +50,7 @@ from .spin import (
     SpinLabel,
     _casimir_sectors,
     _coupled_zero_m_states,
+    _random_axis_angle,
     rotation_unitary,
     singlet_state,
     spin_operators,
@@ -167,10 +168,7 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float, samples: i
     rng = np.random.default_rng(_INVARIANCE_CHECK_SEED)
     worst = 0.0
     for _ in range(samples):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        u = rotation_unitary(label, axis, angle)
+        u = rotation_unitary(label, *_random_axis_angle(rng))
         # W rho W^dagger = (W (W rho)^dagger)^dagger with W = u tensor u.
         rotated = _left_product(u, _left_product(u, rho).conj().T).conj().T
         worst = max(worst, float(np.abs(rotated - rho).max()))

@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
 # Eigenvalues of a nominally positive matrix: anything in [-EIGENVALUE_ERROR, 0)
 # is treated as float noise and clamped to zero; below that positivity is
 # considered genuinely violated.
@@ -51,14 +50,6 @@ def as_state_vector(vector) -> np.ndarray:
     return out
 
 
-def hermiticity_defect(matrix) -> float:
-    """Max-entry distance from Hermiticity, max |M - M^dagger|."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"hermiticity is undefined for shape {m.shape}")
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
@@ -80,10 +71,6 @@ def unitarity_defect(matrix) -> float:
     return float(np.abs(u.conj().T @ u - eye).max())
 
 
-def is_unitary(matrix, tol: float = 1e-9) -> bool:
-    return unitarity_defect(matrix) <= tol
-
-
 def check_pure_state(vector, tol: float = 1e-12) -> np.ndarray:
     """Validate a unit vector and return it as complex128."""
     v = as_state_vector(vector)
@@ -93,43 +80,9 @@ def check_pure_state(vector, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
-def check_density_matrix(
-    matrix,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    eig_tol: float = SUPPORT_THRESHOLD,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a density matrix."""
-    rho = require_hermitian(matrix, herm_tol, "density matrix")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > trace_tol:
-        raise ContractViolation(f"density matrix trace is {trace!r}, not 1 within {trace_tol:.1e}")
-    lowest = float(np.linalg.eigvalsh(rho).min())
-    if lowest < -eig_tol:
-        raise ContractViolation(
-            f"density matrix has eigenvalue {lowest:.3e}, violating positivity beyond {eig_tol:.1e}"
-        )
-    return rho
-
-
-def hermitian_eigensystem(matrix, tol: float = HERMITICITY_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Hermiticity is enforced first so that silent non-Hermitian input cannot
-    produce a plausible-looking but wrong spectrum.
-    """
-    m = require_hermitian(matrix, tol)
-    return np.linalg.eigh(m)
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product in the shared (i_A, i_B) -> i_A * d_B + i_B convention."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def kron_vec(a, b) -> np.ndarray:
-    """Tensor product of state vectors, same index convention as `kron`."""
-    return np.kron(as_state_vector(a), as_state_vector(b))
 
 
 def partial_trace(matrix, dims, keep: str) -> np.ndarray:
@@ -224,7 +177,7 @@ def relative_entropy(rho, sigma, base=None) -> float:
     s = require_hermitian(sigma, name="sigma")
     if r.shape != s.shape:
         raise ContractViolation(f"dimension mismatch: rho {r.shape} vs sigma {s.shape}")
-    lam = np.linalg.eigvalsh(r)
+    lam, v_vecs = np.linalg.eigh(r)
     mu, w_vecs = np.linalg.eigh(s)
     if float(lam.min()) < -EIGENVALUE_ERROR or float(mu.min()) < -EIGENVALUE_ERROR:
         raise ContractViolation("relative entropy requires positive semidefinite arguments")
@@ -239,8 +192,7 @@ def relative_entropy(rho, sigma, base=None) -> float:
             return math.inf
 
     inside = ~outside
-    # |<v_i|w_j>|^2 with rho-eigenvectors v_i; rows follow lam's ordering.
-    _, v_vecs = np.linalg.eigh(r)
+    # |<v_i|w_j>|^2 with rho-eigenvectors v_i, the columns paired with lam.
     overlaps = np.abs(v_vecs.conj().T @ w_vecs[:, inside]) ** 2
     pos = lam > 0.0
     first = float((lam[pos] * np.log(lam[pos])).sum())

@@ -29,6 +29,7 @@ from scipy.optimize import minimize
 
 from .channel import KrausChannel, _apply_stack, tensor
 from .linalg import ConsistencyError, ContractViolation, log_divisor, spectrum_entropy
+from .spin import SpinLabel, singlet_state
 
 # Returned, with a zero gradient, when the parameter vector collapses below
 # numerical rank; large enough to repel either search from the origin without
@@ -350,15 +351,12 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
 def _entangled_init(d_a: int, d_b: int) -> np.ndarray:
     """Alternating-sign maximally entangled start for the joint search.
 
-    For equal factor dimensions this is the rotation singlet written in the
-    m-basis; otherwise a plain maximally entangled state on the smaller
-    dimension.
+    For equal factor dimensions this is the rotation singlet,
+    `spin.singlet_state`; otherwise a plain maximally entangled state on the
+    smaller dimension.
     """
     if d_a == d_b:
-        v = np.zeros(d_a * d_b, dtype=np.complex128)
-        for i in range(d_a):
-            v[i * d_b + (d_b - 1 - i)] = (-1.0) ** i
-        return v / np.linalg.norm(v)
+        return singlet_state(SpinLabel(d_a - 1))
     d = min(d_a, d_b)
     v = np.zeros(d_a * d_b, dtype=np.complex128)
     for i in range(d):

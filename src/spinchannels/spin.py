@@ -247,8 +247,24 @@ def coupled_zero_m_state(spin, j: int) -> np.ndarray:
 
 
 def singlet_state(spin) -> np.ndarray:
-    """The rotationally invariant two-spin state |0; 0>."""
-    return coupled_zero_m_state(spin, 0)
+    """The rotationally invariant two-spin state |0; 0>, from its closed form.
+
+    In the m-basis |0; 0> = sum_i (-1)^i |i> x |d-1-i> / sqrt(d), which is
+    `coupled_zero_m_state(spin, 0)` with the same phase: the coefficient of
+    |s> x |-s> is positive. No eigensolve and no J^2 is built.
+    """
+    d = SpinLabel.coerce(spin).dimension
+    v = np.zeros(d * d, dtype=np.complex128)
+    for i in range(d):
+        v[i * d + (d - 1 - i)] = (-1.0) ** i
+    return v / np.linalg.norm(v)
+
+
+def _random_axis_angle(rng):
+    """A random unit rotation axis and an angle in [0, 2 pi), drawn from rng."""
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    return axis, float(rng.uniform(0.0, 2.0 * np.pi))
 
 
 def casimir_projectors(spin) -> list:

@@ -27,7 +27,7 @@ from .linalg import (
 from .spin import (
     SpinLabel,
     _coupled_zero_m_states,
-    casimir_projectors,
+    _random_axis_angle,
     rotation_unitary,
     singlet_state,
     spin_operators,
@@ -53,12 +53,6 @@ def _random_density(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def _random_rotation(rng):
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    return axis, float(rng.uniform(0.0, 2.0 * math.pi))
 
 
 def _check_entropy_identities(rng) -> list:
@@ -135,7 +129,7 @@ def _check_rotations(rng) -> list:
     composition = 0.0
     for label in _SPINS[:3]:
         for _ in range(5):
-            axis, angle = _random_rotation(rng)
+            axis, angle = _random_axis_angle(rng)
             extra = float(rng.uniform(0.0, 2.0 * math.pi))
             u1 = rotation_unitary(label, axis, angle)
             u2 = rotation_unitary(label, axis, extra)
@@ -152,26 +146,21 @@ def _check_coupled_states(rng) -> list:
     # The J^2 and J_3 eigenvector residuals of these states are checked, at
     # 1e-10, every time the stack is built.
     gram = 0.0
-    dimension_count = 0
     invariance = 0.0
     for label in _SPINS:
         d = label.dimension
         states = _coupled_zero_m_states(label)
         overlap = states.conj() @ states.T
         gram = max(gram, float(np.abs(overlap - np.eye(d)).max()))
-        blocks = casimir_projectors(label)
-        total = sum(int(round(np.trace(p).real)) for p in blocks)
-        dimension_count = max(dimension_count, abs(total - d * d))
         psi = singlet_state(label)
         for _ in range(4):
-            axis, angle = _random_rotation(rng)
+            axis, angle = _random_axis_angle(rng)
             u = rotation_unitary(label, axis, angle)
             rotated = np.kron(u, u) @ psi
             overlap_phase = np.vdot(psi, rotated)
             invariance = max(invariance, float(np.linalg.norm(rotated - overlap_phase * psi)))
     return [
         _result("spin: coupled |j;0> states are orthonormal", gram, 1e-10),
-        _result("spin: block dimensions sum to (2s+1)^2", float(dimension_count), 0.0),
         _result("spin: the singlet is rotation invariant", invariance, 1e-10),
     ]
 
@@ -211,7 +200,7 @@ def _check_covariance(rng) -> list:
         channel = ch.isotropic_channel(label)
         for _ in range(20):
             rho = _random_density(rng, label.dimension)
-            axis, angle = _random_rotation(rng)
+            axis, angle = _random_axis_angle(rng)
             u = rotation_unitary(label, axis, angle)
             left = ch.apply(channel, u @ rho @ u.conj().T)
             right = u @ ch.apply(channel, rho) @ u.conj().T
@@ -276,18 +265,6 @@ def _check_gain_superadditivity(rng) -> list:
     return [_result("channel: entropy gain is superadditive", violation, 1e-8)]
 
 
-def _check_fixed_point(rng) -> list:
-    worst = 0.0
-    for d in (2, 3):
-        channel = ch.random_channel(d, 3, rng)
-        rho = ch.fixed_point_state(channel)
-        if rho is None:
-            worst = math.inf
-            continue
-        worst = max(worst, abs(ch.entropy_gain(channel, rho)))
-    return [_result("channel: gain vanishes at the fixed point", worst, 1e-9)]
-
-
 def _check_search() -> list:
     cfg = opt.SearchConfig(restarts=12, seed=_SEED)
     half = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(1)), cfg)
@@ -305,17 +282,6 @@ def _check_search() -> list:
         max(abs(p - q) for p, q in zip(one.restart_values, again.restart_values)),
     )
 
-    gain_cfg = opt.SearchConfig(restarts=4, seed=_SEED)
-    bound_violation = 0.0
-    for seed in range(3):
-        channel = ch.random_channel(2, 3, seed)
-        report = opt.min_entropy_gain(channel, gain_cfg)
-        bound_violation = max(
-            bound_violation,
-            max(0.0, report.value - 1e-8),
-            max(0.0, opt.gain_lower_bound(channel) - 1e-8 - report.value),
-        )
-
     probe_cfg = opt.SearchConfig(restarts=8, seed=_SEED)
     iso = ch.isotropic_channel(SpinLabel(1))
     probe = opt.additivity_probe(iso, iso, probe_cfg)
@@ -323,7 +289,6 @@ def _check_search() -> list:
         _result("optimize: search recovers the known closed-form minima", known, 1e-6),
         _result("optimize: the constant objective shows no restart spread", spread, 1e-9),
         _result("optimize: repeated searches are bit-identical", determinism, 0.0),
-        _result("optimize: gain minima respect the certified bounds", bound_violation, 0.0),
         _result("optimize: the probe never violates subadditivity", probe.gap, 1e-8),
     ]
 
@@ -372,7 +337,6 @@ def run_checks(seed: int = _SEED) -> list:
     results += _check_time_reversal(rng)
     results += _check_monotonicity(rng)
     results += _check_gain_superadditivity(rng)
-    results += _check_fixed_point(rng)
     results += _check_search()
     results += _check_invariant()
     return results

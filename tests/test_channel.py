@@ -11,7 +11,6 @@ from spinchannels.channel import (
     channel_from_json,
     channel_to_json,
     entropy_gain,
-    fixed_point_state,
     isotropic_channel,
     load_channel,
     output_gram,
@@ -252,25 +251,6 @@ class TestRandomChannel:
             random_channel(0, 2, seed=0)
         with pytest.raises(ContractViolation):
             random_channel(2, 0, seed=0)
-
-
-class TestFixedPoint:
-    def test_gain_vanishes_at_fixed_point(self):
-        for seed in (11, 12):
-            channel = random_channel(3, 3, seed=seed)
-            rho = fixed_point_state(channel)
-            assert rho is not None
-            assert np.abs(apply(channel, rho) - rho).max() < 1e-11
-            assert abs(entropy_gain(channel, rho)) < 1e-9
-
-    def test_bistochastic_fixed_point_is_maximally_mixed(self):
-        channel = isotropic_channel("1")
-        rho = fixed_point_state(channel)
-        assert np.abs(rho - np.eye(3) / 3.0).max() < 1e-12
-
-    def test_returns_none_when_iteration_cannot_settle(self):
-        channel = random_channel(3, 2, seed=13)
-        assert fixed_point_state(channel, max_iterations=1) is None
 
 
 class TestSerialization:

@@ -1,0 +1,38 @@
+"""Every name a package module imports is used in that module.
+
+A stand-in for a linter's unused-import rule, built on the standard `ast`
+module only. `__init__.py` is skipped: its imports are the public exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spinchannels"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_module_is_checked():
+    assert len(MODULES) >= 7
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(set(_imported_names(tree)) - _used_names(tree))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

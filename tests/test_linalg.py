@@ -8,12 +8,8 @@ import scipy.linalg
 from helpers import random_density, random_hermitian, random_pure, random_unitary
 from spinchannels.linalg import (
     ContractViolation,
-    check_density_matrix,
     check_pure_state,
-    hermitian_eigensystem,
-    hermiticity_defect,
     kron,
-    kron_vec,
     log_divisor,
     matrix_from_json,
     matrix_to_json,
@@ -26,43 +22,6 @@ from spinchannels.linalg import (
     vector_to_json,
     von_neumann_entropy,
 )
-
-
-def test_eigensystem_reconstructs_and_orders():
-    rng = np.random.default_rng(11)
-    for d in range(2, 9):
-        m = random_hermitian(rng, d)
-        w, v = hermitian_eigensystem(m)
-        assert np.all(np.diff(w) >= 0.0)
-        assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
-        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-9
-        assert abs(w.sum() - np.trace(m).real) < 1e-10
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ContractViolation, match="Hermitian"):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermiticity_defect_measures_asymmetry():
-    assert hermiticity_defect(np.eye(3)) == 0.0
-    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert abs(hermiticity_defect(skew) - 2.0) < 1e-15
-
-
-def test_density_matrix_validation():
-    rng = np.random.default_rng(12)
-    rho = random_density(rng, 4)
-    check_density_matrix(rho)
-    with pytest.raises(ContractViolation, match="trace"):
-        check_density_matrix(2.0 * rho)
-    lopsided = rho.copy()
-    lopsided[0, 1] += 1e-6
-    with pytest.raises(ContractViolation, match="Hermitian"):
-        check_density_matrix(lopsided)
-    spoiled = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ContractViolation, match="positivity"):
-        check_density_matrix(spoiled)
 
 
 def test_pure_state_validation():
@@ -106,9 +65,6 @@ def test_kron_index_convention():
     b[1, 0] = 1.0
     full = kron(a, b)
     assert full[0 * 3 + 1, 1 * 3 + 0] == 1.0
-    va = np.array([0.0, 1.0])
-    vb = np.array([1.0, 0.0, 0.0])
-    assert kron_vec(va, vb)[1 * 3 + 0] == 1.0
 
 
 def test_kron_respects_matrix_products():
@@ -312,3 +268,14 @@ def test_json_decoding_rejects_entries_that_are_not_numbers(text):
 
 def test_json_decoding_accepts_integer_and_float_parts():
     assert vector_from_json(json.loads("[[1, 0], [0.5, -2]]")).tolist() == [1 + 0j, 0.5 - 2j]
+
+
+def test_entropies_reject_non_hermitian_input():
+    # require_hermitian guards every entropy against non-Hermitian input.
+    lopsided = np.array([[0.5, 1e-6], [0.0, 0.5]])
+    with pytest.raises(ContractViolation, match="Hermitian"):
+        von_neumann_entropy(lopsided)
+    with pytest.raises(ContractViolation, match="Hermitian"):
+        relative_entropy(lopsided, np.eye(2) / 2.0)
+    with pytest.raises(ContractViolation, match="Hermitian"):
+        relative_entropy(np.eye(2) / 2.0, lopsided)

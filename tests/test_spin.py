@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_casimir_projectors, random_axis_angle
-from spinchannels import spin
+from spinchannels import optimize, spin
 from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
     CLUSTER_TOL,
@@ -323,3 +323,14 @@ class TestCasimirSectors:
         monkeypatch.setattr(spin, "_sector_matrix", shifted)
         with pytest.raises(ConsistencyError, match="sector M = 1"):
             spin._casimir_sectors(label)
+
+
+class TestClosedFormSinglet:
+    @pytest.mark.parametrize("twice_s", range(1, 13))
+    def test_matches_the_eigensolve_route(self, twice_s):
+        label = SpinLabel(twice_s)
+        assert np.abs(coupled_zero_m_state(label, 0) - singlet_state(label)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_is_the_entangled_start_of_the_probe(self, d):
+        assert np.array_equal(optimize._entangled_init(d, d), singlet_state(SpinLabel(d - 1)))
