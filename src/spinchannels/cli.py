@@ -57,28 +57,21 @@ def _spin_argument(text: str) -> SpinLabel:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _config_value(field: str, kind):
+    """Flag parser for one SearchConfig field, validated by SearchConfig itself."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+            SearchConfig(**{field: value})
+        except ContractViolation as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """A --tolerance value, validated by the same rule as SearchConfig."""
-    value = float(text)
-    try:
-        SearchConfig(simplex_tolerance=value)
-    except ContractViolation as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_search(sub):
-        sub.add_argument("--restarts", type=_positive_int, default=64)
-        sub.add_argument("--seed", type=_nonnegative_int, default=0)
+        sub.add_argument("--restarts", type=_config_value("restarts", int), default=64)
+        sub.add_argument("--seed", type=_config_value("seed", int), default=0)
         sub.add_argument(
             "--tolerance",
-            type=_tolerance,
+            type=_config_value("simplex_tolerance", float),
             default=1e-9,
             help=f"per-restart gradient tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}"
             " (default 1e-9)",

@@ -8,12 +8,15 @@ the log-multiplicity of each block:
 
     S = sum_j [ p_j log(2j+1) - p_j log p_j ].
 
-Three independent routes to the p_j coexist here on purpose. The projector
-trace tr(P_j rho) is the reference; the matrix element (2j+1) <j;0|rho|j;0>
-must match it because an invariant state is constant on each block; and for
-the decohered singlet specifically a closed moment formula in the spin
-matrix elements must match as well. Disagreement between routes raises
-instead of silently picking one.
+For the doubly decohered singlet the p_j have a closed form,
+(1/3, q, 2/3 - q, 0, ..., 0) with q = 1/(2s(s+1)), and `singlet_decoherence`
+reports exactly that, in O(d) at every spin. Three matrix routes are kept as
+its references. The projector trace tr(P_j rho) works for any invariant
+state; the matrix element (2j+1) <j;0|rho|j;0> must match it because an
+invariant state is constant on each block, and `isotypic_probabilities`
+raises when the two disagree; and a moment formula in the spin matrix
+elements gives the decohered singlet's p_j without building its state. The
+tests and `verify` compare all three with the closed form.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
@@ -44,7 +47,6 @@ from .linalg import (
     log_base_label,
     log_divisor,
     require_hermitian,
-    spectrum_entropy,
 )
 from .spin import (
     SpinLabel,
@@ -91,12 +93,13 @@ EXCESS_CLOSED_FORM = {
 
 _INVARIANCE_CHECK_SEED = 171717
 _CROSS_CHECK_TOL = 1e-9
-_MOMENT_TOL = 1e-10
-# Byte cap on `singlet_decoherence`, estimated as (d+3) complex d^2 x d^2
-# arrays. The path holds only a few such arrays at once (the output state,
-# J^2 for the |j;0> residual check, the invariance check's rotated copies and
-# the eigvalsh workspace), so the estimate is generous; it is kept so that
-# the admitted range stays 2s <= 35. 2s = 16 is estimated at 27 MB.
+# Bytes a `singlet` report holds per block weight on its way to stdout: the
+# float and its tuple slot, the array copies `IsotypicDistribution` checks
+# them in, and the rendered row. tracemalloc peaks through the CLI at
+# 2s = 800, 20,000 and 200,000 came to about 290 per weight for json and 350
+# for text; the larger is used, so the 1 GiB cap admits 2s up to about 3
+# million.
+_REPORT_BYTES_PER_WEIGHT = 350
 SINGLET_BYTE_CAP = 2**30
 
 
@@ -234,8 +237,8 @@ def moment_probabilities(spin) -> IsotypicDistribution:
 
     Each S_k tensor S_l |singlet> is formed factor by factor as
     vec(S_k Psi S_l^T), and the |j;0> stack is built once per call. Must
-    agree with the channel route within 1e-10 (cross-checked by
-    `singlet_decoherence` and the test suite, not recomputed here).
+    agree with the channel route within 1e-10 and with the closed form in
+    `singlet_decoherence` (compared in the tests and in `verify`, not here).
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
@@ -292,10 +295,15 @@ def decohered_singlet(spin) -> np.ndarray:
 def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
     """Full analysis of the doubly decohered singlet for one spin value.
 
-    Pushes the singlet through the product of two isotropic channels,
-    decomposes the output into total-spin blocks (projector route, element
-    route, and moment formula all cross-checked), and evaluates the block
-    entropy both from the formula and by direct diagonalization. For spins
+    The block weights of (Lambda_s tensor Lambda_s)(|singlet><singlet|) have
+    the closed form
+
+        p = (1/3, q, 2/3 - q, 0, ..., 0),   q = 1 / (2 s(s+1)),
+
+    so the report costs O(d) and never builds the d^2 x d^2 output state; the
+    entropy is the block formula over these weights. `decohered_singlet`,
+    `isotypic_probabilities` and `moment_probabilities` are the matrix
+    references it is compared against in the tests and in `verify`. For spins
     with known closed-form single-channel minima the report also carries the
     additivity reference 2 * min and the strictly positive excess above it.
     """
@@ -303,29 +311,17 @@ def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
     if label.twice_s == 0:
         raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
     d = label.dimension
-    needed = (d + 3) * d**4 * np.dtype(np.complex128).itemsize
+    needed = d * _REPORT_BYTES_PER_WEIGHT
     if needed > SINGLET_BYTE_CAP:
         raise ContractViolation(
-            f"spin {label} needs about {needed / 2**30:.3g} GiB of d^2 x d^2 arrays, "
+            f"spin {label} needs about {needed / 2**30:.3g} GiB for its block weights, "
             f"more than the {SINGLET_BYTE_CAP / 2**30:.3g} GiB cap"
         )
-    rho = decohered_singlet(label)
-    distribution = isotypic_probabilities(rho, label)
-
-    moments = moment_probabilities(label)
-    worst = max(abs(a - b) for a, b in zip(distribution.probs, moments.probs))
-    if worst > _MOMENT_TOL:
-        raise ConsistencyError(
-            f"moment formula and channel output disagree on block probabilities by {worst:.3e}"
-        )
-
+    q = 1.0 / (2.0 * label.s * (label.s + 1.0))
+    # at spin 1/2 the third weight 2/3 - q is exactly 0 and has no block
+    probs = (1.0 / 3.0, q, 2.0 / 3.0 - q)[:d] + (0.0,) * (d - 3)
+    distribution = IsotypicDistribution(label, probs)
     entropy_nats = invariant_state_entropy(distribution)
-    direct_nats = spectrum_entropy(np.linalg.eigvalsh(rho))
-    if abs(entropy_nats - direct_nats) > _MOMENT_TOL:
-        raise ConsistencyError(
-            f"block entropy formula and diagonalization disagree: "
-            f"{entropy_nats!r} vs {direct_nats!r}"
-        )
 
     divisor = log_divisor(base)
     single = EXACT_SINGLE_CHANNEL_MIN.get(label.twice_s)

@@ -63,11 +63,16 @@ class SearchConfig:
     log_base: float | None = None
 
     def __post_init__(self):
-        if int(self.restarts) < 1:
+        counts = (self.restarts, self.seed, self.max_iterations_per_restart)
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in counts):
+            raise ContractViolation(
+                f"restarts, seed and max_iterations_per_restart must be integers, got {counts!r}"
+            )
+        if self.restarts < 1:
             raise ContractViolation(f"restarts must be >= 1, got {self.restarts}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ContractViolation(f"seed must be nonnegative, got {self.seed}")
-        if int(self.max_iterations_per_restart) < 1:
+        if self.max_iterations_per_restart < 1:
             raise ContractViolation("max_iterations_per_restart must be >= 1")
         for tol in (float(self.simplex_tolerance), float(self.objective_tolerance)):
             # written so that NaN fails too: every comparison with NaN is False
@@ -241,7 +246,7 @@ def _multistart(
     configured base's log only here.
     """
     options = {
-        "maxiter": int(config.max_iterations_per_restart),
+        "maxiter": config.max_iterations_per_restart,
         "gtol": float(config.simplex_tolerance),
         "ftol": float(config.objective_tolerance),
     }
@@ -250,11 +255,11 @@ def _multistart(
     values = []
     evaluations = 0
     converged = 0
-    for index in range(int(config.restarts)):
+    for index in range(config.restarts):
         if index < len(deterministic_inits):
             x0 = np.asarray(deterministic_inits[index], dtype=float)
         else:
-            x0 = random_init(np.random.default_rng([int(config.seed), index]))
+            x0 = random_init(np.random.default_rng([config.seed, index]))
         result = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
         value = float(result.fun)
         values.append(value)
@@ -269,7 +274,7 @@ def _multistart(
         value=best_value / divisor,
         argmin=decode(best_x),
         restart_values=[v / divisor for v in sorted(values)],
-        converged_fraction=converged / int(config.restarts),
+        converged_fraction=converged / config.restarts,
         evaluations=evaluations,
     )
 

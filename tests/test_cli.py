@@ -132,6 +132,20 @@ class TestSingletCommand:
             main(["singlet", "--spin", "1/2", "--output", "csv"])
         assert excinfo.value.code == 2
 
+    def test_spin_400_is_the_closed_form_in_little_memory(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "singlet", "--spin", "400")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        q = 1.0 / (2.0 * 400.0 * 401.0)
+        expected = np.zeros(801)
+        expected[:3] = (1.0 / 3.0, q, 2.0 / 3.0 - q)
+        assert np.abs(np.array(json.loads(out)["probs"]) - expected).max() <= 1e-15
+        assert peak < 2**20
+
 
 class TestProbeCommand:
     def test_spin_half_payload(self, capsys):
@@ -195,6 +209,16 @@ class TestErrorHandling:
             main(["min-output", "--spin", "1", "--restarts", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--tolerance", "--restarts", "--seed"])
+    def test_unparsable_number_is_a_readable_flag_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gain", "--spin", "1/2", flag, "abc"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        for name in ("invalid", "_tolerance", "_positive_int", "_nonnegative_int"):
+            assert name not in err
+
     @pytest.mark.parametrize("tolerance", ["inf", "1e999", "nan"])
     def test_non_finite_tolerance_is_a_flag_error(self, capsys, tolerance):
         with pytest.raises(SystemExit) as excinfo:
@@ -249,7 +273,7 @@ class TestBadInputFailsCleanly:
     def test_oversized_singlet_allocates_nothing_large(self, capsys):
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "singlet", "--spin", "400")
+            code, out, err = run_cli(capsys, "singlet", "--spin", "2000000")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

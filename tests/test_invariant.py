@@ -20,7 +20,7 @@ from spinchannels.invariant import (
     singlet_decoherence,
     state_from_distribution,
 )
-from spinchannels.linalg import ContractViolation, von_neumann_entropy
+from spinchannels.linalg import ContractViolation, spectrum_entropy, von_neumann_entropy
 from spinchannels.spin import SpinLabel, casimir_projectors, coupled_zero_m_state, singlet_state
 
 SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]
@@ -229,17 +229,33 @@ class TestWorkCount:
         monkeypatch.setattr(spin, "total_spin_squared", counted)
         counts = []
         for twice_s in (2, 8):
+            label = SpinLabel(twice_s)
             calls.clear()
-            singlet_decoherence(SpinLabel(twice_s))
+            singlet_decoherence(label)
+            assert calls == []
+            isotypic_probabilities(decohered_singlet(label), label)
+            moment_probabilities(label)
             counts.append(len(calls))
         assert counts[0] == counts[1]
         assert 1 <= counts[0] <= 4
 
 
+class TestClosedFormMatchesMatrixRoutes:
+    @pytest.mark.parametrize("twice_s", range(1, 13))
+    def test_weights_and_entropy(self, twice_s):
+        label = SpinLabel(twice_s)
+        report = singlet_decoherence(label)
+        rho = decohered_singlet(label)
+        closed = np.array(report.probs)
+        for route in (isotypic_probabilities(rho, label), moment_probabilities(label)):
+            assert np.abs(closed - np.array(route.probs)).max() < 1e-9
+        assert abs(report.entropy - spectrum_entropy(np.linalg.eigvalsh(rho))) < 1e-10
+
+
 class TestSizeGuard:
     def test_oversized_spin_is_rejected_before_allocating(self):
         with pytest.raises(ContractViolation, match="cap"):
-            singlet_decoherence(400)
+            singlet_decoherence(2000000)
 
     def test_cap_admits_spin_eight(self):
         report = singlet_decoherence(8)

@@ -113,6 +113,22 @@ class TestSearchConfig:
         with pytest.raises(ContractViolation, match="finite"):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"restarts": 2.5, "seed": 1.7},
+            {"restarts": 3.0},
+            {"seed": np.float64(1.0)},
+            {"max_iterations_per_restart": 100.5},
+            {"restarts": True},
+            {"seed": False},
+            {"restarts": "4"},
+        ],
+    )
+    def test_rejects_non_integer_counts(self, fields):
+        with pytest.raises(ContractViolation, match="integers"):
+            SearchConfig(**fields)
+
 
 class TestHaarPure:
     def test_deterministic_and_normalized(self):

@@ -1,9 +1,12 @@
-"""Property tests: the block round trip and the channel wire format."""
+"""Property tests: the block round trip, the channel wire format and spin labels."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_casimir_projectors
@@ -13,6 +16,7 @@ from spinchannels.invariant import (
     isotypic_probabilities,
     state_from_distribution,
 )
+from spinchannels.linalg import ContractViolation
 from spinchannels.spin import SpinLabel
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -58,3 +62,31 @@ def test_channel_wire_format_round_trips_exactly(dim, n_kraus, seed):
         rebuilt = channel_from_json(data)
         assert rebuilt.kraus.dtype == channel.kraus.dtype
         assert np.array_equal(rebuilt.kraus, channel.kraus)
+
+
+TWICE_S = st.integers(min_value=0, max_value=10**6)
+
+
+@given(twice_s=TWICE_S)
+def test_spin_label_round_trips_through_text_and_numbers(twice_s):
+    label = SpinLabel(twice_s)
+    assert SpinLabel.from_string(str(label)) == label
+    assert SpinLabel.coerce(label.twice_s / 2) == label
+
+
+@pytest.mark.parametrize("denominator", range(3, 13))
+@settings(max_examples=20)
+@given(numerator=st.integers(min_value=-(10**6), max_value=10**6))
+def test_spin_label_rejects_other_fractions(denominator, numerator):
+    assume(math.gcd(numerator, denominator) == 1)
+    with pytest.raises(ContractViolation):
+        SpinLabel.from_string(f"{numerator}/{denominator}")
+
+
+@given(twice_s=st.integers(min_value=1, max_value=10**6))
+def test_spin_label_rejects_negative_values(twice_s):
+    negative = -Fraction(twice_s, 2)
+    with pytest.raises(ContractViolation):
+        SpinLabel.from_string(str(negative))
+    with pytest.raises(ContractViolation):
+        SpinLabel.coerce(float(negative))
