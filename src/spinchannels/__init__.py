@@ -2,7 +2,8 @@
 
 The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs and for the minimum entropy
-gain over density matrices by multi-start L-BFGS-B with exact gradients, and
+gain over density matrices by batched multi-start L-BFGS on the unit sphere
+with exact gradients, and
 decomposes rotationally invariant two-spin states into total-spin blocks with
 cross-checked closed-form references.
 """

@@ -112,8 +112,18 @@ def isotropic_channel(spin) -> KrausChannel:
 
 
 def _apply_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    moved = ops @ rho
-    return np.tensordot(moved, ops.conj(), axes=([0, 2], [0, 2]))
+    """sum_k X_k rho X_k^dagger for one matrix rho or a stack of them.
+
+    A stack (R, dim_in, dim_in) is applied as R products of the row-wise
+    blocks [X_k rho]_k with the stacked [X_k^*]_k, one matrix product per
+    row, so no row's result depends on the others.
+    """
+    if rho.ndim == 2:
+        moved = ops @ rho
+        return np.tensordot(moved, ops.conj(), axes=([0, 2], [0, 2]))
+    n, dim_out, dim_in = ops.shape
+    moved = (ops @ rho[:, np.newaxis]).transpose(0, 2, 1, 3).reshape(-1, dim_out, n * dim_in)
+    return moved @ ops.conj().transpose(0, 2, 1).reshape(n * dim_in, dim_out)
 
 
 def apply(channel: KrausChannel, rho) -> np.ndarray:

@@ -40,6 +40,7 @@ from .optimize import (
     MAX_SIMPLEX_TOLERANCE,
     SearchConfig,
     additivity_probe,
+    check_search_size,
     min_entropy_gain,
     min_output_entropy,
 )
@@ -157,6 +158,10 @@ def _search_head(args, command: str):
     payload head and the text head rows that every search result starts with.
     """
     if args.spin is not None:
+        # the channel's size follows from the spin: check it before building anything
+        d = args.spin.dimension
+        shape = (9, d * d, d * d) if command == "probe" else (3, d, d)
+        check_search_size(command, args.restarts, shape)
         channel = isotropic_channel(args.spin)
         descriptor = {"kind": "isotropic", "spin": str(args.spin)}
         described = f"isotropic, spin {args.spin}"

@@ -47,6 +47,7 @@ from .linalg import (
     log_base_label,
     log_divisor,
     require_hermitian,
+    size_text,
 )
 from .spin import (
     SpinLabel,
@@ -313,9 +314,12 @@ def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
     d = label.dimension
     needed = d * _REPORT_BYTES_PER_WEIGHT
     if needed > SINGLET_BYTE_CAP:
+        # past 300 digits the exact spin is no use in a message, and past
+        # 4,300 str() refuses it
+        shown = label if label.twice_s.bit_length() <= 1000 else f"~{size_text(label.twice_s, 1)}"
         raise ContractViolation(
-            f"spin {label} needs about {needed / 2**30:.3g} GiB for its block weights, "
-            f"more than the {SINGLET_BYTE_CAP / 2**30:.3g} GiB cap"
+            f"spin {shown} needs about {size_text(needed, 30)} GiB for its block weights, "
+            f"more than the {size_text(SINGLET_BYTE_CAP, 30)} GiB cap"
         )
     q = 1.0 / (2.0 * label.s * (label.s + 1.0))
     # at spin 1/2 the third weight 2/3 - q is exactly 0 and has no block

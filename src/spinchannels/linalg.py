@@ -132,7 +132,7 @@ def log_base_label(base) -> str:
     return repr(b)
 
 
-def spectrum_entropy(eigenvalues) -> float:
+def spectrum_entropy(eigenvalues):
     """Shannon entropy -sum(w log w) of a spectrum, in nats.
 
     Small negative eigenvalues (float noise from diagonalization) are clamped
@@ -140,6 +140,9 @@ def spectrum_entropy(eigenvalues) -> float:
     non-positive input rather than roundoff. NaN and infinite eigenvalues
     raise too: the minimum of a spectrum holding NaN is NaN, and an infinite
     eigenvalue makes the sum infinite, so neither needs an extra pass.
+
+    A 1-d spectrum gives a float; a stack of spectra, one per row, gives an
+    array of entropies, with the same checks over every row.
     """
     w = np.asarray(eigenvalues, dtype=float)
     if w.size == 0:
@@ -151,6 +154,13 @@ def spectrum_entropy(eigenvalues) -> float:
         raise ContractViolation(
             f"eigenvalue {lowest:.3e} violates positivity beyond {EIGENVALUE_ERROR:.0e}"
         )
+    if w.ndim > 1:
+        # w log w is 0 off the support; 1 log 1 is exactly 0
+        support = np.where(w > 0.0, w, 1.0)
+        values = -(support * np.log(support)).sum(axis=-1)
+        if not np.isfinite(values).all():
+            raise ContractViolation("spectrum is not finite")
+        return values
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
@@ -158,6 +168,22 @@ def spectrum_entropy(eigenvalues) -> float:
     if not math.isfinite(value):
         raise ContractViolation("spectrum is not finite")
     return value
+
+
+def size_text(count: int, unit_bits: int = 0) -> str:
+    """count / 2**unit_bits to three significant digits, for an int of any size.
+
+    float(count) overflows beyond about 1e308 and str(count) refuses ints of
+    more than 4,300 digits, so a message about a huge size reads the leading
+    bits instead: size_text(n, 30) is n bytes in GiB.
+    """
+    bits = count.bit_length()
+    if bits <= 1000:
+        return f"{count / 2**unit_bits:.3g}"
+    shift = bits - 64
+    exponent10 = math.log10(count >> shift) + (shift - unit_bits) * math.log10(2.0)
+    whole = math.floor(exponent10)
+    return f"{10.0 ** (exponent10 - whole):.3g}e+{whole}"
 
 
 def von_neumann_entropy(rho, base=None) -> float:

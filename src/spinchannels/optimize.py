@@ -1,19 +1,23 @@
 """Multi-start searches for entropy minima of channels.
 
 Both searches start from a mix of deterministic and seeded random points and
-keep the best local minimum found. Every restart runs L-BFGS-B with the exact
-gradient of its objective. The results are heuristic upper bounds: nothing
-here certifies global optimality, and the reports say so through their
-restart statistics rather than pretending to a proof.
+keep the best local minimum found. The restarts advance together, one row of
+an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack on the
+unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008) moves every row at once, with one stacked objective call,
+and so one stacked eigh per side, per trial step. The results are heuristic
+upper bounds: nothing here certifies global optimality, and the reports say
+so through their restart statistics rather than pretending to a proof.
 
 Parametrizations
 ----------------
-Pure states use 2d real parameters (re, im interleaved blockwise); the
-objective normalizes internally, so the search space is effectively the unit
-sphere with a redundant scale direction, along which the gradient vanishes.
-Input states for the entropy gain use a full complex d x d matrix A with
-rho = A A^dagger / tr(A A^dagger), which covers every density matrix
-including rank-deficient ones.
+Pure states use 2d real parameters (re, im interleaved blockwise). Input
+states for the entropy gain use a full complex d x d matrix A, flattened the
+same way, with rho = A A^dagger / tr(A A^dagger), which covers every density
+matrix including rank-deficient ones. Both objectives normalize internally,
+so their gradients vanish along the scale direction; the search keeps every
+row on |x| = 1 (|A|_F = 1 for the gain), where the gradient is the
+Riemannian one.
 
 All objective evaluation happens in nats; the requested logarithm base only
 rescales the final report.
@@ -25,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import KrausChannel, _apply_stack, tensor
-from .linalg import ConsistencyError, ContractViolation, log_divisor, spectrum_entropy
+from .linalg import ConsistencyError, ContractViolation, log_divisor, size_text, spectrum_entropy
 from .spin import SpinLabel, singlet_state
 
 # Returned, with a zero gradient, when the parameter vector collapses below
@@ -36,6 +39,17 @@ from .spin import SpinLabel, singlet_state
 # overflowing anything.
 _COLLAPSE_PENALTY = 1e3
 _COLLAPSE_NORM = 1e-8
+
+# L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
+# trial steps one line search makes before its restart stops unconverged, and
+# the rise in value, relative to max(|f|, 1), that still counts as rounding.
+_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_TRIALS = 20
+_ROUNDING = 16 * np.finfo(float).eps
+
+# Largest array a search may build, in bytes: the 1 GiB of the singlet cap.
+SEARCH_BYTE_CAP = 2**30
 
 # Largest accepted simplex_tolerance. Parameters live on the unit sphere, so
 # a gradient tolerance near 1 stops every pure-input restart at its start.
@@ -46,10 +60,10 @@ MAX_SIMPLEX_TOLERANCE = 1e-3
 class SearchConfig:
     """Knobs for the multi-start searches.
 
-    simplex_tolerance is the gradient tolerance of each restart (L-BFGS-B
-    gtol); it must lie in (0, MAX_SIMPLEX_TOLERANCE]. objective_tolerance is
-    the relative stop on objective changes (ftol), and
-    max_iterations_per_restart caps the iterations of each restart.
+    A restart converges when its largest gradient component is at most
+    simplex_tolerance, which must lie in (0, MAX_SIMPLEX_TOLERANCE], or when
+    one step lowers its value by at most objective_tolerance relative to
+    max(|f_k|, |f_k+1|, 1); max_iterations_per_restart caps its iterations.
     Restart seeds derive from (seed, restart_index), so reports are
     reproducible bit for bit at fixed config and identical across channels
     given on different occasions.
@@ -92,8 +106,9 @@ class SearchReport:
 
     restart_values holds every restart's local minimum, sorted ascending;
     value equals its first entry. converged_fraction counts restarts that
-    stopped on a tolerance target (scipy status 0) rather than an iteration
-    limit or a failed line search.
+    stopped on one of SearchConfig's two tolerance stops (gradient or
+    relative reduction) rather than the iteration limit or a line search
+    that found no decrease.
     """
 
     value: float
@@ -123,6 +138,34 @@ class ProbeReport:
     joint: SearchReport
     single_a: SearchReport
     single_b: SearchReport
+
+
+def _search_bytes(command: str, restarts: int, shape) -> int:
+    """Bytes of the largest array a search builds, in integer arithmetic.
+
+    shape is (n_kraus, dim_out, dim_in) of the searched channel; for
+    "probe", the product channel of the joint search. The largest array is
+    the Kraus stack (every objective copies it once) or, R times over, the
+    _MEMORY history pairs of real parameters, or the stacked X_k phi (pure
+    inputs) or X_k rho (the "gain" command), at 16 bytes per complex entry.
+    Python ints do not overflow, so the estimate holds for any spin.
+    """
+    n_kraus, dim_out, dim_in = shape
+    if command == "gain":
+        per_restart = max(_MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
+    else:
+        per_restart = max(_MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
+    return 16 * max(n_kraus * dim_out * dim_in, restarts * per_restart)
+
+
+def check_search_size(command: str, restarts: int, shape) -> None:
+    """Raise ContractViolation, naming the size in GiB, past SEARCH_BYTE_CAP."""
+    needed = _search_bytes(command, restarts, shape)
+    if needed > SEARCH_BYTE_CAP:
+        raise ContractViolation(
+            f"{command} with {restarts} restarts needs about {size_text(needed, 30)} GiB"
+            f" for its largest array, more than the {size_text(SEARCH_BYTE_CAP, 30)} GiB cap"
+        )
 
 
 def haar_pure(dim: int, seed) -> np.ndarray:
@@ -164,15 +207,35 @@ def _state_from_params(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _entropy_and_log_term(m: np.ndarray):
-    """Entropy of a positive matrix m and f(m), from one eigh.
+    """Entropies of a stack of positive matrices m and f(m), from one stacked eigh.
 
     f(w) = log w + 1 on the support and 0 off it: dS = -tr(f(m) dm).
     """
-    w, u = np.linalg.eigh(m)
+    try:
+        w, u = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:  # LAPACK fails on NaN and infinite entries
+        raise ContractViolation("spectrum is not finite: eigh did not converge") from None
     positive = w > 0.0
-    f = np.zeros_like(w)
-    f[positive] = np.log(w[positive]) + 1.0
-    return spectrum_entropy(w), (u * f) @ u.conj().T
+    f = np.where(positive, np.log(np.where(positive, w, 1.0)) + 1.0, 0.0)
+    return spectrum_entropy(w), (u * f[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def _single_or_stacked(stacked, collapsed):
+    """Objective over a stack of points (R, n) that also takes one point (n,).
+
+    A single point returns (float, gradient); one below numerical rank, as
+    judged by collapsed(x), returns the repelling penalty and a zero gradient.
+    """
+
+    def objective(x):
+        if x.ndim == 2:
+            return stacked(x)
+        if collapsed(x):
+            return _COLLAPSE_PENALTY, np.zeros(x.size)
+        values, gradients = stacked(x[np.newaxis])
+        return float(values[0]), gradients[0]
+
+    return objective
 
 
 def _pure_entropy_and_gradient(channel: KrausChannel):
@@ -184,27 +247,30 @@ def _pure_entropy_and_gradient(channel: KrausChannel):
     f(M M^dagger) M = M f(M^dagger M) for the matrix M whose columns are
     X_k phi, so the output state is never formed. The gradient of
     S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the entropy's
-    derivative projected onto the sphere's tangent space.
+    derivative projected onto the sphere's tangent space. Takes one point or
+    a stack of them, one per row, with one stacked eigh for the stack.
     """
     ops = channel.kraus
     conj_ops = ops.conj()
     n, dim_out, dim_in = ops.shape
     use_gram = n <= dim_out
 
-    def objective(x):
-        v = x[:dim_in] + 1j * x[dim_in:]
-        norm = np.linalg.norm(v)
-        if norm < _COLLAPSE_NORM:
-            return _COLLAPSE_PENALTY, np.zeros(2 * dim_in)
-        phi = v / norm
-        m = (ops @ phi).T  # column k is X_k phi
-        value, f_of = _entropy_and_log_term(m.conj().T @ m if use_gram else m @ m.conj().T)
+    def stacked(x):
+        v = x[:, :dim_in] + 1j * x[:, dim_in:]
+        norm = np.linalg.norm(v, axis=1)
+        phi = v / norm[:, np.newaxis]
+        m = np.einsum("kij,rj->rik", ops, phi)  # column k of m[r] is X_k phi_r
+        m_dagger = m.conj().transpose(0, 2, 1)
+        values, f_of = _entropy_and_log_term(m_dagger @ m if use_gram else m @ m_dagger)
         fm = m @ f_of if use_gram else f_of @ m
-        b_phi = np.einsum("kij,ik->j", conj_ops, fm)
-        g = (-2.0 / norm) * (b_phi - np.vdot(phi, b_phi).real * phi)
-        return value, np.concatenate([g.real, g.imag])
+        b_phi = np.einsum("kij,rik->rj", conj_ops, fm)
+        overlap = np.einsum("rj,rj->r", phi.conj(), b_phi).real
+        g = (-2.0 / norm)[:, np.newaxis] * (b_phi - overlap[:, np.newaxis] * phi)
+        return values, np.concatenate([g.real, g.imag], axis=1)
 
-    return objective
+    return _single_or_stacked(
+        stacked, lambda x: np.linalg.norm(x[:dim_in] + 1j * x[dim_in:]) < _COLLAPSE_NORM
+    )
 
 
 def _gain_objective(channel: KrausChannel):
@@ -213,69 +279,168 @@ def _gain_objective(channel: KrausChannel):
     With B = Lambda^dagger(f(Lambda rho)) - f(rho), the gain changes by
     -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
     returned as [re, im] of the flattened matrix. It stays bounded where rho
-    is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w.
+    is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w. Takes
+    one point or a stack of them, with one stacked eigh per side.
     """
     ops = channel.kraus
     adjoint_ops = ops.conj().transpose(0, 2, 1)
     dim = channel.dim_in
     block = dim * dim
 
-    def objective(x):
-        a = (x[:block] + 1j * x[block:]).reshape(dim, dim)
-        total = float(np.vdot(a, a).real)
-        if total < _COLLAPSE_NORM**2:
-            return _COLLAPSE_PENALTY, np.zeros(2 * block)
-        rho = (a @ a.conj().T) / total
+    def stacked(x):
+        a = (x[:, :block] + 1j * x[:, block:]).reshape(-1, dim, dim)
+        total = _rowdot(x, x)
+        rho = (a @ a.conj().transpose(0, 2, 1)) / total[:, np.newaxis, np.newaxis]
         s_in, f_in = _entropy_and_log_term(rho)
         s_out, f_out = _entropy_and_log_term(_apply_stack(ops, rho))
         b = _apply_stack(adjoint_ops, f_out) - f_in
-        g = (-2.0 / total) * (b @ a - np.trace(b @ rho).real * a)
-        return s_out - s_in, np.concatenate([g.real.ravel(), g.imag.ravel()])
+        trace = np.einsum("rij,rji->r", b, rho).real
+        g = (-2.0 / total)[:, np.newaxis, np.newaxis] * (
+            b @ a - trace[:, np.newaxis, np.newaxis] * a
+        )
+        g = g.reshape(-1, block)
+        return s_out - s_in, np.concatenate([g.real, g.imag], axis=1)
 
-    return objective
+    return _single_or_stacked(stacked, lambda x: float(x @ x) < _COLLAPSE_NORM**2)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return (a * b).sum(axis=1)
+
+
+def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
+    """Minimize objective from every row of x0 at once, on the unit sphere.
+
+    Each row is one restart with its own L-BFGS history (the last _MEMORY
+    pairs) and its own Armijo backtracking step; every trial step is one
+    stacked objective call over the rows still searching, and each trial
+    point is renormalised onto |x| = 1. Where a row's value is flat to
+    rounding, a trial that halves its largest gradient component also
+    counts as a decrease. A row converges when its largest gradient
+    component is at most simplex_tolerance, or when a step lowers its value
+    by at most objective_tolerance relative to max(|f_k|, |f_k+1|, 1): the
+    two stops L-BFGS-B reports as convergence. It stops unconverged at
+    max_iterations_per_restart, or when _MAX_TRIALS trial steps find no
+    decrease. Stopped rows leave the arrays, so they cost nothing afterwards,
+    and no row's arithmetic depends on another's.
+
+    Returns the final values, points, evaluation counts and converged flags,
+    one entry per row of x0.
+    """
+    gtol = float(config.simplex_tolerance)
+    ftol = float(config.objective_tolerance)
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    f, g = objective(x)
+    rows, size = x.shape
+    final_f = np.empty(rows)
+    final_x = np.empty_like(x)
+    evaluations = np.ones(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    index = np.arange(rows)  # the restart each remaining row belongs to
+    # slot j of every row's history holds the pair of the same iteration
+    s_hist = np.zeros((_MEMORY, rows, size))
+    y_hist = np.zeros((_MEMORY, rows, size))
+    inv_sy = np.zeros((_MEMORY, rows))
+    scale = np.ones(rows)  # the initial inverse Hessian is scale * I
+    largest = np.abs(g).max(axis=1)
+    ok = done = largest <= gtol
+    for iteration in range(config.max_iterations_per_restart + 1):
+        if iteration == config.max_iterations_per_restart:
+            done = np.ones_like(done)
+        if done.any():
+            stopped = index[done]
+            final_f[stopped], final_x[stopped], converged[stopped] = f[done], x[done], ok[done]
+            keep = ~done
+            x, f, g, largest, scale, index = (a[keep] for a in (x, f, g, largest, scale, index))
+            s_hist, y_hist, inv_sy = s_hist[:, keep], y_hist[:, keep], inv_sy[:, keep]
+        if not index.size:
+            break
+        if iteration == 0:
+            scale = 1.0 / np.sqrt(_rowdot(g, g))  # a first step of unit length
+
+        # two-loop recursion over the stored pairs, newest first
+        slots = [(iteration - 1 - j) % _MEMORY for j in range(min(iteration, _MEMORY))]
+        q = g.copy()
+        alphas = []
+        for j in slots:
+            alphas.append(inv_sy[j] * _rowdot(s_hist[j], q))
+            q -= alphas[-1][:, np.newaxis] * y_hist[j]
+        q *= scale[:, np.newaxis]
+        for j, alpha in zip(reversed(slots), reversed(alphas)):
+            q += (alpha - inv_sy[j] * _rowdot(y_hist[j], q))[:, np.newaxis] * s_hist[j]
+        # the descent direction, projected onto the tangent space at x
+        p = _rowdot(q, x)[:, np.newaxis] * x - q
+        # descent, since every stored pair has s.y > 0 and g is tangent at x
+        slope = _rowdot(g, p)
+
+        new_x, new_f, new_g = x.copy(), f.copy(), g.copy()
+        accepted = np.zeros(len(f), dtype=bool)
+        rounding = _ROUNDING * np.maximum(np.abs(f), 1.0)
+        step = np.ones(len(f))
+        pending = np.arange(len(f))
+        for _ in range(_MAX_TRIALS):
+            t = step[pending]
+            trial = x[pending] + t[:, np.newaxis] * p[pending]
+            trial /= np.sqrt(_rowdot(trial, trial))[:, np.newaxis]
+            trial_f, trial_g = objective(trial)
+            evaluations[index[pending]] += 1
+            rise = trial_f - f[pending]
+            good = (rise <= _ARMIJO * t * slope[pending]) | (
+                (rise <= rounding[pending])
+                & (np.abs(trial_g).max(axis=1) <= 0.5 * largest[pending])
+            )
+            took = pending[good]
+            new_x[took], new_f[took], new_g[took] = trial[good], trial_f[good], trial_g[good]
+            accepted[took] = True
+            pending, t, rise = pending[~good], t[~good], rise[~good]
+            if not pending.size:
+                break
+            # minimizer of the parabola through f, slope and the trial value, within [t/10, t/2]
+            parabola = -slope[pending] * t * t / (2.0 * (rise - t * slope[pending]))
+            step[pending] = np.clip(parabola, 0.1 * t, 0.5 * t)
+
+        s, y = new_x - x, new_g - g
+        sy, yy = _rowdot(s, y), _rowdot(y, y)
+        curved = sy > np.finfo(float).eps * yy
+        slot = iteration % _MEMORY
+        s_hist[slot], y_hist[slot] = s, y
+        inv_sy[slot] = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        scale = np.divide(sy, yy, out=scale, where=curved)
+        reduction = (f - new_f) / np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
+        x, f, g = new_x, new_f, new_g
+        largest = np.abs(g).max(axis=1)
+        ok = accepted & ((reduction <= ftol) | (largest <= gtol))
+        done = ok | ~accepted
+    return final_f, final_x, evaluations, converged
 
 
 def _multistart(
     objective, config: SearchConfig, deterministic_inits, random_init, decode
 ) -> SearchReport:
-    """Shared engine: run the restarts and report the best point found.
+    """Shared engine: run the restarts together and report the best point found.
 
-    objective returns (value, gradient); each restart is one L-BFGS-B run
-    with the stops of SearchConfig. decode maps the best parameter vector to
-    the report's argmin. Values are searched in nats and divided by the
-    configured base's log only here.
+    Restart i starts from deterministic_inits[i], or past their end from
+    random_init(default_rng([seed, i])); objective maps a stack of points to
+    (values, gradients) and _sphere_lbfgs advances them all at once. decode
+    maps the best parameter vector to the report's argmin. Values are
+    searched in nats and divided by the configured base's log only here.
     """
-    options = {
-        "maxiter": config.max_iterations_per_restart,
-        "gtol": float(config.simplex_tolerance),
-        "ftol": float(config.objective_tolerance),
-    }
-    best_value = math.inf
-    best_x = None
-    values = []
-    evaluations = 0
-    converged = 0
-    for index in range(config.restarts):
-        if index < len(deterministic_inits):
-            x0 = np.asarray(deterministic_inits[index], dtype=float)
-        else:
-            x0 = random_init(np.random.default_rng([config.seed, index]))
-        result = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
-        value = float(result.fun)
-        values.append(value)
-        evaluations += int(result.nfev)
-        if result.status == 0:
-            converged += 1
-        if value < best_value:
-            best_value = value
-            best_x = np.asarray(result.x, dtype=float).copy()
+    starts = [
+        np.asarray(deterministic_inits[index], dtype=float)
+        if index < len(deterministic_inits)
+        else random_init(np.random.default_rng([config.seed, index]))
+        for index in range(config.restarts)
+    ]
+    values, points, evaluations, converged = _sphere_lbfgs(objective, np.stack(starts), config)
+    best = int(np.argmin(values))  # the first restart reaching the lowest value
     divisor = log_divisor(config.log_base)
     return SearchReport(
-        value=best_value / divisor,
-        argmin=decode(best_x),
-        restart_values=[v / divisor for v in sorted(values)],
-        converged_fraction=converged / config.restarts,
-        evaluations=evaluations,
+        value=float(values[best]) / divisor,
+        argmin=decode(points[best]),
+        restart_values=[float(v) / divisor for v in np.sort(values)],
+        converged_fraction=int(converged.sum()) / config.restarts,
+        evaluations=int(evaluations.sum()),
     )
 
 
@@ -300,7 +465,9 @@ def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None
     states seeded by (config.seed, restart_index). The returned value is the
     best local minimum seen, an upper bound on the true minimum.
     """
-    return _pure_search(channel, config if config is not None else SearchConfig(), [])
+    cfg = config if config is not None else SearchConfig()
+    check_search_size("min-output", cfg.restarts, channel.kraus.shape)
+    return _pure_search(channel, cfg, [])
 
 
 def gain_lower_bound(channel: KrausChannel) -> float:
@@ -329,6 +496,7 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("entropy gain search requires matching input and output dims")
+    check_search_size("gain", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
     block = dim * dim
 
@@ -382,6 +550,8 @@ def additivity_probe(
     here is not a proof of additivity.
     """
     cfg = config if config is not None else SearchConfig()
+    joint_shape = [a * b for a, b in zip(channel_a.kraus.shape, channel_b.kraus.shape)]
+    check_search_size("probe", cfg.restarts, joint_shape)
     report_a = min_output_entropy(channel_a, cfg)
     report_b = min_output_entropy(channel_b, cfg)
     d_a = channel_a.dim_in

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -395,3 +396,55 @@ def test_channel_files_with_look_alike_numbers_fail_with_a_reason(capsys, tmp_pa
         assert out == ""
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err, name
+
+
+def _run_under_tracemalloc(capsys, *argv):
+    """Exit code, stdout, stderr, traced peak bytes and wall seconds of one CLI call."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gain", "--spin", "1000", "--restarts", "64"],
+        ["min-output", "--spin", "1e400"],
+        ["probe", "--spin", "1e5000", "--output", "text"],
+        ["gain", "--spin", "100", "--restarts", "2000000"],
+    ],
+    ids=["gain-spin-1000", "min-output-spin-1e400", "probe-spin-1e5000", "gain-restarts"],
+)
+def test_oversized_searches_exit_before_building_anything(capsys, argv):
+    code, out, err, peak, seconds = _run_under_tracemalloc(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "GiB" in err and len(err) < 200
+    assert "Traceback" not in err
+    assert peak < 2**20
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("spin", ["1e40", "1e400", "1e5000"])
+def test_astronomical_singlet_spins_exit_with_the_size(capsys, spin):
+    code, out, err, peak, _ = _run_under_tracemalloc(capsys, "singlet", "--spin", spin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "GiB" in err and len(err) < 200
+    assert peak < 2**20
+
+
+def test_oversized_channel_file_is_rejected_after_loading(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "d3.json"
+    save_channel(random_channel(3, 2, seed=0), path)
+    # a cap below this file's Kraus stack stands in for a file too large to search
+    monkeypatch.setattr("spinchannels.optimize.SEARCH_BYTE_CAP", 100)
+    code, out, err = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gain with 2 restarts needs about") and "GiB" in err

@@ -5,6 +5,9 @@ module only. `__init__.py` is skipped: its imports are the public exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,11 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_imports_without_scipy():
+    """The package needs numpy only at run time; scipy serves the tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import spinchannels.cli, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

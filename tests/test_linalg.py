@@ -16,6 +16,7 @@ from spinchannels.linalg import (
     operator_norm,
     partial_trace,
     relative_entropy,
+    size_text,
     spectrum_entropy,
     unitarity_defect,
     vector_from_json,
@@ -279,3 +280,37 @@ def test_entropies_reject_non_hermitian_input():
         relative_entropy(lopsided, np.eye(2) / 2.0)
     with pytest.raises(ContractViolation, match="Hermitian"):
         relative_entropy(np.eye(2) / 2.0, lopsided)
+
+
+class TestStackedSpectrumEntropy:
+    def test_rows_match_the_single_spectrum_route(self):
+        stack = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, -1e-11, 0.0]])
+        values = spectrum_entropy(stack)
+        assert values.shape == (3,)
+        for row, value in zip(stack, values):
+            assert abs(value - spectrum_entropy(row)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "NaN"), (-0.05, "positivity"), (math.inf, "not finite")],
+    )
+    def test_one_bad_row_raises_with_the_single_message(self, bad, message):
+        stack = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
+        stack[1, 1] = bad
+        with pytest.raises(ContractViolation, match=message):
+            spectrum_entropy(stack)
+
+
+@pytest.mark.parametrize(
+    "count, unit_bits, text",
+    [
+        (3 * 2**29, 30, "1.5"),
+        (2**30, 30, "1"),
+        (2001, 0, "2e+03"),
+        (10**400, 0, "1e+400"),
+        (7 * 10**5000, 30, "6.52e+4991"),
+    ],
+    ids=["1.5GiB", "1GiB", "2001", "1e400", "7e5000-bytes"],
+)
+def test_size_text_never_overflows(count, unit_bits, text):
+    assert size_text(count, unit_bits) == text

@@ -498,3 +498,95 @@ def test_gain_restarts_agree(dim, n_kraus):
     for seed in range(6):
         report = min_entropy_gain(random_channel(dim, n_kraus, seed), SearchConfig(restarts=10))
         assert report.restart_values[-1] - report.restart_values[0] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "search, channel",
+    [
+        (min_output_entropy, isotropic_channel("3")),
+        (min_output_entropy, random_channel(3, 5, seed=1)),
+        (min_entropy_gain, random_channel(2, 3, seed=21)),
+        (min_entropy_gain, tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4))),
+    ],
+    ids=["gram-spin-3", "output-random-d3-k5", "gain-d2", "gain-product-2x2"],
+)
+def test_restarts_advance_independently_of_each_other(search, channel):
+    """Restart i does the same arithmetic whatever else shares its batch."""
+    small = search(channel, SearchConfig(restarts=8, seed=3))
+    large = search(channel, SearchConfig(restarts=16, seed=3))
+    assert set(small.restart_values) <= set(large.restart_values)
+
+
+@pytest.mark.parametrize(
+    "make_objective, channel",
+    [
+        (_pure_entropy_and_gradient, random_channel(3, 2, seed=2)),  # Gram route
+        (_pure_entropy_and_gradient, random_channel(3, 5, seed=1)),  # output-state route
+        (_pure_entropy_and_gradient, tensor(isotropic_channel("1"), isotropic_channel("1"))),
+        (optimize._gain_objective, random_channel(3, 2, seed=5)),
+        (optimize._gain_objective, tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4))),
+    ],
+    ids=["pure-gram", "pure-output", "pure-s1xs1", "gain-d3", "gain-product-2x2"],
+)
+def test_stacked_objective_matches_single_points_row_by_row(make_objective, channel):
+    objective = make_objective(channel)
+    size = 2 * channel.dim_in * (channel.dim_in if make_objective is optimize._gain_objective else 1)
+    points = np.random.default_rng(23).standard_normal((5, size))
+    values, gradients = objective(points)
+    assert values.shape == (5,) and gradients.shape == (5, size)
+    for point, value, gradient in zip(points, values, gradients):
+        single_value, single_gradient = objective(point)
+        assert isinstance(single_value, float) and single_gradient.shape == (size,)
+        assert abs(single_value - value) <= 1e-15
+        assert np.abs(single_gradient - gradient).max() <= 1e-15
+
+
+@pytest.mark.parametrize("make_objective", [_pure_entropy_and_gradient, optimize._gain_objective])
+def test_nan_channel_raises_through_the_stacked_entropy(make_objective):
+    channel = isotropic_channel("1")
+    ops = np.array(channel.kraus)
+    ops[0, 0, 0] = math.nan
+    object.__setattr__(channel, "kraus", ops)  # past the constructor's own check
+    size = 2 * 3 * (3 if make_objective is optimize._gain_objective else 1)
+    points = np.random.default_rng(29).standard_normal((4, size))
+    with pytest.raises(ContractViolation, match="not finite|NaN"):
+        make_objective(channel)(points)
+
+
+def test_iteration_cap_is_reported_as_not_converged():
+    """A cap of one iteration leaves restarts unconverged; the default converges them."""
+    channel = isotropic_channel("3")
+    capped = min_output_entropy(channel, SearchConfig(restarts=6, max_iterations_per_restart=1))
+    assert capped.converged_fraction < 1.0
+    assert capped.evaluations > 6  # the starts, then at least one trial step
+    full = min_output_entropy(channel, SearchConfig(restarts=6))
+    assert full.converged_fraction == 1.0
+    assert full.value <= capped.value
+
+
+class TestSearchSizeGuard:
+    def test_rejects_stacks_past_the_cap_in_integer_arithmetic(self):
+        with pytest.raises(ContractViolation, match="GiB"):
+            optimize.check_search_size("gain", 64, (3, 2001, 2001))
+        with pytest.raises(ContractViolation, match="GiB"):
+            optimize.check_search_size("min-output", 64, (3, 10**400, 10**400))
+
+    def test_benchmark_and_test_sizes_stay_far_below_the_cap(self):
+        # the largest searches the test suite and the benchmark run, with 64 restarts
+        for command, shape in [
+            ("min-output", (3, 41, 41)),
+            ("gain", (3, 4, 4)),
+            ("probe", (9, 25, 25)),
+            ("probe", (9, 49, 49)),
+        ]:
+            assert optimize._search_bytes(command, 64, shape) < optimize.SEARCH_BYTE_CAP / 100
+            optimize.check_search_size(command, 64, shape)
+
+    def test_library_entry_points_check_before_searching(self):
+        channel = isotropic_channel("1/2")
+        config = SearchConfig(restarts=2**40)
+        for search in (min_output_entropy, min_entropy_gain):
+            with pytest.raises(ContractViolation, match="GiB"):
+                search(channel, config)
+        with pytest.raises(ContractViolation, match="probe.*GiB"):
+            additivity_probe(channel, channel, config)
