@@ -22,7 +22,11 @@ J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
 against P_j and sums of weighted P_j are therefore taken one sector at a
 time from `spin._casimir_sectors`; no d^2 x d^2 projector or eigensolve of
-the full J^2 is formed on this path.
+the full J^2 is formed on this path. Invariance is checked exactly against
+the twirl T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of
+W rho W^dagger over all rotations W = U tensor U. Every W fixes T(rho), so
+max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
+once, and T reuses the block weights' sector pass.
 
 Product channels act factor by factor. With the row-major flattening of
 `linalg.kron`, a two-spin vector psi is the d x d matrix Psi, and
@@ -53,8 +57,6 @@ from .spin import (
     SpinLabel,
     _casimir_sectors,
     _coupled_zero_m_states,
-    _random_axis_angle,
-    rotation_unitary,
     singlet_state,
     spin_operators,
 )
@@ -92,7 +94,6 @@ EXCESS_CLOSED_FORM = {
     2: "ln 3 - (2/3) ln 2",
 }
 
-_INVARIANCE_CHECK_SEED = 171717
 _CROSS_CHECK_TOL = 1e-9
 # Bytes a `singlet` report holds per block weight on its way to stdout: the
 # float and its tuple slot, the array copies `IsotypicDistribution` checks
@@ -120,6 +121,8 @@ class IsotypicDistribution:
                 f"expected {label.twice_s + 1} block probabilities for spin {label}, "
                 f"got shape {raw.shape}"
             )
+        if not np.isfinite(raw).all():
+            raise ContractViolation("block probabilities are not finite")
         lowest = float(raw.min()) if raw.size else 0.0
         if lowest < -1e-8:
             raise ContractViolation(f"block probability {lowest:.3e} violates positivity")
@@ -160,66 +163,67 @@ class SingletDecoherenceReport:
         return payload
 
 
-def _left_product(u: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(u tensor u) @ m as two contractions over d-sized indices, O(d^5)."""
-    d = u.shape[0]
-    first = (u @ m.reshape(d, -1)).reshape(d, d, -1)
-    return np.matmul(u, first).reshape(m.shape)
+def _invariant_state(label: SpinLabel, sectors: list, probs) -> np.ndarray:
+    """sum_j p_j P_j / (2j+1): sector M's block is V diag(p_j / (2j+1)) V^T."""
+    weights = np.asarray(probs) / (2 * np.arange(label.dimension) + 1)
+    out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
+    for indices, j_values, vectors in sectors:
+        out[np.ix_(indices, indices)] = (vectors * weights[j_values]) @ vectors.T
+    return out
 
 
-def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float, samples: int = 10):
-    """Reject states that fail invariance under sampled U tensor U rotations."""
-    rng = np.random.default_rng(_INVARIANCE_CHECK_SEED)
-    worst = 0.0
-    for _ in range(samples):
-        u = rotation_unitary(label, *_random_axis_angle(rng))
-        # W rho W^dagger = (W (W rho)^dagger)^dagger with W = u tensor u.
-        rotated = _left_product(u, _left_product(u, rho).conj().T).conj().T
-        worst = max(worst, float(np.abs(rotated - rho).max()))
-    if worst > tol:
+def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float) -> np.ndarray:
+    """Reject rho unless 2 ||rho - T(rho)||_F <= tol; return tr(P_j rho), j = 0..2s.
+
+    Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
+    2 ||rho - T(rho)||_F at every W at once. The residual is formed entrywise:
+    ||rho||^2 - ||T(rho)||^2 cancels to about sqrt(eps) ||rho||, near tol.
+    """
+    # P_j = sum_M |j;M><j;M| with real sector vectors, so tr(P_j rho) sums
+    # v^T rho_MM v over the columns v of each sector that belong to block j.
+    sectors = _casimir_sectors(label)
+    traces = np.zeros(label.dimension)
+    for indices, j_values, vectors in sectors:
+        block = rho[np.ix_(indices, indices)]
+        traces[j_values] += np.real(np.sum(vectors * (block @ vectors), axis=0))
+    residual = _invariant_state(label, sectors, traces)
+    residual -= rho
+    deviation = 2.0 * float(np.linalg.norm(residual))
+    if not deviation <= tol:  # NaN fails too
         raise ContractViolation(
-            f"state is not rotationally invariant: worst deviation {worst:.3e} "
-            f"under sampled rotations exceeds {tol:.1e}"
+            f"state is not rotationally invariant: twirl residual {deviation:.3e} > {tol:.1e}"
         )
+    return traces
 
 
 def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicDistribution:
     """Block probabilities of an invariant state on two spin-s systems.
 
     Computes tr(P_j rho) one total-M sector at a time, as the sum of
-    <j;M|rho|j;M> over the sectors |M| <= j, and cross-checks it against the
-    matrix elements (2j+1) <j;0|rho|j;0>; the two must agree within 1e-9 or
-    the call fails. The projector route's values are returned. The |j;0>
-    stack is built once per call.
+    <j;M|rho|j;M> over the sectors |M| <= j. The same pass rejects rho unless
+    its twirl residual 2 ||rho - T(rho)||_F, which bounds its deviation under
+    every rotation, is at most `invariance_tol`. The weights must agree with
+    the matrix elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails;
+    the projector route's values are returned. The |j;0> stack is built once
+    per call.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
     m = require_hermitian(rho, name="invariant state")
     if m.shape != (d * d, d * d):
-        raise ContractViolation(
-            f"state shape {m.shape} does not match two spin-{label} systems"
-        )
+        raise ContractViolation(f"state shape {m.shape} does not match two spin-{label} systems")
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    _require_invariant(m, label, invariance_tol)
-
-    # P_j = sum_M |j;M><j;M| with real sector vectors, so tr(P_j rho) sums
-    # v^T rho_MM v over the columns v of each sector that belong to block j.
-    traces = np.zeros(d)
-    for indices, j_values, vectors in _casimir_sectors(label):
-        block = m[np.ix_(indices, indices)]
-        traces[j_values] += np.real(np.sum(vectors * (block @ vectors), axis=0))
-    from_projectors = [float(t) for t in traces]
+    traces = _require_invariant(m, label, invariance_tol)
     states = _coupled_zero_m_states(label)
     diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m.T))
-    from_elements = [(2 * j + 1) * float(e) for j, e in enumerate(diagonal)]
-    worst = max(abs(a - b) for a, b in zip(from_projectors, from_elements))
+    worst = float(np.abs(traces - (2 * np.arange(d) + 1) * diagonal).max())
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"projector-trace and matrix-element block probabilities disagree by {worst:.3e}"
         )
-    return IsotypicDistribution(label, tuple(from_projectors))
+    return IsotypicDistribution(label, tuple(traces))
 
 
 def _product_vectors(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -268,17 +272,10 @@ def invariant_state_entropy(distribution: IsotypicDistribution, base=None) -> fl
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
     """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
 
-    Assembled block by block over the total-M sectors: the block of sector M
-    is V diag(p_j / (2j+1)) V^T for its real eigenvectors V, and every entry
-    between two sectors is zero.
+    Assembled one total-M sector at a time by `_invariant_state`.
     """
     label = distribution.spin
-    d = label.dimension
-    weights = np.asarray(distribution.probs) / (2 * np.arange(d) + 1)
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for indices, j_values, vectors in _casimir_sectors(label):
-        out[np.ix_(indices, indices)] = (vectors * weights[j_values]) @ vectors.T
-    return out
+    return _invariant_state(label, _casimir_sectors(label), distribution.probs)
 
 
 def decohered_singlet(spin) -> np.ndarray:

@@ -54,6 +54,8 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix"
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} is not square: shape {m.shape}")
+    if not np.isfinite(m).all():  # NaN would pass the comparison below
+        raise ContractViolation(f"{name} is not finite")
     defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise ContractViolation(

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density, random_unitary
-from spinchannels import spin
+from helpers import random_density
+from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
     EXACT_EXCESS,
     EXACT_PAIR_ENTROPY,
     EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
-    _left_product,
     _require_invariant,
     decohered_singlet,
     invariant_state_entropy,
@@ -48,6 +47,11 @@ class TestIsotypicDistribution:
         with pytest.raises(ContractViolation, match="expected"):
             IsotypicDistribution(SpinLabel(1), (1.0,))
 
+    def test_rejects_non_finite_weights(self):
+        # NaN passes every > comparison, so it needs its own check
+        with pytest.raises(ContractViolation, match="not finite"):
+            IsotypicDistribution("1/2", (np.nan, 0.5))
+
 
 class TestIsotypicProbabilities:
     @pytest.mark.parametrize("label", SPINS)
@@ -71,6 +75,12 @@ class TestIsotypicProbabilities:
         rng = np.random.default_rng(62)
         rho = random_density(rng, 4)
         with pytest.raises(ContractViolation, match="invariant"):
+            isotypic_probabilities(rho, "1/2")
+
+    def test_rejects_non_finite_entries(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 1] = np.nan
+        with pytest.raises(ContractViolation, match="not finite"):
             isotypic_probabilities(rho, "1/2")
 
     def test_rejects_wrong_dimension_and_trace(self):
@@ -193,13 +203,6 @@ class TestDecoheredSinglet:
 
 
 class TestSampledInvariance:
-    def test_reshaped_rotation_matches_kron(self):
-        rng = np.random.default_rng(64)
-        for d in (2, 3, 5):
-            u = random_unitary(rng, d)
-            m = random_density(rng, d * d)
-            assert np.abs(_left_product(u, m) - np.kron(u, u) @ m).max() < 1e-12
-
     def test_rejects_non_invariant_states(self):
         rng = np.random.default_rng(65)
         for twice_s in (1, 2, 3):
@@ -217,7 +220,52 @@ class TestSampledInvariance:
         _require_invariant(decohered_singlet(label), label, 1e-8)
 
 
+class TestTwirlCheck:
+    @pytest.mark.parametrize("twice_s", range(1, 5))
+    def test_rejects_an_off_sector_perturbation(self, twice_s):
+        label = SpinLabel(twice_s)
+        rho = state_from_distribution(IsotypicDistribution(label, (1.0,) + (0.0,) * twice_s))
+        _require_invariant(rho, label, 1e-8)
+        # indices 0 and 1 hold |s>|s> (M = 2s) and |s>|s-1> (M = 2s-1)
+        rho[0, 1] += 1e-8
+        rho[1, 0] += 1e-8
+        with pytest.raises(ContractViolation, match="not rotationally invariant"):
+            _require_invariant(rho, label, 1e-8)
+
+    def test_nan_residual_fails(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = rho[1, 0] = np.nan
+        with pytest.raises(ContractViolation, match="not rotationally invariant"):
+            _require_invariant(rho, SpinLabel(1), 1e-8)
+
+    @pytest.mark.parametrize("twice_s", [24, 40])
+    def test_round_trip_at_large_spin(self, twice_s):
+        label = SpinLabel(twice_s)
+        probs = np.random.default_rng(66).dirichlet(np.ones(twice_s + 1))
+        found = isotypic_probabilities(state_from_distribution(IsotypicDistribution(label, probs)), label)
+        assert np.abs(np.array(found.probs) - probs).max() < 1e-12
+
+
 class TestWorkCount:
+    def test_one_sector_pass_and_no_rotations(self, monkeypatch):
+        label = SpinLabel(4)
+        rho = decohered_singlet(label)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        sectors = counted("_casimir_sectors", spin._casimir_sectors)
+        monkeypatch.setattr(spin, "_casimir_sectors", sectors)
+        monkeypatch.setattr(invariant, "_casimir_sectors", sectors)
+        monkeypatch.setattr(spin, "rotation_unitary", counted("rotation_unitary", spin.rotation_unitary))
+        isotypic_probabilities(rho, label)
+        assert calls == ["_casimir_sectors"]
+
     def test_total_spin_squared_runs_a_constant_number_of_times(self, monkeypatch):
         original = spin.total_spin_squared
         calls = []

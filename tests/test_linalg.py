@@ -282,6 +282,19 @@ def test_entropies_reject_non_hermitian_input():
         relative_entropy(np.eye(2) / 2.0, lopsided)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropies_reject_non_finite_input(bad):
+    # NaN passes the Hermiticity comparison, so finiteness is checked first
+    state = np.eye(2, dtype=complex) / 2.0
+    state[0, 1] = bad
+    with pytest.raises(ContractViolation, match="state is not finite"):
+        von_neumann_entropy(state)
+    with pytest.raises(ContractViolation, match="rho is not finite"):
+        relative_entropy(state, np.eye(2) / 2.0)
+    with pytest.raises(ContractViolation, match="sigma is not finite"):
+        relative_entropy(np.eye(2) / 2.0, state)
+
+
 class TestStackedSpectrumEntropy:
     def test_rows_match_the_single_spectrum_route(self):
         stack = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [1.0, -1e-11, 0.0]])
