@@ -56,7 +56,10 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix"
         raise ContractViolation(f"{name} is not square: shape {m.shape}")
     if not np.isfinite(m).all():  # NaN would pass the comparison below
         raise ContractViolation(f"{name} is not finite")
-    defect = float(np.abs(m - m.conj().T).max())
+    # formed in place on the conjugate copy: one temporary the size of m
+    residual = m.conj().T
+    residual -= m
+    defect = float(np.abs(residual).max())
     if defect > tol:
         raise ContractViolation(
             f"{name} is not Hermitian: max |M - M^dagger| = {defect:.3e} exceeds {tol:.1e}"

@@ -14,10 +14,11 @@ Parametrizations
 Pure states use 2d real parameters (re, im interleaved blockwise). Input
 states for the entropy gain use a full complex d x d matrix A, flattened the
 same way, with rho = A A^dagger / tr(A A^dagger), which covers every density
-matrix including rank-deficient ones. Both objectives normalize internally,
-so their gradients vanish along the scale direction; the search keeps every
-row on |x| = 1 (|A|_F = 1 for the gain), where the gradient is the
-Riemannian one.
+matrix including rank-deficient ones. Both objectives take a stack of
+points (R, n), one per row, and return R values and an (R, n) gradient
+array. They normalize internally, so their gradients vanish along the scale
+direction; the search keeps every row on |x| = 1 (|A|_F = 1 for the gain),
+where the gradient is the Riemannian one.
 
 All objective evaluation happens in nats; the requested logarithm base only
 rescales the final report.
@@ -33,12 +34,6 @@ import numpy as np
 from .channel import KrausChannel, _apply_stack, tensor
 from .linalg import ConsistencyError, ContractViolation, log_divisor, size_text, spectrum_entropy
 from .spin import SpinLabel, singlet_state
-
-# Returned, with a zero gradient, when the parameter vector collapses below
-# numerical rank; large enough to repel either search from the origin without
-# overflowing anything.
-_COLLAPSE_PENALTY = 1e3
-_COLLAPSE_NORM = 1e-8
 
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
 # trial steps one line search makes before its restart stops unconverged, and
@@ -220,24 +215,6 @@ def _entropy_and_log_term(m: np.ndarray):
     return spectrum_entropy(w), (u * f[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def _single_or_stacked(stacked, collapsed):
-    """Objective over a stack of points (R, n) that also takes one point (n,).
-
-    A single point returns (float, gradient); one below numerical rank, as
-    judged by collapsed(x), returns the repelling penalty and a zero gradient.
-    """
-
-    def objective(x):
-        if x.ndim == 2:
-            return stacked(x)
-        if collapsed(x):
-            return _COLLAPSE_PENALTY, np.zeros(x.size)
-        values, gradients = stacked(x[np.newaxis])
-        return float(values[0]), gradients[0]
-
-    return objective
-
-
 def _pure_entropy_and_gradient(channel: KrausChannel):
     """Output entropy (nats) and its gradient in the 2*dim_in real parameters.
 
@@ -247,15 +224,15 @@ def _pure_entropy_and_gradient(channel: KrausChannel):
     f(M M^dagger) M = M f(M^dagger M) for the matrix M whose columns are
     X_k phi, so the output state is never formed. The gradient of
     S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the entropy's
-    derivative projected onto the sphere's tangent space. Takes one point or
-    a stack of them, one per row, with one stacked eigh for the stack.
+    derivative projected onto the sphere's tangent space. Takes a stack of
+    points (R, 2*dim_in), one per row, with one stacked eigh for the stack.
     """
     ops = channel.kraus
     conj_ops = ops.conj()
     n, dim_out, dim_in = ops.shape
     use_gram = n <= dim_out
 
-    def stacked(x):
+    def objective(x):
         v = x[:, :dim_in] + 1j * x[:, dim_in:]
         norm = np.linalg.norm(v, axis=1)
         phi = v / norm[:, np.newaxis]
@@ -268,9 +245,7 @@ def _pure_entropy_and_gradient(channel: KrausChannel):
         g = (-2.0 / norm)[:, np.newaxis] * (b_phi - overlap[:, np.newaxis] * phi)
         return values, np.concatenate([g.real, g.imag], axis=1)
 
-    return _single_or_stacked(
-        stacked, lambda x: np.linalg.norm(x[:dim_in] + 1j * x[dim_in:]) < _COLLAPSE_NORM
-    )
+    return objective
 
 
 def _gain_objective(channel: KrausChannel):
@@ -280,14 +255,14 @@ def _gain_objective(channel: KrausChannel):
     -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
     returned as [re, im] of the flattened matrix. It stays bounded where rho
     is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w. Takes
-    one point or a stack of them, with one stacked eigh per side.
+    a stack of points (R, 2*dim_in^2), with one stacked eigh per side.
     """
     ops = channel.kraus
     adjoint_ops = ops.conj().transpose(0, 2, 1)
     dim = channel.dim_in
     block = dim * dim
 
-    def stacked(x):
+    def objective(x):
         a = (x[:, :block] + 1j * x[:, block:]).reshape(-1, dim, dim)
         total = _rowdot(x, x)
         rho = (a @ a.conj().transpose(0, 2, 1)) / total[:, np.newaxis, np.newaxis]
@@ -301,7 +276,7 @@ def _gain_objective(channel: KrausChannel):
         g = g.reshape(-1, block)
         return s_out - s_in, np.concatenate([g.real, g.imag], axis=1)
 
-    return _single_or_stacked(stacked, lambda x: float(x @ x) < _COLLAPSE_NORM**2)
+    return objective
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -128,7 +128,8 @@ def total_spin_squared(spin) -> np.ndarray:
 
     Formed as 2s(s+1) I + 2 sum_k S_k x S_k, which is the same matrix since
     sum_k S_k^2 = s(s+1) I. Cost per call: three d x d krons, O(d^4) time and
-    one d^2 x d^2 complex array.
+    one d^2 x d^2 complex array. No package path builds it; it is the dense
+    reference the tests check the sector matrices and |j; 0> states against.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -188,36 +189,60 @@ def _casimir_sectors(label: SpinLabel) -> list:
     return [_casimir_sector(label, k) for k in range(2 * label.twice_s + 1)]
 
 
+def _peak_signs(matrix: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Signs that make each eigenvector column's first entry positive.
+
+    With x_0 = 1, (T - lambda) x = 0 fixes the eigenvector of the real
+    tridiagonal T with unit first entry through the three-term recurrence
+    x_(i+1) = -((T_ii - lambda) x_i + T_(i,i-1) x_(i-1)) / T_(i,i+1). The
+    recurrence runs to each column's largest entry, growing on the way there,
+    so it is stable, and both terms are rescaled every step; the column's
+    sign is compared with it there, not at a first entry that can underflow.
+    """
+    diagonal, off = np.diag(matrix), np.diag(matrix, 1)
+    n = len(diagonal)
+    peak = np.abs(vectors).argmax(axis=0)
+    previous, current = np.zeros(n), np.ones(n)
+    signs = np.empty(n)
+    for i in range(int(peak.max()) + 1):
+        signs[peak == i] = np.sign(current[peak == i])
+        if i + 1 < n:
+            below = off[i - 1] * previous if i else 0.0
+            following = -((diagonal[i] - eigenvalues) * current + below) / off[i]
+            scale = np.maximum(np.abs(current), np.abs(following))
+            previous, current = current / scale, following / scale
+    return signs * np.sign(vectors[peak, np.arange(n)])
+
+
 def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     """All |j; m=0> vectors for j = 0..2s, as rows of a (d, d^2) array.
 
     The M = 0 sector spanned by |m> x |-m> meets each total-spin block
     exactly once, so its eigenvectors from `_casimir_sector` are every |j; 0>
-    at once. The overall phase is fixed by making the coefficient of
-    |s> x |-s> real and positive. Callers that need several |j; 0> build this
-    stack once and index into it.
+    at once. The overall phase makes the exact coefficient of |s> x |-s>
+    positive. `_peak_signs` reads that sign off the sector's recurrence, so
+    it holds from 2s = 42 on too, where the computed coefficient of |2s; 0>,
+    C(4s, 2s)^(-1/2), is below 1e-12 and sinks into rounding. Callers that
+    need several |j; 0> build this stack once and index into it.
     """
     d = label.dimension
-    indices, _, vectors = _casimir_sector(label, label.twice_s)
-    leading = vectors[0]
-    vanishing = np.flatnonzero(np.abs(leading) < 1e-12)
-    if vanishing.size:
-        raise ConsistencyError(
-            "|j;0> phase convention undefined: vanishing |s>|-s> amplitude "
-            f"at j = {int(vanishing[0])}"
-        )
+    indices, j_values, vectors = _casimir_sector(label, label.twice_s)
+    eigenvalues = (j_values * (j_values + 1)).astype(float)
+    _, matrix = _sector_matrix(label, label.twice_s)
     states = np.zeros((d, d * d), dtype=np.complex128)
-    states[:, indices] = (vectors * np.sign(leading)).T
+    states[:, indices] = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
 
-    # Residuals of every row at once against the full J^2: J^2 |j;0> =
-    # j(j+1) |j;0>, and J_3, which is diagonal with entries m + m',
-    # annihilates |j;0>.
-    j_squared = total_spin_squared(label)
-    j_values = np.arange(d)
+    # Residuals of every row at once: J^2 |j;0> = j(j+1) |j;0>, with J^2 V
+    # = 2s(s+1) V + 2 sum_k S_k V S_k^T applied factor by factor to
+    # V = |j;0> as a d x d matrix, and J_3, which is diagonal with entries
+    # m + m', annihilates |j;0>.
+    v = states.reshape(d, d, d)
+    j_squared_v = 2.0 * label.s * (label.s + 1.0) * v
+    for s_k in spin_operators(label):
+        j_squared_v += 2.0 * (s_k @ v @ s_k.T)
     m = label.s - np.arange(d)
     j_3 = np.add.outer(m, m).ravel()
-    eigenvalues = (j_values * (j_values + 1))[:, None]
-    casimir = np.linalg.norm(states @ j_squared.T - eigenvalues * states, axis=1)
+    casimir = np.linalg.norm((j_squared_v - eigenvalues[:, None, None] * v).reshape(d, -1), axis=1)
     magnetic = np.linalg.norm(states * j_3, axis=1)
     for j in range(d):
         if float(casimir[j]) > 1e-10:
@@ -231,10 +256,9 @@ def coupled_zero_m_state(spin, j: int) -> np.ndarray:
     """The total-spin state |j; m=0> of two spin-s systems, as a d^2 vector.
 
     Valid for integer j with 0 <= j <= 2s. The phase makes the coefficient
-    of |m=s> x |m=-s> real and positive. Each call builds all 2s+1 vectors:
-    the d x d tridiagonal eigh of the M = 0 sector, then one
-    `total_spin_squared` for an O(d^5) residual check against the full J^2.
-    Index one stack instead of calling this once per j.
+    of |m=s> x |m=-s> real and positive. Each call builds all 2s+1 vectors
+    from the d x d tridiagonal eigh of the M = 0 sector. Index one stack
+    instead of calling this once per j.
     """
     label = SpinLabel.coerce(spin)
     if not isinstance(j, (int, np.integer)) or isinstance(j, bool):

@@ -4,7 +4,9 @@ Each check compares a package computation against an independent route
 (algebraic identity, closed form, or brute-force construction) and records
 the worst residual seen. A check passes when its residual stays at or below
 its tolerance. The battery is deterministic: every random draw comes from a
-fixed seed.
+fixed seed. It checks the package's spin physics, isotropic channels,
+searches and block decomposition; the generic linear-algebra and
+random-channel identities are left to the test suite.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import numpy as np
 from . import channel as ch
 from . import invariant as inv
 from . import optimize as opt
-from .linalg import (
-    partial_trace,
-    relative_entropy,
-    spectrum_entropy,
-    unitarity_defect,
-    von_neumann_entropy,
-)
+from .linalg import spectrum_entropy, unitarity_defect
 from .spin import (
     SpinLabel,
     _coupled_zero_m_states,
@@ -53,54 +49,6 @@ def _random_density(rng, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def _check_entropy_identities(rng) -> list:
-    invariance = 0.0
-    additivity = 0.0
-    for d in (2, 3, 4):
-        rho = _random_density(rng, d)
-        sigma = _random_density(rng, d)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u, _ = np.linalg.qr(g)
-        invariance = max(
-            invariance,
-            abs(von_neumann_entropy(u @ rho @ u.conj().T) - von_neumann_entropy(rho)),
-        )
-        additivity = max(
-            additivity,
-            abs(
-                von_neumann_entropy(np.kron(rho, sigma))
-                - von_neumann_entropy(rho)
-                - von_neumann_entropy(sigma)
-            ),
-        )
-    return [
-        _result("linalg: entropy is unitarily invariant", invariance, 1e-10),
-        _result("linalg: entropy is additive on products", additivity, 1e-10),
-    ]
-
-
-def _check_partial_trace(rng) -> list:
-    worst = 0.0
-    for d_a, d_b in ((2, 3), (3, 2), (2, 2)):
-        rho = _random_density(rng, d_a)
-        sigma = _random_density(rng, d_b)
-        product = np.kron(rho, sigma)
-        worst = max(worst, float(np.abs(partial_trace(product, (d_a, d_b), "A") - rho).max()))
-        worst = max(worst, float(np.abs(partial_trace(product, (d_a, d_b), "B") - sigma).max()))
-    return [_result("linalg: partial trace inverts tensor products", worst, 1e-12)]
-
-
-def _check_relative_entropy(rng) -> list:
-    most_negative = 0.0
-    for d in (2, 3, 4):
-        for _ in range(5):
-            rho = _random_density(rng, d)
-            sigma = _random_density(rng, d)
-            value = relative_entropy(rho, sigma)
-            most_negative = max(most_negative, max(0.0, -value))
-    return [_result("linalg: relative entropy is nonnegative", most_negative, 1e-10)]
 
 
 def _check_spin_algebra() -> list:
@@ -165,33 +113,9 @@ def _check_coupled_states(rng) -> list:
     ]
 
 
-def _check_channel_basics(rng) -> list:
-    bistochastic = 0.0
-    trace_dev = 0.0
-    positivity = 0.0
-    factorization = 0.0
-    for label in _SPINS:
-        bistochastic = max(bistochastic, ch.isotropic_channel(label).bistochastic_defect())
-    for d, n in ((2, 3), (3, 2), (4, 4)):
-        channel = ch.random_channel(d, n, rng)
-        rho = _random_density(rng, d)
-        out = ch.apply(channel, rho)
-        trace_dev = max(trace_dev, abs(float(np.trace(out).real) - 1.0))
-        positivity = max(positivity, max(0.0, -float(np.linalg.eigvalsh(out).min())))
-    for _ in range(3):
-        a = ch.random_channel(2, 2, rng)
-        b = ch.random_channel(3, 2, rng)
-        rho = _random_density(rng, 2)
-        sigma = _random_density(rng, 3)
-        joint = ch.apply(ch.tensor(a, b), np.kron(rho, sigma))
-        split = np.kron(ch.apply(a, rho), ch.apply(b, sigma))
-        factorization = max(factorization, float(np.abs(joint - split).max()))
-    return [
-        _result("channel: isotropic channels are bistochastic", bistochastic, 1e-12),
-        _result("channel: outputs stay trace one", trace_dev, 1e-12),
-        _result("channel: outputs stay positive", positivity, 1e-10),
-        _result("channel: tensor factorizes on product states", factorization, 1e-10),
-    ]
+def _check_bistochastic() -> list:
+    worst = max(ch.isotropic_channel(label).bistochastic_defect() for label in _SPINS)
+    return [_result("channel: isotropic channels are bistochastic", worst, 1e-12)]
 
 
 def _check_covariance(rng) -> list:
@@ -208,24 +132,6 @@ def _check_covariance(rng) -> list:
     return [_result("channel: isotropic channels are rotation covariant", worst, 1e-10)]
 
 
-def _check_gram(rng) -> list:
-    worst = 0.0
-    for _ in range(30):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 5))
-        channel = ch.random_channel(d, n, rng)
-        phi = opt._haar_from_rng(rng, d)
-        gram = ch.output_gram(channel, phi)
-        out = ch.apply(channel, np.outer(phi, phi.conj()))
-        size = max(n, d)
-        a = np.zeros(size)
-        b = np.zeros(size)
-        a[:n] = np.linalg.eigvalsh(gram)[::-1][:n]
-        b[:d] = np.linalg.eigvalsh(out)[::-1][:d]
-        worst = max(worst, float(np.abs(np.sort(a) - np.sort(b)).max()))
-    return [_result("channel: Gram matrix carries the output spectrum", worst, 1e-9)]
-
-
 def _check_time_reversal(rng) -> list:
     worst = 0.0
     channel = ch.isotropic_channel(SpinLabel(1))
@@ -235,34 +141,6 @@ def _check_time_reversal(rng) -> list:
             worst, float(np.abs(ch.time_reversal_apply(rho) - ch.apply(channel, rho)).max())
         )
     return [_result("channel: antiunitary form matches the Kraus form", worst, 1e-12)]
-
-
-def _check_monotonicity(rng) -> list:
-    violation = 0.0
-    for _ in range(30):
-        d = int(rng.integers(2, 4))
-        channel = ch.random_channel(d, int(rng.integers(2, 4)), rng)
-        rho = _random_density(rng, d)
-        sigma = _random_density(rng, d)
-        before = relative_entropy(rho, sigma)
-        after = relative_entropy(ch.apply(channel, rho), ch.apply(channel, sigma))
-        violation = max(violation, max(0.0, after - before))
-    return [_result("channel: relative entropy is monotone", violation, 1e-8)]
-
-
-def _check_gain_superadditivity(rng) -> list:
-    violation = 0.0
-    for _ in range(10):
-        d_a = int(rng.integers(2, 4))
-        d_b = int(rng.integers(2, 4))
-        a = ch.random_channel(d_a, 2, rng)
-        b = ch.random_channel(d_b, 2, rng)
-        rho = _random_density(rng, d_a * d_b)
-        joint = ch.entropy_gain(ch.tensor(a, b), rho)
-        part_a = ch.entropy_gain(a, partial_trace(rho, (d_a, d_b), "A"))
-        part_b = ch.entropy_gain(b, partial_trace(rho, (d_a, d_b), "B"))
-        violation = max(violation, max(0.0, part_a + part_b - joint))
-    return [_result("channel: entropy gain is superadditive", violation, 1e-8)]
 
 
 def _check_search() -> list:
@@ -326,18 +204,12 @@ def run_checks(seed: int = _SEED) -> list:
     """Run the whole battery; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     results = []
-    results += _check_entropy_identities(rng)
-    results += _check_partial_trace(rng)
-    results += _check_relative_entropy(rng)
     results += _check_spin_algebra()
     results += _check_rotations(rng)
     results += _check_coupled_states(rng)
-    results += _check_channel_basics(rng)
+    results += _check_bistochastic()
     results += _check_covariance(rng)
-    results += _check_gram(rng)
     results += _check_time_reversal(rng)
-    results += _check_monotonicity(rng)
-    results += _check_gain_superadditivity(rng)
     results += _check_search()
     results += _check_invariant()
     return results

@@ -1,5 +1,8 @@
 """Shared constructors for the test suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from spinchannels.channel import KrausChannel
@@ -58,3 +61,29 @@ def dense_casimir_projectors(label):
         assert basis.shape[1] == 2 * block + 1
         projectors.append(basis @ basis.conj().T)
     return projectors
+
+
+def exact_zero_m_states(label):
+    """|j; 0> for j = 0..2s as rows of a (d, d^2) array, from the Racah formula.
+
+    With n = 2s and a = s - m, <s m; s -m | j 0> is
+    j!^2 a! (n-a)! sqrt((2j+1) (n-j)! / (n+j+1)!) times
+    sum_k (-1)^k / (k! (n-j-k)! (a-k)!^2 (j-a+k)!^2). The sum runs in exact
+    rationals, so no cancellation is lost, and the Condon-Shortley signs it
+    gives make every |s> x |-s> coefficient positive. Independent of the
+    package's eigensolves.
+    """
+    n, d = label.twice_s, label.dimension
+    f = math.factorial
+    states = np.zeros((d, d * d))
+    for j in range(d):
+        ratio = Fraction((2 * j + 1) * f(n - j), f(n + j + 1))
+        for a in range(d):
+            terms = range(max(0, a - j), min(n - j, a) + 1)
+            total = sum(
+                Fraction((-1) ** k, f(k) * f(n - j - k) * f(a - k) ** 2 * f(j - a + k) ** 2)
+                for k in terms
+            )
+            c = f(j) ** 2 * f(a) * f(n - a) * total
+            states[j, a * d + (n - a)] = math.copysign(math.sqrt(c * c * ratio), c)
+    return states

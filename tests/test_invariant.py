@@ -267,6 +267,7 @@ class TestWorkCount:
         assert calls == ["_casimir_sectors"]
 
     def test_total_spin_squared_runs_a_constant_number_of_times(self, monkeypatch):
+        # that number is zero: no block route builds the d^2 x d^2 J^2
         original = spin.total_spin_squared
         calls = []
 
@@ -275,17 +276,13 @@ class TestWorkCount:
             return original(label)
 
         monkeypatch.setattr(spin, "total_spin_squared", counted)
-        counts = []
         for twice_s in (2, 8):
             label = SpinLabel(twice_s)
-            calls.clear()
             singlet_decoherence(label)
-            assert calls == []
             isotypic_probabilities(decohered_singlet(label), label)
             moment_probabilities(label)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
-        assert 1 <= counts[0] <= 4
+            coupled_zero_m_state(label, 0)
+        assert calls == []
 
 
 class TestClosedFormMatchesMatrixRoutes:
@@ -298,6 +295,23 @@ class TestClosedFormMatchesMatrixRoutes:
         for route in (isotypic_probabilities(rho, label), moment_probabilities(label)):
             assert np.abs(closed - np.array(route.probs)).max() < 1e-9
         assert abs(report.entropy - spectrum_entropy(np.linalg.eigvalsh(rho))) < 1e-10
+
+
+class TestLargeSpinBlockRoutes:
+    """From 2s = 42 on, the |s>|-s> entry of |2s;0> is below 1e-12."""
+
+    @pytest.mark.parametrize("twice_s", [42, 60])
+    def test_moment_route_matches_the_closed_form(self, twice_s):
+        label = SpinLabel(twice_s)
+        moments = np.array(moment_probabilities(label).probs)
+        assert np.abs(moments - np.array(singlet_decoherence(label).probs)).max() < 1e-12
+
+    def test_isotypic_round_trip_at_2s_42(self):
+        label = SpinLabel(42)
+        probs = np.random.default_rng(42).dirichlet(np.ones(label.dimension))
+        dist = IsotypicDistribution(label, tuple(probs))
+        back = isotypic_probabilities(state_from_distribution(dist), label)
+        assert np.abs(np.array(back.probs) - probs).max() < 1e-12
 
 
 class TestSizeGuard:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spinchannels.linalg import (
     operator_norm,
     partial_trace,
     relative_entropy,
+    require_hermitian,
     size_text,
     spectrum_entropy,
     unitarity_defect,
@@ -293,6 +295,19 @@ def test_entropies_reject_non_finite_input(bad):
         relative_entropy(state, np.eye(2) / 2.0)
     with pytest.raises(ContractViolation, match="sigma is not finite"):
         relative_entropy(np.eye(2) / 2.0, state)
+
+
+def test_hermiticity_check_allocates_at_most_one_and_a_half_matrices():
+    m = random_hermitian(np.random.default_rng(31), 512)
+    before = m.copy()
+    tracemalloc.start()
+    try:
+        assert require_hermitian(m) is m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * m.nbytes
+    assert np.array_equal(m, before)
 
 
 class TestStackedSpectrumEntropy:

@@ -326,6 +326,12 @@ def test_report_invariants_of_every_search(search, channel):
     assert np.array_equal(bits.argmin, nats.argmin)
 
 
+def _one_row(objective, x):
+    """Value and gradient of a stacked objective at one point, passed as a one-row stack."""
+    values, gradients = objective(x[np.newaxis])
+    return float(values[0]), gradients[0]
+
+
 def _binary_entropy(p):
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
@@ -347,25 +353,20 @@ def test_pure_gradient_matches_central_differences(channel):
     rng = np.random.default_rng(17)
     # an unnormalized point, so the 1/|v| factor and the projection are both exercised
     x = 1.7 * rng.standard_normal(2 * dim)
-    value, gradient = objective(x)
+    value, gradient = _one_row(objective, x)
     phi = (x[:dim] + 1j * x[dim:]) / np.linalg.norm(x)
     assert abs(value - von_neumann_entropy(apply(channel, np.outer(phi, phi.conj())))) < 1e-12
     step = 1e-6
     central = np.array(
         [
-            (objective(x + step * e)[0] - objective(x - step * e)[0]) / (2 * step)
+            (_one_row(objective, x + step * e)[0] - _one_row(objective, x - step * e)[0])
+            / (2 * step)
             for e in np.eye(2 * dim)
         ]
     )
     assert np.abs(gradient - central).max() < 1e-8
     # the scale direction is flat
     assert abs(gradient @ x) < 1e-12
-
-
-def test_collapsed_parameters_get_the_penalty_and_no_gradient():
-    value, gradient = _pure_entropy_and_gradient(isotropic_channel("1"))(np.zeros(6))
-    assert value > 1.0
-    assert np.array_equal(gradient, np.zeros(6))
 
 
 def test_spin_three_search_converges_to_the_coherent_state_value():
@@ -454,26 +455,21 @@ def test_gain_gradient_matches_central_differences(channel):
     rng = np.random.default_rng(19)
     # an unnormalized full-rank A, so the 1/t factor and the trace term are both exercised
     x = 1.3 * rng.standard_normal(2 * dim * dim)
-    value, gradient = objective(x)
+    value, gradient = _one_row(objective, x)
     a = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
     rho = a @ a.conj().T / np.vdot(a, a).real
     assert abs(value - entropy_gain(channel, rho)) < 1e-12
     step = 1e-6
     central = np.array(
         [
-            (objective(x + step * e)[0] - objective(x - step * e)[0]) / (2 * step)
+            (_one_row(objective, x + step * e)[0] - _one_row(objective, x - step * e)[0])
+            / (2 * step)
             for e in np.eye(x.size)
         ]
     )
     assert np.abs(gradient - central).max() < 1e-8
     # the scale direction is flat
     assert abs(gradient @ x) < 1e-12
-
-
-def test_collapsed_gain_parameters_get_the_penalty_and_no_gradient():
-    value, gradient = optimize._gain_objective(random_channel(3, 2, seed=0))(np.zeros(18))
-    assert value == optimize._COLLAPSE_PENALTY
-    assert np.array_equal(gradient, np.zeros(18))
 
 
 def test_gain_searches_on_the_criterion_10_pairs_converge_and_add_up():
@@ -535,8 +531,7 @@ def test_stacked_objective_matches_single_points_row_by_row(make_objective, chan
     values, gradients = objective(points)
     assert values.shape == (5,) and gradients.shape == (5, size)
     for point, value, gradient in zip(points, values, gradients):
-        single_value, single_gradient = objective(point)
-        assert isinstance(single_value, float) and single_gradient.shape == (size,)
+        single_value, single_gradient = _one_row(objective, point)
         assert abs(single_value - value) <= 1e-15
         assert np.abs(single_gradient - gradient).max() <= 1e-15
 

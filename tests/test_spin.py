@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_casimir_projectors, random_axis_angle
+from helpers import dense_casimir_projectors, exact_zero_m_states, random_axis_angle
 from spinchannels import optimize, spin
 from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
@@ -323,6 +323,52 @@ class TestCasimirSectors:
         monkeypatch.setattr(spin, "_sector_matrix", shifted)
         with pytest.raises(ConsistencyError, match="sector M = 1"):
             spin._casimir_sectors(label)
+
+
+class TestZeroMSectorPhase:
+    @pytest.mark.parametrize("twice_s", range(42))
+    def test_stack_keeps_the_leading_entry_signs_below_2s_42(self, twice_s):
+        # where the |s>|-s> entries stay above 1e-12, their own signs fix the phase
+        label = SpinLabel(twice_s)
+        d = label.dimension
+        indices, _, vectors = spin._casimir_sector(label, twice_s)
+        reference = np.zeros((d, d * d), dtype=np.complex128)
+        reference[:, indices] = (vectors * np.sign(vectors[0])).T
+        assert np.array_equal(spin._coupled_zero_m_states(label), reference)
+
+    @pytest.mark.parametrize("twice_s", [1, 2, 3, 8, 41, 42, 60])
+    def test_stack_matches_the_exact_clebsch_gordan_coefficients(self, twice_s):
+        label = SpinLabel(twice_s)
+        exact = exact_zero_m_states(label)
+        assert np.abs(spin._coupled_zero_m_states(label) - exact).max() < 1e-12
+
+    def test_outer_blocks_keep_their_sign_patterns_up_to_2s_200(self):
+        # <s s; s -s | 2s 0> = C(4s, 2s)^(-1/2) is below 1e-12 from 2s = 42 on,
+        # yet every entry of |2s;0> is positive and |0;0> alternates from +
+        for twice_s in range(1, 201):
+            label = SpinLabel(twice_s)
+            _, j_values, vectors = spin._casimir_sector(label, twice_s)
+            _, matrix = spin._sector_matrix(label, twice_s)
+            eigenvalues = (j_values * (j_values + 1)).astype(float)
+            fixed = vectors * spin._peak_signs(matrix, eigenvalues, vectors)
+            assert fixed[:, -1].min() >= -1e-14
+            alternating = (-1.0) ** np.arange(label.dimension)
+            assert (alternating * fixed[:, 0]).min() >= -1e-14
+
+    def test_residual_check_does_not_trust_the_sector_matrix(self, monkeypatch):
+        # Q T Q^T has the spectrum of T, so only the residual against J^2
+        # applied factor by factor can notice the wrong eigenvectors
+        label = SpinLabel(4)
+        q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
+        original = spin._sector_matrix
+
+        def rotated(lab, k):
+            indices, matrix = original(lab, k)
+            return indices, (q @ matrix @ q.T if k == lab.twice_s else matrix)
+
+        monkeypatch.setattr(spin, "_sector_matrix", rotated)
+        with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
+            spin._coupled_zero_m_states(label)
 
 
 class TestClosedFormSinglet:
