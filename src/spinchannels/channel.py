@@ -112,15 +112,12 @@ def isotropic_channel(spin) -> KrausChannel:
 
 
 def _apply_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_k X_k rho X_k^dagger for one matrix rho or a stack of them.
+    """sum_k X_k rho X_k^dagger for a stack (R, dim_in, dim_in) of matrices rho.
 
-    A stack (R, dim_in, dim_in) is applied as R products of the row-wise
-    blocks [X_k rho]_k with the stacked [X_k^*]_k, one matrix product per
-    row, so no row's result depends on the others.
+    The stack is applied as R products of the row-wise blocks [X_k rho]_k
+    with the stacked [X_k^*]_k, one matrix product per row, so no row's
+    result depends on the others. One matrix is a one-row stack.
     """
-    if rho.ndim == 2:
-        moved = ops @ rho
-        return np.tensordot(moved, ops.conj(), axes=([0, 2], [0, 2]))
     n, dim_out, dim_in = ops.shape
     moved = (ops @ rho[:, np.newaxis]).transpose(0, 2, 1, 3).reshape(-1, dim_out, n * dim_in)
     return moved @ ops.conj().transpose(0, 2, 1).reshape(n * dim_in, dim_out)
@@ -132,7 +129,28 @@ def apply(channel: KrausChannel, rho) -> np.ndarray:
     d = channel.dim_in
     if m.shape != (d, d):
         raise ContractViolation(f"operator shape {m.shape} does not match channel input dim {d}")
-    return _apply_stack(channel.kraus, m)
+    return _apply_stack(channel.kraus, m[np.newaxis])[0]
+
+
+def _product_columns(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Columns (X_k tensor Y_l) psi of a product channel, applied factor by factor.
+
+    With the row-major flattening of `linalg.kron`, a vector psi on the two
+    factors is the in_a x in_b matrix Psi, and
+
+        (X_k tensor Y_l) vec Psi = vec(X_k Psi Y_l^T),
+
+    so the output on |psi><psi| is M M^dagger for the matrix M whose column
+    (k, l), pairs in row-major order, is vec(X_k Psi Y_l^T). Maps a stack psi
+    (R, in_a, in_b) to the stack of M, (R, out_a * out_b, n_a * n_b); no
+    Kraus operator of the product is built.
+    """
+    n_a, out_a, in_a = ops_a.shape
+    n_b, out_b, in_b = ops_b.shape
+    left = np.einsum("kij,rjb->rkib", ops_a, psi).reshape(-1, in_b)  # rows (r, k, i) of X_k Psi
+    moved = np.dot(left, ops_b.transpose(2, 0, 1).reshape(in_b, n_b * out_b))  # columns (l, b)
+    moved = moved.reshape(-1, n_a, out_a, n_b, out_b).transpose(0, 2, 4, 1, 3)
+    return moved.reshape(-1, out_a * out_b, n_a * n_b)
 
 
 def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:

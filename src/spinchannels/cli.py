@@ -160,8 +160,7 @@ def _search_head(args, command: str):
     if args.spin is not None:
         # the channel's size follows from the spin: check it before building anything
         d = args.spin.dimension
-        shape = (9, d * d, d * d) if command == "probe" else (3, d, d)
-        check_search_size(command, args.restarts, shape)
+        check_search_size(command, args.restarts, (3, d, d))
         channel = isotropic_channel(args.spin)
         descriptor = {"kind": "isotropic", "spin": str(args.spin)}
         described = f"isotropic, spin {args.spin}"

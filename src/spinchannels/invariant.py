@@ -27,14 +27,6 @@ the twirl T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of
 W rho W^dagger over all rotations W = U tensor U. Every W fixes T(rho), so
 max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
 once, and T reuses the block weights' sector pass.
-
-Product channels act factor by factor. With the row-major flattening of
-`linalg.kron`, a two-spin vector psi is the d x d matrix Psi, and
-
-    (X_k tensor X_l) vec Psi = vec(X_k Psi X_l^T),
-
-so the output of Lambda tensor Lambda on |psi><psi| is sum_kl v_kl v_kl^dagger
-with v_kl = vec(X_k Psi X_l^T). No d^2 x d^2 Kraus operator is built.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import isotropic_channel
+from .channel import _product_columns, isotropic_channel
 from .linalg import (
     ConsistencyError,
     ContractViolation,
@@ -226,13 +218,6 @@ def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicD
     return IsotypicDistribution(label, tuple(traces))
 
 
-def _product_vectors(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rows (X_k tensor X_l) psi = vec(X_k Psi X_l^T), pairs (k, l) row major."""
-    d = ops.shape[-1]
-    left = ops @ psi.reshape(d, d)
-    return (left[:, np.newaxis] @ ops.transpose(0, 2, 1)[np.newaxis]).reshape(-1, d * d)
-
-
 def moment_probabilities(spin) -> IsotypicDistribution:
     """Block probabilities of the doubly decohered singlet via spin moments.
 
@@ -241,17 +226,20 @@ def moment_probabilities(spin) -> IsotypicDistribution:
         p_j = (2j+1) / (s(s+1))^2 * sum_kl |<j;0| S_k tensor S_l |singlet>|^2.
 
     Each S_k tensor S_l |singlet> is formed factor by factor as
-    vec(S_k Psi S_l^T), and the |j;0> stack is built once per call. Must
-    agree with the channel route within 1e-10 and with the closed form in
-    `singlet_decoherence` (compared in the tests and in `verify`, not here).
+    vec(S_k Psi S_l^T) by `channel._product_columns`, the product kernel of
+    `decohered_singlet` and `additivity_probe`; the |j;0> stack is built once
+    per call. Must agree with the channel route within 1e-10 and with the
+    closed form in `singlet_decoherence` (compared in the tests and in
+    `verify`, not here).
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
         raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
     states = _coupled_zero_m_states(label)
-    moved = _product_vectors(np.stack(spin_operators(label)), states[0])
+    ops = np.stack(spin_operators(label))
+    moved = _product_columns(ops, ops, states[:1].reshape(1, label.dimension, -1))
     scale = 1.0 / (label.s * (label.s + 1.0)) ** 2
-    totals = (np.abs(states.conj() @ moved.T) ** 2).sum(axis=1)
+    totals = (np.abs(states.conj() @ moved[0]) ** 2).sum(axis=1)
     probs = [(2 * j + 1) * scale * float(t) for j, t in enumerate(totals)]
     return IsotypicDistribution(label, tuple(probs))
 
@@ -281,13 +269,14 @@ def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
 def decohered_singlet(spin) -> np.ndarray:
     """(Lambda_s tensor Lambda_s)(|singlet><singlet|), the invariant output.
 
-    Applied factor by factor: with v_kl = vec(X_k Psi X_l^T) for the Kraus
-    operators X_k of Lambda_s, the output is sum_kl v_kl v_kl^dagger. This
-    takes O(d^4) memory and never builds the 9-operator d^2 x d^2 Kraus stack.
+    The output is M M^dagger for the d^2 x 9 columns M of the product kernel
+    `channel._product_columns`, applied factor by factor. This takes O(d^4)
+    memory and never builds the 9-operator d^2 x d^2 Kraus stack.
     """
     label = SpinLabel.coerce(spin)
-    vectors = _product_vectors(isotropic_channel(label).kraus, singlet_state(label))
-    return vectors.T @ vectors.conj()
+    ops = isotropic_channel(label).kraus
+    m = _product_columns(ops, ops, singlet_state(label).reshape(1, label.dimension, -1))[0]
+    return m @ m.conj().T
 
 
 def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:

@@ -159,20 +159,12 @@ def spectrum_entropy(eigenvalues):
         raise ContractViolation(
             f"eigenvalue {lowest:.3e} violates positivity beyond {EIGENVALUE_ERROR:.0e}"
         )
-    if w.ndim > 1:
-        # w log w is 0 off the support; 1 log 1 is exactly 0
-        support = np.where(w > 0.0, w, 1.0)
-        values = -(support * np.log(support)).sum(axis=-1)
-        if not np.isfinite(values).all():
-            raise ContractViolation("spectrum is not finite")
-        return values
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    value = float(-(w * np.log(w)).sum())
-    if not math.isfinite(value):
+    # w log w is 0 off the support; 1 log 1 is exactly 0
+    support = np.where(w > 0.0, w, 1.0)
+    values = -(support * np.log(support)).sum(axis=-1)
+    if not np.isfinite(values).all():
         raise ContractViolation("spectrum is not finite")
-    return value
+    return float(values) if w.ndim == 1 else values
 
 
 def size_text(count: int, unit_bits: int = 0) -> str:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, _apply_stack, tensor
+from .channel import KrausChannel, _apply_stack, _product_columns
 from .linalg import ConsistencyError, ContractViolation, log_divisor, size_text, spectrum_entropy
 from .spin import SpinLabel, singlet_state
 
@@ -135,27 +135,29 @@ class ProbeReport:
     single_b: SearchReport
 
 
-def _search_bytes(command: str, restarts: int, shape) -> int:
+def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
     """Bytes of the largest array a search builds, in integer arithmetic.
 
-    shape is (n_kraus, dim_out, dim_in) of the searched channel; for
-    "probe", the product channel of the joint search. The largest array is
-    the Kraus stack (every objective copies it once) or, R times over, the
-    _MEMORY history pairs of real parameters, or the stacked X_k phi (pure
-    inputs) or X_k rho (the "gain" command), at 16 bytes per complex entry.
-    Python ints do not overflow, so the estimate holds for any spin.
+    shape is (n_kraus, dim_out, dim_in) of the searched channel; for "probe",
+    of the first factor, and other of the second (by default the same). The
+    largest array is a factor's Kraus stack (no product stack is built) or,
+    R times over, the _MEMORY history pairs of real parameters, or the
+    stacked columns (X_k tensor Y_l) phi (pure inputs) or X_k rho (the "gain"
+    command), at 16 bytes per complex entry. Python ints do not overflow, so
+    the estimate holds for any spin.
     """
-    n_kraus, dim_out, dim_in = shape
+    factors = [shape, other or shape] if command == "probe" else [shape]
+    n_kraus, dim_out, dim_in = (math.prod(sizes) for sizes in zip(*factors))
     if command == "gain":
         per_restart = max(_MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
     else:
         per_restart = max(_MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
-    return 16 * max(n_kraus * dim_out * dim_in, restarts * per_restart)
+    return 16 * max(*(math.prod(factor) for factor in factors), restarts * per_restart)
 
 
-def check_search_size(command: str, restarts: int, shape) -> None:
+def check_search_size(command: str, restarts: int, shape, other=None) -> None:
     """Raise ContractViolation, naming the size in GiB, past SEARCH_BYTE_CAP."""
-    needed = _search_bytes(command, restarts, shape)
+    needed = _search_bytes(command, restarts, shape, other)
     if needed > SEARCH_BYTE_CAP:
         raise ContractViolation(
             f"{command} with {restarts} restarts needs about {size_text(needed, 30)} GiB"
@@ -215,32 +217,40 @@ def _entropy_and_log_term(m: np.ndarray):
     return spectrum_entropy(w), (u * f[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def _pure_entropy_and_gradient(channel: KrausChannel):
+def _pure_entropy_and_gradient(channel_a: KrausChannel, channel_b: KrausChannel | None = None):
     """Output entropy (nats) and its gradient in the 2*dim_in real parameters.
 
-    One eigh of whichever of the Gram matrix <X_k phi, X_l phi> or the output
-    state is smaller gives the value and the vector
-    B phi = sum_k X_k^dagger f(rho) X_k phi. The Gram route uses
-    f(M M^dagger) M = M f(M^dagger M) for the matrix M whose columns are
-    X_k phi, so the output state is never formed. The gradient of
-    S(v / |v|) is -(2 / |v|) (B phi - <phi, B phi> phi): the entropy's
-    derivative projected onto the sphere's tangent space. Takes a stack of
-    points (R, 2*dim_in), one per row, with one stacked eigh for the stack.
+    Takes one channel or two factors, dim_in = in_a * in_b; one channel is
+    the product with the 1 x 1 identity. One eigh of whichever of M^dagger M
+    or the output state M M^dagger is smaller, for the columns M of
+    `channel._product_columns`, gives the value and the vector
+    B phi = sum_kl X_k^dagger F_kl conj(Y_l), contracted one factor at a
+    time, where F_kl is column (k, l) of f(rho) M = M f(M^dagger M) as an
+    out_a x out_b matrix. The gradient of S(v / |v|) is
+    -(2 / |v|) (B phi - <phi, B phi> phi): the entropy's derivative projected
+    onto the sphere's tangent space. Takes a stack of points (R, 2*dim_in),
+    one per row, with one stacked eigh for the stack.
     """
-    ops = channel.kraus
-    conj_ops = ops.conj()
-    n, dim_out, dim_in = ops.shape
-    use_gram = n <= dim_out
+    ops_a = channel_a.kraus
+    ops_b = np.ones((1, 1, 1)) if channel_b is None else channel_b.kraus  # 1 x 1 identity
+    n_a, out_a, in_a = ops_a.shape
+    n_b, out_b, in_b = ops_b.shape
+    conj_a = ops_a.conj()
+    conj_b = ops_b.conj().transpose(1, 0, 2).reshape(out_b * n_b, in_b)
+    dim_in = in_a * in_b
+    use_gram = n_a * n_b <= out_a * out_b
 
     def objective(x):
         v = x[:, :dim_in] + 1j * x[:, dim_in:]
         norm = np.linalg.norm(v, axis=1)
         phi = v / norm[:, np.newaxis]
-        m = np.einsum("kij,rj->rik", ops, phi)  # column k of m[r] is X_k phi_r
+        m = _product_columns(ops_a, ops_b, phi.reshape(-1, in_a, in_b))
         m_dagger = m.conj().transpose(0, 2, 1)
         values, f_of = _entropy_and_log_term(m_dagger @ m if use_gram else m @ m_dagger)
-        fm = m @ f_of if use_gram else f_of @ m
-        b_phi = np.einsum("kij,rik->rj", conj_ops, fm)
+        fm = (m @ f_of if use_gram else f_of @ m).reshape(-1, out_a, out_b, n_a, n_b)
+        fm = fm.transpose(0, 1, 3, 2, 4).reshape(-1, out_b * n_b)
+        right = np.dot(fm, conj_b).reshape(-1, out_a, n_a, in_b)  # sum_l F_kl conj(Y_l)
+        b_phi = np.einsum("kai,rakj->rij", conj_a, right).reshape(-1, dim_in)
         overlap = np.einsum("rj,rj->r", phi.conj(), b_phi).real
         g = (-2.0 / norm)[:, np.newaxis] * (b_phi - overlap[:, np.newaxis] * phi)
         return values, np.concatenate([g.real, g.imag], axis=1)
@@ -419,15 +429,15 @@ def _multistart(
     )
 
 
-def _pure_search(channel: KrausChannel, config: SearchConfig, leading_inits) -> SearchReport:
-    """Pure-input search from the given starts, the first basis vector, then Haar states."""
-    dim = channel.dim_in
+def _pure_search(config: SearchConfig, leading_states, *channels: KrausChannel) -> SearchReport:
+    """Pure-input search of one channel or two factors: given states, e_1, then Haar states."""
+    dim = math.prod(channel.dim_in for channel in channels)
     basis = np.zeros(dim, dtype=np.complex128)
     basis[0] = 1.0
     return _multistart(
-        _pure_entropy_and_gradient(channel),
+        _pure_entropy_and_gradient(*channels),
         config,
-        [*leading_inits, _params_from_state(basis)],
+        [_params_from_state(v) for v in (*leading_states, basis)],
         lambda rng: _params_from_state(_haar_from_rng(rng, dim)),
         lambda x: _state_from_params(x, dim),
     )
@@ -442,7 +452,7 @@ def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("min-output", cfg.restarts, channel.kraus.shape)
-    return _pure_search(channel, cfg, [])
+    return _pure_search(cfg, [], channel)
 
 
 def gain_lower_bound(channel: KrausChannel) -> float:
@@ -454,7 +464,7 @@ def gain_lower_bound(channel: KrausChannel) -> float:
     tr Lambda(I) = d, so the bound is never below -ln d, and it is 0 for
     unital channels.
     """
-    image = _apply_stack(channel.kraus, np.eye(channel.dim_in, dtype=np.complex128))
+    image = _apply_stack(channel.kraus, np.eye(channel.dim_in, dtype=np.complex128)[np.newaxis])[0]
     return -math.log(float(np.linalg.eigvalsh(image)[-1]))
 
 
@@ -525,20 +535,12 @@ def additivity_probe(
     here is not a proof of additivity.
     """
     cfg = config if config is not None else SearchConfig()
-    joint_shape = [a * b for a, b in zip(channel_a.kraus.shape, channel_b.kraus.shape)]
-    check_search_size("probe", cfg.restarts, joint_shape)
+    check_search_size("probe", cfg.restarts, channel_a.kraus.shape, channel_b.kraus.shape)
     report_a = min_output_entropy(channel_a, cfg)
     report_b = min_output_entropy(channel_b, cfg)
-    d_a = channel_a.dim_in
-    d_b = channel_b.dim_in
-    joint = _pure_search(
-        tensor(channel_a, channel_b),
-        cfg,
-        [
-            _params_from_state(np.kron(report_a.argmin, report_b.argmin)),
-            _params_from_state(_entangled_init(d_a, d_b)),
-        ],
-    )
+    d_a, d_b = channel_a.dim_in, channel_b.dim_in
+    starts = [np.kron(report_a.argmin, report_b.argmin), _entangled_init(d_a, d_b)]
+    joint = _pure_search(cfg, starts, channel_a, channel_b)
     total_singles = report_a.value + report_b.value
     return ProbeReport(
         joint_min=joint.value,

@@ -430,6 +430,18 @@ def test_oversized_searches_exit_before_building_anything(capsys, argv):
     assert seconds < 1.0
 
 
+def test_probe_builds_no_product_kraus_stack(capsys):
+    """The joint search applies the two factors one at a time.
+
+    The 9 x 289 x 289 product Kraus stack alone would take 11.5 MiB at spin 8.
+    """
+    argv = ["probe", "--spin", "8", "--restarts", "2"]
+    code, out, _, peak, _ = _run_under_tracemalloc(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["joint_search"]["restart_values"]
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("spin", ["1e40", "1e400", "1e5000"])
 def test_astronomical_singlet_spins_exit_with_the_size(capsys, spin):
     code, out, err, peak, _ = _run_under_tracemalloc(capsys, "singlet", "--spin", spin)
