@@ -40,7 +40,6 @@ from .linalg import (
     ContractViolation,
     check_pure_state,
     kron,
-    log_divisor,
     operator_norm,
     partial_trace,
     relative_entropy,
@@ -100,7 +99,6 @@ __all__ = [
     "isotypic_probabilities",
     "kron",
     "load_channel",
-    "log_divisor",
     "min_entropy_gain",
     "min_output_entropy",
     "moment_probabilities",

@@ -94,8 +94,8 @@ class KrausChannel:
         out = wide @ wide.conj().T
         return float(np.abs(out - np.eye(self.dim_out)).max())
 
-    def is_bistochastic(self, tol: float = TP_TOL) -> bool:
-        return self.dim_in == self.dim_out and self.bistochastic_defect() <= tol
+    def is_bistochastic(self) -> bool:
+        return self.dim_in == self.dim_out and self.bistochastic_defect() <= TP_TOL
 
 
 def isotropic_channel(spin) -> KrausChannel:
@@ -174,13 +174,13 @@ def output_gram(channel: KrausChannel, phi) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-def entropy_gain(channel: KrausChannel, rho, base=None) -> float:
-    """S(Lambda(rho)) - S(rho)."""
+def entropy_gain(channel: KrausChannel, rho) -> float:
+    """S(Lambda(rho)) - S(rho), in nats."""
     m = as_complex_matrix(rho)
     d = channel.dim_in
     if m.shape != (d, d):
         raise ContractViolation(f"state shape {m.shape} does not match channel input dim {d}")
-    return von_neumann_entropy(apply(channel, m), base) - von_neumann_entropy(m, base)
+    return von_neumann_entropy(apply(channel, m)) - von_neumann_entropy(m)
 
 
 _FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)

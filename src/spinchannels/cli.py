@@ -18,24 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
 from .channel import isotropic_channel, load_channel
-from .invariant import (
-    EXACT_SINGLE_CHANNEL_MIN,
-    EXCESS_CLOSED_FORM,
-    PAIR_ENTROPY_CLOSED_FORM,
-    SINGLE_MIN_CLOSED_FORM,
-    singlet_decoherence,
-)
-from .linalg import (
-    ConsistencyError,
-    ContractViolation,
-    log_divisor,
-    matrix_to_json,
-    vector_to_json,
-)
+from .invariant import EXACT_SINGLE_CHANNEL_MIN, singlet_decoherence
+from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
     MAX_SIMPLEX_TOLERANCE,
     SearchConfig,
@@ -49,6 +38,14 @@ from .verify import format_table, run_checks
 
 _GAP_ALERT = 1e-8
 _PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
+# The library reports nats; a value is divided by its --log-base entry when printed.
+_LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0)}
+# Closed forms of the exact tables in `invariant`, keyed by 2s: the single-copy
+# minimum, the decohered singlet's entropy and its excess over twice the minimum.
+_CLOSED_FORMS = {
+    1: ("ln 3 - (2/3) ln 2", "(5/3) ln 3 - (2/3) ln 2", "(1/3) ln(4/3)"),
+    2: ("ln 2", "ln 3 + (4/3) ln 2", "ln 3 - (2/3) ln 2"),
+}
 
 
 def _spin_argument(text: str) -> SpinLabel:
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_output(sub, formats=("json", "csv", "text")):
-        sub.add_argument("--log-base", choices=("e", "2"), default="e")
+        sub.add_argument("--log-base", choices=tuple(_LOG_DIVISOR), default="e")
         sub.add_argument("--output", choices=formats, default="json")
 
     sub = commands.add_parser(
@@ -147,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_from_args(args) -> float | None:
-    return None if args.log_base == "e" else 2.0
-
-
 def _search_head(args, command: str):
     """Shared front end of the search commands.
 
@@ -168,17 +161,11 @@ def _search_head(args, command: str):
         channel = load_channel(args.channel)
         descriptor = {"kind": "file", "path": args.channel}
         described = f"file {args.channel}"
-    config = SearchConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        simplex_tolerance=args.tolerance,
-        log_base=_base_from_args(args),
-    )
+    config = SearchConfig(restarts=args.restarts, seed=args.seed, simplex_tolerance=args.tolerance)
     payload = {
         "command": command,
         "channel": descriptor,
-        # the base is reported once, as the flag value under "log_base"
-        "config": {k: v for k, v in asdict(config).items() if k != "log_base"},
+        "config": asdict(config),
         "log_base": args.log_base,
     }
     return channel, config, payload, [("channel", described), ("log base", args.log_base)]
@@ -207,20 +194,23 @@ def _emit_search(args, title, payload, rows, report, reference) -> int:
 
     reference is None or a (payload entry, text row value) pair.
     """
+    divisor = _LOG_DIVISOR[args.log_base]
+    value = report.value / divisor
+    restart_values = [v / divisor for v in report.restart_values]
     payload.update(
-        value=report.value,
-        restart_values=list(report.restart_values),
+        value=value,
+        restart_values=restart_values,
         converged_fraction=report.converged_fraction,
         evaluations=report.evaluations,
     )
-    rows.append(("value", repr(report.value)))
+    rows.append(("value", repr(value)))
     if reference is not None:
         payload["reference"], text = reference
         rows.append(("reference", text))
     restarts = payload["config"]["restarts"]
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
-    return _emit(args, title, payload, rows, report.restart_values)
+    return _emit(args, title, payload, rows, restart_values)
 
 
 def _cmd_min_output(args) -> int:
@@ -228,8 +218,8 @@ def _cmd_min_output(args) -> int:
     report = min_output_entropy(channel, config)
     reference = None
     if args.spin is not None and args.spin.twice_s in EXACT_SINGLE_CHANNEL_MIN:
-        closed_form = SINGLE_MIN_CLOSED_FORM[args.spin.twice_s]
-        value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / log_divisor(config.log_base)
+        closed_form = _CLOSED_FORMS[args.spin.twice_s][0]
+        value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / _LOG_DIVISOR[args.log_base]
         reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
     payload["argmin"] = vector_to_json(report.argmin)
     return _emit_search(args, "minimum output entropy", payload, rows, report, reference)
@@ -248,19 +238,35 @@ def _cmd_gain(args) -> int:
 
 def _cmd_singlet(args) -> int:
     label = args.spin
-    report = singlet_decoherence(label, _base_from_args(args))
-    payload = {"command": "singlet", **report.as_dict()}
+    divisor = _LOG_DIVISOR[args.log_base]
+    report = singlet_decoherence(label)
+    entropy = report.entropy / divisor
+    payload = {
+        "command": "singlet",
+        "spin": str(label),
+        "probs": list(report.probs),
+        "entropy": entropy,
+        "log_base": args.log_base,
+    }
     rows = [("spin", label), ("log base", args.log_base)]
     rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
-    rows.append(("entropy", repr(report.entropy)))
-    if label.twice_s in EXACT_SINGLE_CHANNEL_MIN:
-        payload["entropy_closed_form"] = PAIR_ENTROPY_CLOSED_FORM[label.twice_s]
-        payload["single_channel_min_closed_form"] = SINGLE_MIN_CLOSED_FORM[label.twice_s]
-        payload["excess_closed_form"] = EXCESS_CLOSED_FORM[label.twice_s]
+    rows.append(("entropy", repr(entropy)))
+    if report.excess is not None:
+        single_form, pair_form, excess_form = _CLOSED_FORMS[label.twice_s]
+        reference = report.two_channel_reference / divisor
+        excess = report.excess / divisor
+        payload.update(
+            single_channel_min=report.single_channel_min / divisor,
+            two_channel_reference=reference,
+            excess=excess,
+            entropy_closed_form=pair_form,
+            single_channel_min_closed_form=single_form,
+            excess_closed_form=excess_form,
+        )
         rows += [
-            ("entropy closed form", PAIR_ENTROPY_CLOSED_FORM[label.twice_s]),
-            ("2 x single minimum", repr(report.two_channel_reference)),
-            ("excess", f"{report.excess!r}  ({EXCESS_CLOSED_FORM[label.twice_s]})"),
+            ("entropy closed form", pair_form),
+            ("2 x single minimum", repr(reference)),
+            ("excess", f"{excess!r}  ({excess_form})"),
         ]
     return _emit(args, "decohered singlet block decomposition", payload, rows)
 
@@ -268,38 +274,45 @@ def _cmd_singlet(args) -> int:
 def _cmd_probe(args) -> int:
     channel, config, payload, rows = _search_head(args, "probe")
     probe = additivity_probe(channel, channel, config)
-    violation = probe.gap < -_GAP_ALERT
+    divisor = _LOG_DIVISOR[args.log_base]
+    # the sum and the gap are taken of the converted values, as they are printed
+    singles = [probe.single_a.value / divisor, probe.single_b.value / divisor]
+    joint_min = probe.joint_min / divisor
+    sum_of_singles = singles[0] + singles[1]
+    gap = joint_min - sum_of_singles
+    violation = gap < -_GAP_ALERT
+    restart_values = [v / divisor for v in probe.joint.restart_values]
     payload.update(
-        joint_min=probe.joint_min,
-        sum_of_singles=probe.sum_of_singles,
-        gap=probe.gap,
+        joint_min=joint_min,
+        sum_of_singles=sum_of_singles,
+        gap=gap,
         additivity_violation_candidate=violation,
         schmidt_coefficients=[float(c) for c in probe.schmidt_coefficients],
         argmin=vector_to_json(probe.argmin),
-        single_values=[probe.single_a.value, probe.single_b.value],
+        single_values=singles,
         joint_search={
-            "restart_values": list(probe.joint.restart_values),
+            "restart_values": restart_values,
             "converged_fraction": probe.joint.converged_fraction,
             "evaluations": probe.joint.evaluations,
         },
         note=_PROBE_NOTE,
     )
     rows += [
-        ("joint minimum", repr(probe.joint_min)),
-        ("sum of singles", repr(probe.sum_of_singles)),
-        ("gap", repr(probe.gap)),
+        ("joint minimum", repr(joint_min)),
+        ("sum of singles", repr(sum_of_singles)),
+        ("gap", repr(gap)),
         ("schmidt coefficients", ", ".join(f"{c:.6e}" for c in probe.schmidt_coefficients)),
     ]
     if violation:
         verdict = (
             "ADDITIVITY VIOLATION CANDIDATE: the joint search undercut the sum of"
-            f" single-channel minima by {-probe.gap!r}; inspect the argmin state"
+            f" single-channel minima by {-gap!r}; inspect the argmin state"
         )
     else:
         verdict = "no subadditivity violation detected (gap within tolerance)"
     title = "additivity probe (two copies in parallel)"
     notes = [verdict, f"note: {_PROBE_NOTE}"]
-    return _emit(args, title, payload, rows, probe.joint.restart_values, notes)
+    return _emit(args, title, payload, rows, restart_values, notes)
 
 
 def _cmd_verify(args) -> int:

@@ -40,8 +40,6 @@ from .channel import _product_columns, isotropic_channel
 from .linalg import (
     ConsistencyError,
     ContractViolation,
-    log_base_label,
-    log_divisor,
     require_hermitian,
     size_text,
 )
@@ -62,31 +60,20 @@ EXACT_SINGLE_CHANNEL_MIN = {
     1: _LN3 - 2.0 * _LN2 / 3.0,
     2: _LN2,
 }
-SINGLE_MIN_CLOSED_FORM = {
-    1: "ln 3 - (2/3) ln 2",
-    2: "ln 2",
-}
 
 # Exact output entropy of the doubly decohered singlet, same keying.
 EXACT_PAIR_ENTROPY = {
     1: 5.0 * _LN3 / 3.0 - 2.0 * _LN2 / 3.0,
     2: _LN3 + 4.0 * _LN2 / 3.0,
 }
-PAIR_ENTROPY_CLOSED_FORM = {
-    1: "(5/3) ln 3 - (2/3) ln 2",
-    2: "ln 3 + (4/3) ln 2",
-}
 
 EXACT_EXCESS = {
     1: math.log(4.0 / 3.0) / 3.0,
     2: _LN3 - 2.0 * _LN2 / 3.0,
 }
-EXCESS_CLOSED_FORM = {
-    1: "(1/3) ln(4/3)",
-    2: "ln 3 - (2/3) ln 2",
-}
 
 _CROSS_CHECK_TOL = 1e-9
+_INVARIANCE_TOL = 1e-8
 # Bytes a `singlet` report holds per block weight on its way to stdout: the
 # float and its tuple slot, the array copies `IsotypicDistribution` checks
 # them in, and the rendered row. tracemalloc peaks through the CLI at
@@ -127,7 +114,7 @@ class IsotypicDistribution:
 
 @dataclass(frozen=True)
 class SingletDecoherenceReport:
-    """Everything the singlet decoherence computation produces, in one place.
+    """Everything the singlet decoherence computation produces, entropies in nats.
 
     Reference fields (single_channel_min, two_channel_reference, excess) are
     None for spins without a known closed-form single-channel minimum.
@@ -139,20 +126,6 @@ class SingletDecoherenceReport:
     single_channel_min: float | None
     two_channel_reference: float | None
     excess: float | None
-    log_base: float | None
-
-    def as_dict(self) -> dict:
-        payload = {
-            "spin": str(self.spin),
-            "probs": list(self.probs),
-            "entropy": self.entropy,
-            "log_base": log_base_label(self.log_base),
-        }
-        if self.single_channel_min is not None:
-            payload["single_channel_min"] = self.single_channel_min
-            payload["two_channel_reference"] = self.two_channel_reference
-            payload["excess"] = self.excess
-        return payload
 
 
 def _invariant_state(label: SpinLabel, sectors: list, probs) -> np.ndarray:
@@ -164,12 +137,12 @@ def _invariant_state(label: SpinLabel, sectors: list, probs) -> np.ndarray:
     return out
 
 
-def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float) -> np.ndarray:
-    """Reject rho unless 2 ||rho - T(rho)||_F <= tol; return tr(P_j rho), j = 0..2s.
+def _require_invariant(rho: np.ndarray, label: SpinLabel) -> np.ndarray:
+    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return tr(P_j rho), j = 0..2s.
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
     2 ||rho - T(rho)||_F at every W at once. The residual is formed entrywise:
-    ||rho||^2 - ||T(rho)||^2 cancels to about sqrt(eps) ||rho||, near tol.
+    ||rho||^2 - ||T(rho)||^2 cancels to about sqrt(eps) ||rho||, near 1e-8.
     """
     # P_j = sum_M |j;M><j;M| with real sector vectors, so tr(P_j rho) sums
     # v^T rho_MM v over the columns v of each sector that belong to block j.
@@ -181,20 +154,21 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel, tol: float) -> np.ndar
     residual = _invariant_state(label, sectors, traces)
     residual -= rho
     deviation = 2.0 * float(np.linalg.norm(residual))
-    if not deviation <= tol:  # NaN fails too
+    if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(
-            f"state is not rotationally invariant: twirl residual {deviation:.3e} > {tol:.1e}"
+            "state is not rotationally invariant:"
+            f" twirl residual {deviation:.3e} > {_INVARIANCE_TOL:.1e}"
         )
     return traces
 
 
-def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicDistribution:
+def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     """Block probabilities of an invariant state on two spin-s systems.
 
     Computes tr(P_j rho) one total-M sector at a time, as the sum of
     <j;M|rho|j;M> over the sectors |M| <= j. The same pass rejects rho unless
     its twirl residual 2 ||rho - T(rho)||_F, which bounds its deviation under
-    every rotation, is at most `invariance_tol`. The weights must agree with
+    every rotation, is at most 1e-8. The weights must agree with
     the matrix elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails;
     the projector route's values are returned. The |j;0> stack is built once
     per call.
@@ -207,7 +181,7 @@ def isotypic_probabilities(rho, spin, invariance_tol: float = 1e-8) -> IsotypicD
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    traces = _require_invariant(m, label, invariance_tol)
+    traces = _require_invariant(m, label)
     states = _coupled_zero_m_states(label)
     diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m.T))
     worst = float(np.abs(traces - (2 * np.arange(d) + 1) * diagonal).max())
@@ -244,8 +218,8 @@ def moment_probabilities(spin) -> IsotypicDistribution:
     return IsotypicDistribution(label, tuple(probs))
 
 
-def invariant_state_entropy(distribution: IsotypicDistribution, base=None) -> float:
-    """Entropy of the invariant state with the given block probabilities.
+def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
+    """Entropy in nats of the invariant state with the given block probabilities.
 
     Evaluates sum_j [p_j log(2j+1) - p_j log p_j]; zero-probability blocks
     contribute nothing.
@@ -254,7 +228,7 @@ def invariant_state_entropy(distribution: IsotypicDistribution, base=None) -> fl
     for j, p in enumerate(distribution.probs):
         if p > 0.0:
             total += p * math.log(2 * j + 1) - p * math.log(p)
-    return total / log_divisor(base)
+    return total
 
 
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
@@ -279,7 +253,7 @@ def decohered_singlet(spin) -> np.ndarray:
     return m @ m.conj().T
 
 
-def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
+def singlet_decoherence(spin) -> SingletDecoherenceReport:
     """Full analysis of the doubly decohered singlet for one spin value.
 
     The block weights of (Lambda_s tensor Lambda_s)(|singlet><singlet|) have
@@ -311,28 +285,15 @@ def singlet_decoherence(spin, base=None) -> SingletDecoherenceReport:
     # at spin 1/2 the third weight 2/3 - q is exactly 0 and has no block
     probs = (1.0 / 3.0, q, 2.0 / 3.0 - q)[:d] + (0.0,) * (d - 3)
     distribution = IsotypicDistribution(label, probs)
-    entropy_nats = invariant_state_entropy(distribution)
-
-    divisor = log_divisor(base)
+    entropy = invariant_state_entropy(distribution)
     single = EXACT_SINGLE_CHANNEL_MIN.get(label.twice_s)
-    if single is None:
-        single_out = reference_out = excess_out = None
-    else:
-        excess = entropy_nats - 2.0 * single
+    reference = excess = None
+    if single is not None:
+        reference = 2.0 * single
+        excess = entropy - reference
         if excess <= 0.0:
             raise ConsistencyError(
-                f"decohered singlet entropy {entropy_nats!r} does not exceed "
-                f"the additivity reference {2.0 * single!r}"
+                f"decohered singlet entropy {entropy!r} does not exceed "
+                f"the additivity reference {reference!r}"
             )
-        single_out = single / divisor
-        reference_out = 2.0 * single / divisor
-        excess_out = excess / divisor
-    return SingletDecoherenceReport(
-        spin=label,
-        probs=distribution.probs,
-        entropy=entropy_nats / divisor,
-        single_channel_min=single_out,
-        two_channel_reference=reference_out,
-        excess=excess_out,
-        log_base=base,
-    )
+    return SingletDecoherenceReport(label, distribution.probs, entropy, single, reference, excess)

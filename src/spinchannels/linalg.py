@@ -4,9 +4,8 @@ Operators are plain numpy arrays with complex128 entries, stored row major.
 Bipartite indices are flattened as (i_A, i_B) -> i_A * d_B + i_B; every
 tensor-product helper in this package shares that convention.
 
-Entropies are computed internally in nats. Passing a ``base`` converts the
-final value by dividing by log(base); nothing upstream ever sees a converted
-number.
+Every entropy is returned in nats; converting to another unit is left to
+whatever prints the number.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def as_state_vector(vector) -> np.ndarray:
     return out
 
 
-def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"{name} is not square: shape {m.shape}")
@@ -60,9 +59,10 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, name: str = "matrix"
     residual = m.conj().T
     residual -= m
     defect = float(np.abs(residual).max())
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise ContractViolation(
-            f"{name} is not Hermitian: max |M - M^dagger| = {defect:.3e} exceeds {tol:.1e}"
+            f"{name} is not Hermitian: max |M - M^dagger| = {defect:.3e}"
+            f" exceeds {HERMITICITY_TOL:.1e}"
         )
     return m
 
@@ -76,11 +76,11 @@ def unitarity_defect(matrix) -> float:
     return float(np.abs(u.conj().T @ u - eye).max())
 
 
-def check_pure_state(vector, tol: float = 1e-12) -> np.ndarray:
-    """Validate a unit vector and return it as complex128."""
+def check_pure_state(vector) -> np.ndarray:
+    """Validate a unit vector (norm 1 within 1e-12) and return it as complex128."""
     v = as_state_vector(vector)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-12:
         raise ContractViolation(f"state vector is not normalized: |phi| = {norm!r}")
     return v
 
@@ -115,36 +115,16 @@ def partial_trace(matrix, dims, keep: str) -> np.ndarray:
     raise ContractViolation(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def log_divisor(base) -> float:
-    """Conversion divisor from nats: 1 for natural log, log(base) otherwise."""
-    if base is None:
-        return 1.0
-    b = float(base)
-    if b <= 0.0 or b == 1.0:
-        raise ContractViolation(f"invalid logarithm base {base!r}")
-    return math.log(b)
-
-
-def log_base_label(base) -> str:
-    """Short textual tag for a logarithm base, used in reports."""
-    if base is None:
-        return "e"
-    b = float(base)
-    if b == 2.0:
-        return "2"
-    if abs(b - math.e) < 1e-12:
-        return "e"
-    return repr(b)
-
-
 def spectrum_entropy(eigenvalues):
-    """Shannon entropy -sum(w log w) of a spectrum, in nats.
+    """Shannon entropy -sum(w log w) of a spectrum, in nats, never below +0.0.
 
     Small negative eigenvalues (float noise from diagonalization) are clamped
     to zero; anything below -1e-8 raises, because that indicates a genuinely
     non-positive input rather than roundoff. NaN and infinite eigenvalues
     raise too: the minimum of a spectrum holding NaN is NaN, and an infinite
-    eigenvalue makes the sum infinite, so neither needs an extra pass.
+    eigenvalue makes the sum infinite, so neither needs an extra pass. The
+    finite result is clamped at +0.0: a pure spectrum gives -0.0, or just
+    below 0 when its eigenvalue lies a rounding step above 1.
 
     A 1-d spectrum gives a float; a stack of spectra, one per row, gives an
     array of entropies, with the same checks over every row.
@@ -164,6 +144,7 @@ def spectrum_entropy(eigenvalues):
     values = -(support * np.log(support)).sum(axis=-1)
     if not np.isfinite(values).all():
         raise ContractViolation("spectrum is not finite")
+    values = np.maximum(values, 0.0) + 0.0  # + 0.0 turns -0.0 into +0.0
     return float(values) if w.ndim == 1 else values
 
 
@@ -183,14 +164,14 @@ def size_text(count: int, unit_bits: int = 0) -> str:
     return f"{10.0 ** (exponent10 - whole):.3g}e+{whole}"
 
 
-def von_neumann_entropy(rho, base=None) -> float:
-    """Entropy of a state, -tr(rho log rho), via diagonalization."""
+def von_neumann_entropy(rho) -> float:
+    """Entropy of a state, -tr(rho log rho) in nats, via diagonalization."""
     m = require_hermitian(rho, name="state")
-    return spectrum_entropy(np.linalg.eigvalsh(m)) / log_divisor(base)
+    return spectrum_entropy(np.linalg.eigvalsh(m))
 
 
-def relative_entropy(rho, sigma, base=None) -> float:
-    """Relative entropy S(rho | sigma) = tr(rho log rho) - tr(rho log sigma).
+def relative_entropy(rho, sigma) -> float:
+    """Relative entropy S(rho | sigma) = tr(rho log rho) - tr(rho log sigma), in nats.
 
     Returns inf when rho places weight above SUPPORT_THRESHOLD outside the
     support of sigma. Eigenvalues of sigma below SUPPORT_THRESHOLD do not
@@ -220,7 +201,7 @@ def relative_entropy(rho, sigma, base=None) -> float:
     pos = lam > 0.0
     first = float((lam[pos] * np.log(lam[pos])).sum())
     second = float((lam[:, None] * overlaps * np.log(mu[inside])[None, :]).sum())
-    return (first - second) / log_divisor(base)
+    return first - second
 
 
 def operator_norm(matrix) -> float:

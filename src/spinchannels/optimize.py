@@ -20,8 +20,7 @@ array. They normalize internally, so their gradients vanish along the scale
 direction; the search keeps every row on |x| = 1 (|A|_F = 1 for the gain),
 where the gradient is the Riemannian one.
 
-All objective evaluation happens in nats; the requested logarithm base only
-rescales the final report.
+Every value, searched and reported, is in nats.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import KrausChannel, _apply_stack, _product_columns
-from .linalg import ConsistencyError, ContractViolation, log_divisor, size_text, spectrum_entropy
+from .linalg import ConsistencyError, ContractViolation, size_text, spectrum_entropy
 from .spin import SpinLabel, singlet_state
 
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
@@ -42,6 +41,9 @@ _MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_TRIALS = 20
 _ROUNDING = 16 * np.finfo(float).eps
+
+# Slack of the gain range check [-ln||Lambda(I)||, 0]: 5e-9 nats, under 1e-8 bits.
+_GAIN_SLACK = 5e-9
 
 # Largest array a search may build, in bytes: the 1 GiB of the singlet cap.
 SEARCH_BYTE_CAP = 2**30
@@ -69,7 +71,6 @@ class SearchConfig:
     max_iterations_per_restart: int = 2000
     simplex_tolerance: float = 1e-9
     objective_tolerance: float = 1e-12
-    log_base: float | None = None
 
     def __post_init__(self):
         counts = (self.restarts, self.seed, self.max_iterations_per_restart)
@@ -92,12 +93,11 @@ class SearchConfig:
                 f"simplex_tolerance must be at most {MAX_SIMPLEX_TOLERANCE:g},"
                 f" got {self.simplex_tolerance!r}"
             )
-        log_divisor(self.log_base)  # validates the base
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one multi-start search, values in the configured base.
+    """Outcome of one multi-start search, values in nats.
 
     restart_values holds every restart's local minimum, sorted ascending;
     value equals its first entry. converged_fraction counts restarts that
@@ -408,8 +408,7 @@ def _multistart(
     Restart i starts from deterministic_inits[i], or past their end from
     random_init(default_rng([seed, i])); objective maps a stack of points to
     (values, gradients) and _sphere_lbfgs advances them all at once. decode
-    maps the best parameter vector to the report's argmin. Values are
-    searched in nats and divided by the configured base's log only here.
+    maps the best parameter vector to the report's argmin.
     """
     starts = [
         np.asarray(deterministic_inits[index], dtype=float)
@@ -419,11 +418,10 @@ def _multistart(
     ]
     values, points, evaluations, converged = _sphere_lbfgs(objective, np.stack(starts), config)
     best = int(np.argmin(values))  # the first restart reaching the lowest value
-    divisor = log_divisor(config.log_base)
     return SearchReport(
-        value=float(values[best]) / divisor,
+        value=float(values[best]),
         argmin=decode(points[best]),
-        restart_values=[float(v) / divisor for v in np.sort(values)],
+        restart_values=[float(v) for v in np.sort(values)],
         converged_fraction=int(converged.sum()) / config.restarts,
         evaluations=int(evaluations.sum()),
     )
@@ -498,8 +496,8 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
         return (a @ a.conj().T) / float(np.vdot(a, a).real)
 
     report = _multistart(_gain_objective(channel), cfg, [pack(np.eye(dim))], random_init, decode)
-    lower = gain_lower_bound(channel) / log_divisor(cfg.log_base)
-    if report.value < lower - 1e-8 or report.value > 1e-8:
+    lower = gain_lower_bound(channel)
+    if report.value < lower - _GAIN_SLACK or report.value > _GAIN_SLACK:
         raise ConsistencyError(
             f"entropy gain minimum {report.value!r} escaped the certified range [{lower!r}, 0]"
         )

@@ -200,9 +200,9 @@ def _check_invariant() -> list:
     ]
 
 
-def run_checks(seed: int = _SEED) -> list:
-    """Run the whole battery; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+def run_checks() -> list:
+    """Run the whole battery; deterministic, every draw seeded from _SEED."""
+    rng = np.random.default_rng(_SEED)
     results = []
     results += _check_spin_algebra()
     results += _check_rotations(rng)

@@ -206,12 +206,6 @@ class TestEntropyGain:
                 rho = random_density(rng, label.dimension)
                 assert entropy_gain(channel, rho) >= -1e-10
 
-    def test_base_conversion(self):
-        channel = replacement_channel(2)
-        nats = entropy_gain(channel, np.eye(2) / 2.0)
-        bits = entropy_gain(channel, np.eye(2) / 2.0, base=2)
-        assert abs(bits - nats / math.log(2.0)) < 1e-12
-
 
 class TestTimeReversal:
     def test_matches_kraus_form(self):

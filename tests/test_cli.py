@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinchannels.channel import random_channel, save_channel
+from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
 from spinchannels.invariant import EXACT_PAIR_ENTROPY, EXACT_SINGLE_CHANNEL_MIN
 from spinchannels.linalg import vector_from_json
@@ -77,6 +77,16 @@ class TestMinOutputCommand:
         assert payload["channel"]["kind"] == "file"
         assert abs(payload["value"]) < 1e-9
         assert "reference" not in payload
+
+    def test_identity_channel_prints_positive_zero(self, capsys, tmp_path):
+        # every output is pure, so every entropy prints as +0.0
+        path = tmp_path / "identity.json"
+        save_channel(KrausChannel(np.eye(2)), path)
+        argv = ["--channel", str(path), "--restarts", "4", "--output", "csv"]
+        for command in ("min-output", "probe"):
+            code, out, _ = run_cli(capsys, command, *argv)
+            assert code == 0
+            assert out.splitlines()[1:] == [f"{rank},0.0" for rank in range(4)]
 
 
 class TestGainCommand:
@@ -298,7 +308,43 @@ _TITLES = {
     "singlet": "decohered singlet block decomposition",
 }
 _NOTE_LINES = {"probe": 2}  # free-text lines after the aligned rows
+# Payload paths of every entropy a command prints; the rest are not in log units.
+_ENTROPY_PATHS = [
+    ("value",),
+    ("restart_values",),
+    ("reference", "value"),
+    ("joint_min",),
+    ("single_values",),
+    ("joint_search", "restart_values"),
+    ("entropy",),
+    ("single_channel_min",),
+    ("two_channel_reference",),
+    ("excess",),
+]
 _TEXT_ROW = re.compile(r"  \S.{19} \S")  # two spaces, a 20-wide label, one space, the value
+
+
+def _entropy_field(payload, path):
+    for key in path:
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    return payload
+
+
+def _assert_bits_are_converted_nats(capsys, argv, bits):
+    """Every entropy at --log-base 2 is the base-e value divided by ln 2, exactly."""
+    _, out, _ = run_cli(capsys, *argv[:-1], "e")
+    nats = json.loads(out)
+    checked = 0
+    for path in _ENTROPY_PATHS:
+        value = _entropy_field(nats, path)
+        if value is not None:
+            expected = [v / LN2 for v in value] if isinstance(value, list) else value / LN2
+            assert _entropy_field(bits, path) == expected, path
+            checked += 1
+    assert checked >= 3
+    if "gap" in bits:
+        assert bits["sum_of_singles"] == sum(bits["single_values"])
+        assert bits["gap"] == bits["joint_min"] - bits["sum_of_singles"]
 
 
 def _output_pairs():
@@ -322,6 +368,8 @@ def test_every_output_format(capsys, command, fmt, base):
         payload = json.loads(out)
         assert payload["command"] == command
         assert payload["log_base"] == base
+        if base == "2":
+            _assert_bits_are_converted_nats(capsys, argv, payload)
     elif fmt == "csv":
         _, json_out, _ = run_cli(capsys, *argv)
         payload = json.loads(json_out)

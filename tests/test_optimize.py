@@ -88,7 +88,6 @@ class TestSearchConfig:
         cfg = SearchConfig()
         assert cfg.restarts == 64
         assert cfg.seed == 0
-        assert cfg.log_base is None
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
@@ -97,8 +96,6 @@ class TestSearchConfig:
             SearchConfig(seed=-1)
         with pytest.raises(ContractViolation):
             SearchConfig(simplex_tolerance=0.0)
-        with pytest.raises(ContractViolation):
-            SearchConfig(log_base=1.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -221,12 +218,6 @@ class TestMinOutputEntropy:
         assert np.array_equal(first.argmin, second.argmin)
         assert first.evaluations == second.evaluations
 
-    def test_log_base_conversion(self):
-        channel = isotropic_channel("1")
-        nats = min_output_entropy(channel, SearchConfig(restarts=6, seed=2))
-        bits = min_output_entropy(channel, SearchConfig(restarts=6, seed=2, log_base=2.0))
-        assert abs(bits.value - nats.value / LN2) < 1e-12
-
 
 class TestMinEntropyGain:
     def test_replacement_channel_reaches_minus_log_d(self):
@@ -320,10 +311,6 @@ def test_report_invariants_of_every_search(search, channel):
     assert nats.value == nats.restart_values[0]
     assert 0.0 <= nats.converged_fraction <= 1.0
     assert nats.evaluations > 0
-    # the search runs in nats; only the report is rescaled to the configured base
-    bits = search(channel, SearchConfig(restarts=5, seed=1, log_base=2.0))
-    assert bits.restart_values == [v / LN2 for v in nats.restart_values]
-    assert np.array_equal(bits.argmin, nats.argmin)
 
 
 def _one_row(objective, x):

@@ -81,7 +81,7 @@ def test_twirl_check_never_accepts_what_sampled_rotations_reject(twice_s, seed, 
     h /= np.linalg.norm(h)
     rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + 10.0**log_eps * h
     try:
-        _require_invariant(rho, label, 1e-8)
+        _require_invariant(rho, label)
     except ContractViolation:
         return
     assert _sampled_rotation_deviation(rho, label) <= 1e-8
