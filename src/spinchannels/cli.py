@@ -10,8 +10,9 @@ verify       run the built-in self-check battery
 
 Exit codes: 0 on success, 1 when a computation rejects its input (bad channel
 file, contract violation, internal cross-check failure), 2 for unusable
-flags. JSON output is deterministic byte for byte at fixed flags: keys are
-sorted and every random draw is seeded.
+flags, 141 when the reader closes stdout early (as `| head` does). JSON
+output is deterministic byte for byte at fixed flags: keys are sorted and
+every random draw is seeded.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -325,7 +327,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to os.devnull, not to a second raise at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ContractViolation, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,11 +20,12 @@ tests and `verify` compare all three with the closed form.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
-against P_j and sums of weighted P_j are therefore taken one sector at a
-time from `spin._casimir_sectors`; no d^2 x d^2 projector or eigensolve of
-the full J^2 is formed on this path. Invariance is checked exactly against
-the twirl T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of
-W rho W^dagger over all rotations W = U tensor U. Every W fixes T(rho), so
+against P_j and sums of weighted P_j are therefore taken over the padded
+sector stack of `spin._casimir_sectors`, in one gather or scatter and one
+batched matmul; no d^2 x d^2 projector or eigensolve of the full J^2 is
+formed on this path. Invariance is checked exactly against the twirl
+T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
+over all rotations W = U tensor U. Every W fixes T(rho), so
 max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
 once, and T reuses the block weights' sector pass.
 """
@@ -47,6 +48,7 @@ from .spin import (
     SpinLabel,
     _casimir_sectors,
     _coupled_zero_m_states,
+    _projector_sum,
     singlet_state,
     spin_operators,
 )
@@ -128,15 +130,6 @@ class SingletDecoherenceReport:
     excess: float | None
 
 
-def _invariant_state(label: SpinLabel, sectors: list, probs) -> np.ndarray:
-    """sum_j p_j P_j / (2j+1): sector M's block is V diag(p_j / (2j+1)) V^T."""
-    weights = np.asarray(probs) / (2 * np.arange(label.dimension) + 1)
-    out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
-    for indices, j_values, vectors in sectors:
-        out[np.ix_(indices, indices)] = (vectors * weights[j_values]) @ vectors.T
-    return out
-
-
 def _require_invariant(rho: np.ndarray, label: SpinLabel) -> np.ndarray:
     """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return tr(P_j rho), j = 0..2s.
 
@@ -144,14 +137,14 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> np.ndarray:
     2 ||rho - T(rho)||_F at every W at once. The residual is formed entrywise:
     ||rho||^2 - ||T(rho)||^2 cancels to about sqrt(eps) ||rho||, near 1e-8.
     """
-    # P_j = sum_M |j;M><j;M| with real sector vectors, so tr(P_j rho) sums
-    # v^T rho_MM v over the columns v of each sector that belong to block j.
-    sectors = _casimir_sectors(label)
-    traces = np.zeros(label.dimension)
-    for indices, j_values, vectors in sectors:
-        block = rho[np.ix_(indices, indices)]
-        traces[j_values] += np.real(np.sum(vectors * (block @ vectors), axis=0))
-    residual = _invariant_state(label, sectors, traces)
+    # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block
+    # j; padded slots gather some entry of rho but meet zero vector entries.
+    sectors = indices, j_values, vectors = _casimir_sectors(label)
+    blocks = rho.real[indices[:, :, None], indices[:, None, :]]
+    columns = np.sum(vectors * (blocks @ vectors), axis=1)
+    live = j_values >= 0
+    traces = np.bincount(j_values[live], weights=columns[live], minlength=label.dimension)
+    residual = _projector_sum(label, sectors, traces / (2 * np.arange(label.dimension) + 1))
     residual -= rho
     deviation = 2.0 * float(np.linalg.norm(residual))
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
@@ -165,13 +158,13 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> np.ndarray:
 def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     """Block probabilities of an invariant state on two spin-s systems.
 
-    Computes tr(P_j rho) one total-M sector at a time, as the sum of
-    <j;M|rho|j;M> over the sectors |M| <= j. The same pass rejects rho unless
-    its twirl residual 2 ||rho - T(rho)||_F, which bounds its deviation under
-    every rotation, is at most 1e-8. The weights must agree with
-    the matrix elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails;
-    the projector route's values are returned. The |j;0> stack is built once
-    per call.
+    Computes tr(P_j rho) as the sum of <j;M|rho|j;M> over the total-M sectors
+    |M| <= j, all sectors at once. The same pass rejects rho unless its twirl
+    residual 2 ||rho - T(rho)||_F, which bounds its deviation under every
+    rotation, is at most 1e-8. The weights must agree with the matrix
+    elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
+    projector route's values are returned. The |j;0> stack is built once per
+    call, and its elements take O(d^3) from the d x d M = 0 block of rho.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -182,8 +175,9 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
     traces = _require_invariant(m, label)
-    states = _coupled_zero_m_states(label)
-    diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m.T))
+    zero = (d - 1) * np.arange(1, d + 1)  # |m_a> x |-m_a>, where every |j;0> lives
+    states = _coupled_zero_m_states(label)[:, zero]
+    diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m[np.ix_(zero, zero)].T))
     worst = float(np.abs(traces - (2 * np.arange(d) + 1) * diagonal).max())
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
@@ -234,10 +228,11 @@ def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
     """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
 
-    Assembled one total-M sector at a time by `_invariant_state`.
+    Assembled from all total-M sectors at once by `spin._projector_sum`.
     """
     label = distribution.spin
-    return _invariant_state(label, _casimir_sectors(label), distribution.probs)
+    weights = np.asarray(distribution.probs) / (2 * np.arange(label.dimension) + 1)
+    return _projector_sum(label, _casimir_sectors(label), weights)
 
 
 def decohered_singlet(spin) -> np.ndarray:

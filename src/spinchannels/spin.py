@@ -139,54 +139,69 @@ def total_spin_squared(spin) -> np.ndarray:
     return out
 
 
-def _sector_matrix(label: SpinLabel, k: int):
-    """J^2 on the total-M sector M = 2s - k, with the flattened indices it acts on.
+def _sector_matrices(label: SpinLabel, ks) -> np.ndarray:
+    """J^2 on the sectors M = 2s - k >= 0, k in `ks`, as a zero-padded (len(ks), d, d) stack.
 
-    The sector holds |m_a> x |m_b> with a + b = k (a ascending), at flattened
-    index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+ keeps
-    a + b fixed, so its restriction is real symmetric tridiagonal: diagonal
-    2s(s+1) + 2 m_a m_b, and r_a r_(b-1) between (a, b) and (a+1, b-1), with
-    r the ladder elements of `spin_operators`. Entries of J^2 between two
-    sectors are exactly zero.
+    Sector k holds |m_a> x |m_b> with a + b = k, a = 0..k ascending, at
+    flattened index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+
+    keeps a + b fixed, so its restriction is the real symmetric tridiagonal
+    leading (k+1) x (k+1) block: diagonal 2s(s+1) + 2 m_a m_b, and
+    r_a r_(b-1) between (a, b) and (a+1, b-1), with r the ladder elements of
+    `spin_operators`. Entries of J^2 between two sectors are exactly zero.
     """
     d = label.dimension
-    a = np.arange(max(0, k - d + 1), min(k, d - 1) + 1)
-    b = k - a
-    m = label.s - np.arange(d)
-    ladder = _raising_elements(label)
-    off = ladder[a[:-1]] * ladder[b[:-1] - 1]
-    matrix = np.diag(2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b])
-    matrix += np.diag(off, 1) + np.diag(off, -1)
-    return a * d + b, matrix
+    k, a = np.asarray(ks)[:, None], np.arange(d)
+    b = np.where(a <= k, k - a, 0)
+    m, ladder = label.s - a, _raising_elements(label)
+    out = np.zeros((len(k), d, d))
+    out[:, a, a] = np.where(a <= k, 2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b], 0.0)
+    off = np.where(a[:-1] < k, ladder[a[:-1]] * ladder[b[:, :-1] - 1], 0.0)
+    out[:, a[:-1], a[1:]] = out[:, a[1:], a[:-1]] = off
+    return out
 
 
-def _casimir_sector(label: SpinLabel, k: int):
-    """Eigenvectors of J^2 on sector M = 2s - k: (indices, j values, vectors).
+def _solve_sectors(label: SpinLabel, ks):
+    """(matrices, j values, vectors) of J^2 on the sectors M = 2s - k, k in `ks`.
 
-    Sector M meets each block j = |M|..2s exactly once, so the c-th
-    ascending eigenvalue must lie within CLUSTER_TOL of j(j+1) for
-    j = |M| + c, or the call raises. Column c of the real n x n `vectors`
-    is |j; M> on the sector's flattened `indices`, up to sign.
+    Padded like `_sector_matrices`, padded j being -1: column c of a sector's
+    vector block is |j; M> for j = M + c, up to sign. Sector M meets each
+    block j = M..2s once, so the c-th eigenvalue must lie within CLUSTER_TOL
+    of j(j+1); one check covers every sector and names the first that fails.
+    Each sector gets its own eigh: a padded batched one is slower from 2s = 32.
     """
-    indices, matrix = _sector_matrix(label, k)
-    w, v = np.linalg.eigh(matrix)
-    j_values = abs(label.twice_s - k) + np.arange(len(indices))
-    worst = float(np.abs(w - j_values * (j_values + 1)).max())
-    if worst > CLUSTER_TOL:
+    matrices = _sector_matrices(label, ks)
+    k, c = np.asarray(ks)[:, None], np.arange(label.dimension)
+    eigenvalues, vectors = np.zeros(matrices.shape[:2]), np.zeros_like(matrices)
+    for row, n in enumerate(k[:, 0] + 1):
+        eigenvalues[row, :n], vectors[row, :n, :n] = np.linalg.eigh(matrices[row, :n, :n])
+    j_values = np.where(c <= k, label.twice_s - k + c, -1)
+    worst = np.where(c <= k, np.abs(eigenvalues - j_values * (j_values + 1)), 0.0).max(axis=1)
+    failing = np.flatnonzero(worst > CLUSTER_TOL)
+    if failing.size:
+        row = failing[0]
         raise ConsistencyError(
-            f"Casimir eigenvalues of sector M = {label.twice_s - k} are {worst:.3e} "
-            f"from j(j+1), j = {j_values[0]}..{label.twice_s}; clustering failed"
+            f"Casimir eigenvalues of sector M = {j_values[row, 0]} are {worst[row]:.3e} "
+            f"from j(j+1), j = {j_values[row, 0]}..{label.twice_s}; clustering failed"
         )
-    return indices, j_values, v
+    return matrices, j_values, vectors
 
 
-def _casimir_sectors(label: SpinLabel) -> list:
-    """`_casimir_sector` for every total M, in order M = 2s, 2s-1, ..., -2s.
+def _casimir_sectors(label: SpinLabel) -> tuple:
+    """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s.
 
-    This diagonalizes J^2 one sector at a time: 2d-1 real tridiagonal blocks
-    of size at most d, O(d^4) work in all, and no d^2 x d^2 array.
+    Row k of the padded (indices, j values, vectors) stacks holds sector
+    M = 2s - k, with its flattened indices (padded with -1). Only sectors
+    M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector M onto
+    -M in order, index i to d^2 - 1 - i, with the same J^2 entry for entry
+    (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
     """
-    return [_casimir_sector(label, k) for k in range(2 * label.twice_s + 1)]
+    d, a = label.dimension, np.arange(label.dimension)
+    _, j_values, vectors = _solve_sectors(label, a)
+    b = a[:, None] - a
+    indices = np.where(b >= 0, a * d + b, -1)
+    mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
+    rows = np.r_[a, a[-2::-1]]
+    return np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
 
 
 def _peak_signs(matrix: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -218,19 +233,19 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     """All |j; m=0> vectors for j = 0..2s, as rows of a (d, d^2) array.
 
     The M = 0 sector spanned by |m> x |-m> meets each total-spin block
-    exactly once, so its eigenvectors from `_casimir_sector` are every |j; 0>
-    at once. The overall phase makes the exact coefficient of |s> x |-s>
-    positive. `_peak_signs` reads that sign off the sector's recurrence, so
-    it holds from 2s = 42 on too, where the computed coefficient of |2s; 0>,
+    exactly once, so its eigenvectors from `_solve_sectors` are every |j; 0>
+    at once, on the flattened indices (a+1)(d-1) of |m_a> x |-m_a>. The
+    overall phase makes the exact coefficient of |s> x |-s> positive.
+    `_peak_signs` reads that sign off the sector's recurrence, so it holds
+    from 2s = 42 on too, where the computed coefficient of |2s; 0>,
     C(4s, 2s)^(-1/2), is below 1e-12 and sinks into rounding. Callers that
     need several |j; 0> build this stack once and index into it.
     """
     d = label.dimension
-    indices, j_values, vectors = _casimir_sector(label, label.twice_s)
-    eigenvalues = (j_values * (j_values + 1)).astype(float)
-    _, matrix = _sector_matrix(label, label.twice_s)
+    (matrix,), _, (vectors,) = _solve_sectors(label, [label.twice_s])
+    eigenvalues = np.arange(d) * (np.arange(d) + 1.0)
     states = np.zeros((d, d * d), dtype=np.complex128)
-    states[:, indices] = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
+    states[:, (d - 1) * np.arange(1, d + 1)] = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
 
     # Residuals of every row at once: J^2 |j;0> = j(j+1) |j;0>, with J^2 V
     # = 2s(s+1) V + 2 sum_k S_k V S_k^T applied factor by factor to
@@ -244,11 +259,11 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     j_3 = np.add.outer(m, m).ravel()
     casimir = np.linalg.norm((j_squared_v - eigenvalues[:, None, None] * v).reshape(d, -1), axis=1)
     magnetic = np.linalg.norm(states * j_3, axis=1)
-    for j in range(d):
-        if float(casimir[j]) > 1e-10:
-            raise ConsistencyError(f"|{j};0> fails the J^2 eigenvector residual check")
-        if float(magnetic[j]) > 1e-10:
-            raise ConsistencyError(f"|{j};0> fails the J_3 eigenvector residual check")
+    failing = np.flatnonzero((casimir > 1e-10) | (magnetic > 1e-10))
+    if failing.size:
+        j = failing[0]
+        operator = "J^2" if casimir[j] > 1e-10 else "J_3"
+        raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
     return states
 
 
@@ -291,21 +306,28 @@ def _random_axis_angle(rng):
     return axis, float(rng.uniform(0.0, 2.0 * np.pi))
 
 
+def _projector_sum(label: SpinLabel, sectors: tuple, weights) -> np.ndarray:
+    """sum_j w_j P_j: sector M's blocks V diag(w_j) V^T in one batched matmul and one scatter."""
+    indices, j_values, vectors = sectors
+    blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
+    rows, cols = np.broadcast_arrays(indices[:, :, None], indices[:, None, :])
+    live = (rows >= 0) & (cols >= 0)
+    out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
+    out[rows[live], cols[live]] = blocks[live]
+    return out
+
+
 def casimir_projectors(spin) -> list:
     """Orthogonal projectors onto the total-spin-j blocks, j = 0..2s.
 
-    Assembled from `_casimir_sectors`: P_j is block diagonal over the total-M
+    Assembled by `_projector_sum`: P_j is block diagonal over the total-M
     sectors, with one |j; M> outer product in each sector |M| <= j. Each
     projector is its own d^2 x d^2 array, and its trace must come out to
     2j+1 states or the call raises.
     """
     label = SpinLabel.coerce(spin)
-    d2 = label.dimension**2
-    projectors = [np.zeros((d2, d2), dtype=np.complex128) for _ in range(label.twice_s + 1)]
-    for indices, j_values, vectors in _casimir_sectors(label):
-        block = np.ix_(indices, indices)
-        for c, j in enumerate(j_values):
-            projectors[j][block] = np.outer(vectors[:, c], vectors[:, c])
+    sectors = _casimir_sectors(label)
+    projectors = [_projector_sum(label, sectors, unit) for unit in np.eye(label.dimension)]
     for j, p in enumerate(projectors):
         trace = float(np.trace(p).real)
         if abs(trace - (2 * j + 1)) > 1e-9:

@@ -1,9 +1,13 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,21 @@ class TestSingletCommand:
         assert "excess" not in payload
         assert "single_channel_min" not in payload
         assert len(payload["probs"]) == 4
+
+    def test_reader_closing_early_exits_141_without_an_error(self):
+        # like `| head -c 10`: the reader stops long before the rows end
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        command = [sys.executable, "-m", "spinchannels", "singlet", "--spin", "100000"]
+        proc = subprocess.Popen(
+            [*command, "--output", "text"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert len(head) == 10
+        assert err == b""
+        assert proc.returncode == 141
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "singlet", "--spin", "1", "--output", "text")

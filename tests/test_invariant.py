@@ -19,7 +19,12 @@ from spinchannels.invariant import (
     singlet_decoherence,
     state_from_distribution,
 )
-from spinchannels.linalg import ContractViolation, spectrum_entropy, von_neumann_entropy
+from spinchannels.linalg import (
+    ConsistencyError,
+    ContractViolation,
+    spectrum_entropy,
+    von_neumann_entropy,
+)
 from spinchannels.spin import SpinLabel, casimir_projectors, coupled_zero_m_state, singlet_state
 
 SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]
@@ -82,6 +87,16 @@ class TestIsotypicProbabilities:
         rho[1, 1] = np.nan
         with pytest.raises(ContractViolation, match="not finite"):
             isotypic_probabilities(rho, "1/2")
+
+    def test_matrix_element_cross_check_fails_below_the_twirl_tolerance(self):
+        # eps (|2;0><2;0| - |0;0><0;0|) moves block 2 by eps in trace but by
+        # 5 eps in 5 <2;0|rho|2;0>, while its twirl residual stays below 1e-8
+        label = SpinLabel(2)
+        rho = state_from_distribution(IsotypicDistribution(label, (0.2, 0.3, 0.5)))
+        zero, two = coupled_zero_m_state(label, 0), coupled_zero_m_state(label, 2)
+        rho += 3e-9 * (np.outer(two, two.conj()) - np.outer(zero, zero.conj()))
+        with pytest.raises(ConsistencyError, match="disagree by 1.200e-08"):
+            isotypic_probabilities(rho, label)
 
     def test_rejects_wrong_dimension_and_trace(self):
         with pytest.raises(ContractViolation, match="match"):

@@ -272,41 +272,56 @@ class TestCasimirSectors:
 
     @pytest.mark.parametrize("twice_s", range(1, 13))
     def test_sector_matrices_are_slices_of_total_spin_squared(self, twice_s):
+        # sector -M is never built: it must be sector M's matrix entry for entry
         label = SpinLabel(twice_s)
+        d = label.dimension
         j_squared = total_spin_squared(label)
         sector = _sector_of_each_index(label)
+        matrices = spin._sector_matrices(label, range(d))
         covered = []
-        for k in range(2 * twice_s + 1):
-            indices, matrix = spin._sector_matrix(label, k)
+        for k, indices in enumerate(spin._casimir_sectors(label)[0]):
+            n = np.count_nonzero(indices >= 0)
+            assert np.all(indices[n:] == -1)
+            indices = indices[:n]
+            matrix = matrices[min(k, 2 * twice_s - k)]
             assert np.all(sector[indices] == k)
-            assert np.abs(j_squared[np.ix_(indices, indices)] - matrix).max() < 1e-12
+            assert np.abs(j_squared[np.ix_(indices, indices)] - matrix[:n, :n]).max() < 1e-12
+            assert not matrix[n:].any() and not matrix[:, n:].any()
             covered.extend(indices)
-        assert sorted(covered) == list(range(label.dimension**2))
+        assert sorted(covered) == list(range(d * d))
 
     def test_sector_vectors_carry_the_expected_j(self):
-        label = SpinLabel(4)
-        j_squared = total_spin_squared(label)
-        for indices, j_values, vectors in spin._casimir_sectors(label):
-            full = np.zeros((label.dimension**2, len(indices)))
-            full[indices] = vectors
-            residual = j_squared @ full - full * (j_values * (j_values + 1))
-            assert np.abs(residual).max() < 1e-10
+        # mirrored sectors M < 0 included: their vectors are copied from -M
+        for twice_s in range(1, 13):
+            label = SpinLabel(twice_s)
+            d = label.dimension
+            j_squared = total_spin_squared(label)
+            for k, (indices, j_values, vectors) in enumerate(zip(*spin._casimir_sectors(label))):
+                n = d - abs(twice_s - k)
+                assert np.array_equal(j_values, np.r_[abs(twice_s - k) : d, [-1] * (d - n)])
+                assert not vectors[n:].any() and not vectors[:, n:].any()
+                full = np.zeros((d * d, n))
+                full[indices[:n]] = vectors[:n, :n]
+                residual = j_squared @ full - full * (j_values[:n] * (j_values[:n] + 1))
+                assert np.abs(residual).max() < 1e-10
 
     @pytest.mark.parametrize("shift", [10 * CLUSTER_TOL, -10 * CLUSTER_TOL], ids=["up", "down"])
     def test_perturbed_sector_eigenvalue_fails_clustering(self, monkeypatch, shift):
         label = SpinLabel(3)
-        original = spin._sector_matrix
+        original = spin._sector_matrices
 
-        def perturbed(lab, k):
-            indices, matrix = original(lab, k)
-            if k == 2:
-                matrix = matrix + shift * np.eye(len(indices))
-            return indices, matrix
+        def perturbed(lab, ks):
+            # sectors M = 1 and M = 0: the check names the first in order
+            matrices = original(lab, ks)
+            for row, k in enumerate(ks):
+                if k in (2, 3):
+                    matrices[row, : k + 1, : k + 1] += shift * np.eye(k + 1)
+            return matrices
 
-        monkeypatch.setattr(spin, "_sector_matrix", perturbed)
-        with pytest.raises(ConsistencyError, match="clustering"):
+        monkeypatch.setattr(spin, "_sector_matrices", perturbed)
+        with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
             casimir_projectors(label)
-        with pytest.raises(ConsistencyError, match="clustering"):
+        with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
             spin._casimir_sectors(label)
 
     def test_eigenvalue_on_the_wrong_j_fails_clustering(self, monkeypatch):
@@ -314,13 +329,16 @@ class TestCasimirSectors:
         # by -2 its eigenvalue lands on j(j+1) for j = 0, which is admissible
         # on its own but not in a sector with |M| = 1.
         label = SpinLabel(1)
-        original = spin._sector_matrix
+        original = spin._sector_matrices
 
-        def shifted(lab, k):
-            indices, matrix = original(lab, k)
-            return indices, (matrix - 2.0 * np.eye(len(indices)) if k == 0 else matrix)
+        def shifted(lab, ks):
+            matrices = original(lab, ks)
+            for row, k in enumerate(ks):
+                if k == 0:
+                    matrices[row, 0, 0] -= 2.0
+            return matrices
 
-        monkeypatch.setattr(spin, "_sector_matrix", shifted)
+        monkeypatch.setattr(spin, "_sector_matrices", shifted)
         with pytest.raises(ConsistencyError, match="sector M = 1"):
             spin._casimir_sectors(label)
 
@@ -331,7 +349,7 @@ class TestZeroMSectorPhase:
         # where the |s>|-s> entries stay above 1e-12, their own signs fix the phase
         label = SpinLabel(twice_s)
         d = label.dimension
-        indices, _, vectors = spin._casimir_sector(label, twice_s)
+        indices, _, vectors = (part[twice_s] for part in spin._casimir_sectors(label))
         reference = np.zeros((d, d * d), dtype=np.complex128)
         reference[:, indices] = (vectors * np.sign(vectors[0])).T
         assert np.array_equal(spin._coupled_zero_m_states(label), reference)
@@ -347,10 +365,10 @@ class TestZeroMSectorPhase:
         # yet every entry of |2s;0> is positive and |0;0> alternates from +
         for twice_s in range(1, 201):
             label = SpinLabel(twice_s)
-            _, j_values, vectors = spin._casimir_sector(label, twice_s)
-            _, matrix = spin._sector_matrix(label, twice_s)
+            matrices, _, vectors = spin._solve_sectors(label, [twice_s])
+            j_values = np.arange(label.dimension)
             eigenvalues = (j_values * (j_values + 1)).astype(float)
-            fixed = vectors * spin._peak_signs(matrix, eigenvalues, vectors)
+            fixed = vectors[0] * spin._peak_signs(matrices[0], eigenvalues, vectors[0])
             assert fixed[:, -1].min() >= -1e-14
             alternating = (-1.0) ** np.arange(label.dimension)
             assert (alternating * fixed[:, 0]).min() >= -1e-14
@@ -360,14 +378,32 @@ class TestZeroMSectorPhase:
         # applied factor by factor can notice the wrong eigenvectors
         label = SpinLabel(4)
         q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
-        original = spin._sector_matrix
+        original = spin._sector_matrices
 
-        def rotated(lab, k):
-            indices, matrix = original(lab, k)
-            return indices, (q @ matrix @ q.T if k == lab.twice_s else matrix)
+        def rotated(lab, ks):
+            matrices = original(lab, ks)
+            for row, k in enumerate(ks):
+                if k == lab.twice_s:
+                    matrices[row] = q @ matrices[row] @ q.T
+            return matrices
 
-        monkeypatch.setattr(spin, "_sector_matrix", rotated)
+        monkeypatch.setattr(spin, "_sector_matrices", rotated)
         with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
+            spin._coupled_zero_m_states(label)
+
+    def test_residual_check_names_the_first_failing_j(self, monkeypatch):
+        # mixing |2;0> with |3;0> keeps the stack orthonormal and on M = 0
+        label = SpinLabel(4)
+        original = spin._solve_sectors
+
+        def mixed(lab, ks):
+            matrices, j_values, vectors = original(lab, ks)
+            two, three = vectors[..., 2].copy(), vectors[..., 3].copy()
+            vectors[..., 2], vectors[..., 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
+            return matrices, j_values, vectors
+
+        monkeypatch.setattr(spin, "_solve_sectors", mixed)
+        with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):
             spin._coupled_zero_m_states(label)
 
 
