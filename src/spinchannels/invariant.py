@@ -27,7 +27,8 @@ formed on this path. Invariance is checked exactly against the twirl
 T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
 over all rotations W = U tensor U. Every W fixes T(rho), so
 max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
-once, and T reuses the block weights' sector pass.
+once. The residual reuses the block weights' sector gather and sums rho off
+the sectors one row slab at a time, so T(rho) is never built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .channel import _product_columns, isotropic_channel
 from .linalg import (
     ConsistencyError,
+    SLAB_ENTRIES,
     ContractViolation,
     require_hermitian,
     size_text,
@@ -47,6 +49,7 @@ from .linalg import (
 from .spin import (
     SpinLabel,
     _casimir_sectors,
+    _check_zero_m_states,
     _coupled_zero_m_states,
     _projector_sum,
     singlet_state,
@@ -130,29 +133,38 @@ class SingletDecoherenceReport:
     excess: float | None
 
 
-def _require_invariant(rho: np.ndarray, label: SpinLabel) -> np.ndarray:
-    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return tr(P_j rho), j = 0..2s.
+def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
+    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), sectors, <j;M|rho|j;M>).
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
-    2 ||rho - T(rho)||_F at every W at once. The residual is formed entrywise:
-    ||rho||^2 - ||T(rho)||^2 cancels to about sqrt(eps) ||rho||, near 1e-8.
+    2 ||rho - T(rho)||_F at every W at once. It is summed entrywise (a
+    difference of norms cancels to about sqrt(eps) ||rho||): the gathered blocks
+    minus V diag(w_j) V^T in the sectors, and rho itself, slab by slab, off them.
     """
     # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block
     # j; padded slots gather some entry of rho but meet zero vector entries.
+    d = label.dimension
     sectors = indices, j_values, vectors = _casimir_sectors(label)
-    blocks = rho.real[indices[:, :, None], indices[:, None, :]]
-    columns = np.sum(vectors * (blocks @ vectors), axis=1)
+    blocks = rho[indices[:, :, None], indices[:, None, :]]
+    columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
     live = j_values >= 0
-    traces = np.bincount(j_values[live], weights=columns[live], minlength=label.dimension)
-    residual = _projector_sum(label, sectors, traces / (2 * np.arange(label.dimension) + 1))
-    residual -= rho
-    deviation = 2.0 * float(np.linalg.norm(residual))
+    traces = np.bincount(j_values[live], weights=columns[live], minlength=d)
+    weights = traces / (2 * np.arange(d) + 1)
+    blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
+    blocks[~(live[:, :, None] & live[:, None, :])] = 0.0
+    squares = np.vdot(blocks, blocks).real
+    sector = np.add.outer(np.arange(d), np.arange(d)).ravel()  # 2s - M of each basis state
+    rows = max(1, SLAB_ENTRIES // (d * d))
+    for start in range(0, d * d, rows):
+        outside = rho[start : start + rows][sector[start : start + rows, None] != sector]
+        squares += np.vdot(outside, outside).real
+    deviation = 2.0 * math.sqrt(squares)
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(
             "state is not rotationally invariant:"
             f" twirl residual {deviation:.3e} > {_INVARIANCE_TOL:.1e}"
         )
-    return traces
+    return traces, sectors, columns
 
 
 def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
@@ -163,8 +175,9 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     residual 2 ||rho - T(rho)||_F, which bounds its deviation under every
     rotation, is at most 1e-8. The weights must agree with the matrix
     elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
-    projector route's values are returned. The |j;0> stack is built once per
-    call, and its elements take O(d^3) from the d x d M = 0 block of rho.
+    projector route's values are returned. The |j;0> are the M = 0 sector's
+    vectors from that same pass, checked by `spin._check_zero_m_states`, and
+    need no phase. Besides rho the call holds O(d^3) memory and a row slab.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -174,11 +187,10 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    traces = _require_invariant(m, label)
-    zero = (d - 1) * np.arange(1, d + 1)  # |m_a> x |-m_a>, where every |j;0> lives
-    states = _coupled_zero_m_states(label)[:, zero]
-    diagonal = np.real(np.einsum("ja,ja->j", states.conj(), states @ m[np.ix_(zero, zero)].T))
-    worst = float(np.abs(traces - (2 * np.arange(d) + 1) * diagonal).max())
+    traces, (indices, _, vectors), columns = _require_invariant(m, label)
+    zero = d - 1  # sector M = 0, whose column j is |j;0>
+    _check_zero_m_states(label, indices[zero], vectors[zero].T)
+    worst = float(np.abs(traces - (2 * np.arange(d) + 1) * columns[zero]).max())
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"projector-trace and matrix-element block probabilities disagree by {worst:.3e}"

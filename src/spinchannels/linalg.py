@@ -21,6 +21,7 @@ HERMITICITY_TOL = 1e-10
 # considered genuinely violated.
 EIGENVALUE_ERROR = 1e-8
 SUPPORT_THRESHOLD = 1e-10
+SLAB_ENTRIES = 2**17  # per row slab of a whole-matrix pass: 2 MiB of complex128
 
 
 class ContractViolation(ValueError):
@@ -50,16 +51,28 @@ def as_state_vector(vector) -> np.ndarray:
 
 
 def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
+    """Return matrix as complex128 if square, finite and within HERMITICITY_TOL of Hermitian.
+
+    max |M - M^dagger| is taken one row slab of at most SLAB_ENTRIES at a time,
+    rows i against columns k >= i. A NaN or inf entry makes it NaN or inf, so
+    only then is finiteness tested; it is reported first.
+    """
     m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise ContractViolation(f"{name} is not square: shape {m.shape}")
-    if not np.isfinite(m).all():  # NaN would pass the comparison below
-        raise ContractViolation(f"{name} is not finite")
-    # formed in place on the conjugate copy: one temporary the size of m
-    residual = m.conj().T
-    residual -= m
-    defect = float(np.abs(residual).max())
-    if defect > HERMITICITY_TOL:
+    rows = max(1, SLAB_ENTRIES // n)
+    buffer = np.empty((n, min(rows, n)), dtype=np.complex128)
+    defect = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, reported below
+        for start in range(0, n, rows):
+            stop = start + rows
+            residual = np.conjugate(m[start:, start:stop], out=buffer[start:, : n - start])
+            residual -= m[start:stop, start:].T
+            defect = np.maximum(defect, np.abs(residual).max())  # keeps a NaN; max() would not
+    if not defect <= HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise ContractViolation(f"{name} is not finite")
         raise ContractViolation(
             f"{name} is not Hermitian: max |M - M^dagger| = {defect:.3e}"
             f" exceeds {HERMITICITY_TOL:.1e}"

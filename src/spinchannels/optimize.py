@@ -5,7 +5,7 @@ keep the best local minimum found. The restarts advance together, one row of
 an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack on the
 unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) moves every row at once, with one stacked objective call,
-and so one stacked eigh per side, per trial step. The results are heuristic
+and so one stacked eigh per trial step. The results are heuristic
 upper bounds: nothing here certifies global optimality, and the reports say
 so through their restart statistics rather than pretending to a proof.
 
@@ -265,7 +265,7 @@ def _gain_objective(channel: KrausChannel):
     -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
     returned as [re, im] of the flattened matrix. It stays bounded where rho
     is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w. Takes
-    a stack of points (R, 2*dim_in^2), with one stacked eigh per side.
+    a stack of points (R, 2*dim_in^2), with one stacked eigh for both sides.
     """
     ops = channel.kraus
     adjoint_ops = ops.conj().transpose(0, 2, 1)
@@ -276,8 +276,9 @@ def _gain_objective(channel: KrausChannel):
         a = (x[:, :block] + 1j * x[:, block:]).reshape(-1, dim, dim)
         total = _rowdot(x, x)
         rho = (a @ a.conj().transpose(0, 2, 1)) / total[:, np.newaxis, np.newaxis]
-        s_in, f_in = _entropy_and_log_term(rho)
-        s_out, f_out = _entropy_and_log_term(_apply_stack(ops, rho))
+        values, f_of = _entropy_and_log_term(np.concatenate([rho, _apply_stack(ops, rho)]))
+        s_in, s_out = np.split(values, 2)
+        f_in, f_out = np.split(f_of, 2)
         b = _apply_stack(adjoint_ops, f_out) - f_in
         trace = np.einsum("rij,rji->r", b, rho).real
         g = (-2.0 / total)[:, np.newaxis, np.newaxis] * (
@@ -525,17 +526,17 @@ def additivity_probe(
 ) -> ProbeReport:
     """Compare the joint minimum output entropy against the sum of singles.
 
-    Runs the single-channel searches first, then searches the product channel
-    starting from (in order) the product of the single argmins, an entangled
-    state, the first basis vector, and seeded Haar states. The product start
-    guarantees gap <= 0 up to search noise; the entangled start gives
-    entanglement a genuine chance to win. Heuristic evidence only: a zero gap
-    here is not a proof of additivity.
+    Runs the single-channel searches first, one if channel_b is channel_a,
+    then searches the product channel starting from (in order) the product of
+    the single argmins, an entangled state, the first basis vector, and
+    seeded Haar states. The product start guarantees gap <= 0 up to search
+    noise; the entangled start gives entanglement a genuine chance to win.
+    Heuristic evidence only: a zero gap here is not a proof of additivity.
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("probe", cfg.restarts, channel_a.kraus.shape, channel_b.kraus.shape)
     report_a = min_output_entropy(channel_a, cfg)
-    report_b = min_output_entropy(channel_b, cfg)
+    report_b = report_a if channel_b is channel_a else min_output_entropy(channel_b, cfg)
     d_a, d_b = channel_a.dim_in, channel_b.dim_in
     starts = [np.kron(report_a.argmin, report_b.argmin), _entangled_init(d_a, d_b)]
     joint = _pure_search(cfg, starts, channel_a, channel_b)

@@ -244,17 +244,30 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
     d = label.dimension
     (matrix,), _, (vectors,) = _solve_sectors(label, [label.twice_s])
     eigenvalues = np.arange(d) * (np.arange(d) + 1.0)
+    rows = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
+    zero = (d - 1) * np.arange(1, d + 1)
+    _check_zero_m_states(label, zero, rows)
     states = np.zeros((d, d * d), dtype=np.complex128)
-    states[:, (d - 1) * np.arange(1, d + 1)] = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
+    states[:, zero] = rows
+    return states
 
-    # Residuals of every row at once: J^2 |j;0> = j(j+1) |j;0>, with J^2 V
-    # = 2s(s+1) V + 2 sum_k S_k V S_k^T applied factor by factor to
-    # V = |j;0> as a d x d matrix, and J_3, which is diagonal with entries
-    # m + m', annihilates |j;0>.
+
+def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) -> None:
+    """Raise unless row j of the real (d, d) `rows`, on flattened indices `index`, is +-|j;0>.
+
+    Every row at once, residuals at most 1e-10: J^2 |j;0> = j(j+1) |j;0>, with
+    J^2 V = 2s(s+1) V + 2 sum_k S_k V S_k^T applied factor by factor to V = |j;0>
+    as a d x d matrix in real arithmetic (S_2 is imaginary), and J_3 |j;0> = 0.
+    """
+    d = label.dimension
+    states = np.zeros((d, d * d))
+    states[:, index] = rows
     v = states.reshape(d, d, d)
+    s_1, s_2, s_3 = spin_operators(label)
     j_squared_v = 2.0 * label.s * (label.s + 1.0) * v
-    for s_k in spin_operators(label):
-        j_squared_v += 2.0 * (s_k @ v @ s_k.T)
+    for s_k, factor in ((s_1.real, 2.0), (s_2.imag, -2.0), (s_3.real, 2.0)):
+        j_squared_v += factor * (s_k @ v @ s_k.T)
+    eigenvalues = np.arange(d) * (np.arange(d) + 1.0)
     m = label.s - np.arange(d)
     j_3 = np.add.outer(m, m).ravel()
     casimir = np.linalg.norm((j_squared_v - eigenvalues[:, None, None] * v).reshape(d, -1), axis=1)
@@ -264,7 +277,6 @@ def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
         j = failing[0]
         operator = "J^2" if casimir[j] > 1e-10 else "J_3"
         raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
-    return states
 
 
 def coupled_zero_m_state(spin, j: int) -> np.ndarray:

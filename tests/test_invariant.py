@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import random_density, random_hermitian
 from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
@@ -239,6 +240,83 @@ class TestTwirlCheck:
         assert np.abs(np.array(found.probs) - probs).max() < 1e-12
 
 
+def sector_of(label):
+    """2s - M of each two-spin basis state |m_a> x |m_b>: a + b."""
+    return np.add.outer(np.arange(label.dimension), np.arange(label.dimension)).ravel()
+
+
+class TestEntrywiseTwirlResidual:
+    @pytest.mark.parametrize("twice_s", range(1, 7))
+    @pytest.mark.parametrize("part", ["in-sector real", "in-sector imaginary", "off-sector", "all"])
+    def test_matches_the_dense_residual(self, twice_s, part, monkeypatch):
+        label = SpinLabel(twice_s)
+        d2 = label.dimension**2
+        rng = np.random.default_rng(100 * twice_s + len(part))
+        probs = rng.dirichlet(np.ones(label.dimension))
+        h = 1e-3 * random_hermitian(rng, d2)
+        inside = sector_of(label)[:, None] == sector_of(label)
+        if part == "in-sector real":
+            h = np.where(inside, h.real, 0.0)
+        elif part == "in-sector imaginary":
+            h = np.where(inside, 1j * h.imag, 0.0)
+        elif part == "off-sector":
+            h = np.where(inside, 0.0, h)
+        rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + h
+        traces = np.array([np.trace(p @ rho).real for p in casimir_projectors(label)])
+        weights = traces / (2 * np.arange(label.dimension) + 1)
+        twirl = spin._projector_sum(label, spin._casimir_sectors(label), weights)
+        reference = 2.0 * np.linalg.norm(rho - twirl)
+        slack = 1e-16 + 1e-12 * reference
+        monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference + slack)
+        _require_invariant(rho, label)
+        monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference - slack)
+        with pytest.raises(ContractViolation, match="not rotationally invariant"):
+            _require_invariant(rho, label)
+
+    def test_rejects_an_off_sector_perturbation_in_the_last_slab(self):
+        # at 2s = 20 the 441 rows of rho are two slabs, the second from row 297
+        label = SpinLabel(20)
+        rho = state_from_distribution(IsotypicDistribution(label, (0.0,) * 20 + (1.0,)))
+        _require_invariant(rho, label)
+        # the last two basis states, |-s>|-s+1> and |-s>|-s>, have M = 1 - 2s and -2s
+        rho[-1, -2] += 1e-8
+        rho[-2, -1] += 1e-8
+        with pytest.raises(ContractViolation, match="not rotationally invariant"):
+            _require_invariant(rho, label)
+
+    def test_block_weights_at_2s_40_allocate_under_a_quarter_of_the_state(self):
+        label = SpinLabel(40)
+        probs = np.random.default_rng(67).dirichlet(np.ones(label.dimension))
+        rho = state_from_distribution(IsotypicDistribution(label, tuple(probs)))
+        tracemalloc.start()
+        try:
+            isotypic_probabilities(rho, label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * rho.nbytes
+
+
+class TestZeroMResidualCheck:
+    def test_checks_the_zero_m_vectors_the_traces_cannot_see(self, monkeypatch):
+        # blocks j = 2 and 3 carry the same weight per state, so mixing |2;0>
+        # with |3;0> leaves every trace and matrix element as it was
+        label = SpinLabel(4)
+        rho = state_from_distribution(IsotypicDistribution(label, (0.1, 0.2, 0.25, 0.35, 0.1)))
+        original = spin._solve_sectors
+
+        def mixed(lab, ks):
+            matrices, j_values, vectors = original(lab, ks)
+            zero = vectors[list(ks).index(lab.twice_s)]
+            two, three = zero[:, 2].copy(), zero[:, 3].copy()
+            zero[:, 2], zero[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
+            return matrices, j_values, vectors
+
+        monkeypatch.setattr(spin, "_solve_sectors", mixed)
+        with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):
+            isotypic_probabilities(rho, label)
+
+
 class TestWorkCount:
     def test_one_sector_pass_and_no_rotations(self, monkeypatch):
         label = SpinLabel(4)
@@ -252,12 +330,14 @@ class TestWorkCount:
 
             return wrapper
 
-        sectors = counted("_casimir_sectors", spin._casimir_sectors)
-        monkeypatch.setattr(spin, "_casimir_sectors", sectors)
-        monkeypatch.setattr(invariant, "_casimir_sectors", sectors)
+        # the |j;0> come from the sector pass, with one residual check
+        for name in ("_casimir_sectors", "_coupled_zero_m_states", "_check_zero_m_states"):
+            wrapped = counted(name, getattr(spin, name))
+            monkeypatch.setattr(spin, name, wrapped)
+            monkeypatch.setattr(invariant, name, wrapped)
         monkeypatch.setattr(spin, "rotation_unitary", counted("rotation_unitary", spin.rotation_unitary))
         isotypic_probabilities(rho, label)
-        assert calls == ["_casimir_sectors"]
+        assert calls == ["_casimir_sectors", "_check_zero_m_states"]
 
     def test_total_spin_squared_runs_a_constant_number_of_times(self, monkeypatch):
         # that number is zero: no block route builds the d^2 x d^2 J^2

@@ -7,7 +7,9 @@ import pytest
 import scipy.linalg
 
 from helpers import random_density, random_hermitian, random_pure, random_unitary
+from spinchannels import linalg
 from spinchannels.linalg import (
+    SLAB_ENTRIES,
     ContractViolation,
     check_pure_state,
     kron,
@@ -291,6 +293,59 @@ def test_hermiticity_check_allocates_at_most_one_and_a_half_matrices():
         tracemalloc.stop()
     assert peak <= 1.6 * m.nbytes
     assert np.array_equal(m, before)
+
+
+
+class TestSlabbedHermiticityCheck:
+    """A 1100 x 1100 matrix is ten row slabs of 119 rows (SLAB_ENTRIES = 2**17)."""
+
+    N = 1100
+
+    def matrix(self, seed):
+        return random_hermitian(np.random.default_rng(seed), self.N)
+
+    @staticmethod
+    def assert_defect_is(m, value, monkeypatch):
+        # the check passes at tolerance `value` and fails one float below it,
+        # so the maximum it measured is `value` exactly
+        monkeypatch.setattr(linalg, "HERMITICITY_TOL", value)
+        require_hermitian(m)
+        monkeypatch.setattr(linalg, "HERMITICITY_TOL", np.nextafter(value, 0.0))
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            require_hermitian(m)
+
+    def test_defect_is_exactly_the_dense_maximum(self, monkeypatch):
+        assert math.ceil(self.N / (SLAB_ENTRIES // self.N)) == 10
+        m = self.matrix(71)
+        m += 1e-7 * np.random.default_rng(72).standard_normal(m.shape)
+        self.assert_defect_is(m, float(np.abs(m - m.conj().T).max()), monkeypatch)
+
+    def test_finds_a_defect_planted_below_the_diagonal_only(self, monkeypatch):
+        m = self.matrix(73)
+        m[self.N - 3, 5] += 3e-9j
+        dense = float(np.abs(m - m.conj().T).max())
+        assert dense > 2e-9
+        self.assert_defect_is(m, dense, monkeypatch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("defect", [0.0, 1.0])
+    @pytest.mark.parametrize("column", [2, N - 1])
+    def test_rejects_a_non_finite_entry_in_the_last_slab_only(self, bad, defect, column):
+        m = self.matrix(74)
+        m[0, 1] += defect  # a Hermiticity defect in the first slab is reported second
+        m[self.N - 1, column] = bad
+        with pytest.raises(ContractViolation, match="matrix is not finite"):
+            require_hermitian(m)
+
+    def test_allocates_at_most_a_quarter_of_the_matrix(self):
+        m = self.matrix(75)
+        tracemalloc.start()
+        try:
+            require_hermitian(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * m.nbytes
 
 
 class TestStackedSpectrumEntropy:

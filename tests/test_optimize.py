@@ -16,6 +16,7 @@ from spinchannels.channel import (
 from spinchannels.linalg import ConsistencyError, ContractViolation, von_neumann_entropy
 from spinchannels.optimize import (
     MAX_SIMPLEX_TOLERANCE,
+    ProbeReport,
     SearchConfig,
     SearchReport,
     _pure_entropy_and_gradient,
@@ -288,6 +289,33 @@ class TestAdditivityProbe:
         probe = additivity_probe(a, b, SearchConfig(restarts=4, seed=12))
         assert abs(probe.joint_min) < 1e-9
         assert abs(probe.gap) < 1e-9
+
+    def test_one_channel_twice_runs_one_single_search(self, monkeypatch):
+        calls = []
+        original = optimize._sphere_lbfgs
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimize, "_sphere_lbfgs", counted)
+        one = isotropic_channel("1")
+        config = SearchConfig(restarts=6, seed=13)
+        same = additivity_probe(one, one, config)
+        assert len(calls) == 2
+        twin = KrausChannel(one.kraus.copy())
+        distinct = additivity_probe(one, twin, config)
+        assert len(calls) == 5
+        assert same.single_b is same.single_a
+        for name in ProbeReport.__dataclass_fields__:
+            mine, theirs = getattr(same, name), getattr(distinct, name)
+            if isinstance(mine, SearchReport):
+                mine, theirs = vars(mine), vars(theirs)
+                assert mine.keys() == theirs.keys()
+                for key in mine:
+                    assert np.array_equal(mine[key], theirs[key]), (name, key)
+            else:
+                assert np.array_equal(mine, theirs), name
 
 
 def _joint_report(channel, config):
