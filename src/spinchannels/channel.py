@@ -147,8 +147,8 @@ def _product_columns(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> n
     """
     n_a, out_a, in_a = ops_a.shape
     n_b, out_b, in_b = ops_b.shape
-    left = np.einsum("kij,rjb->rkib", ops_a, psi).reshape(-1, in_b)  # rows (r, k, i) of X_k Psi
-    moved = np.dot(left, ops_b.transpose(2, 0, 1).reshape(in_b, n_b * out_b))  # columns (l, b)
+    left = (ops_a.reshape(-1, in_a) @ psi).reshape(-1, in_b)  # rows (r, k, i) of X_k Psi
+    moved = np.dot(left, ops_b.reshape(-1, in_b).T)  # columns (l, b)
     moved = moved.reshape(-1, n_a, out_a, n_b, out_b).transpose(0, 2, 4, 1, 3)
     return moved.reshape(-1, out_a * out_b, n_a * n_b)
 

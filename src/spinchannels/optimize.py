@@ -48,6 +48,11 @@ _GAIN_SLACK = 5e-9
 # Largest array a search may build, in bytes: the 1 GiB of the singlet cap.
 SEARCH_BYTE_CAP = 2**30
 
+# Largest input dimension each command searches (for "probe", the product of
+# the factors'), a time guard: at each cap 64 restarts take about 20 s on one
+# core, and the time grows faster than the dimension (table in CHANGES.md).
+SEARCH_DIMENSION_CAP = {"min-output": 400, "probe": 1024, "gain": 64}
+
 # Largest accepted simplex_tolerance. Parameters live on the unit sphere, so
 # a gradient tolerance near 1 stops every pure-input restart at its start.
 MAX_SIMPLEX_TOLERANCE = 1e-3
@@ -141,27 +146,34 @@ def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
     shape is (n_kraus, dim_out, dim_in) of the searched channel; for "probe",
     of the first factor, and other of the second (by default the same). The
     largest array is a factor's Kraus stack (no product stack is built) or,
-    R times over, the _MEMORY history pairs of real parameters, or the
-    stacked columns (X_k tensor Y_l) phi (pure inputs) or X_k rho (the "gain"
-    command), at 16 bytes per complex entry. Python ints do not overflow, so
-    the estimate holds for any spin.
+    R times over, the history (s, y, rho s, rho y) of _MEMORY steps in real
+    parameters, or the stacked columns (X_k tensor Y_l) phi (pure inputs) or
+    X_k rho (the "gain" command), at 16 bytes per complex entry. Python ints
+    do not overflow, so the estimate holds for any spin.
     """
     factors = [shape, other or shape] if command == "probe" else [shape]
     n_kraus, dim_out, dim_in = (math.prod(sizes) for sizes in zip(*factors))
     if command == "gain":
-        per_restart = max(_MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
+        per_restart = max(4 * _MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
     else:
-        per_restart = max(_MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
+        per_restart = max(4 * _MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
     return 16 * max(*(math.prod(factor) for factor in factors), restarts * per_restart)
 
 
 def check_search_size(command: str, restarts: int, shape, other=None) -> None:
-    """Raise ContractViolation, naming the size in GiB, past SEARCH_BYTE_CAP."""
+    """Raise ContractViolation past SEARCH_BYTE_CAP, naming the size in GiB,
+    or past the command's SEARCH_DIMENSION_CAP, naming the cap."""
     needed = _search_bytes(command, restarts, shape, other)
     if needed > SEARCH_BYTE_CAP:
         raise ContractViolation(
             f"{command} with {restarts} restarts needs about {size_text(needed, 30)} GiB"
             f" for its largest array, more than the {size_text(SEARCH_BYTE_CAP, 30)} GiB cap"
+        )
+    dim_in = shape[2] * (other or shape)[2] if command == "probe" else shape[2]
+    if dim_in > SEARCH_DIMENSION_CAP[command]:
+        raise ContractViolation(
+            f"{command} searches a {dim_in}-dimensional input, more than the"
+            f" {SEARCH_DIMENSION_CAP[command]}-dimension cap of {command}"
         )
 
 
@@ -212,8 +224,7 @@ def _entropy_and_log_term(m: np.ndarray):
         w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError:  # LAPACK fails on NaN and infinite entries
         raise ContractViolation("spectrum is not finite: eigh did not converge") from None
-    positive = w > 0.0
-    f = np.where(positive, np.log(np.where(positive, w, 1.0)) + 1.0, 0.0)
+    f = np.log(w, out=np.full_like(w, -1.0), where=w > 0.0) + 1.0  # exactly 0 off the support
     return spectrum_entropy(w), (u * f[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1)
 
 
@@ -235,24 +246,23 @@ def _pure_entropy_and_gradient(channel_a: KrausChannel, channel_b: KrausChannel 
     ops_b = np.ones((1, 1, 1)) if channel_b is None else channel_b.kraus  # 1 x 1 identity
     n_a, out_a, in_a = ops_a.shape
     n_b, out_b, in_b = ops_b.shape
-    conj_a = ops_a.conj()
+    adjoint_a = ops_a.conj().transpose(2, 1, 0).reshape(in_a, out_a * n_a)  # [i, (a, k)]
     conj_b = ops_b.conj().transpose(1, 0, 2).reshape(out_b * n_b, in_b)
     dim_in = in_a * in_b
     use_gram = n_a * n_b <= out_a * out_b
 
     def objective(x):
-        v = x[:, :dim_in] + 1j * x[:, dim_in:]
-        norm = np.linalg.norm(v, axis=1)
-        phi = v / norm[:, np.newaxis]
+        norm = np.sqrt(np.vecdot(x, x, keepdims=True))
+        phi = (x[:, :dim_in] + 1j * x[:, dim_in:]) / norm
         m = _product_columns(ops_a, ops_b, phi.reshape(-1, in_a, in_b))
         m_dagger = m.conj().transpose(0, 2, 1)
         values, f_of = _entropy_and_log_term(m_dagger @ m if use_gram else m @ m_dagger)
         fm = (m @ f_of if use_gram else f_of @ m).reshape(-1, out_a, out_b, n_a, n_b)
         fm = fm.transpose(0, 1, 3, 2, 4).reshape(-1, out_b * n_b)
-        right = np.dot(fm, conj_b).reshape(-1, out_a, n_a, in_b)  # sum_l F_kl conj(Y_l)
-        b_phi = np.einsum("kai,rakj->rij", conj_a, right).reshape(-1, dim_in)
-        overlap = np.einsum("rj,rj->r", phi.conj(), b_phi).real
-        g = (-2.0 / norm)[:, np.newaxis] * (b_phi - overlap[:, np.newaxis] * phi)
+        right = np.dot(fm, conj_b).reshape(-1, out_a * n_a, in_b)  # sum_l F_kl conj(Y_l)
+        b_phi = (adjoint_a @ right).reshape(-1, dim_in)
+        overlap = np.vecdot(phi, b_phi, keepdims=True).real
+        g = (-2.0 / norm) * (b_phi - overlap * phi)
         return values, np.concatenate([g.real, g.imag], axis=1)
 
     return objective
@@ -274,25 +284,18 @@ def _gain_objective(channel: KrausChannel):
 
     def objective(x):
         a = (x[:, :block] + 1j * x[:, block:]).reshape(-1, dim, dim)
-        total = _rowdot(x, x)
-        rho = (a @ a.conj().transpose(0, 2, 1)) / total[:, np.newaxis, np.newaxis]
+        total = np.vecdot(x, x)[:, np.newaxis, np.newaxis]
+        rho = (a @ a.conj().transpose(0, 2, 1)) / total
         values, f_of = _entropy_and_log_term(np.concatenate([rho, _apply_stack(ops, rho)]))
-        s_in, s_out = np.split(values, 2)
-        f_in, f_out = np.split(f_of, 2)
+        s_in, s_out = values.reshape(2, -1)
+        f_in, f_out = f_of.reshape(2, -1, dim, dim)
         b = _apply_stack(adjoint_ops, f_out) - f_in
-        trace = np.einsum("rij,rji->r", b, rho).real
-        g = (-2.0 / total)[:, np.newaxis, np.newaxis] * (
-            b @ a - trace[:, np.newaxis, np.newaxis] * a
-        )
-        g = g.reshape(-1, block)
-        return s_out - s_in, np.concatenate([g.real, g.imag], axis=1)
+        # tr(B rho) = sum_ij conj(rho_ij) B_ij, since rho is Hermitian
+        trace = np.vecdot(rho.reshape(-1, block), b.reshape(-1, block)).real
+        g = (-2.0 / total) * (b @ a - trace[:, np.newaxis, np.newaxis] * a)
+        return s_out - s_in, np.concatenate([g.real, g.imag], axis=1).reshape(-1, 2 * block)
 
     return objective
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a with the same row of b."""
-    return (a * b).sum(axis=1)
 
 
 def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
@@ -324,11 +327,10 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     evaluations = np.ones(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     index = np.arange(rows)  # the restart each remaining row belongs to
-    # slot j of every row's history holds the pair of the same iteration
-    s_hist = np.zeros((_MEMORY, rows, size))
-    y_hist = np.zeros((_MEMORY, rows, size))
-    inv_sy = np.zeros((_MEMORY, rows))
-    scale = np.ones(rows)  # the initial inverse Hessian is scale * I
+    # slot j of every row's history holds the pair (s, y) of the same iteration, and
+    # each scaled by rho = 1 / s.y; per-row scalars are columns that broadcast over x
+    history = np.zeros((4, _MEMORY, rows, size))
+    scale = np.ones((rows, 1))  # the initial inverse Hessian is scale * I
     largest = np.abs(g).max(axis=1)
     ok = done = largest <= gtol
     for iteration in range(config.max_iterations_per_restart + 1):
@@ -339,65 +341,75 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
             final_f[stopped], final_x[stopped], converged[stopped] = f[done], x[done], ok[done]
             keep = ~done
             x, f, g, largest, scale, index = (a[keep] for a in (x, f, g, largest, scale, index))
-            s_hist, y_hist, inv_sy = s_hist[:, keep], y_hist[:, keep], inv_sy[:, keep]
+            history = history[:, :, keep]
         if not index.size:
             break
         if iteration == 0:
-            scale = 1.0 / np.sqrt(_rowdot(g, g))  # a first step of unit length
+            scale = 1.0 / np.sqrt(np.vecdot(g, g, keepdims=True))  # a first step of unit length
 
         # two-loop recursion over the stored pairs, newest first
+        s_hist, y_hist, rho_s, rho_y = history
         slots = [(iteration - 1 - j) % _MEMORY for j in range(min(iteration, _MEMORY))]
         q = g.copy()
         alphas = []
         for j in slots:
-            alphas.append(inv_sy[j] * _rowdot(s_hist[j], q))
-            q -= alphas[-1][:, np.newaxis] * y_hist[j]
-        q *= scale[:, np.newaxis]
+            alphas.append(np.vecdot(rho_s[j], q, keepdims=True))
+            q -= alphas[-1] * y_hist[j]
+        q *= scale
         for j, alpha in zip(reversed(slots), reversed(alphas)):
-            q += (alpha - inv_sy[j] * _rowdot(y_hist[j], q))[:, np.newaxis] * s_hist[j]
+            q += (alpha - np.vecdot(rho_y[j], q, keepdims=True)) * s_hist[j]
         # the descent direction, projected onto the tangent space at x
-        p = _rowdot(q, x)[:, np.newaxis] * x - q
+        p = np.vecdot(q, x, keepdims=True) * x - q
         # descent, since every stored pair has s.y > 0 and g is tangent at x
-        slope = _rowdot(g, p)
+        slope = np.vecdot(g, p)
 
-        new_x, new_f, new_g = x.copy(), f.copy(), g.copy()
-        accepted = np.zeros(len(f), dtype=bool)
-        rounding = _ROUNDING * np.maximum(np.abs(f), 1.0)
-        step = np.ones(len(f))
-        pending = np.arange(len(f))
-        for _ in range(_MAX_TRIALS):
-            t = step[pending]
-            trial = x[pending] + t[:, np.newaxis] * p[pending]
-            trial /= np.sqrt(_rowdot(trial, trial))[:, np.newaxis]
+        # every row tries t = 1; the rows that backtrack keep their start, direction,
+        # value, slope and flatness bounds in `line`, which drops each row that passes
+        f_scale = np.maximum(np.abs(f), 1.0)
+        line = [x, p, f, slope, _ROUNDING * f_scale, 0.5 * largest]
+        pending, t = np.arange(len(f)), np.ones(len(f))
+        for trial_number in range(_MAX_TRIALS):
+            start, direction, start_f, start_slope, rounding, half_largest = line
+            trial = start + t[:, np.newaxis] * direction
+            trial /= np.sqrt(np.vecdot(trial, trial, keepdims=True))
             trial_f, trial_g = objective(trial)
             evaluations[index[pending]] += 1
-            rise = trial_f - f[pending]
-            good = (rise <= _ARMIJO * t * slope[pending]) | (
-                (rise <= rounding[pending])
-                & (np.abs(trial_g).max(axis=1) <= 0.5 * largest[pending])
-            )
-            took = pending[good]
-            new_x[took], new_f[took], new_g[took] = trial[good], trial_f[good], trial_g[good]
-            accepted[took] = True
-            pending, t, rise = pending[~good], t[~good], rise[~good]
-            if not pending.size:
+            rise = trial_f - start_f
+            good = rise <= _ARMIJO * t * start_slope
+            if not good.all():
+                good |= (rise <= rounding) & (np.abs(trial_g).max(axis=1) <= half_largest)
+            if trial_number == 0:
+                new_x, new_f, new_g, accepted = trial, trial_f, trial_g, good
+            else:
+                took = pending[good]
+                new_x[took], new_f[took], new_g[took] = trial[good], trial_f[good], trial_g[good]
+                accepted[took] = True
+            if good.all():
                 break
+            back = ~good
+            pending, t, rise, start_slope = pending[back], t[back], rise[back], start_slope[back]
+            line = [a[back] for a in line]
             # minimizer of the parabola through f, slope and the trial value, within [t/10, t/2]
-            parabola = -slope[pending] * t * t / (2.0 * (rise - t * slope[pending]))
-            step[pending] = np.clip(parabola, 0.1 * t, 0.5 * t)
+            parabola = -start_slope * t * t / (2.0 * (rise - t * start_slope))
+            t = np.clip(parabola, 0.1 * t, 0.5 * t)
+        failed = ~accepted
+        if failed.any():  # these rows stop where they were
+            new_x[failed], new_f[failed], new_g[failed] = x[failed], f[failed], g[failed]
 
-        s, y = new_x - x, new_g - g
-        sy, yy = _rowdot(s, y), _rowdot(y, y)
-        curved = sy > np.finfo(float).eps * yy
         slot = iteration % _MEMORY
-        s_hist[slot], y_hist[slot] = s, y
-        inv_sy[slot] = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        s = np.subtract(new_x, x, out=s_hist[slot])
+        y = np.subtract(new_g, g, out=y_hist[slot])
+        sy, yy = np.vecdot(s, y, keepdims=True), np.vecdot(y, y, keepdims=True)
+        curved = sy > np.finfo(float).eps * yy
+        rho = np.divide(1.0, sy, out=np.zeros_like(sy), where=curved)
+        np.multiply(rho, s, out=rho_s[slot])
+        np.multiply(rho, y, out=rho_y[slot])
         scale = np.divide(sy, yy, out=scale, where=curved)
-        reduction = (f - new_f) / np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
+        reduction = (f - new_f) / np.maximum(f_scale, np.abs(new_f))
         x, f, g = new_x, new_f, new_g
         largest = np.abs(g).max(axis=1)
         ok = accepted & ((reduction <= ftol) | (largest <= gtol))
-        done = ok | ~accepted
+        done = ok | failed
     return final_f, final_x, evaluations, converged
 
 

@@ -497,6 +497,24 @@ def test_oversized_searches_exit_before_building_anything(capsys, argv):
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["min-output", "--spin", "2000"], "min-output searches a 4001-dimensional input"),
+        (["probe", "--spin", "20", "--restarts", "64"], "probe searches a 1681-dimensional input"),
+    ],
+    ids=["min-output-spin-2000", "probe-spin-20"],
+)
+def test_searches_past_the_dimension_cap_exit_at_once(capsys, argv, message):
+    """Both fit the memory cap, but would run for many seconds to minutes."""
+    code, out, err, peak, seconds = _run_under_tracemalloc(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}") and "-dimension cap" in err and len(err) < 200
+    assert peak < 2**20
+    assert seconds < 1.0
+
+
 def test_probe_builds_no_product_kraus_stack(capsys):
     """The joint search applies the two factors one at a time.
 

@@ -13,13 +13,20 @@ from spinchannels.channel import (
     random_channel,
     tensor,
 )
-from spinchannels.linalg import ConsistencyError, ContractViolation, von_neumann_entropy
+from spinchannels.linalg import (
+    ConsistencyError,
+    ContractViolation,
+    spectrum_entropy,
+    von_neumann_entropy,
+)
 from spinchannels.optimize import (
     MAX_SIMPLEX_TOLERANCE,
     ProbeReport,
     SearchConfig,
     SearchReport,
+    _entropy_and_log_term,
     _pure_entropy_and_gradient,
+    _pure_search,
     additivity_probe,
     gain_lower_bound,
     haar_pure,
@@ -511,6 +518,11 @@ def test_gain_restarts_agree(dim, n_kraus):
         assert report.restart_values[-1] - report.restart_values[0] <= 1e-9
 
 
+def _joint_search(channel, config):
+    """The probe's two-factor search of channel x channel, from the basis and Haar starts."""
+    return _pure_search(config, [], channel, channel)
+
+
 @pytest.mark.parametrize(
     "search, channel",
     [
@@ -518,14 +530,56 @@ def test_gain_restarts_agree(dim, n_kraus):
         (min_output_entropy, random_channel(3, 5, seed=1)),
         (min_entropy_gain, random_channel(2, 3, seed=21)),
         (min_entropy_gain, tensor(random_channel(2, 2, seed=3), random_channel(2, 2, seed=4))),
+        (_joint_search, isotropic_channel("1")),
+        (_joint_search, isotropic_channel("1/2")),
     ],
-    ids=["gram-spin-3", "output-random-d3-k5", "gain-d2", "gain-product-2x2"],
+    ids=[
+        "gram-spin-3",
+        "output-random-d3-k5",
+        "gain-d2",
+        "gain-product-2x2",
+        "joint-gram-s1xs1",
+        "joint-output-s1/2xs1/2",
+    ],
 )
 def test_restarts_advance_independently_of_each_other(search, channel):
     """Restart i does the same arithmetic whatever else shares its batch."""
     small = search(channel, SearchConfig(restarts=8, seed=3))
     large = search(channel, SearchConfig(restarts=16, seed=3))
     assert set(small.restart_values) <= set(large.restart_values)
+
+
+def _spectral_stack():
+    """Full-rank, rank-deficient and exactly pure 3 x 3 density matrices, one per row."""
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    full = vectors[0] @ vectors[0].conj().T
+    rank_two = vectors[1][:, :2] @ vectors[1][:, :2].conj().T
+    stack = [full / np.trace(full).real, rank_two / np.trace(rank_two).real]
+    stack += [np.diag([1.0, 0.0, 0.0]), np.outer(vectors[2][0], vectors[2][0].conj())]
+    stack[-1] /= np.trace(stack[-1]).real
+    return np.array(stack, dtype=np.complex128)
+
+
+def test_spectral_hook_is_log_plus_one_on_the_support_and_zero_off_it():
+    stack = _spectral_stack()
+    values, f_of = _entropy_and_log_term(stack)
+    w, u = np.linalg.eigh(stack)
+    # both sides of the support cut: eigenvalues at or below 0, and rounding-level ones above
+    assert (w <= 0.0).any() and ((w > 0.0) & (w < 1e-15)).any()
+    positive = w > 0.0
+    expected = np.zeros_like(w)
+    expected[positive] = np.log(w[positive]) + 1.0
+    assert np.array_equal(f_of, (u * expected[:, np.newaxis, :]) @ u.conj().transpose(0, 2, 1))
+    assert np.array_equal(values, spectrum_entropy(w))
+    assert values[2] == 0.0 and abs(values[3]) < 1e-12
+
+
+def test_spectral_hook_rejects_nan_entries():
+    stack = _spectral_stack()
+    stack[1, 2, 0] = np.nan  # eigh reads the lower triangle
+    with pytest.raises(ContractViolation, match="not finite|NaN"):
+        _entropy_and_log_term(stack)
 
 
 @pytest.mark.parametrize(
@@ -630,6 +684,16 @@ class TestSearchSizeGuard:
         ]:
             assert optimize._search_bytes(command, 64, shape) < optimize.SEARCH_BYTE_CAP / 100
             optimize.check_search_size(command, 64, shape)
+
+    def test_rejects_input_dimensions_past_the_time_cap(self):
+        for command, cap in optimize.SEARCH_DIMENSION_CAP.items():
+            side = math.isqrt(cap) if command == "probe" else cap
+            optimize.check_search_size(command, 64, (3, side, side))
+            side += 1
+            with pytest.raises(ContractViolation, match=f"{command} searches.*{cap}-dimension cap"):
+                optimize.check_search_size(command, 64, (3, side, side))
+        with pytest.raises(ContractViolation, match="probe searches a 1025-dimensional"):
+            optimize.check_search_size("probe", 1, (1, 1, 1), (1, 1, 1025))
 
     def test_library_entry_points_check_before_searching(self):
         channel = isotropic_channel("1/2")
