@@ -18,6 +18,7 @@ every random draw is seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -74,7 +75,13 @@ def _config_value(field: str, kind):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared after it.
+
+    Every caller, `main` included, gets the same object, so callers must not
+    mutate it: parse with it, or read it, and nothing else.
+    """
     parser = argparse.ArgumentParser(
         prog="spinchannels",
         description="entropy analysis of rotationally invariant spin channels",
@@ -324,8 +331,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status.
+
+    main keeps no state between calls, so it can be called repeatedly in one
+    process; every call parses with the shared `build_parser()` parser.
+    """
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

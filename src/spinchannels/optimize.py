@@ -49,9 +49,18 @@ _GAIN_SLACK = 5e-9
 SEARCH_BYTE_CAP = 2**30
 
 # Largest input dimension each command searches (for "probe", the product of
-# the factors'), a time guard: at each cap 64 restarts take about 20 s on one
-# core, and the time grows faster than the dimension (table in CHANGES.md).
+# the factors'), a time guard: at each cap 64 restarts take at most about 25 s
+# on one core (gain; min-output and probe under 10 s), and the time grows faster
+# than the dimension (tables in CHANGES.md).
 SEARCH_DIMENSION_CAP = {"min-output": 400, "probe": 1024, "gain": 64}
+
+# Restart budget, the time guard on the restart count: a search of a d-dimensional
+# input may run min(MAX_RESTARTS, RESTARTS_AT_CAP * cap // d) restarts, that is
+# restarts * max(d, cap / 64) <= 64 * cap. A restart's time grows at least about
+# linearly in d (table in CHANGES.md), so no accepted search takes much longer
+# than 64 restarts at the cap; the floor cap / 64 bounds small-d searches too.
+RESTARTS_AT_CAP = 64
+MAX_RESTARTS = 4096
 
 # Largest accepted simplex_tolerance. Parameters live on the unit sphere, so
 # a gradient tolerance near 1 stops every pure-input restart at its start.
@@ -162,7 +171,8 @@ def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
 
 def check_search_size(command: str, restarts: int, shape, other=None) -> None:
     """Raise ContractViolation past SEARCH_BYTE_CAP, naming the size in GiB,
-    or past the command's SEARCH_DIMENSION_CAP, naming the cap."""
+    past the command's SEARCH_DIMENSION_CAP, naming the cap, or past its
+    restart budget, naming the budget."""
     needed = _search_bytes(command, restarts, shape, other)
     if needed > SEARCH_BYTE_CAP:
         raise ContractViolation(
@@ -170,10 +180,17 @@ def check_search_size(command: str, restarts: int, shape, other=None) -> None:
             f" for its largest array, more than the {size_text(SEARCH_BYTE_CAP, 30)} GiB cap"
         )
     dim_in = shape[2] * (other or shape)[2] if command == "probe" else shape[2]
-    if dim_in > SEARCH_DIMENSION_CAP[command]:
+    cap = SEARCH_DIMENSION_CAP[command]
+    if dim_in > cap:
         raise ContractViolation(
             f"{command} searches a {dim_in}-dimensional input, more than the"
-            f" {SEARCH_DIMENSION_CAP[command]}-dimension cap of {command}"
+            f" {cap}-dimension cap of {command}"
+        )
+    allowed = min(MAX_RESTARTS, RESTARTS_AT_CAP * cap // dim_in)
+    if restarts > allowed:
+        raise ContractViolation(
+            f"{command} with {restarts} restarts is past the restart budget of {command}:"
+            f" at most {allowed} restarts of a {dim_in}-dimensional input"
         )
 
 

@@ -218,6 +218,58 @@ class TestDeterminism:
         assert first == second
 
 
+class TestParserReuse:
+    """main parses with one parser per process, built by the first caller."""
+
+    def test_build_parser_returns_one_shared_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_a_second_call_constructs_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        run_cli(capsys, "singlet", "--spin", "1")
+        assert len(built) == 6  # the top-level parser and its five subcommands
+        built.clear()
+        run_cli(capsys, "singlet", "--spin", "3/2")
+        run_cli(capsys, "verify")
+        assert built == []
+
+    def test_error_exits_leave_later_output_unchanged(self, capsys):
+        calls = [
+            ["min-output", "--spin", "1", "--restarts", "3", "--seed", "2"],
+            ["gain", "--spin", "1/2", "--restarts", "2", "--output", "csv", "--log-base", "2"],
+            ["probe", "--spin", "1/2", "--restarts", "2", "--output", "text"],
+            ["singlet", "--spin", "1", "--output", "text", "--log-base", "2"],
+            ["singlet", "--spin", "7/2"],
+        ]
+        first = [run_cli(capsys, *argv) for argv in calls]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "1", "--no-such-flag"])
+        assert excinfo.value.code == 2
+        assert run_cli(capsys, "min-output", "--spin", "0")[0] == 1
+        for index in (3, 0, 4, 2, 1):
+            assert run_cli(capsys, *calls[index]) == first[index]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["probe", "--help"], ["singlet", "--help"]])
+    def test_help_text_matches_a_freshly_built_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (build_parser.__wrapped__().parse_args, main, main):
+            with pytest.raises(SystemExit) as excinfo:
+                parse(argv)
+            assert excinfo.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0].startswith("usage: spinchannels")
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
 class TestErrorHandling:
     def test_invalid_spin_is_a_flag_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -511,6 +563,26 @@ def test_searches_past_the_dimension_cap_exit_at_once(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {message}") and "-dimension cap" in err and len(err) < 200
+    assert peak < 2**20
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-output", "--spin", "199.5", "--restarts", "640"],
+        ["probe", "--spin", "1/2", "--restarts", "4097"],
+        ["gain", "--spin", "31.5", "--restarts", "65"],
+    ],
+    ids=["min-output-cap-640", "probe-spin-half-4097", "gain-cap-65"],
+)
+def test_searches_past_the_restart_budget_exit_at_once(capsys, argv):
+    """Each fits both caps; the first took 58 s before the restart budget."""
+    code, out, err, peak, seconds = _run_under_tracemalloc(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]} with") and "restart budget" in err
+    assert len(err) < 200
     assert peak < 2**20
     assert seconds < 1.0
 

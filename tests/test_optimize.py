@@ -695,6 +695,21 @@ class TestSearchSizeGuard:
         with pytest.raises(ContractViolation, match="probe searches a 1025-dimensional"):
             optimize.check_search_size("probe", 1, (1, 1, 1), (1, 1, 1025))
 
+    @pytest.mark.parametrize("command", ["min-output", "probe", "gain"])
+    def test_restart_budget_scales_inversely_with_the_dimension(self, command):
+        cap = optimize.SEARCH_DIMENSION_CAP[command]
+        # 64 restarts at the cap, 256 at a quarter of it, 4096 at cap / 64 and below
+        for dim, allowed in [(cap, 64), (cap // 4, 256), (cap // 64, 4096), (1, 4096)]:
+            optimize.check_search_size(command, allowed, (3, dim, dim), (1, 1, 1))
+            with pytest.raises(ContractViolation, match=f"at most {allowed} restarts of a {dim}-"):
+                optimize.check_search_size(command, allowed + 1, (3, dim, dim), (1, 1, 1))
+
+    def test_restart_budget_keeps_the_documented_runs(self):
+        optimize.check_search_size("probe", 256, (3, 2, 2))  # README: probe --spin 1/2
+        optimize.check_search_size("min-output", 128, (3, 200, 200))  # README: --restarts 128
+        with pytest.raises(ContractViolation, match="past the restart budget of min-output"):
+            optimize.check_search_size("min-output", 640, (3, 400, 400))  # took 58 s
+
     def test_library_entry_points_check_before_searching(self):
         channel = isotropic_channel("1/2")
         config = SearchConfig(restarts=2**40)

@@ -1,5 +1,5 @@
-"""Property tests: the block round trip, the invariance check, the channel wire format
-and spin labels."""
+"""Property tests: the block round trip, the invariance check, the Kraus channel
+invariants and wire format, and spin labels."""
 
 import json
 import math
@@ -10,8 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_casimir_projectors, random_axis_angle, random_hermitian
-from spinchannels.channel import channel_from_json, channel_to_json, random_channel
+from helpers import dense_casimir_projectors, random_axis_angle, random_density, random_hermitian
+from spinchannels.channel import (
+    TP_TOL,
+    apply,
+    channel_from_json,
+    channel_to_json,
+    isotropic_channel,
+    random_channel,
+    tensor,
+)
 from spinchannels.invariant import (
     IsotypicDistribution,
     _require_invariant,
@@ -100,6 +108,44 @@ def test_channel_wire_format_round_trips_exactly(dim, n_kraus, seed):
         rebuilt = channel_from_json(data)
         assert rebuilt.kraus.dtype == channel.kraus.dtype
         assert np.array_equal(rebuilt.kraus, channel.kraus)
+
+
+CHANNEL_SIZES = {
+    "dim": st.integers(min_value=1, max_value=4),
+    "n_kraus": st.integers(min_value=1, max_value=3),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(**CHANNEL_SIZES, other_dim=st.integers(1, 3), other_kraus=st.integers(1, 3), seed=SEEDS)
+def test_random_channels_and_their_products_are_trace_preserving(
+    dim, n_kraus, other_dim, other_kraus, seed
+):
+    a = random_channel(dim, n_kraus, seed)
+    b = random_channel(other_dim, other_kraus, [seed, 1])
+    product = tensor(a, b)
+    assert product.kraus.shape == (n_kraus * other_kraus, dim * other_dim, dim * other_dim)
+    for channel in (a, b, product):
+        assert channel.trace_preservation_defect() <= TP_TOL
+
+
+@settings(max_examples=25, deadline=None)
+@given(**CHANNEL_SIZES, seed=SEEDS)
+def test_apply_keeps_trace_hermiticity_and_positivity(dim, n_kraus, seed):
+    channel = random_channel(dim, n_kraus, seed)
+    rho = random_density(np.random.default_rng([seed, 2]), dim)
+    out = apply(channel, rho)
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.abs(out - out.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(twice_s=st.integers(min_value=1, max_value=20))
+def test_isotropic_channels_are_bistochastic(twice_s):
+    channel = isotropic_channel(SpinLabel(twice_s))
+    assert channel.trace_preservation_defect() <= TP_TOL
+    assert channel.is_bistochastic()
 
 
 TWICE_S = st.integers(min_value=0, max_value=10**6)
