@@ -23,15 +23,12 @@ from .channel import (
     time_reversal_apply,
 )
 from .invariant import (
-    EXACT_EXCESS,
-    EXACT_PAIR_ENTROPY,
     EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
     SingletDecoherenceReport,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
-    moment_probabilities,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -60,12 +57,9 @@ from .optimize import (
 )
 from .spin import (
     SpinLabel,
-    casimir_projectors,
-    coupled_zero_m_state,
     rotation_unitary,
     singlet_state,
     spin_operators,
-    total_spin_squared,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsistencyError",
     "ContractViolation",
-    "EXACT_EXCESS",
-    "EXACT_PAIR_ENTROPY",
     "EXACT_SINGLE_CHANNEL_MIN",
     "IsotypicDistribution",
     "KrausChannel",
@@ -85,11 +77,9 @@ __all__ = [
     "SpinLabel",
     "additivity_probe",
     "apply",
-    "casimir_projectors",
     "channel_from_json",
     "channel_to_json",
     "check_pure_state",
-    "coupled_zero_m_state",
     "decohered_singlet",
     "entropy_gain",
     "gain_lower_bound",
@@ -101,7 +91,6 @@ __all__ = [
     "load_channel",
     "min_entropy_gain",
     "min_output_entropy",
-    "moment_probabilities",
     "operator_norm",
     "output_gram",
     "partial_trace",
@@ -117,7 +106,6 @@ __all__ = [
     "state_from_distribution",
     "tensor",
     "time_reversal_apply",
-    "total_spin_squared",
     "unitarity_defect",
     "von_neumann_entropy",
 ]

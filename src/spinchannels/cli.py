@@ -238,7 +238,7 @@ def _cmd_gain(args) -> int:
     channel, config, payload, rows = _search_head(args, "gain")
     report = min_entropy_gain(channel, config)
     reference = None
-    if channel.dim_in == channel.dim_out and channel.is_bistochastic():
+    if channel.is_bistochastic():
         # bistochastic channels never shrink entropy, so their minimum gain is 0
         reference = ({"closed_form": "0", "value": 0.0}, "0 (bistochastic channel)")
     payload["argmin"] = matrix_to_json(report.argmin)

@@ -10,13 +10,12 @@ the log-multiplicity of each block:
 
 For the doubly decohered singlet the p_j have a closed form,
 (1/3, q, 2/3 - q, 0, ..., 0) with q = 1/(2s(s+1)), and `singlet_decoherence`
-reports exactly that, in O(d) at every spin. Three matrix routes are kept as
-its references. The projector trace tr(P_j rho) works for any invariant
-state; the matrix element (2j+1) <j;0|rho|j;0> must match it because an
-invariant state is constant on each block, and `isotypic_probabilities`
-raises when the two disagree; and a moment formula in the spin matrix
-elements gives the decohered singlet's p_j without building its state. The
-tests and `verify` compare all three with the closed form.
+reports exactly that, in O(d) at every spin. `isotypic_probabilities` is
+the matrix route for any invariant state: the projector traces tr(P_j rho),
+which must match the matrix elements (2j+1) <j;0|rho|j;0> because an
+invariant state is constant on each block; it raises when the two disagree.
+`verify` compares it with the closed form on `decohered_singlet`, and the
+tests compare both with references of their own.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
@@ -50,10 +49,8 @@ from .spin import (
     SpinLabel,
     _casimir_sectors,
     _check_zero_m_states,
-    _coupled_zero_m_states,
     _projector_sum,
     singlet_state,
-    spin_operators,
 )
 
 _LN2 = math.log(2.0)
@@ -64,17 +61,6 @@ _LN3 = math.log(3.0)
 EXACT_SINGLE_CHANNEL_MIN = {
     1: _LN3 - 2.0 * _LN2 / 3.0,
     2: _LN2,
-}
-
-# Exact output entropy of the doubly decohered singlet, same keying.
-EXACT_PAIR_ENTROPY = {
-    1: 5.0 * _LN3 / 3.0 - 2.0 * _LN2 / 3.0,
-    2: _LN3 + 4.0 * _LN2 / 3.0,
-}
-
-EXACT_EXCESS = {
-    1: math.log(4.0 / 3.0) / 3.0,
-    2: _LN3 - 2.0 * _LN2 / 3.0,
 }
 
 _CROSS_CHECK_TOL = 1e-9
@@ -198,32 +184,6 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     return IsotypicDistribution(label, tuple(traces))
 
 
-def moment_probabilities(spin) -> IsotypicDistribution:
-    """Block probabilities of the doubly decohered singlet via spin moments.
-
-    Closed route that never builds the output state:
-
-        p_j = (2j+1) / (s(s+1))^2 * sum_kl |<j;0| S_k tensor S_l |singlet>|^2.
-
-    Each S_k tensor S_l |singlet> is formed factor by factor as
-    vec(S_k Psi S_l^T) by `channel._product_columns`, the product kernel of
-    `decohered_singlet` and `additivity_probe`; the |j;0> stack is built once
-    per call. Must agree with the channel route within 1e-10 and with the
-    closed form in `singlet_decoherence` (compared in the tests and in
-    `verify`, not here).
-    """
-    label = SpinLabel.coerce(spin)
-    if label.twice_s == 0:
-        raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
-    states = _coupled_zero_m_states(label)
-    ops = np.stack(spin_operators(label))
-    moved = _product_columns(ops, ops, states[:1].reshape(1, label.dimension, -1))
-    scale = 1.0 / (label.s * (label.s + 1.0)) ** 2
-    totals = (np.abs(states.conj() @ moved[0]) ** 2).sum(axis=1)
-    probs = [(2 * j + 1) * scale * float(t) for j, t in enumerate(totals)]
-    return IsotypicDistribution(label, tuple(probs))
-
-
 def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
     """Entropy in nats of the invariant state with the given block probabilities.
 
@@ -269,11 +229,11 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
         p = (1/3, q, 2/3 - q, 0, ..., 0),   q = 1 / (2 s(s+1)),
 
     so the report costs O(d) and never builds the d^2 x d^2 output state; the
-    entropy is the block formula over these weights. `decohered_singlet`,
-    `isotypic_probabilities` and `moment_probabilities` are the matrix
-    references it is compared against in the tests and in `verify`. For spins
-    with known closed-form single-channel minima the report also carries the
-    additivity reference 2 * min and the strictly positive excess above it.
+    entropy is the block formula over these weights. `isotypic_probabilities`
+    of `decohered_singlet` is the matrix route it is compared against in the
+    tests and in `verify`. For spins with known closed-form single-channel
+    minima the report also carries the additivity reference 2 * min and the
+    strictly positive excess above it.
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:

@@ -1,4 +1,4 @@
-"""Angular momentum operators and coupled-basis states for half-integer spin.
+"""Angular momentum operators and the total-spin sectors of two half-integer spins.
 
 Conventions
 -----------
@@ -7,6 +7,11 @@ m = s, s-1, ..., -s, so S_3 = diag(s, s-1, ..., -s). Ladder operators carry
 the standard matrix elements sqrt(s(s+1) - m(m+1)), with hbar = 1 throughout.
 Two-spin indices flatten as (m_row, m'_col) -> row * d + col, matching
 `linalg.kron`.
+
+The coupled states |j; M> are the eigenvectors of J^2 on the sectors of
+fixed total M, found up to sign by `_casimir_sectors`; the block routes of
+`invariant` need no phase. The one state used with a phase, the singlet
+|0; 0>, comes from its closed form in `singlet_state`.
 """
 
 from __future__ import annotations
@@ -55,16 +60,20 @@ class SpinLabel:
 
     @classmethod
     def coerce(cls, value) -> "SpinLabel":
-        """Accept a SpinLabel, a string, or an exact half-integer number."""
+        """Accept a SpinLabel, a string, or an exact half-integer number.
+
+        Python and numpy integer and real scalars count as numbers; bools,
+        NaN and infinities do not.
+        """
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             return cls.from_string(value)
-        if isinstance(value, bool):
-            raise ContractViolation(f"cannot interpret {value!r} as a spin")
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return cls._from_fraction(Fraction(int(value)), value)
+        if isinstance(value, (float, np.floating)):
             try:
-                frac = Fraction(value)
+                frac = Fraction(*value.as_integer_ratio())
             except (ValueError, OverflowError):
                 raise ContractViolation(f"cannot interpret {value!r} as a spin") from None
             return cls._from_fraction(frac, value)
@@ -121,22 +130,6 @@ def rotation_unitary(spin, axis, angle: float) -> np.ndarray:
     generator = n[0] * s1 + n[1] * s2 + n[2] * s3
     w, v = np.linalg.eigh(generator)
     return (v * np.exp(-1j * float(angle) * w)) @ v.conj().T
-
-
-def total_spin_squared(spin) -> np.ndarray:
-    """J^2 on the two-spin space, with J_k = S_k x I + I x S_k.
-
-    Formed as 2s(s+1) I + 2 sum_k S_k x S_k, which is the same matrix since
-    sum_k S_k^2 = s(s+1) I. Cost per call: three d x d krons, O(d^4) time and
-    one d^2 x d^2 complex array. No package path builds it; it is the dense
-    reference the tests check the sector matrices and |j; 0> states against.
-    """
-    label = SpinLabel.coerce(spin)
-    d = label.dimension
-    out = np.eye(d * d, dtype=np.complex128) * (2.0 * label.s * (label.s + 1.0))
-    for s_k in spin_operators(label):
-        out += 2.0 * np.kron(s_k, s_k)
-    return out
 
 
 def _sector_matrices(label: SpinLabel, ks) -> np.ndarray:
@@ -204,54 +197,6 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     return np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
 
 
-def _peak_signs(matrix: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Signs that make each eigenvector column's first entry positive.
-
-    With x_0 = 1, (T - lambda) x = 0 fixes the eigenvector of the real
-    tridiagonal T with unit first entry through the three-term recurrence
-    x_(i+1) = -((T_ii - lambda) x_i + T_(i,i-1) x_(i-1)) / T_(i,i+1). The
-    recurrence runs to each column's largest entry, growing on the way there,
-    so it is stable, and both terms are rescaled every step; the column's
-    sign is compared with it there, not at a first entry that can underflow.
-    """
-    diagonal, off = np.diag(matrix), np.diag(matrix, 1)
-    n = len(diagonal)
-    peak = np.abs(vectors).argmax(axis=0)
-    previous, current = np.zeros(n), np.ones(n)
-    signs = np.empty(n)
-    for i in range(int(peak.max()) + 1):
-        signs[peak == i] = np.sign(current[peak == i])
-        if i + 1 < n:
-            below = off[i - 1] * previous if i else 0.0
-            following = -((diagonal[i] - eigenvalues) * current + below) / off[i]
-            scale = np.maximum(np.abs(current), np.abs(following))
-            previous, current = current / scale, following / scale
-    return signs * np.sign(vectors[peak, np.arange(n)])
-
-
-def _coupled_zero_m_states(label: SpinLabel) -> np.ndarray:
-    """All |j; m=0> vectors for j = 0..2s, as rows of a (d, d^2) array.
-
-    The M = 0 sector spanned by |m> x |-m> meets each total-spin block
-    exactly once, so its eigenvectors from `_solve_sectors` are every |j; 0>
-    at once, on the flattened indices (a+1)(d-1) of |m_a> x |-m_a>. The
-    overall phase makes the exact coefficient of |s> x |-s> positive.
-    `_peak_signs` reads that sign off the sector's recurrence, so it holds
-    from 2s = 42 on too, where the computed coefficient of |2s; 0>,
-    C(4s, 2s)^(-1/2), is below 1e-12 and sinks into rounding. Callers that
-    need several |j; 0> build this stack once and index into it.
-    """
-    d = label.dimension
-    (matrix,), _, (vectors,) = _solve_sectors(label, [label.twice_s])
-    eigenvalues = np.arange(d) * (np.arange(d) + 1.0)
-    rows = (vectors * _peak_signs(matrix, eigenvalues, vectors)).T
-    zero = (d - 1) * np.arange(1, d + 1)
-    _check_zero_m_states(label, zero, rows)
-    states = np.zeros((d, d * d), dtype=np.complex128)
-    states[:, zero] = rows
-    return states
-
-
 def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) -> None:
     """Raise unless row j of the real (d, d) `rows`, on flattened indices `index`, is +-|j;0>.
 
@@ -279,30 +224,12 @@ def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) 
         raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
 
 
-def coupled_zero_m_state(spin, j: int) -> np.ndarray:
-    """The total-spin state |j; m=0> of two spin-s systems, as a d^2 vector.
-
-    Valid for integer j with 0 <= j <= 2s. The phase makes the coefficient
-    of |m=s> x |m=-s> real and positive. Each call builds all 2s+1 vectors
-    from the d x d tridiagonal eigh of the M = 0 sector. Index one stack
-    instead of calling this once per j.
-    """
-    label = SpinLabel.coerce(spin)
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ContractViolation(f"total spin j must be an integer, got {j!r}")
-    if j < 0 or j > label.twice_s:
-        raise ContractViolation(
-            f"total spin j = {j} outside the coupled range 0..{label.twice_s} for spin {label}"
-        )
-    return _coupled_zero_m_states(label)[int(j)]
-
-
 def singlet_state(spin) -> np.ndarray:
     """The rotationally invariant two-spin state |0; 0>, from its closed form.
 
-    In the m-basis |0; 0> = sum_i (-1)^i |i> x |d-1-i> / sqrt(d), which is
-    `coupled_zero_m_state(spin, 0)` with the same phase: the coefficient of
-    |s> x |-s> is positive. No eigensolve and no J^2 is built.
+    In the m-basis |0; 0> = sum_i (-1)^i |i> x |d-1-i> / sqrt(d), with the
+    Condon-Shortley phase: the coefficient of |s> x |-s> is positive. No
+    eigensolve and no J^2 is built.
     """
     d = SpinLabel.coerce(spin).dimension
     v = np.zeros(d * d, dtype=np.complex128)
@@ -327,23 +254,3 @@ def _projector_sum(label: SpinLabel, sectors: tuple, weights) -> np.ndarray:
     out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
     out[rows[live], cols[live]] = blocks[live]
     return out
-
-
-def casimir_projectors(spin) -> list:
-    """Orthogonal projectors onto the total-spin-j blocks, j = 0..2s.
-
-    Assembled by `_projector_sum`: P_j is block diagonal over the total-M
-    sectors, with one |j; M> outer product in each sector |M| <= j. Each
-    projector is its own d^2 x d^2 array, and its trace must come out to
-    2j+1 states or the call raises.
-    """
-    label = SpinLabel.coerce(spin)
-    sectors = _casimir_sectors(label)
-    projectors = [_projector_sum(label, sectors, unit) for unit in np.eye(label.dimension)]
-    for j, p in enumerate(projectors):
-        trace = float(np.trace(p).real)
-        if abs(trace - (2 * j + 1)) > 1e-9:
-            raise ConsistencyError(
-                f"block j = {j} has trace {trace!r}, expected {2 * j + 1} states"
-            )
-    return projectors

@@ -22,7 +22,6 @@ from . import optimize as opt
 from .linalg import spectrum_entropy, unitarity_defect
 from .spin import (
     SpinLabel,
-    _coupled_zero_m_states,
     _random_axis_angle,
     rotation_unitary,
     singlet_state,
@@ -90,16 +89,9 @@ def _check_rotations(rng) -> list:
     ]
 
 
-def _check_coupled_states(rng) -> list:
-    # The J^2 and J_3 eigenvector residuals of these states are checked, at
-    # 1e-10, every time the stack is built.
-    gram = 0.0
+def _check_singlet(rng) -> list:
     invariance = 0.0
     for label in _SPINS:
-        d = label.dimension
-        states = _coupled_zero_m_states(label)
-        overlap = states.conj() @ states.T
-        gram = max(gram, float(np.abs(overlap - np.eye(d)).max()))
         psi = singlet_state(label)
         for _ in range(4):
             axis, angle = _random_axis_angle(rng)
@@ -107,10 +99,7 @@ def _check_coupled_states(rng) -> list:
             rotated = np.kron(u, u) @ psi
             overlap_phase = np.vdot(psi, rotated)
             invariance = max(invariance, float(np.linalg.norm(rotated - overlap_phase * psi)))
-    return [
-        _result("spin: coupled |j;0> states are orthonormal", gram, 1e-10),
-        _result("spin: the singlet is rotation invariant", invariance, 1e-10),
-    ]
+    return [_result("spin: the singlet is rotation invariant", invariance, 1e-10)]
 
 
 def _check_bistochastic() -> list:
@@ -172,19 +161,17 @@ def _check_search() -> list:
 
 
 def _check_invariant() -> list:
-    # The closed-form report is compared with the three matrix routes.
-    three_path = 0.0
+    # The closed-form report is compared with the matrix route.
+    agreement = 0.0
     reconstruction = 0.0
     formula = 0.0
     reports = []
     for label in _SPINS[:4]:
         rho = inv.decohered_singlet(label)
         dist = inv.isotypic_probabilities(rho, label)
-        moments = inv.moment_probabilities(label)
         report = inv.singlet_decoherence(label)
         reports.append(report)
-        for probs in (moments.probs, report.probs):
-            three_path = max(three_path, max(abs(a - b) for a, b in zip(dist.probs, probs)))
+        agreement = max(agreement, max(abs(a - b) for a, b in zip(dist.probs, report.probs)))
         rebuilt = inv.state_from_distribution(dist)
         reconstruction = max(reconstruction, float(np.abs(rebuilt - rho).max()))
         direct = spectrum_entropy(np.linalg.eigvalsh(rho))
@@ -193,7 +180,7 @@ def _check_invariant() -> list:
     half, one = reports[:2]
     margin = max(0.09 - half.excess, 0.63 - one.excess)
     return [
-        _result("invariant: all block-probability routes agree", three_path, 1e-9),
+        _result("invariant: all block-probability routes agree", agreement, 1e-9),
         _result("invariant: block mixture reconstructs the output state", reconstruction, 1e-9),
         _result("invariant: entropy formula matches diagonalization", formula, 1e-10),
         _result("invariant: decohered singlets exceed the additivity reference", margin, 0.0),
@@ -206,7 +193,7 @@ def run_checks() -> list:
     results = []
     results += _check_spin_algebra()
     results += _check_rotations(rng)
-    results += _check_coupled_states(rng)
+    results += _check_singlet(rng)
     results += _check_bistochastic()
     results += _check_covariance(rng)
     results += _check_time_reversal(rng)

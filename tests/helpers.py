@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 
 from spinchannels.channel import KrausChannel
-from spinchannels.spin import total_spin_squared
+from spinchannels.spin import spin_operators
+
+LN2, LN3 = math.log(2.0), math.log(3.0)
+
+# Closed-form output entropy of the doubly decohered singlet and its excess
+# over twice the single-copy minimum, in nats, keyed by 2s.
+EXACT_PAIR_ENTROPY = {1: 5.0 * LN3 / 3.0 - 2.0 * LN2 / 3.0, 2: LN3 + 4.0 * LN2 / 3.0}
+EXACT_EXCESS = {1: math.log(4.0 / 3.0) / 3.0, 2: LN3 - 2.0 * LN2 / 3.0}
 
 
 def replacement_channel(dim, target=0):
@@ -46,13 +53,25 @@ def random_axis_angle(rng):
     return axis, float(rng.uniform(0.0, 2.0 * np.pi))
 
 
+def dense_total_spin_squared(label):
+    """J^2 on the two-spin space, with J_k = S_k x I + I x S_k, as one d^2 x d^2 array.
+
+    Formed as 2s(s+1) I + 2 sum_k S_k x S_k, which is the same matrix since
+    sum_k S_k^2 = s(s+1) I.
+    """
+    out = 2.0 * label.s * (label.s + 1.0) * np.eye(label.dimension**2, dtype=complex)
+    for s_k in spin_operators(label):
+        out += 2.0 * np.kron(s_k, s_k)
+    return out
+
+
 def dense_casimir_projectors(label):
     """Reference P_j, j = 0..2s, from one eigh of the full d^2 x d^2 J^2.
 
     Each eigenvalue is clustered to the nearest j(j+1) within 1e-6, and block
     j must hold 2j+1 eigenvectors. Independent of the package's sector route.
     """
-    w, v = np.linalg.eigh(total_spin_squared(label))
+    w, v = np.linalg.eigh(dense_total_spin_squared(label))
     j = np.rint((np.sqrt(1.0 + 4.0 * np.clip(w, 0.0, None)) - 1.0) / 2.0).astype(int)
     assert np.abs(w - j * (j + 1)).max() < 1e-6
     projectors = []
@@ -87,3 +106,18 @@ def exact_zero_m_states(label):
             c = f(j) ** 2 * f(a) * f(n - a) * total
             states[j, a * d + (n - a)] = math.copysign(math.sqrt(c * c * ratio), c)
     return states
+
+
+def exact_moment_probabilities(label):
+    """Block weights of the doubly decohered singlet from spin moments, as an array.
+
+    p_j = (2j+1) / (s(s+1))^2 * sum_kl |<j;0| S_k x S_l |0;0>|^2, with
+    S_k x S_l |0;0> = vec(S_k Psi S_l^T) for the d x d matrix Psi of |0;0>,
+    on the exact |j;0> of `exact_zero_m_states`. Builds no output state.
+    """
+    d, s = label.dimension, label.s
+    states = exact_zero_m_states(label)
+    psi = states[0].reshape(d, d)
+    ops = spin_operators(label)
+    totals = sum(np.abs(states @ (a @ psi @ b.T).ravel()) ** 2 for a in ops for b in ops)
+    return (2 * np.arange(d) + 1) * totals / (s * (s + 1.0)) ** 2

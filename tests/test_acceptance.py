@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_axis_angle, random_density, random_pure, replacement_channel
+from helpers import (
+    dense_casimir_projectors,
+    exact_moment_probabilities,
+    exact_zero_m_states,
+    random_axis_angle,
+    random_density,
+    random_pure,
+    replacement_channel,
+)
 from spinchannels.channel import (
     apply,
     entropy_gain,
@@ -27,7 +35,7 @@ from spinchannels.channel import (
     tensor,
 )
 from spinchannels.cli import main
-from spinchannels.invariant import moment_probabilities
+from spinchannels.invariant import isotypic_probabilities
 from spinchannels.linalg import (
     operator_norm,
     partial_trace,
@@ -41,12 +49,7 @@ from spinchannels.optimize import (
     min_entropy_gain,
     min_output_entropy,
 )
-from spinchannels.spin import (
-    SpinLabel,
-    casimir_projectors,
-    coupled_zero_m_state,
-    rotation_unitary,
-)
+from spinchannels.spin import SpinLabel, rotation_unitary
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -139,20 +142,20 @@ def test_criterion_06_three_path_agreement(criterion):
     with criterion(6, "three block-probability routes agree for s in {1/2, 1, 3/2, 2}"):
         for label in [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]:
             one = isotropic_channel(label)
-            psi_vec = coupled_zero_m_state(label, 0)
-            rho = apply(tensor(one, one), np.outer(psi_vec, psi_vec.conj()))
+            states = exact_zero_m_states(label)
+            rho = apply(tensor(one, one), np.outer(states[0], states[0]))
             projector_route = [
-                float(np.trace(p @ rho).real) for p in casimir_projectors(label)
+                float(np.trace(p @ rho).real) for p in dense_casimir_projectors(label)
             ]
             element_route = [
-                (2 * j + 1)
-                * float(np.vdot(coupled_zero_m_state(label, j), rho @ coupled_zero_m_state(label, j)).real)
-                for j in range(label.twice_s + 1)
+                (2 * j + 1) * float(np.vdot(v, rho @ v).real) for j, v in enumerate(states)
             ]
-            moment_route = moment_probabilities(label).probs
-            for a, b, c in zip(projector_route, element_route, moment_route):
+            moment_route = exact_moment_probabilities(label)
+            package_route = isotypic_probabilities(rho, label).probs
+            for a, b, c, p in zip(projector_route, element_route, moment_route, package_route):
                 assert abs(a - b) <= 1e-9
                 assert abs(a - c) <= 1e-9
+                assert abs(a - p) <= 1e-9
 
 
 def test_criterion_07_rotational_covariance(criterion):

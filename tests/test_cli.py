@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import EXACT_PAIR_ENTROPY
 from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
-from spinchannels.invariant import EXACT_PAIR_ENTROPY, EXACT_SINGLE_CHANNEL_MIN
+from spinchannels.invariant import EXACT_SINGLE_CHANNEL_MIN
 from spinchannels.linalg import vector_from_json
 
 LN2 = math.log(2.0)

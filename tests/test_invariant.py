@@ -4,19 +4,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_density, random_hermitian
+from helpers import (
+    EXACT_EXCESS,
+    EXACT_PAIR_ENTROPY,
+    dense_casimir_projectors,
+    exact_moment_probabilities,
+    exact_zero_m_states,
+    random_density,
+    random_hermitian,
+)
 from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
-    EXACT_EXCESS,
-    EXACT_PAIR_ENTROPY,
     EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
     _require_invariant,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
-    moment_probabilities,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -26,14 +31,14 @@ from spinchannels.linalg import (
     spectrum_entropy,
     von_neumann_entropy,
 )
-from spinchannels.spin import SpinLabel, casimir_projectors, coupled_zero_m_state, singlet_state
+from spinchannels.spin import SpinLabel, singlet_state
 
 SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]
 
 
 def werner_mixture(label, weights):
-    """Invariant state sum_j w_j P_j / (2j+1) built directly from projectors."""
-    blocks = casimir_projectors(label)
+    """Invariant state sum_j w_j P_j / (2j+1) built directly from dense projectors."""
+    blocks = dense_casimir_projectors(label)
     out = sum(w * p / (2 * j + 1) for j, (w, p) in enumerate(zip(weights, blocks)))
     return out.astype(complex)
 
@@ -94,7 +99,7 @@ class TestIsotypicProbabilities:
         # 5 eps in 5 <2;0|rho|2;0>, while its twirl residual stays below 1e-8
         label = SpinLabel(2)
         rho = state_from_distribution(IsotypicDistribution(label, (0.2, 0.3, 0.5)))
-        zero, two = coupled_zero_m_state(label, 0), coupled_zero_m_state(label, 2)
+        zero, _, two = exact_zero_m_states(label)
         rho += 3e-9 * (np.outer(two, two.conj()) - np.outer(zero, zero.conj()))
         with pytest.raises(ConsistencyError, match="disagree by 1.200e-08"):
             isotypic_probabilities(rho, label)
@@ -109,18 +114,20 @@ class TestIsotypicProbabilities:
 class TestThreePathAgreement:
     @pytest.mark.parametrize("label", SPINS)
     def test_projector_element_and_moment_routes(self, label):
+        # three references of the tests, and the package route against them
         rho = decohered_singlet(label)
-        projector_route = [
-            float(np.trace(p @ rho).real) for p in casimir_projectors(label)
-        ]
+        projector_route = [float(np.trace(p @ rho).real) for p in dense_casimir_projectors(label)]
         element_route = [
-            (2 * j + 1) * float(np.vdot(coupled_zero_m_state(label, j), rho @ coupled_zero_m_state(label, j)).real)
-            for j in range(label.twice_s + 1)
+            (2 * j + 1) * float(np.vdot(v, rho @ v).real)
+            for j, v in enumerate(exact_zero_m_states(label))
         ]
-        moment_route = list(moment_probabilities(label).probs)
-        for a, b, c in zip(projector_route, element_route, moment_route):
+        moment_route = exact_moment_probabilities(label)
+        package_route = isotypic_probabilities(rho, label).probs
+        routes = (projector_route, element_route, moment_route, package_route)
+        for a, b, c, p in zip(*routes, strict=True):
             assert abs(a - b) < 1e-9
             assert abs(a - c) < 1e-9
+            assert abs(a - p) < 1e-9
 
 
 class TestInvariantStateEntropy:
@@ -262,7 +269,7 @@ class TestEntrywiseTwirlResidual:
         elif part == "off-sector":
             h = np.where(inside, 0.0, h)
         rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + h
-        traces = np.array([np.trace(p @ rho).real for p in casimir_projectors(label)])
+        traces = np.array([np.trace(p @ rho).real for p in dense_casimir_projectors(label)])
         weights = traces / (2 * np.arange(label.dimension) + 1)
         twirl = spin._projector_sum(label, spin._casimir_sectors(label), weights)
         reference = 2.0 * np.linalg.norm(rho - twirl)
@@ -331,31 +338,13 @@ class TestWorkCount:
             return wrapper
 
         # the |j;0> come from the sector pass, with one residual check
-        for name in ("_casimir_sectors", "_coupled_zero_m_states", "_check_zero_m_states"):
+        for name in ("_casimir_sectors", "_check_zero_m_states"):
             wrapped = counted(name, getattr(spin, name))
             monkeypatch.setattr(spin, name, wrapped)
             monkeypatch.setattr(invariant, name, wrapped)
         monkeypatch.setattr(spin, "rotation_unitary", counted("rotation_unitary", spin.rotation_unitary))
         isotypic_probabilities(rho, label)
         assert calls == ["_casimir_sectors", "_check_zero_m_states"]
-
-    def test_total_spin_squared_runs_a_constant_number_of_times(self, monkeypatch):
-        # that number is zero: no block route builds the d^2 x d^2 J^2
-        original = spin.total_spin_squared
-        calls = []
-
-        def counted(label):
-            calls.append(label)
-            return original(label)
-
-        monkeypatch.setattr(spin, "total_spin_squared", counted)
-        for twice_s in (2, 8):
-            label = SpinLabel(twice_s)
-            singlet_decoherence(label)
-            isotypic_probabilities(decohered_singlet(label), label)
-            moment_probabilities(label)
-            coupled_zero_m_state(label, 0)
-        assert calls == []
 
 
 class TestClosedFormMatchesMatrixRoutes:
@@ -365,8 +354,8 @@ class TestClosedFormMatchesMatrixRoutes:
         report = singlet_decoherence(label)
         rho = decohered_singlet(label)
         closed = np.array(report.probs)
-        for route in (isotypic_probabilities(rho, label), moment_probabilities(label)):
-            assert np.abs(closed - np.array(route.probs)).max() < 1e-9
+        for route in (isotypic_probabilities(rho, label).probs, exact_moment_probabilities(label)):
+            assert np.abs(closed - np.array(route)).max() < 1e-9
         assert abs(report.entropy - spectrum_entropy(np.linalg.eigvalsh(rho))) < 1e-10
 
 
@@ -376,7 +365,7 @@ class TestLargeSpinBlockRoutes:
     @pytest.mark.parametrize("twice_s", [42, 60])
     def test_moment_route_matches_the_closed_form(self, twice_s):
         label = SpinLabel(twice_s)
-        moments = np.array(moment_probabilities(label).probs)
+        moments = exact_moment_probabilities(label)
         assert np.abs(moments - np.array(singlet_decoherence(label).probs)).max() < 1e-12
 
     def test_isotypic_round_trip_at_2s_42(self):

@@ -3,21 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_casimir_projectors, exact_zero_m_states, random_axis_angle
+from helpers import (
+    dense_casimir_projectors,
+    dense_total_spin_squared,
+    exact_zero_m_states,
+    random_axis_angle,
+)
 from spinchannels import optimize, spin
+from spinchannels.channel import isotropic_channel
+from spinchannels.invariant import IsotypicDistribution, state_from_distribution
 from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
     CLUSTER_TOL,
     SpinLabel,
-    casimir_projectors,
-    coupled_zero_m_state,
     rotation_unitary,
     singlet_state,
     spin_operators,
-    total_spin_squared,
 )
 
 SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4), SpinLabel(5)]
+
+
+def sector_projectors(label):
+    """P_j, j = 0..2s, as (2j+1) times the invariant state with all weight on block j."""
+    return [
+        (2 * j + 1) * state_from_distribution(IsotypicDistribution(label, unit))
+        for j, unit in enumerate(np.eye(label.dimension))
+    ]
 
 
 class TestSpinLabel:
@@ -45,6 +57,26 @@ class TestSpinLabel:
             SpinLabel.coerce(-0.5)
         with pytest.raises(ContractViolation):
             SpinLabel.coerce(None)
+
+    @pytest.mark.parametrize(
+        "value, twice_s",
+        [(np.int64(1), 2), (np.int32(0), 0), (np.uint8(3), 6), (np.float32(0.5), 1),
+         (np.float64(1.5), 3), (np.float16(2.5), 5), (np.longdouble(3.5), 7)],
+    )
+    def test_coerce_accepts_numpy_scalars(self, value, twice_s):
+        assert SpinLabel.coerce(value) == SpinLabel(twice_s)
+
+    def test_isotropic_channel_takes_a_numpy_integer_spin(self):
+        assert isotropic_channel(np.int64(1)).dim_in == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, np.bool_(True), np.float32("nan"), np.float64("inf"), np.float32(0.3),
+         np.int64(-1), np.float32(-0.5), np.longdouble(1) / 3],
+    )
+    def test_coerce_rejects_bad_numpy_scalars(self, bad):
+        with pytest.raises(ContractViolation):
+            SpinLabel.coerce(bad)
 
     def test_str_round_trips(self):
         for label in [SpinLabel(0), SpinLabel(1), SpinLabel(2), SpinLabel(7)]:
@@ -126,10 +158,9 @@ class TestRotations:
 class TestCoupledStates:
     def test_spin_half_singlet_and_triplet(self):
         # basis order m = +1/2, -1/2: indices 1 and 2 hold |+-> and |-+>
-        psi0 = coupled_zero_m_state("1/2", 0)
+        psi0, psi1 = exact_zero_m_states(SpinLabel(1))
         r = 1.0 / math.sqrt(2.0)
         assert np.abs(psi0 - np.array([0.0, r, -r, 0.0])).max() < 1e-12
-        psi1 = coupled_zero_m_state("1/2", 1)
         assert np.abs(psi1 - np.array([0.0, r, r, 0.0])).max() < 1e-12
 
     def test_spin_one_coupled_states(self):
@@ -137,15 +168,13 @@ class TestCoupledStates:
         up_down = 2  # |1,-1>
         mid = 4      # |0,0>
         down_up = 6  # |-1,1>
-        psi0 = coupled_zero_m_state("1", 0)
+        psi0, psi1, psi2 = exact_zero_m_states(SpinLabel(2))
         expected0 = np.zeros(9)
         expected0[[up_down, mid, down_up]] = np.array([1.0, -1.0, 1.0]) / math.sqrt(3.0)
         assert np.abs(psi0 - expected0).max() < 1e-12
-        psi1 = coupled_zero_m_state("1", 1)
         expected1 = np.zeros(9)
         expected1[[up_down, down_up]] = np.array([1.0, -1.0]) / math.sqrt(2.0)
         assert np.abs(psi1 - expected1).max() < 1e-12
-        psi2 = coupled_zero_m_state("1", 2)
         expected2 = np.zeros(9)
         expected2[[up_down, mid, down_up]] = np.array([1.0, 2.0, 1.0]) / math.sqrt(6.0)
         assert np.abs(psi2 - expected2).max() < 1e-12
@@ -153,10 +182,10 @@ class TestCoupledStates:
     @pytest.mark.parametrize("label", SPINS)
     def test_orthonormal_eigenvectors(self, label):
         d = label.dimension
-        states = np.stack([coupled_zero_m_state(label, j) for j in range(label.twice_s + 1)])
+        states = exact_zero_m_states(label)
         overlaps = states.conj() @ states.T
         assert np.abs(overlaps - np.eye(d)).max() < 1e-10
-        j_sq = total_spin_squared(label)
+        j_sq = dense_total_spin_squared(label)
         for j in range(label.twice_s + 1):
             v = states[j]
             assert np.linalg.norm(j_sq @ v - j * (j + 1) * v) < 1e-10
@@ -166,10 +195,7 @@ class TestCoupledStates:
         # coefficient of |m=s> x |m=-s> is real and positive for every j
         d = label.dimension
         top_index = 0 * d + (d - 1)
-        for j in range(label.twice_s + 1):
-            coefficient = coupled_zero_m_state(label, j)[top_index]
-            assert abs(coefficient.imag) < 1e-12
-            assert coefficient.real > 0.0
+        assert exact_zero_m_states(label)[:, top_index].min() > 0.0
 
     def test_alternating_sign_singlet(self):
         # |0;0> = sum_i (-1)^i |i> x |d-1-i> / sqrt(d) in the m-basis
@@ -193,19 +219,11 @@ class TestCoupledStates:
                 assert np.linalg.norm(rotated - overlap * psi) < 1e-10
                 assert abs(abs(overlap) - 1.0) < 1e-10
 
-    def test_rejects_out_of_range_j(self):
-        with pytest.raises(ContractViolation, match="range"):
-            coupled_zero_m_state("1/2", 2)
-        with pytest.raises(ContractViolation, match="integer"):
-            coupled_zero_m_state("1/2", 0.5)
-        with pytest.raises(ContractViolation):
-            coupled_zero_m_state("1", -1)
-
 
 class TestCasimirProjectors:
     @pytest.mark.parametrize("label", SPINS)
     def test_projector_algebra(self, label):
-        blocks = casimir_projectors(label)
+        blocks = sector_projectors(label)
         d2 = label.dimension ** 2
         total = sum(blocks)
         assert np.abs(total - np.eye(d2)).max() < 1e-10
@@ -219,7 +237,7 @@ class TestCasimirProjectors:
     def test_projectors_commute_with_rotations(self):
         rng = np.random.default_rng(33)
         label = SpinLabel(2)
-        blocks = casimir_projectors(label)
+        blocks = sector_projectors(label)
         for _ in range(5):
             axis, angle = random_axis_angle(rng)
             u = rotation_unitary(label, axis, angle)
@@ -229,9 +247,8 @@ class TestCasimirProjectors:
 
     def test_projects_coupled_states_correctly(self):
         label = SpinLabel(3)
-        blocks = casimir_projectors(label)
-        for j in range(label.twice_s + 1):
-            v = coupled_zero_m_state(label, j)
+        blocks = sector_projectors(label)
+        for j, v in enumerate(exact_zero_m_states(label)):
             for k, p in enumerate(blocks):
                 expected = v if k == j else np.zeros_like(v)
                 assert np.linalg.norm(p @ v - expected) < 1e-10
@@ -247,7 +264,7 @@ class TestTotalSpinSquared:
         for s_k in spin_operators(label):
             j_k = np.kron(s_k, eye) + np.kron(eye, s_k)
             expected += j_k @ j_k
-        assert np.abs(total_spin_squared(label) - expected).max() < 1e-12
+        assert np.abs(dense_total_spin_squared(label) - expected).max() < 1e-12
 
 
 def _sector_of_each_index(label):
@@ -260,7 +277,7 @@ class TestCasimirSectors:
     @pytest.mark.parametrize("twice_s", range(1, 13))
     def test_projectors_match_the_dense_reference(self, twice_s):
         label = SpinLabel(twice_s)
-        for p, ref in zip(casimir_projectors(label), dense_casimir_projectors(label), strict=True):
+        for p, ref in zip(sector_projectors(label), dense_casimir_projectors(label), strict=True):
             assert np.abs(p - ref).max() < 1e-12
 
     @pytest.mark.parametrize("twice_s", range(1, 13))
@@ -268,14 +285,14 @@ class TestCasimirSectors:
         label = SpinLabel(twice_s)
         sector = _sector_of_each_index(label)
         between = sector[:, None] != sector[None, :]
-        assert np.count_nonzero(total_spin_squared(label)[between]) == 0
+        assert np.count_nonzero(dense_total_spin_squared(label)[between]) == 0
 
     @pytest.mark.parametrize("twice_s", range(1, 13))
     def test_sector_matrices_are_slices_of_total_spin_squared(self, twice_s):
         # sector -M is never built: it must be sector M's matrix entry for entry
         label = SpinLabel(twice_s)
         d = label.dimension
-        j_squared = total_spin_squared(label)
+        j_squared = dense_total_spin_squared(label)
         sector = _sector_of_each_index(label)
         matrices = spin._sector_matrices(label, range(d))
         covered = []
@@ -295,7 +312,7 @@ class TestCasimirSectors:
         for twice_s in range(1, 13):
             label = SpinLabel(twice_s)
             d = label.dimension
-            j_squared = total_spin_squared(label)
+            j_squared = dense_total_spin_squared(label)
             for k, (indices, j_values, vectors) in enumerate(zip(*spin._casimir_sectors(label))):
                 n = d - abs(twice_s - k)
                 assert np.array_equal(j_values, np.r_[abs(twice_s - k) : d, [-1] * (d - n)])
@@ -320,8 +337,6 @@ class TestCasimirSectors:
 
         monkeypatch.setattr(spin, "_sector_matrices", perturbed)
         with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
-            casimir_projectors(label)
-        with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
             spin._casimir_sectors(label)
 
     def test_eigenvalue_on_the_wrong_j_fails_clustering(self, monkeypatch):
@@ -343,75 +358,47 @@ class TestCasimirSectors:
             spin._casimir_sectors(label)
 
 
-class TestZeroMSectorPhase:
-    @pytest.mark.parametrize("twice_s", range(42))
-    def test_stack_keeps_the_leading_entry_signs_below_2s_42(self, twice_s):
-        # where the |s>|-s> entries stay above 1e-12, their own signs fix the phase
-        label = SpinLabel(twice_s)
-        d = label.dimension
-        indices, _, vectors = (part[twice_s] for part in spin._casimir_sectors(label))
-        reference = np.zeros((d, d * d), dtype=np.complex128)
-        reference[:, indices] = (vectors * np.sign(vectors[0])).T
-        assert np.array_equal(spin._coupled_zero_m_states(label), reference)
+def zero_m_sector(label):
+    """Flattened indices and (d, d) vectors of the M = 0 sector from `_casimir_sectors`."""
+    indices, _, vectors = spin._casimir_sectors(label)
+    return indices[label.twice_s], vectors[label.twice_s]
 
+
+class TestZeroMSectorPhase:
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 8, 41, 42, 60])
     def test_stack_matches_the_exact_clebsch_gordan_coefficients(self, twice_s):
+        # the sector vectors carry no phase: one sign per |j;0>, read off the overlap
         label = SpinLabel(twice_s)
         exact = exact_zero_m_states(label)
-        assert np.abs(spin._coupled_zero_m_states(label) - exact).max() < 1e-12
+        indices, vectors = zero_m_sector(label)
+        rows = vectors.T * np.sign(np.sum(exact[:, indices] * vectors.T, axis=1))[:, None]
+        assert np.abs(rows - exact[:, indices]).max() < 1e-12
 
-    def test_outer_blocks_keep_their_sign_patterns_up_to_2s_200(self):
-        # <s s; s -s | 2s 0> = C(4s, 2s)^(-1/2) is below 1e-12 from 2s = 42 on,
-        # yet every entry of |2s;0> is positive and |0;0> alternates from +
-        for twice_s in range(1, 201):
-            label = SpinLabel(twice_s)
-            matrices, _, vectors = spin._solve_sectors(label, [twice_s])
-            j_values = np.arange(label.dimension)
-            eigenvalues = (j_values * (j_values + 1)).astype(float)
-            fixed = vectors[0] * spin._peak_signs(matrices[0], eigenvalues, vectors[0])
-            assert fixed[:, -1].min() >= -1e-14
-            alternating = (-1.0) ** np.arange(label.dimension)
-            assert (alternating * fixed[:, 0]).min() >= -1e-14
-
-    def test_residual_check_does_not_trust_the_sector_matrix(self, monkeypatch):
+    def test_residual_check_does_not_trust_the_sector_matrix(self):
         # Q T Q^T has the spectrum of T, so only the residual against J^2
         # applied factor by factor can notice the wrong eigenvectors
         label = SpinLabel(4)
         q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
-        original = spin._sector_matrices
-
-        def rotated(lab, ks):
-            matrices = original(lab, ks)
-            for row, k in enumerate(ks):
-                if k == lab.twice_s:
-                    matrices[row] = q @ matrices[row] @ q.T
-            return matrices
-
-        monkeypatch.setattr(spin, "_sector_matrices", rotated)
+        (matrix,) = spin._sector_matrices(label, [label.twice_s])
+        _, vectors = np.linalg.eigh(q @ matrix @ q.T)
         with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
-            spin._coupled_zero_m_states(label)
+            spin._check_zero_m_states(label, zero_m_sector(label)[0], vectors.T)
 
-    def test_residual_check_names_the_first_failing_j(self, monkeypatch):
+    def test_residual_check_names_the_first_failing_j(self):
         # mixing |2;0> with |3;0> keeps the stack orthonormal and on M = 0
         label = SpinLabel(4)
-        original = spin._solve_sectors
-
-        def mixed(lab, ks):
-            matrices, j_values, vectors = original(lab, ks)
-            two, three = vectors[..., 2].copy(), vectors[..., 3].copy()
-            vectors[..., 2], vectors[..., 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
-            return matrices, j_values, vectors
-
-        monkeypatch.setattr(spin, "_solve_sectors", mixed)
+        indices, vectors = zero_m_sector(label)
+        two, three = vectors[:, 2].copy(), vectors[:, 3].copy()
+        vectors[:, 2], vectors[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
         with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):
-            spin._coupled_zero_m_states(label)
+            spin._check_zero_m_states(label, indices, vectors.T)
 
 
 class TestClosedFormSinglet:
     @pytest.mark.parametrize("twice_s", range(1, 13))
     def test_matches_the_eigensolve_route(self, twice_s):
         label = SpinLabel(twice_s)
-        assert np.abs(coupled_zero_m_state(label, 0) - singlet_state(label)).max() < 1e-12
+        assert np.abs(exact_zero_m_states(label)[0] - singlet_state(label)).max() < 1e-12
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_is_the_entangled_start_of_the_probe(self, d):
