@@ -365,6 +365,15 @@ def zero_m_sector(label):
 
 
 class TestZeroMSectorPhase:
+    @pytest.mark.parametrize("twice_s", range(42))
+    def test_stack_keeps_the_leading_entry_signs_below_2s_42(self, twice_s):
+        # where the |s>|-s> entries stay above 1e-12, their own signs fix the phase
+        label = SpinLabel(twice_s)
+        indices, vectors = zero_m_sector(label)
+        assert np.abs(vectors[0]).min() > 1e-12
+        rows = (vectors * np.sign(vectors[0])).T
+        assert np.abs(rows - exact_zero_m_states(label)[:, indices]).max() < 1e-12
+
     @pytest.mark.parametrize("twice_s", [1, 2, 3, 8, 41, 42, 60])
     def test_stack_matches_the_exact_clebsch_gordan_coefficients(self, twice_s):
         # the sector vectors carry no phase: one sign per |j;0>, read off the overlap
