@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import (
     ContractViolation,
     as_complex_matrix,
+    as_count,
     check_pure_state,
     matrix_from_json,
     matrix_to_json,
@@ -206,10 +207,9 @@ def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     QR of an (n_kraus * dim, dim) complex Gaussian matrix gives column
     orthonormality, which is exactly trace preservation of the slices.
     """
-    if int(dim) < 1 or int(n_kraus) < 1:
+    dim, n_kraus = as_count(dim, "dim"), as_count(n_kraus, "n_kraus")
+    if dim < 1 or n_kraus < 1:
         raise ContractViolation(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
-    dim = int(dim)
-    n_kraus = int(n_kraus)
     rng = np.random.default_rng(seed)
     gaussian = rng.standard_normal((n_kraus * dim, dim)) + 1j * rng.standard_normal(
         (n_kraus * dim, dim)

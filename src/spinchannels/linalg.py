@@ -32,6 +32,13 @@ class ConsistencyError(RuntimeError):
     """Two redundant evaluation paths disagreed beyond tolerance."""
 
 
+def as_count(value, name: str) -> int:
+    """A Python or numpy integer as an int; bools, floats, NaN and inf raise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ContractViolation(f"{name} takes integers only, got {value!r}")
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a 2-d complex128 array, without copying when possible."""
     out = np.asarray(matrix, dtype=np.complex128)
@@ -113,7 +120,7 @@ def partial_trace(matrix, dims, keep: str) -> np.ndarray:
     keep : "A" to return the d_a x d_a reduction, "B" for d_b x d_b
     """
     rho = as_complex_matrix(matrix)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = as_count(dims[0], "dims[0]"), as_count(dims[1], "dims[1]")
     if d_a < 1 or d_b < 1:
         raise ContractViolation(f"invalid factor dimensions {dims!r}")
     if rho.shape != (d_a * d_b, d_a * d_b):

@@ -11,14 +11,16 @@ so through their restart statistics rather than pretending to a proof.
 
 Parametrizations
 ----------------
-Pure states use 2d real parameters (re, im interleaved blockwise). Input
-states for the entropy gain use a full complex d x d matrix A, flattened the
-same way, with rho = A A^dagger / tr(A A^dagger), which covers every density
-matrix including rank-deficient ones. Both objectives take a stack of
-points (R, n), one per row, and return R values and an (R, n) gradient
-array. They normalize internally, so their gradients vanish along the scale
-direction; the search keeps every row on |x| = 1 (|A|_F = 1 for the gain),
-where the gradient is the Riemannian one.
+A search point is a complex vector read as reals: a row of an (R, n) float
+array is the memory of n / 2 complex entries, re and im interleaved, so
+x.view(np.complex128) is the point and g.view(float) its gradient. Pure
+states are the d complex amplitudes; input states for the entropy gain are
+a full complex d x d matrix A, with rho = A A^dagger / tr(A A^dagger), which
+covers every density matrix including rank-deficient ones. Both objectives
+take a stack of points (R, n), one per row, and return R values and an
+(R, n) gradient array. They normalize internally, so their gradients vanish
+along the scale direction; the search keeps every row on |x| = 1
+(|A|_F = 1 for the gain), where the gradient is the Riemannian one.
 
 Every value, searched and reported, is in nats.
 """
@@ -31,16 +33,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import KrausChannel, _apply_stack, _product_columns
-from .linalg import ConsistencyError, ContractViolation, size_text, spectrum_entropy
+from .linalg import ConsistencyError, ContractViolation, as_count, size_text, spectrum_entropy
 from .spin import SpinLabel, singlet_state
 
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
-# trial steps one line search makes before its restart stops unconverged, and
-# the rise in value, relative to max(|f|, 1), that still counts as rounding.
+# trial steps one line search makes before its restart stops unconverged, the
+# rise in value, relative to max(|f|, 1), that still counts as rounding, the
+# iterations a restart may take, and the relative reduction of one step at or
+# below which it has converged.
 _MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_TRIALS = 20
 _ROUNDING = 16 * np.finfo(float).eps
+_MAX_ITERATIONS = 2000
+_REDUCTION_TOL = 1e-12
 
 # Slack of the gain range check [-ln||Lambda(I)||, 0]: 5e-9 nats, under 1e-8 bits.
 _GAIN_SLACK = 5e-9
@@ -69,40 +75,34 @@ MAX_SIMPLEX_TOLERANCE = 1e-3
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the multi-start searches.
+    """What a caller sets of a multi-start search.
 
     A restart converges when its largest gradient component is at most
     simplex_tolerance, which must lie in (0, MAX_SIMPLEX_TOLERANCE], or when
-    one step lowers its value by at most objective_tolerance relative to
-    max(|f_k|, |f_k+1|, 1); max_iterations_per_restart caps its iterations.
-    Restart seeds derive from (seed, restart_index), so reports are
-    reproducible bit for bit at fixed config and identical across channels
-    given on different occasions.
+    one step lowers its value by at most _REDUCTION_TOL relative to
+    max(|f_k|, |f_k+1|, 1); it stops unconverged after _MAX_ITERATIONS.
+    restarts and seed are Python or numpy integers, stored as int. Restart
+    seeds derive from (seed, restart_index), so reports are reproducible bit
+    for bit at fixed config and identical across channels given on
+    different occasions.
     """
 
     restarts: int = 64
     seed: int = 0
-    max_iterations_per_restart: int = 2000
     simplex_tolerance: float = 1e-9
-    objective_tolerance: float = 1e-12
 
     def __post_init__(self):
-        counts = (self.restarts, self.seed, self.max_iterations_per_restart)
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in counts):
-            raise ContractViolation(
-                f"restarts, seed and max_iterations_per_restart must be integers, got {counts!r}"
-            )
+        for name in ("restarts", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.restarts < 1:
             raise ContractViolation(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ContractViolation(f"seed must be nonnegative, got {self.seed}")
-        if self.max_iterations_per_restart < 1:
-            raise ContractViolation("max_iterations_per_restart must be >= 1")
-        for tol in (float(self.simplex_tolerance), float(self.objective_tolerance)):
-            # written so that NaN fails too: every comparison with NaN is False
-            if not (tol > 0 and math.isfinite(tol)):
-                raise ContractViolation(f"tolerances must be positive and finite, got {tol!r}")
-        if float(self.simplex_tolerance) > MAX_SIMPLEX_TOLERANCE:
+        tol = float(self.simplex_tolerance)
+        # written so that NaN fails too: every comparison with NaN is False
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ContractViolation(f"simplex_tolerance must be positive and finite, got {tol!r}")
+        if tol > MAX_SIMPLEX_TOLERANCE:
             raise ContractViolation(
                 f"simplex_tolerance must be at most {MAX_SIMPLEX_TOLERANCE:g},"
                 f" got {self.simplex_tolerance!r}"
@@ -200,11 +200,12 @@ def haar_pure(dim: int, seed) -> np.ndarray:
     A normalized vector of iid standard complex Gaussians is uniform on the
     sphere. dim = 1 returns the lone basis vector with phase fixed to 1.
     """
-    if int(dim) < 1:
+    dim = as_count(dim, "dim")
+    if dim < 1:
         raise ContractViolation(f"dimension must be >= 1, got {dim}")
-    if int(dim) == 1:
+    if dim == 1:
         return np.ones(1, dtype=np.complex128)
-    return _haar_from_rng(np.random.default_rng(seed), int(dim))
+    return _haar_from_rng(np.random.default_rng(seed), dim)
 
 
 def _haar_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -214,22 +215,13 @@ def _haar_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def schmidt_coefficients(phi, dims) -> np.ndarray:
     """Descending Schmidt coefficients of a bipartite pure state."""
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = as_count(dims[0], "dims[0]"), as_count(dims[1], "dims[1]")
     v = np.asarray(phi, dtype=np.complex128)
     if v.shape != (d_a * d_b,):
         raise ContractViolation(
             f"state shape {v.shape} does not match factor dimensions ({d_a}, {d_b})"
         )
     return np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
-
-
-def _params_from_state(phi: np.ndarray) -> np.ndarray:
-    return np.concatenate([phi.real, phi.imag])
-
-
-def _state_from_params(x: np.ndarray, dim: int) -> np.ndarray:
-    v = x[:dim] + 1j * x[dim:]
-    return v / np.linalg.norm(v)
 
 
 def _entropy_and_log_term(m: np.ndarray):
@@ -270,7 +262,7 @@ def _pure_entropy_and_gradient(channel_a: KrausChannel, channel_b: KrausChannel 
 
     def objective(x):
         norm = np.sqrt(np.vecdot(x, x, keepdims=True))
-        phi = (x[:, :dim_in] + 1j * x[:, dim_in:]) / norm
+        phi = x.view(np.complex128) / norm
         m = _product_columns(ops_a, ops_b, phi.reshape(-1, in_a, in_b))
         m_dagger = m.conj().transpose(0, 2, 1)
         values, f_of = _entropy_and_log_term(m_dagger @ m if use_gram else m @ m_dagger)
@@ -280,7 +272,7 @@ def _pure_entropy_and_gradient(channel_a: KrausChannel, channel_b: KrausChannel 
         b_phi = (adjoint_a @ right).reshape(-1, dim_in)
         overlap = np.vecdot(phi, b_phi, keepdims=True).real
         g = (-2.0 / norm) * (b_phi - overlap * phi)
-        return values, np.concatenate([g.real, g.imag], axis=1)
+        return values, g.view(float)
 
     return objective
 
@@ -290,17 +282,16 @@ def _gain_objective(channel: KrausChannel):
 
     With B = Lambda^dagger(f(Lambda rho)) - f(rho), the gain changes by
     -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
-    returned as [re, im] of the flattened matrix. It stays bounded where rho
-    is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w. Takes
-    a stack of points (R, 2*dim_in^2), with one stacked eigh for both sides.
+    read as reals like A. It stays bounded where rho is rank-deficient: an
+    eigenvalue w of rho enters as w^(1/2) log w. Takes a stack of points
+    (R, 2*dim_in^2), with one stacked eigh for both sides.
     """
     ops = channel.kraus
     adjoint_ops = ops.conj().transpose(0, 2, 1)
     dim = channel.dim_in
-    block = dim * dim
 
     def objective(x):
-        a = (x[:, :block] + 1j * x[:, block:]).reshape(-1, dim, dim)
+        a = x.view(np.complex128).reshape(-1, dim, dim)
         total = np.vecdot(x, x)[:, np.newaxis, np.newaxis]
         rho = (a @ a.conj().transpose(0, 2, 1)) / total
         values, f_of = _entropy_and_log_term(np.concatenate([rho, _apply_stack(ops, rho)]))
@@ -308,9 +299,9 @@ def _gain_objective(channel: KrausChannel):
         f_in, f_out = f_of.reshape(2, -1, dim, dim)
         b = _apply_stack(adjoint_ops, f_out) - f_in
         # tr(B rho) = sum_ij conj(rho_ij) B_ij, since rho is Hermitian
-        trace = np.vecdot(rho.reshape(-1, block), b.reshape(-1, block)).real
+        trace = np.vecdot(rho.reshape(len(x), -1), b.reshape(len(x), -1)).real
         g = (-2.0 / total) * (b @ a - trace[:, np.newaxis, np.newaxis] * a)
-        return s_out - s_in, np.concatenate([g.real, g.imag], axis=1).reshape(-1, 2 * block)
+        return s_out - s_in, g.view(float).reshape(len(x), -1)
 
     return objective
 
@@ -321,21 +312,22 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     Each row is one restart with its own L-BFGS history (the last _MEMORY
     pairs) and its own Armijo backtracking step; every trial step is one
     stacked objective call over the rows still searching, and each trial
-    point is renormalised onto |x| = 1. Where a row's value is flat to
-    rounding, a trial that halves its largest gradient component also
-    counts as a decrease. A row converges when its largest gradient
-    component is at most simplex_tolerance, or when a step lowers its value
-    by at most objective_tolerance relative to max(|f_k|, |f_k+1|, 1): the
-    two stops L-BFGS-B reports as convergence. It stops unconverged at
-    max_iterations_per_restart, or when _MAX_TRIALS trial steps find no
-    decrease. Stopped rows leave the arrays, so they cost nothing afterwards,
-    and no row's arithmetic depends on another's.
+    point is renormalised onto |x| = 1. The first trial along a direction p
+    is t = min(1, 1 / |p|), a turn of at most one radian: from a longer
+    step, every backtrack would renormalise to near p / |p|. Where a row's
+    value is flat to rounding, a trial that halves its largest gradient
+    component also counts as a decrease. A row converges when its largest
+    gradient component is at most simplex_tolerance, or when a step lowers
+    its value by at most _REDUCTION_TOL relative to max(|f_k|, |f_k+1|, 1):
+    the two stops L-BFGS-B reports as convergence. It stops unconverged
+    after _MAX_ITERATIONS, or when _MAX_TRIALS trial steps find no decrease.
+    Stopped rows leave the arrays, so they cost nothing afterwards, and no
+    row's arithmetic depends on another's.
 
     Returns the final values, points, evaluation counts and converged flags,
     one entry per row of x0.
     """
     gtol = float(config.simplex_tolerance)
-    ftol = float(config.objective_tolerance)
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
     f, g = objective(x)
     rows, size = x.shape
@@ -350,8 +342,8 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     scale = np.ones((rows, 1))  # the initial inverse Hessian is scale * I
     largest = np.abs(g).max(axis=1)
     ok = done = largest <= gtol
-    for iteration in range(config.max_iterations_per_restart + 1):
-        if iteration == config.max_iterations_per_restart:
+    for iteration in range(_MAX_ITERATIONS + 1):
+        if iteration == _MAX_ITERATIONS:
             done = np.ones_like(done)
         if done.any():
             stopped = index[done]
@@ -380,11 +372,11 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
         # descent, since every stored pair has s.y > 0 and g is tangent at x
         slope = np.vecdot(g, p)
 
-        # every row tries t = 1; the rows that backtrack keep their start, direction,
-        # value, slope and flatness bounds in `line`, which drops each row that passes
+        # every row tries t = min(1, 1 / |p|); the rows that backtrack keep their start,
+        # direction, value, slope and flatness bounds in `line`, which drops each row that passes
         f_scale = np.maximum(np.abs(f), 1.0)
         line = [x, p, f, slope, _ROUNDING * f_scale, 0.5 * largest]
-        pending, t = np.arange(len(f)), np.ones(len(f))
+        pending, t = np.arange(len(f)), 1.0 / np.maximum(np.sqrt(np.vecdot(p, p)), 1.0)
         for trial_number in range(_MAX_TRIALS):
             start, direction, start_f, start_slope, rounding, half_largest = line
             trial = start + t[:, np.newaxis] * direction
@@ -425,7 +417,7 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
         reduction = (f - new_f) / np.maximum(f_scale, np.abs(new_f))
         x, f, g = new_x, new_f, new_g
         largest = np.abs(g).max(axis=1)
-        ok = accepted & ((reduction <= ftol) | (largest <= gtol))
+        ok = accepted & ((reduction <= _REDUCTION_TOL) | (largest <= gtol))
         done = ok | failed
     return final_f, final_x, evaluations, converged
 
@@ -435,18 +427,19 @@ def _multistart(
 ) -> SearchReport:
     """Shared engine: run the restarts together and report the best point found.
 
-    Restart i starts from deterministic_inits[i], or past their end from
-    random_init(default_rng([seed, i])); objective maps a stack of points to
-    (values, gradients) and _sphere_lbfgs advances them all at once. decode
-    maps the best parameter vector to the report's argmin.
+    Restart i starts from the complex array deterministic_inits[i], or past
+    their end from random_init(default_rng([seed, i])), read as reals;
+    objective maps a stack of points to (values, gradients) and _sphere_lbfgs
+    advances them all at once. decode maps the best point to the argmin.
     """
     starts = [
-        np.asarray(deterministic_inits[index], dtype=float)
+        deterministic_inits[index]
         if index < len(deterministic_inits)
         else random_init(np.random.default_rng([config.seed, index]))
         for index in range(config.restarts)
     ]
-    values, points, evaluations, converged = _sphere_lbfgs(objective, np.stack(starts), config)
+    x0 = np.stack(starts, dtype=np.complex128).reshape(config.restarts, -1).view(float)
+    values, points, evaluations, converged = _sphere_lbfgs(objective, x0, config)
     best = int(np.argmin(values))  # the first restart reaching the lowest value
     return SearchReport(
         value=float(values[best]),
@@ -460,14 +453,12 @@ def _multistart(
 def _pure_search(config: SearchConfig, leading_states, *channels: KrausChannel) -> SearchReport:
     """Pure-input search of one channel or two factors: given states, e_1, then Haar states."""
     dim = math.prod(channel.dim_in for channel in channels)
-    basis = np.zeros(dim, dtype=np.complex128)
-    basis[0] = 1.0
     return _multistart(
         _pure_entropy_and_gradient(*channels),
         config,
-        [_params_from_state(v) for v in (*leading_states, basis)],
-        lambda rng: _params_from_state(_haar_from_rng(rng, dim)),
-        lambda x: _state_from_params(x, dim),
+        [*leading_states, np.eye(1, dim)[0]],
+        lambda rng: _haar_from_rng(rng, dim),
+        lambda x: x.view(np.complex128) / np.linalg.norm(x),
     )
 
 
@@ -511,21 +502,15 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
         raise ContractViolation("entropy gain search requires matching input and output dims")
     check_search_size("gain", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-    block = dim * dim
-
-    def pack(a):
-        flat = np.asarray(a, dtype=np.complex128).reshape(block)
-        return np.concatenate([flat.real, flat.imag])
 
     def random_init(rng):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return pack(a)
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
     def decode(x):
-        a = (x[:block] + 1j * x[block:]).reshape(dim, dim)
-        return (a @ a.conj().T) / float(np.vdot(a, a).real)
+        a = x.view(np.complex128).reshape(dim, dim)
+        return (a @ a.conj().T) / float(x @ x)
 
-    report = _multistart(_gain_objective(channel), cfg, [pack(np.eye(dim))], random_init, decode)
+    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim)], random_init, decode)
     lower = gain_lower_bound(channel)
     if report.value < lower - _GAIN_SLACK or report.value > _GAIN_SLACK:
         raise ConsistencyError(

@@ -28,6 +28,10 @@ def run_cli(capsys, *argv):
 
 
 class TestMinOutputCommand:
+    def test_config_block_holds_what_a_caller_sets(self, capsys):
+        _, out, _ = run_cli(capsys, "min-output", "--spin", "1/2", "--restarts", "2")
+        assert json.loads(out)["config"] == {"restarts": 2, "seed": 0, "simplex_tolerance": 1e-9}
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "min-output", "--spin", "1", "--restarts", "8", "--seed", "3"

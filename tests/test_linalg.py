@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 
 from helpers import random_density, random_hermitian, random_pure, random_unitary
 from spinchannels import linalg
+from spinchannels.channel import random_channel
 from spinchannels.linalg import (
     SLAB_ENTRIES,
     ContractViolation,
@@ -26,6 +28,7 @@ from spinchannels.linalg import (
     vector_to_json,
     von_neumann_entropy,
 )
+from spinchannels.optimize import haar_pure, schmidt_coefficients
 
 
 def test_pure_state_validation():
@@ -59,6 +62,35 @@ def test_partial_trace_rejects_bad_requests():
         partial_trace(np.eye(5) / 5.0, (2, 3), "A")
     with pytest.raises(ContractViolation, match="keep"):
         partial_trace(np.eye(6) / 6.0, (2, 3), "C")
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: partial_trace(np.eye(4) / 4.0, (2.5, 2), "A"), "dims[0]"),
+        (lambda: partial_trace(np.eye(2) / 2.0, (True, 2), "B"), "dims[0]"),
+        (lambda: schmidt_coefficients(np.eye(4)[0], (2, 2.5)), "dims[1]"),
+        (lambda: haar_pure(2.7, 0), "dim"),
+        (lambda: haar_pure(np.bool_(True), 0), "dim"),
+        (lambda: haar_pure(math.nan, 0), "dim"),
+        (lambda: random_channel(2.5, 3.9, 0), "dim"),
+        (lambda: random_channel(2, math.inf, 0), "n_kraus"),
+    ],
+    ids=[
+        "partial-trace-float",
+        "partial-trace-bool",
+        "schmidt-float",
+        "haar-float",
+        "haar-numpy-bool",
+        "haar-nan",
+        "random-channel-float",
+        "random-channel-inf",
+    ],
+)
+def test_sizes_take_integers_only(call, name):
+    """A non-integer size raises, naming the argument, instead of being truncated by int()."""
+    with pytest.raises(ContractViolation, match=f"^{re.escape(name)} takes integers only"):
+        call()
 
 
 def test_kron_index_convention():

@@ -110,8 +110,6 @@ class TestSearchConfig:
         [
             ("simplex_tolerance", math.nan),
             ("simplex_tolerance", math.inf),
-            ("objective_tolerance", math.nan),
-            ("objective_tolerance", math.inf),
         ],
     )
     def test_rejects_non_finite_tolerances(self, field, value):
@@ -124,7 +122,6 @@ class TestSearchConfig:
             {"restarts": 2.5, "seed": 1.7},
             {"restarts": 3.0},
             {"seed": np.float64(1.0)},
-            {"max_iterations_per_restart": 100.5},
             {"restarts": True},
             {"seed": False},
             {"restarts": "4"},
@@ -133,6 +130,12 @@ class TestSearchConfig:
     def test_rejects_non_integer_counts(self, fields):
         with pytest.raises(ContractViolation, match="integers"):
             SearchConfig(**fields)
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        cfg = SearchConfig(restarts=np.int64(8), seed=np.uint32(186))
+        assert (cfg.restarts, cfg.seed) == (8, 186)
+        assert type(cfg.restarts) is int and type(cfg.seed) is int
+        assert len(min_output_entropy(isotropic_channel("1/2"), cfg).restart_values) == 8
 
 
 class TestHaarPure:
@@ -376,7 +379,7 @@ def test_pure_gradient_matches_central_differences(channel):
     # an unnormalized point, so the 1/|v| factor and the projection are both exercised
     x = 1.7 * rng.standard_normal(2 * dim)
     value, gradient = _one_row(objective, x)
-    phi = (x[:dim] + 1j * x[dim:]) / np.linalg.norm(x)
+    phi = x.view(np.complex128) / np.linalg.norm(x)
     assert abs(value - von_neumann_entropy(apply(channel, np.outer(phi, phi.conj())))) < 1e-12
     step = 1e-6
     central = np.array(
@@ -478,7 +481,7 @@ def test_gain_gradient_matches_central_differences(channel):
     # an unnormalized full-rank A, so the 1/t factor and the trace term are both exercised
     x = 1.3 * rng.standard_normal(2 * dim * dim)
     value, gradient = _one_row(objective, x)
-    a = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
+    a = x.view(np.complex128).reshape(dim, dim)
     rho = a @ a.conj().T / np.vdot(a, a).real
     assert abs(value - entropy_gain(channel, rho)) < 1e-12
     step = 1e-6
@@ -656,15 +659,32 @@ def test_nan_channel_raises_through_the_stacked_entropy(make_objective):
         make_objective(channel)(points)
 
 
-def test_iteration_cap_is_reported_as_not_converged():
+def test_iteration_cap_is_reported_as_not_converged(monkeypatch):
     """A cap of one iteration leaves restarts unconverged; the default converges them."""
     channel = isotropic_channel("3")
-    capped = min_output_entropy(channel, SearchConfig(restarts=6, max_iterations_per_restart=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_MAX_ITERATIONS", 1)
+        capped = min_output_entropy(channel, SearchConfig(restarts=6))
     assert capped.converged_fraction < 1.0
     assert capped.evaluations > 6  # the starts, then at least one trial step
     full = min_output_entropy(channel, SearchConfig(restarts=6))
     assert full.converged_fraction == 1.0
     assert full.value <= capped.value
+
+
+def test_an_overlong_first_step_does_not_strand_a_restart():
+    """A first trial of t = 1 along a long direction lands a quarter turn away, and every
+    backtrack stays near it; starting at t = 1 / |p| lets restart 2 of seed 186 converge."""
+    report = min_output_entropy(isotropic_channel("2"), SearchConfig(restarts=8, seed=186))
+    assert report.converged_fraction == 1.0
+    assert abs(report.value - report.restart_values[-1]) < 1e-9
+
+
+def test_spin_two_searches_converge_at_seeds_180_to_199():
+    channel = isotropic_channel("2")
+    for seed in range(180, 200):
+        report = min_output_entropy(channel, SearchConfig(restarts=8, seed=seed))
+        assert report.converged_fraction == 1.0, seed
 
 
 class TestSearchSizeGuard:
