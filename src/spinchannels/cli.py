@@ -51,6 +51,12 @@ _CLOSED_FORMS = {
 }
 
 
+def _closed_forms(twice_s: int, log_base: str) -> tuple[str, ...]:
+    """The closed forms of 2s in the printed base: log2 in place of ln at --log-base 2."""
+    forms = _CLOSED_FORMS[twice_s]
+    return forms if log_base == "e" else tuple(form.replace("ln", "log2") for form in forms)
+
+
 def _spin_argument(text: str) -> SpinLabel:
     try:
         return SpinLabel.from_string(text)
@@ -198,28 +204,30 @@ def _emit(args, title: str, payload: dict, rows, restart_values=(), notes=()) ->
     return 0
 
 
+def _restart_record(report, divisor: float) -> dict:
+    """A search's restart values in the printed unit, converged fraction and evaluations."""
+    return {
+        "restart_values": [v / divisor for v in report.restart_values],
+        "converged_fraction": report.converged_fraction,
+        "evaluations": report.evaluations,
+    }
+
+
 def _emit_search(args, title, payload, rows, report, reference) -> int:
     """Rows and payload fields shared by min-output and gain.
 
     reference is None or a (payload entry, text row value) pair.
     """
     divisor = _LOG_DIVISOR[args.log_base]
-    value = report.value / divisor
-    restart_values = [v / divisor for v in report.restart_values]
-    payload.update(
-        value=value,
-        restart_values=restart_values,
-        converged_fraction=report.converged_fraction,
-        evaluations=report.evaluations,
-    )
-    rows.append(("value", repr(value)))
+    payload.update(value=report.value / divisor, **_restart_record(report, divisor))
+    rows.append(("value", repr(payload["value"])))
     if reference is not None:
         payload["reference"], text = reference
         rows.append(("reference", text))
     restarts = payload["config"]["restarts"]
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
-    return _emit(args, title, payload, rows, restart_values)
+    return _emit(args, title, payload, rows, payload["restart_values"])
 
 
 def _cmd_min_output(args) -> int:
@@ -227,7 +235,7 @@ def _cmd_min_output(args) -> int:
     report = min_output_entropy(channel, config)
     reference = None
     if args.spin is not None and args.spin.twice_s in EXACT_SINGLE_CHANNEL_MIN:
-        closed_form = _CLOSED_FORMS[args.spin.twice_s][0]
+        closed_form = _closed_forms(args.spin.twice_s, args.log_base)[0]
         value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / _LOG_DIVISOR[args.log_base]
         reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
     payload["argmin"] = vector_to_json(report.argmin)
@@ -261,7 +269,7 @@ def _cmd_singlet(args) -> int:
     rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
     rows.append(("entropy", repr(entropy)))
     if report.excess is not None:
-        single_form, pair_form, excess_form = _CLOSED_FORMS[label.twice_s]
+        single_form, pair_form, excess_form = _closed_forms(label.twice_s, args.log_base)
         reference = report.two_channel_reference / divisor
         excess = report.excess / divisor
         payload.update(
@@ -290,7 +298,7 @@ def _cmd_probe(args) -> int:
     sum_of_singles = singles[0] + singles[1]
     gap = joint_min - sum_of_singles
     violation = gap < -_GAP_ALERT
-    restart_values = [v / divisor for v in probe.joint.restart_values]
+    joint_search = _restart_record(probe.joint, divisor)
     payload.update(
         joint_min=joint_min,
         sum_of_singles=sum_of_singles,
@@ -299,11 +307,7 @@ def _cmd_probe(args) -> int:
         schmidt_coefficients=[float(c) for c in probe.schmidt_coefficients],
         argmin=vector_to_json(probe.argmin),
         single_values=singles,
-        joint_search={
-            "restart_values": restart_values,
-            "converged_fraction": probe.joint.converged_fraction,
-            "evaluations": probe.joint.evaluations,
-        },
+        joint_search=joint_search,
         note=_PROBE_NOTE,
     )
     rows += [
@@ -321,7 +325,7 @@ def _cmd_probe(args) -> int:
         verdict = "no subadditivity violation detected (gap within tolerance)"
     title = "additivity probe (two copies in parallel)"
     notes = [verdict, f"note: {_PROBE_NOTE}"]
-    return _emit(args, title, payload, rows, restart_values, notes)
+    return _emit(args, title, payload, rows, joint_search["restart_values"], notes)
 
 
 def _cmd_verify(args) -> int:

@@ -28,7 +28,7 @@ Every value, searched and reported, is in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,11 +113,12 @@ class SearchConfig:
 class SearchReport:
     """Outcome of one multi-start search, values in nats.
 
-    restart_values holds every restart's local minimum, sorted ascending;
-    value equals its first entry. converged_fraction counts restarts that
-    stopped on one of SearchConfig's two tolerance stops (gradient or
-    relative reduction) rather than the iteration limit or a line search
-    that found no decrease.
+    argmin is the best restart's end point as a unit complex vector (the
+    gain's is the density matrix it encodes). restart_values holds every
+    restart's local minimum, sorted ascending; value equals its first entry.
+    converged_fraction counts restarts that stopped on one of SearchConfig's
+    two tolerance stops (gradient or relative reduction) rather than the
+    iteration limit or a line search that found no decrease.
     """
 
     value: float
@@ -422,43 +423,30 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     return final_f, final_x, evaluations, converged
 
 
-def _multistart(
-    objective, config: SearchConfig, deterministic_inits, random_init, decode
-) -> SearchReport:
+def _multistart(objective, config: SearchConfig, leading_states, dim: int) -> SearchReport:
     """Shared engine: run the restarts together and report the best point found.
 
-    Restart i starts from the complex array deterministic_inits[i], or past
-    their end from random_init(default_rng([seed, i])), read as reals;
-    objective maps a stack of points to (values, gradients) and _sphere_lbfgs
-    advances them all at once. decode maps the best point to the argmin.
+    Restart i starts from the complex vector leading_states[i], or past their
+    end from the Haar state _haar_from_rng(default_rng([seed, i]), dim), read
+    as reals; objective maps a stack of points to (values, gradients) and
+    _sphere_lbfgs advances them all at once. The argmin is the best row as a
+    unit complex vector.
     """
     starts = [
-        deterministic_inits[index]
-        if index < len(deterministic_inits)
-        else random_init(np.random.default_rng([config.seed, index]))
+        leading_states[index]
+        if index < len(leading_states)
+        else _haar_from_rng(np.random.default_rng([config.seed, index]), dim)
         for index in range(config.restarts)
     ]
-    x0 = np.stack(starts, dtype=np.complex128).reshape(config.restarts, -1).view(float)
+    x0 = np.stack(starts, dtype=np.complex128).view(float)
     values, points, evaluations, converged = _sphere_lbfgs(objective, x0, config)
     best = int(np.argmin(values))  # the first restart reaching the lowest value
     return SearchReport(
         value=float(values[best]),
-        argmin=decode(points[best]),
+        argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
         restart_values=[float(v) for v in np.sort(values)],
         converged_fraction=int(converged.sum()) / config.restarts,
         evaluations=int(evaluations.sum()),
-    )
-
-
-def _pure_search(config: SearchConfig, leading_states, *channels: KrausChannel) -> SearchReport:
-    """Pure-input search of one channel or two factors: given states, e_1, then Haar states."""
-    dim = math.prod(channel.dim_in for channel in channels)
-    return _multistart(
-        _pure_entropy_and_gradient(*channels),
-        config,
-        [*leading_states, np.eye(1, dim)[0]],
-        lambda rng: _haar_from_rng(rng, dim),
-        lambda x: x.view(np.complex128) / np.linalg.norm(x),
     )
 
 
@@ -471,7 +459,8 @@ def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("min-output", cfg.restarts, channel.kraus.shape)
-    return _pure_search(cfg, [], channel)
+    dim = channel.dim_in
+    return _multistart(_pure_entropy_and_gradient(channel), cfg, [np.eye(1, dim)[0]], dim)
 
 
 def gain_lower_bound(channel: KrausChannel) -> float:
@@ -490,27 +479,21 @@ def gain_lower_bound(channel: KrausChannel) -> float:
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
     """Search for the minimum entropy gain over all input states.
 
-    Restart 0 starts from the maximally mixed state (gain <= 0 there for
-    bistochastic channels); the rest use complex Gaussian matrices seeded by
-    (config.seed, restart_index). No start is rank-deficient: the gradient
-    B A - tr(B rho) A vanishes on every zero column of A, so such a start
-    would never leave its rank. The report's argmin is the best density
-    matrix itself.
+    Restart 0 starts from A = I, the maximally mixed state (gain <= 0 there
+    for bistochastic channels); the rest from Haar states of d^2 entries read
+    as d x d matrices A, seeded by (config.seed, restart_index). No start is
+    rank-deficient: the gradient B A - tr(B rho) A vanishes on every zero
+    column of A, so such a start would never leave its rank. The report's
+    argmin is the density matrix A A^dagger of the best unit A.
     """
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("entropy gain search requires matching input and output dims")
     check_search_size("gain", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-
-    def random_init(rng):
-        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-    def decode(x):
-        a = x.view(np.complex128).reshape(dim, dim)
-        return (a @ a.conj().T) / float(x @ x)
-
-    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim)], random_init, decode)
+    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim).ravel()], dim * dim)
+    a = report.argmin.reshape(dim, dim)
+    report = replace(report, argmin=a @ a.conj().T)
     lower = gain_lower_bound(channel)
     if report.value < lower - _GAIN_SLACK or report.value > _GAIN_SLACK:
         raise ConsistencyError(
@@ -552,8 +535,9 @@ def additivity_probe(
     report_a = min_output_entropy(channel_a, cfg)
     report_b = report_a if channel_b is channel_a else min_output_entropy(channel_b, cfg)
     d_a, d_b = channel_a.dim_in, channel_b.dim_in
-    starts = [np.kron(report_a.argmin, report_b.argmin), _entangled_init(d_a, d_b)]
-    joint = _pure_search(cfg, starts, channel_a, channel_b)
+    product, dim = np.kron(report_a.argmin, report_b.argmin), d_a * d_b
+    starts = [product, _entangled_init(d_a, d_b), np.eye(1, dim)[0]]
+    joint = _multistart(_pure_entropy_and_gradient(channel_a, channel_b), cfg, starts, dim)
     total_singles = report_a.value + report_b.value
     return ProbeReport(
         joint_min=joint.value,

@@ -622,3 +622,41 @@ def test_oversized_channel_file_is_rejected_after_loading(capsys, tmp_path, monk
     assert code == 1
     assert out == ""
     assert err.startswith("error: gain with 2 restarts needs about") and "GiB" in err
+
+
+_FORM_TERM = re.compile(r"([+-]?) ?(?:\((\d+)/(\d+)\) )?(ln|log2) ?\(?(\d+)(?:/(\d+))?\)?")
+_LOGS = {"ln": math.log, "log2": math.log2}
+
+
+def _closed_form_value(form):
+    """A printed closed form, a sum of terms like '- (2/3) log2 2' or '(1/3) ln(4/3)', in its base."""
+    assert _FORM_TERM.sub("", form).strip() == "", form
+    total = 0.0
+    for sign, num, den, log, arg_num, arg_den in _FORM_TERM.findall(form):
+        coefficient = (-1.0 if sign == "-" else 1.0) * int(num or 1) / int(den or 1)
+        total += coefficient * _LOGS[log](int(arg_num) / int(arg_den or 1))
+    return total
+
+
+def _base_two_forms(capsys, command, spin):
+    """(closed form, value printed beside it) pairs of one command at --log-base 2, json and text."""
+    search = ["--restarts", "2"] if command == "min-output" else []
+    argv = [command, "--spin", spin, "--log-base", "2", *search]
+    payload = json.loads(run_cli(capsys, *argv)[1])
+    text = run_cli(capsys, *argv, "--output", "text")[1].splitlines()[1:]
+    rows = {line[2:22].strip(): line[23:] for line in text}
+    if command == "min-output":
+        form, value = rows["reference"].split(" = ")
+        reference = payload["reference"]
+        return [(reference["closed_form"], reference["value"]), (form, float(value))]
+    value, form = re.fullmatch(r"(\S+)  \((.*)\)", rows["excess"]).groups()
+    keys = ("entropy", "single_channel_min", "excess")
+    pairs = [(payload[f"{key}_closed_form"], payload[key]) for key in keys]
+    return pairs + [(rows["entropy closed form"], float(rows["entropy"])), (form, float(value))]
+
+
+@pytest.mark.parametrize("spin", ["1/2", "1"])
+@pytest.mark.parametrize("command", ["min-output", "singlet"])
+def test_base_two_closed_forms_equal_the_values_beside_them(capsys, command, spin):
+    for form, value in _base_two_forms(capsys, command, spin):
+        assert abs(_closed_form_value(form) - value) < 1e-15, (form, value)

@@ -25,8 +25,8 @@ from spinchannels.optimize import (
     SearchConfig,
     SearchReport,
     _entropy_and_log_term,
+    _multistart,
     _pure_entropy_and_gradient,
-    _pure_search,
     additivity_probe,
     gain_lower_bound,
     haar_pure,
@@ -34,6 +34,7 @@ from spinchannels.optimize import (
     min_output_entropy,
     schmidt_coefficients,
 )
+from spinchannels.spin import singlet_state
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -523,7 +524,9 @@ def test_gain_restarts_agree(dim, n_kraus):
 
 def _joint_search(channel, config):
     """The probe's two-factor search of channel x channel, from the basis and Haar starts."""
-    return _pure_search(config, [], channel, channel)
+    dim = channel.dim_in**2
+    objective = _pure_entropy_and_gradient(channel, channel)
+    return _multistart(objective, config, [np.eye(1, dim)[0]], dim)
 
 
 @pytest.mark.parametrize(
@@ -550,6 +553,37 @@ def test_restarts_advance_independently_of_each_other(search, channel):
     small = search(channel, SearchConfig(restarts=8, seed=3))
     large = search(channel, SearchConfig(restarts=16, seed=3))
     assert set(small.restart_values) <= set(large.restart_values)
+
+
+def test_every_search_starts_from_its_leading_states_then_seeded_haar_states(monkeypatch):
+    """Past its leading states, restart i of every search starts from haar_pure(dim, [seed, i])."""
+    starts = []
+    original = optimize._sphere_lbfgs
+
+    def captured(objective, x0, config):
+        starts.append(x0.copy())
+        return original(objective, x0, config)
+
+    monkeypatch.setattr(optimize, "_sphere_lbfgs", captured)
+    config = SearchConfig(restarts=6, seed=7)
+    one, half = isotropic_channel("1"), isotropic_channel("1/2")
+    min_output_entropy(one, config)
+    probe = additivity_probe(half, half, config)
+    min_entropy_gain(one, config)
+    single = probe.single_a.argmin
+    leading = [
+        [np.eye(1, 3)[0]],
+        [np.eye(1, 2)[0]],  # the probe's single search
+        [np.kron(single, single), singlet_state("1/2"), np.eye(1, 4)[0]],
+        [np.eye(3).ravel()],  # vec(I) of the gain's A
+    ]
+    assert len(starts) == len(leading)
+    for x0, states in zip(starts, leading):
+        dim = x0.shape[1] // 2
+        assert dim >= 2  # haar_pure fixes the phase at dim 1
+        for index, row in enumerate(x0):
+            expected = states[index] if index < len(states) else haar_pure(dim, [config.seed, index])
+            assert np.array_equal(row, np.asarray(expected, np.complex128).view(float)), index
 
 
 def _spectral_stack():
