@@ -20,7 +20,6 @@ from .channel import (
     random_channel,
     save_channel,
     tensor,
-    time_reversal_apply,
 )
 from .invariant import (
     EXACT_SINGLE_CHANNEL_MIN,
@@ -37,11 +36,7 @@ from .linalg import (
     ContractViolation,
     check_pure_state,
     kron,
-    operator_norm,
-    partial_trace,
-    relative_entropy,
     spectrum_entropy,
-    unitarity_defect,
     von_neumann_entropy,
 )
 from .optimize import (
@@ -91,11 +86,8 @@ __all__ = [
     "load_channel",
     "min_entropy_gain",
     "min_output_entropy",
-    "operator_norm",
     "output_gram",
-    "partial_trace",
     "random_channel",
-    "relative_entropy",
     "rotation_unitary",
     "save_channel",
     "schmidt_coefficients",
@@ -105,7 +97,5 @@ __all__ = [
     "spin_operators",
     "state_from_distribution",
     "tensor",
-    "time_reversal_apply",
-    "unitarity_defect",
     "von_neumann_entropy",
 ]

@@ -184,23 +184,6 @@ def entropy_gain(channel: KrausChannel, rho) -> float:
     return von_neumann_entropy(apply(channel, m)) - von_neumann_entropy(m)
 
 
-_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def time_reversal_apply(rho) -> np.ndarray:
-    """Spin-1/2 isotropic channel through its antiunitary normal form.
-
-    Evaluates (tr rho) I/3 + T rho T^dagger / 3 where T conjugates in the
-    m-basis and then applies the spin flip [[0, -1], [1, 0]]. Agrees with the
-    three-Kraus form to machine precision; kept as an independent route.
-    """
-    m = as_complex_matrix(rho)
-    if m.shape != (2, 2):
-        raise ContractViolation(f"time reversal form is specific to dimension 2, got {m.shape}")
-    flipped = _FLIP @ m.conj() @ _FLIP.conj().T
-    return np.trace(m) * np.eye(2, dtype=np.complex128) / 3.0 + flipped / 3.0
-
-
 def random_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """Haar-style random channel: a random isometry sliced into Kraus blocks.
 

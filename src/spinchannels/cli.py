@@ -6,7 +6,7 @@ min-output   search for the minimum output entropy over pure inputs
 gain         search for the minimum entropy gain over input states
 singlet      block decomposition of the doubly decohered singlet
 probe        joint-versus-single minimum output entropy for two copies
-verify       run the built-in self-check battery
+verify       check the paper's three claims: closed forms, singlet excess, gain additivity
 
 Exit codes: 0 on success, 1 when a computation rejects its input (bad channel
 file, contract violation, internal cross-check failure), 2 for unusable
@@ -153,7 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sub)
     sub.set_defaults(func=_cmd_probe)
 
-    sub = commands.add_parser("verify", help="run the built-in self-check battery")
+    sub = commands.add_parser(
+        "verify",
+        help="check the paper's closed-form minima, singlet excess and gain additivity",
+    )
     sub.set_defaults(func=_cmd_verify)
 
     return parser

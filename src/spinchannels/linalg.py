@@ -20,7 +20,6 @@ HERMITICITY_TOL = 1e-10
 # is treated as float noise and clamped to zero; below that positivity is
 # considered genuinely violated.
 EIGENVALUE_ERROR = 1e-8
-SUPPORT_THRESHOLD = 1e-10
 SLAB_ENTRIES = 2**17  # per row slab of a whole-matrix pass: 2 MiB of complex128
 
 
@@ -87,15 +86,6 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def unitarity_defect(matrix) -> float:
-    """Max-entry residual of U^dagger U - I."""
-    u = as_complex_matrix(matrix)
-    if u.shape[0] != u.shape[1]:
-        raise ContractViolation(f"unitarity is undefined for shape {u.shape}")
-    eye = np.eye(u.shape[0])
-    return float(np.abs(u.conj().T @ u - eye).max())
-
-
 def check_pure_state(vector) -> np.ndarray:
     """Validate a unit vector (norm 1 within 1e-12) and return it as complex128."""
     v = as_state_vector(vector)
@@ -108,31 +98,6 @@ def check_pure_state(vector) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Tensor product in the shared (i_A, i_B) -> i_A * d_B + i_B convention."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def partial_trace(matrix, dims, keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
-
-    Parameters
-    ----------
-    matrix : array, shape (d_a * d_b, d_a * d_b)
-    dims : pair (d_a, d_b)
-    keep : "A" to return the d_a x d_a reduction, "B" for d_b x d_b
-    """
-    rho = as_complex_matrix(matrix)
-    d_a, d_b = as_count(dims[0], "dims[0]"), as_count(dims[1], "dims[1]")
-    if d_a < 1 or d_b < 1:
-        raise ContractViolation(f"invalid factor dimensions {dims!r}")
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise ContractViolation(
-            f"operator shape {rho.shape} does not match factor dimensions ({d_a}, {d_b})"
-        )
-    blocks = rho.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", blocks)
-    if keep == "B":
-        return np.einsum("abad->bd", blocks)
-    raise ContractViolation(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def spectrum_entropy(eigenvalues):
@@ -190,46 +155,6 @@ def von_neumann_entropy(rho) -> float:
     return spectrum_entropy(np.linalg.eigvalsh(m))
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Relative entropy S(rho | sigma) = tr(rho log rho) - tr(rho log sigma), in nats.
-
-    Returns inf when rho places weight above SUPPORT_THRESHOLD outside the
-    support of sigma. Eigenvalues of sigma below SUPPORT_THRESHOLD do not
-    count as support.
-    """
-    r = require_hermitian(rho, name="rho")
-    s = require_hermitian(sigma, name="sigma")
-    if r.shape != s.shape:
-        raise ContractViolation(f"dimension mismatch: rho {r.shape} vs sigma {s.shape}")
-    lam, v_vecs = np.linalg.eigh(r)
-    mu, w_vecs = np.linalg.eigh(s)
-    if float(lam.min()) < -EIGENVALUE_ERROR or float(mu.min()) < -EIGENVALUE_ERROR:
-        raise ContractViolation("relative entropy requires positive semidefinite arguments")
-    lam = np.clip(lam, 0.0, None)
-    mu = np.clip(mu, 0.0, None)
-
-    outside = mu <= SUPPORT_THRESHOLD
-    if bool(outside.any()):
-        w_out = w_vecs[:, outside]
-        weight = float(np.real(np.sum(w_out.conj() * (r @ w_out))))
-        if weight > SUPPORT_THRESHOLD:
-            return math.inf
-
-    inside = ~outside
-    # |<v_i|w_j>|^2 with rho-eigenvectors v_i, the columns paired with lam.
-    overlaps = np.abs(v_vecs.conj().T @ w_vecs[:, inside]) ** 2
-    pos = lam > 0.0
-    first = float((lam[pos] * np.log(lam[pos])).sum())
-    second = float((lam[:, None] * overlaps * np.log(mu[inside])[None, :]).sum())
-    return first - second
-
-
-def operator_norm(matrix) -> float:
-    """Largest singular value."""
-    m = as_complex_matrix(matrix)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
 def matrix_to_json(matrix) -> list:
     """Rows of [re, im] pairs; the wire format for complex matrices."""
     m = as_complex_matrix(matrix)
@@ -275,9 +200,3 @@ def vector_to_json(vector) -> list:
     v = as_state_vector(vector)
     return [[float(z.real), float(z.imag)] for z in v]
 
-
-def vector_from_json(entries) -> np.ndarray:
-    if not isinstance(entries, list) or not entries:
-        raise ContractViolation("vector payload must be a nonempty list")
-    parsed = [_complex_from_json(entry, "vector", k) for k, entry in enumerate(entries)]
-    return np.asarray(parsed, dtype=np.complex128)

@@ -118,7 +118,10 @@ class SearchReport:
     restart's local minimum, sorted ascending; value equals its first entry.
     converged_fraction counts restarts that stopped on one of SearchConfig's
     two tolerance stops (gradient or relative reduction) rather than the
-    iteration limit or a line search that found no decrease.
+    iteration limit or a line search that found no decrease. Near a flat
+    minimum the value is fixed far more tightly than the argmin: for the gain,
+    restarts tie to about 1e-15 and np.argmin picks among them, so the argmin
+    is fixed only to about 1e-8 and its trailing digits are not significant.
     """
 
     value: float
@@ -484,7 +487,10 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     as d x d matrices A, seeded by (config.seed, restart_index). No start is
     rank-deficient: the gradient B A - tr(B rho) A vanishes on every zero
     column of A, so such a start would never leave its rank. The report's
-    argmin is the density matrix A A^dagger of the best unit A.
+    argmin is the density matrix A A^dagger of the best unit A. The value is
+    fixed to about 1e-15 but the argmin only to about 1e-8, since restarts
+    that tie to about 1e-15 end at different points of a flat minimum; the
+    argmin's trailing digits are not significant.
     """
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:

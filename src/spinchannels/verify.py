@@ -1,17 +1,21 @@
 """Self-check battery behind the `verify` CLI command.
 
 Each check compares a package computation against an independent route
-(algebraic identity, closed form, or brute-force construction) and records
-the worst residual seen. A check passes when its residual stays at or below
-its tolerance. The battery is deterministic: every random draw comes from a
-fixed seed. It checks the package's spin physics, isotropic channels,
-searches and block decomposition; the generic linear-algebra and
-random-channel identities are left to the test suite.
+(closed form, second evaluation path or repeated run) and records the worst
+residual seen. A check passes when its residual stays at or below its
+tolerance. The battery is deterministic: every search is seeded. It checks
+the paper's three claims: the closed-form single-copy minima at spin 1/2
+and 1, the decohered singlet's excess over twice that minimum, and the
+additivity of the minimum entropy gain on one seeded product of random
+channels. The gain row is heuristic search evidence, not a certificate. The
+other rows check the searches' restart spread, determinism and
+subadditivity, and the agreement of the block-decomposition routes. Spin
+algebra, rotations, channel identities and generic linear algebra are left
+to the test suite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +23,11 @@ import numpy as np
 from . import channel as ch
 from . import invariant as inv
 from . import optimize as opt
-from .linalg import spectrum_entropy, unitarity_defect
-from .spin import (
-    SpinLabel,
-    _random_axis_angle,
-    rotation_unitary,
-    singlet_state,
-    spin_operators,
-)
+from .linalg import spectrum_entropy
+from .spin import SpinLabel
 
 _SEED = 20240817
-_SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4), SpinLabel(5)]
+_SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]
 
 
 @dataclass(frozen=True)
@@ -42,94 +40,6 @@ class CheckResult:
 
 def _result(name: str, worst: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(worst), float(tolerance), float(worst) <= float(tolerance))
-
-
-def _random_density(rng, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _check_spin_algebra() -> list:
-    commutator = 0.0
-    casimir = 0.0
-    eps = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
-    for label in _SPINS:
-        ops = spin_operators(label)
-        d = label.dimension
-        for (a, b), c in eps.items():
-            residual = ops[a] @ ops[b] - ops[b] @ ops[a] - 1j * ops[c]
-            commutator = max(commutator, float(np.abs(residual).max()))
-        total = sum(op @ op for op in ops)
-        casimir = max(
-            casimir,
-            float(np.abs(total - label.s * (label.s + 1.0) * np.eye(d)).max()),
-        )
-    return [
-        _result("spin: commutators close the angular momentum algebra", commutator, 1e-12),
-        _result("spin: sum of squares equals s(s+1)", casimir, 1e-12),
-    ]
-
-
-def _check_rotations(rng) -> list:
-    unitarity = 0.0
-    composition = 0.0
-    for label in _SPINS[:3]:
-        for _ in range(5):
-            axis, angle = _random_axis_angle(rng)
-            extra = float(rng.uniform(0.0, 2.0 * math.pi))
-            u1 = rotation_unitary(label, axis, angle)
-            u2 = rotation_unitary(label, axis, extra)
-            u12 = rotation_unitary(label, axis, angle + extra)
-            unitarity = max(unitarity, unitarity_defect(u1))
-            composition = max(composition, float(np.abs(u1 @ u2 - u12).max()))
-    return [
-        _result("spin: rotation matrices are unitary", unitarity, 1e-10),
-        _result("spin: same-axis rotations compose additively", composition, 1e-9),
-    ]
-
-
-def _check_singlet(rng) -> list:
-    invariance = 0.0
-    for label in _SPINS:
-        psi = singlet_state(label)
-        for _ in range(4):
-            axis, angle = _random_axis_angle(rng)
-            u = rotation_unitary(label, axis, angle)
-            rotated = np.kron(u, u) @ psi
-            overlap_phase = np.vdot(psi, rotated)
-            invariance = max(invariance, float(np.linalg.norm(rotated - overlap_phase * psi)))
-    return [_result("spin: the singlet is rotation invariant", invariance, 1e-10)]
-
-
-def _check_bistochastic() -> list:
-    worst = max(ch.isotropic_channel(label).bistochastic_defect() for label in _SPINS)
-    return [_result("channel: isotropic channels are bistochastic", worst, 1e-12)]
-
-
-def _check_covariance(rng) -> list:
-    worst = 0.0
-    for label in _SPINS[:3]:
-        channel = ch.isotropic_channel(label)
-        for _ in range(20):
-            rho = _random_density(rng, label.dimension)
-            axis, angle = _random_axis_angle(rng)
-            u = rotation_unitary(label, axis, angle)
-            left = ch.apply(channel, u @ rho @ u.conj().T)
-            right = u @ ch.apply(channel, rho) @ u.conj().T
-            worst = max(worst, float(np.abs(left - right).max()))
-    return [_result("channel: isotropic channels are rotation covariant", worst, 1e-10)]
-
-
-def _check_time_reversal(rng) -> list:
-    worst = 0.0
-    channel = ch.isotropic_channel(SpinLabel(1))
-    for _ in range(50):
-        rho = _random_density(rng, 2)
-        worst = max(
-            worst, float(np.abs(ch.time_reversal_apply(rho) - ch.apply(channel, rho)).max())
-        )
-    return [_result("channel: antiunitary form matches the Kraus form", worst, 1e-12)]
 
 
 def _check_search() -> list:
@@ -166,7 +76,7 @@ def _check_invariant() -> list:
     reconstruction = 0.0
     formula = 0.0
     reports = []
-    for label in _SPINS[:4]:
+    for label in _SPINS:
         rho = inv.decohered_singlet(label)
         dist = inv.isotypic_probabilities(rho, label)
         report = inv.singlet_decoherence(label)
@@ -187,19 +97,26 @@ def _check_invariant() -> list:
     ]
 
 
+def _check_gain_additivity() -> list:
+    # The first channel pair of acceptance criterion 10, at its search settings.
+    chan_a = ch.random_channel(2, 3, seed=2000)
+    chan_b = ch.random_channel(2, 3, seed=3000)
+    single_cfg = opt.SearchConfig(restarts=8, seed=20)
+    g_a = opt.min_entropy_gain(chan_a, single_cfg).value
+    g_b = opt.min_entropy_gain(chan_b, single_cfg).value
+    joint = opt.min_entropy_gain(ch.tensor(chan_a, chan_b), opt.SearchConfig(restarts=12, seed=21))
+    return [
+        _result(
+            "optimize: the minimum entropy gain adds on a seeded pair (heuristic search)",
+            abs(joint.value - g_a - g_b),
+            1e-9,
+        )
+    ]
+
+
 def run_checks() -> list:
-    """Run the whole battery; deterministic, every draw seeded from _SEED."""
-    rng = np.random.default_rng(_SEED)
-    results = []
-    results += _check_spin_algebra()
-    results += _check_rotations(rng)
-    results += _check_singlet(rng)
-    results += _check_bistochastic()
-    results += _check_covariance(rng)
-    results += _check_time_reversal(rng)
-    results += _check_search()
-    results += _check_invariant()
-    return results
+    """Run the whole battery; deterministic, every search seeded."""
+    return _check_search() + _check_invariant() + _check_gain_additivity()
 
 
 def format_table(results) -> str:

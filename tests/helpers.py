@@ -1,4 +1,4 @@
-"""Shared constructors for the test suite."""
+"""Shared constructors and reference routines for the test suite."""
 
 import math
 from fractions import Fraction
@@ -6,6 +6,14 @@ from fractions import Fraction
 import numpy as np
 
 from spinchannels.channel import KrausChannel
+from spinchannels.linalg import (
+    EIGENVALUE_ERROR,
+    ContractViolation,
+    _complex_from_json,
+    as_complex_matrix,
+    as_count,
+    require_hermitian,
+)
 from spinchannels.spin import spin_operators
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
@@ -121,3 +129,95 @@ def exact_moment_probabilities(label):
     ops = spin_operators(label)
     totals = sum(np.abs(states @ (a @ psi @ b.T).ravel()) ** 2 for a in ops for b in ops)
     return (2 * np.arange(d) + 1) * totals / (s * (s + 1.0)) ** 2
+
+
+def partial_trace(matrix, dims, keep: str) -> np.ndarray:
+    """Trace out one tensor factor of a bipartite operator.
+
+    Parameters
+    ----------
+    matrix : array, shape (d_a * d_b, d_a * d_b)
+    dims : pair (d_a, d_b)
+    keep : "A" to return the d_a x d_a reduction, "B" for d_b x d_b
+    """
+    rho = as_complex_matrix(matrix)
+    d_a, d_b = as_count(dims[0], "dims[0]"), as_count(dims[1], "dims[1]")
+    if d_a < 1 or d_b < 1:
+        raise ContractViolation(f"invalid factor dimensions {dims!r}")
+    if rho.shape != (d_a * d_b, d_a * d_b):
+        raise ContractViolation(
+            f"operator shape {rho.shape} does not match factor dimensions ({d_a}, {d_b})"
+        )
+    blocks = rho.reshape(d_a, d_b, d_a, d_b)
+    if keep == "A":
+        return np.einsum("abcb->ac", blocks)
+    if keep == "B":
+        return np.einsum("abad->bd", blocks)
+    raise ContractViolation(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+SUPPORT_THRESHOLD = 1e-10
+
+
+def relative_entropy(rho, sigma) -> float:
+    """Relative entropy S(rho | sigma) = tr(rho log rho) - tr(rho log sigma), in nats.
+
+    Returns inf when rho places weight above SUPPORT_THRESHOLD outside the
+    support of sigma. Eigenvalues of sigma below SUPPORT_THRESHOLD do not
+    count as support.
+    """
+    r = require_hermitian(rho, name="rho")
+    s = require_hermitian(sigma, name="sigma")
+    if r.shape != s.shape:
+        raise ContractViolation(f"dimension mismatch: rho {r.shape} vs sigma {s.shape}")
+    lam, v_vecs = np.linalg.eigh(r)
+    mu, w_vecs = np.linalg.eigh(s)
+    if float(lam.min()) < -EIGENVALUE_ERROR or float(mu.min()) < -EIGENVALUE_ERROR:
+        raise ContractViolation("relative entropy requires positive semidefinite arguments")
+    lam = np.clip(lam, 0.0, None)
+    mu = np.clip(mu, 0.0, None)
+
+    outside = mu <= SUPPORT_THRESHOLD
+    if bool(outside.any()):
+        w_out = w_vecs[:, outside]
+        weight = float(np.real(np.sum(w_out.conj() * (r @ w_out))))
+        if weight > SUPPORT_THRESHOLD:
+            return math.inf
+
+    inside = ~outside
+    # |<v_i|w_j>|^2 with rho-eigenvectors v_i, the columns paired with lam.
+    overlaps = np.abs(v_vecs.conj().T @ w_vecs[:, inside]) ** 2
+    pos = lam > 0.0
+    first = float((lam[pos] * np.log(lam[pos])).sum())
+    second = float((lam[:, None] * overlaps * np.log(mu[inside])[None, :]).sum())
+    return first - second
+
+
+def operator_norm(matrix) -> float:
+    """Largest singular value."""
+    m = as_complex_matrix(matrix)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def vector_from_json(entries) -> np.ndarray:
+    if not isinstance(entries, list) or not entries:
+        raise ContractViolation("vector payload must be a nonempty list")
+    parsed = [_complex_from_json(entry, "vector", k) for k, entry in enumerate(entries)]
+    return np.asarray(parsed, dtype=np.complex128)
+
+
+_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
+
+
+def time_reversal_apply(rho):
+    """Spin-1/2 isotropic channel through its antiunitary normal form.
+
+    Evaluates (tr rho) I/3 + T rho T^dagger / 3 where T conjugates in the
+    m-basis and then applies the spin flip [[0, -1], [1, 0]]. Agrees with the
+    three-Kraus form to machine precision; kept as an independent route.
+    """
+    m = as_complex_matrix(rho)
+    if m.shape != (2, 2):
+        raise ContractViolation(f"time reversal form is specific to dimension 2, got {m.shape}")
+    flipped = _FLIP @ m.conj() @ _FLIP.conj().T
+    return np.trace(m) * np.eye(2, dtype=np.complex128) / 3.0 + flipped / 3.0

@@ -21,10 +21,14 @@ from helpers import (
     dense_casimir_projectors,
     exact_moment_probabilities,
     exact_zero_m_states,
+    operator_norm,
+    partial_trace,
     random_axis_angle,
     random_density,
     random_pure,
+    relative_entropy,
     replacement_channel,
+    vector_from_json,
 )
 from spinchannels.channel import (
     apply,
@@ -36,12 +40,6 @@ from spinchannels.channel import (
 )
 from spinchannels.cli import main
 from spinchannels.invariant import isotypic_probabilities
-from spinchannels.linalg import (
-    operator_norm,
-    partial_trace,
-    relative_entropy,
-    vector_from_json,
-)
 from spinchannels.optimize import (
     SearchConfig,
     additivity_probe,

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_axis_angle, random_density, random_pure, replacement_channel
+from helpers import (
+    random_axis_angle,
+    random_density,
+    random_pure,
+    replacement_channel,
+    time_reversal_apply,
+)
 from spinchannels.channel import (
     KrausChannel,
     apply,
@@ -17,7 +23,6 @@ from spinchannels.channel import (
     random_channel,
     save_channel,
     tensor,
-    time_reversal_apply,
 )
 from spinchannels.linalg import ContractViolation, von_neumann_entropy
 from spinchannels.spin import SpinLabel, rotation_unitary, spin_operators

@@ -7,16 +7,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import EXACT_PAIR_ENTROPY
+from helpers import EXACT_PAIR_ENTROPY, vector_from_json
+from spinchannels import optimize
 from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
 from spinchannels.invariant import EXACT_SINGLE_CHANNEL_MIN
-from spinchannels.linalg import vector_from_json
 
 LN2 = math.log(2.0)
 
@@ -203,11 +204,39 @@ class TestProbeCommand:
 
 
 class TestVerifyCommand:
+    @staticmethod
+    def failing_rows(out):
+        return [line for line in out.splitlines() if line.endswith("FAIL")]
+
     def test_battery_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
-        assert "checks passed" in out
+        assert "9/9 checks passed" in out
         assert "FAIL" not in out
+
+    def test_an_off_closed_form_fails_its_row(self, capsys, monkeypatch):
+        monkeypatch.setitem(EXACT_SINGLE_CHANNEL_MIN, 2, EXACT_SINGLE_CHANNEL_MIN[2] + 1e-3)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        [row] = self.failing_rows(out)
+        assert "closed-form minima" in row
+        assert "8/9 checks passed" in out
+
+    def test_a_non_additive_gain_fails_its_row(self, capsys, monkeypatch):
+        search = optimize.min_entropy_gain
+
+        def shifted(channel, config=None):
+            report = search(channel, config)
+            if channel.dim_in == 4:  # the product of the two qubit channels
+                report = replace(report, value=report.value + 1e-6)
+            return report
+
+        monkeypatch.setattr(optimize, "min_entropy_gain", shifted)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        [row] = self.failing_rows(out)
+        assert "entropy gain adds" in row
+        assert "8/9 checks passed" in out
 
 
 class TestDeterminism:

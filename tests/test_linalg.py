@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_density, random_hermitian, random_pure, random_unitary
+from helpers import (
+    operator_norm,
+    partial_trace,
+    random_density,
+    random_hermitian,
+    random_pure,
+    random_unitary,
+    relative_entropy,
+    vector_from_json,
+)
 from spinchannels import linalg
 from spinchannels.channel import random_channel
 from spinchannels.linalg import (
@@ -17,14 +26,9 @@ from spinchannels.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    operator_norm,
-    partial_trace,
-    relative_entropy,
     require_hermitian,
     size_text,
     spectrum_entropy,
-    unitarity_defect,
-    vector_from_json,
     vector_to_json,
     von_neumann_entropy,
 )
@@ -228,11 +232,6 @@ def test_operator_norm_dominates_random_directions():
         sampled = max(sampled, float(np.linalg.norm(m @ x)))
     assert sampled <= norm + 1e-12
     assert norm - sampled < norm * 0.05
-
-
-def test_unitarity_defect():
-    assert unitarity_defect(np.eye(3)) == 0.0
-    assert unitarity_defect(2.0 * np.eye(2)) == 3.0
 
 
 def test_matrix_serialization_round_trip():
