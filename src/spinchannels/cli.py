@@ -23,13 +23,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .channel import isotropic_channel, load_channel
-from .invariant import EXACT_SINGLE_CHANNEL_MIN, singlet_decoherence
+from .invariant import CLOSED_FORMS, EXACT_SINGLE_CHANNEL_MIN, singlet_decoherence
 from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
-    MAX_SIMPLEX_TOLERANCE,
     SearchConfig,
     additivity_probe,
     check_search_size,
@@ -43,18 +42,12 @@ _GAP_ALERT = 1e-8
 _PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
 # The library reports nats; a value is divided by its --log-base entry when printed.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0)}
-# Closed forms of the exact tables in `invariant`, keyed by 2s: the single-copy
-# minimum, the decohered singlet's entropy and its excess over twice the minimum.
-_CLOSED_FORMS = {
-    1: ("ln 3 - (2/3) ln 2", "(5/3) ln 3 - (2/3) ln 2", "(1/3) ln(4/3)"),
-    2: ("ln 2", "ln 3 + (4/3) ln 2", "ln 3 - (2/3) ln 2"),
-}
 
 
-def _closed_forms(twice_s: int, log_base: str) -> tuple[str, ...]:
-    """The closed forms of 2s in the printed base: log2 in place of ln at --log-base 2."""
-    forms = _CLOSED_FORMS[twice_s]
-    return forms if log_base == "e" else tuple(form.replace("ln", "log2") for form in forms)
+def _closed_forms(twice_s: int, log_base: str) -> dict:
+    """The texts of `invariant.CLOSED_FORMS[twice_s]`, with log2 in place of ln at base 2."""
+    texts = {quantity: text for quantity, (text, _) in CLOSED_FORMS[twice_s].items()}
+    return texts if log_base == "e" else {q: t.replace("ln", "log2") for q, t in texts.items()}
 
 
 def _spin_argument(text: str) -> SpinLabel:
@@ -64,18 +57,17 @@ def _spin_argument(text: str) -> SpinLabel:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _config_value(field: str, kind):
-    """Flag parser for one SearchConfig field, validated by SearchConfig itself."""
+def _config_value(field: str):
+    """Integer flag parser for one SearchConfig field, validated by SearchConfig itself."""
 
-    def parse(text: str):
+    def parse(text: str) -> int:
         try:
-            value = kind(text)
+            value = int(text)
             SearchConfig(**{field: value})
         except ContractViolation as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         return value
 
     return parse
@@ -106,15 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_search(sub):
-        sub.add_argument("--restarts", type=_config_value("restarts", int), default=64)
-        sub.add_argument("--seed", type=_config_value("seed", int), default=0)
-        sub.add_argument(
-            "--tolerance",
-            type=_config_value("simplex_tolerance", float),
-            default=1e-9,
-            help=f"per-restart gradient tolerance, at most {MAX_SIMPLEX_TOLERANCE:g}"
-            " (default 1e-9)",
-        )
+        # one flag per SearchConfig field (--restarts, --seed), defaulting as the field does
+        for field in fields(SearchConfig):
+            sub.add_argument(
+                f"--{field.name}", type=_config_value(field.name), default=field.default
+            )
 
     def add_output(sub, formats=("json", "csv", "text")):
         sub.add_argument("--log-base", choices=tuple(_LOG_DIVISOR), default="e")
@@ -179,7 +167,7 @@ def _search_head(args, command: str):
         channel = load_channel(args.channel)
         descriptor = {"kind": "file", "path": args.channel}
         described = f"file {args.channel}"
-    config = SearchConfig(restarts=args.restarts, seed=args.seed, simplex_tolerance=args.tolerance)
+    config = SearchConfig(restarts=args.restarts, seed=args.seed)
     payload = {
         "command": command,
         "channel": descriptor,
@@ -238,7 +226,7 @@ def _cmd_min_output(args) -> int:
     report = min_output_entropy(channel, config)
     reference = None
     if args.spin is not None and args.spin.twice_s in EXACT_SINGLE_CHANNEL_MIN:
-        closed_form = _closed_forms(args.spin.twice_s, args.log_base)[0]
+        closed_form = _closed_forms(args.spin.twice_s, args.log_base)["single"]
         value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / _LOG_DIVISOR[args.log_base]
         reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
     payload["argmin"] = vector_to_json(report.argmin)
@@ -272,21 +260,21 @@ def _cmd_singlet(args) -> int:
     rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
     rows.append(("entropy", repr(entropy)))
     if report.excess is not None:
-        single_form, pair_form, excess_form = _closed_forms(label.twice_s, args.log_base)
+        forms = _closed_forms(label.twice_s, args.log_base)
         reference = report.two_channel_reference / divisor
         excess = report.excess / divisor
         payload.update(
             single_channel_min=report.single_channel_min / divisor,
             two_channel_reference=reference,
             excess=excess,
-            entropy_closed_form=pair_form,
-            single_channel_min_closed_form=single_form,
-            excess_closed_form=excess_form,
+            entropy_closed_form=forms["singlet"],
+            single_channel_min_closed_form=forms["single"],
+            excess_closed_form=forms["excess"],
         )
         rows += [
-            ("entropy closed form", pair_form),
+            ("entropy closed form", forms["singlet"]),
             ("2 x single minimum", repr(reference)),
-            ("excess", f"{excess!r}  ({excess_form})"),
+            ("excess", f"{excess!r}  ({forms['excess']})"),
         ]
     return _emit(args, "decohered singlet block decomposition", payload, rows)
 

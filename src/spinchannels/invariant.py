@@ -56,12 +56,23 @@ from .spin import (
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 
-# Exact single-use minimum output entropies of the isotropic channel, keyed
-# by 2s, in nats. Only the two spins with known closed forms appear.
-EXACT_SINGLE_CHANNEL_MIN = {
-    1: _LN3 - 2.0 * _LN2 / 3.0,
-    2: _LN2,
+# The isotropic channel's closed forms, keyed by 2s; only spins 1/2 and 1 have
+# them. Each quantity maps to its (text, value in nats): the single-use minimum
+# output entropy, the decohered singlet's entropy, and its excess over twice
+# the single-use minimum.
+CLOSED_FORMS = {
+    1: {
+        "single": ("ln 3 - (2/3) ln 2", _LN3 - 2.0 * _LN2 / 3.0),
+        "singlet": ("(5/3) ln 3 - (2/3) ln 2", 5.0 * _LN3 / 3.0 - 2.0 * _LN2 / 3.0),
+        "excess": ("(1/3) ln(4/3)", math.log(4.0 / 3.0) / 3.0),
+    },
+    2: {
+        "single": ("ln 2", _LN2),
+        "singlet": ("ln 3 + (4/3) ln 2", _LN3 + 4.0 * _LN2 / 3.0),
+        "excess": ("ln 3 - (2/3) ln 2", _LN3 - 2.0 * _LN2 / 3.0),
+    },
 }
+EXACT_SINGLE_CHANNEL_MIN = {key: forms["single"][1] for key, forms in CLOSED_FORMS.items()}
 
 _CROSS_CHECK_TOL = 1e-9
 _INVARIANCE_TOL = 1e-8

@@ -39,13 +39,14 @@ from .spin import SpinLabel, singlet_state
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
 # trial steps one line search makes before its restart stops unconverged, the
 # rise in value, relative to max(|f|, 1), that still counts as rounding, the
-# iterations a restart may take, and the relative reduction of one step at or
-# below which it has converged.
+# iterations a restart may take, and the two stops at which it has converged:
+# its largest gradient component, and the relative reduction of one step.
 _MEMORY = 10
 _ARMIJO = 1e-4
 _MAX_TRIALS = 20
 _ROUNDING = 16 * np.finfo(float).eps
 _MAX_ITERATIONS = 2000
+_GRADIENT_TOL = 1e-9
 _REDUCTION_TOL = 1e-12
 
 # Slack of the gain range check [-ln||Lambda(I)||, 0]: 5e-9 nats, under 1e-8 bits.
@@ -68,28 +69,19 @@ SEARCH_DIMENSION_CAP = {"min-output": 400, "probe": 1024, "gain": 64}
 RESTARTS_AT_CAP = 64
 MAX_RESTARTS = 4096
 
-# Largest accepted simplex_tolerance. Parameters live on the unit sphere, so
-# a gradient tolerance near 1 stops every pure-input restart at its start.
-MAX_SIMPLEX_TOLERANCE = 1e-3
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What a caller sets of a multi-start search.
+    """What a caller sets of a multi-start search: how many restarts, and their seed.
 
-    A restart converges when its largest gradient component is at most
-    simplex_tolerance, which must lie in (0, MAX_SIMPLEX_TOLERANCE], or when
-    one step lowers its value by at most _REDUCTION_TOL relative to
-    max(|f_k|, |f_k+1|, 1); it stops unconverged after _MAX_ITERATIONS.
     restarts and seed are Python or numpy integers, stored as int. Restart
     seeds derive from (seed, restart_index), so reports are reproducible bit
     for bit at fixed config and identical across channels given on
-    different occasions.
+    different occasions. The stop rule is fixed: see `_sphere_lbfgs`.
     """
 
     restarts: int = 64
     seed: int = 0
-    simplex_tolerance: float = 1e-9
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
@@ -98,15 +90,6 @@ class SearchConfig:
             raise ContractViolation(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
             raise ContractViolation(f"seed must be nonnegative, got {self.seed}")
-        tol = float(self.simplex_tolerance)
-        # written so that NaN fails too: every comparison with NaN is False
-        if not (tol > 0 and math.isfinite(tol)):
-            raise ContractViolation(f"simplex_tolerance must be positive and finite, got {tol!r}")
-        if tol > MAX_SIMPLEX_TOLERANCE:
-            raise ContractViolation(
-                f"simplex_tolerance must be at most {MAX_SIMPLEX_TOLERANCE:g},"
-                f" got {self.simplex_tolerance!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -116,12 +99,13 @@ class SearchReport:
     argmin is the best restart's end point as a unit complex vector (the
     gain's is the density matrix it encodes). restart_values holds every
     restart's local minimum, sorted ascending; value equals its first entry.
-    converged_fraction counts restarts that stopped on one of SearchConfig's
-    two tolerance stops (gradient or relative reduction) rather than the
-    iteration limit or a line search that found no decrease. Near a flat
-    minimum the value is fixed far more tightly than the argmin: for the gain,
-    restarts tie to about 1e-15 and np.argmin picks among them, so the argmin
-    is fixed only to about 1e-8 and its trailing digits are not significant.
+    converged_fraction counts restarts that stopped on one of the two
+    tolerance stops (_GRADIENT_TOL on the gradient, _REDUCTION_TOL on the
+    relative reduction) rather than the iteration limit or a line search
+    that found no decrease. Near a flat minimum the value is fixed far more
+    tightly than the argmin: for the gain, restarts tie to about 1e-15 and
+    np.argmin picks among them, so the argmin is fixed only to about 1e-8
+    and its trailing digits are not significant.
     """
 
     value: float
@@ -209,10 +193,7 @@ def haar_pure(dim: int, seed) -> np.ndarray:
         raise ContractViolation(f"dimension must be >= 1, got {dim}")
     if dim == 1:
         return np.ones(1, dtype=np.complex128)
-    return _haar_from_rng(np.random.default_rng(seed), dim)
-
-
-def _haar_from_rng(rng: np.random.Generator, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -310,7 +291,7 @@ def _gain_objective(channel: KrausChannel):
     return objective
 
 
-def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
+def _sphere_lbfgs(objective, x0: np.ndarray):
     """Minimize objective from every row of x0 at once, on the unit sphere.
 
     Each row is one restart with its own L-BFGS history (the last _MEMORY
@@ -321,7 +302,7 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     step, every backtrack would renormalise to near p / |p|. Where a row's
     value is flat to rounding, a trial that halves its largest gradient
     component also counts as a decrease. A row converges when its largest
-    gradient component is at most simplex_tolerance, or when a step lowers
+    gradient component is at most _GRADIENT_TOL, or when a step lowers
     its value by at most _REDUCTION_TOL relative to max(|f_k|, |f_k+1|, 1):
     the two stops L-BFGS-B reports as convergence. It stops unconverged
     after _MAX_ITERATIONS, or when _MAX_TRIALS trial steps find no decrease.
@@ -331,7 +312,6 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     Returns the final values, points, evaluation counts and converged flags,
     one entry per row of x0.
     """
-    gtol = float(config.simplex_tolerance)
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
     f, g = objective(x)
     rows, size = x.shape
@@ -345,7 +325,7 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
     history = np.zeros((4, _MEMORY, rows, size))
     scale = np.ones((rows, 1))  # the initial inverse Hessian is scale * I
     largest = np.abs(g).max(axis=1)
-    ok = done = largest <= gtol
+    ok = done = largest <= _GRADIENT_TOL
     for iteration in range(_MAX_ITERATIONS + 1):
         if iteration == _MAX_ITERATIONS:
             done = np.ones_like(done)
@@ -421,7 +401,7 @@ def _sphere_lbfgs(objective, x0: np.ndarray, config: SearchConfig):
         reduction = (f - new_f) / np.maximum(f_scale, np.abs(new_f))
         x, f, g = new_x, new_f, new_g
         largest = np.abs(g).max(axis=1)
-        ok = accepted & ((reduction <= _REDUCTION_TOL) | (largest <= gtol))
+        ok = accepted & ((reduction <= _REDUCTION_TOL) | (largest <= _GRADIENT_TOL))
         done = ok | failed
     return final_f, final_x, evaluations, converged
 
@@ -430,19 +410,15 @@ def _multistart(objective, config: SearchConfig, leading_states, dim: int) -> Se
     """Shared engine: run the restarts together and report the best point found.
 
     Restart i starts from the complex vector leading_states[i], or past their
-    end from the Haar state _haar_from_rng(default_rng([seed, i]), dim), read
-    as reals; objective maps a stack of points to (values, gradients) and
-    _sphere_lbfgs advances them all at once. The argmin is the best row as a
-    unit complex vector.
+    end from the Haar state haar_pure(dim, [seed, i]) (at dim = 1, the
+    basis vector at phase 1), read as reals; objective maps a stack of
+    points to (values, gradients) and _sphere_lbfgs, which reads no config,
+    advances them all at once. The argmin is the best row as a unit complex
+    vector.
     """
-    starts = [
-        leading_states[index]
-        if index < len(leading_states)
-        else _haar_from_rng(np.random.default_rng([config.seed, index]), dim)
-        for index in range(config.restarts)
-    ]
-    x0 = np.stack(starts, dtype=np.complex128).view(float)
-    values, points, evaluations, converged = _sphere_lbfgs(objective, x0, config)
+    haar = [haar_pure(dim, [config.seed, i]) for i in range(len(leading_states), config.restarts)]
+    x0 = np.stack([*leading_states, *haar][: config.restarts], dtype=np.complex128).view(float)
+    values, points, evaluations, converged = _sphere_lbfgs(objective, x0)
     best = int(np.argmin(values))  # the first restart reaching the lowest value
     return SearchReport(
         value=float(values[best]),

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from helpers import EXACT_PAIR_ENTROPY, vector_from_json
 from spinchannels import optimize
 from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
-from spinchannels.invariant import EXACT_SINGLE_CHANNEL_MIN
+from spinchannels.invariant import CLOSED_FORMS, EXACT_SINGLE_CHANNEL_MIN
 
 LN2 = math.log(2.0)
 
@@ -31,7 +32,7 @@ def run_cli(capsys, *argv):
 class TestMinOutputCommand:
     def test_config_block_holds_what_a_caller_sets(self, capsys):
         _, out, _ = run_cli(capsys, "min-output", "--spin", "1/2", "--restarts", "2")
-        assert json.loads(out)["config"] == {"restarts": 2, "seed": 0, "simplex_tolerance": 1e-9}
+        assert json.loads(out)["config"] == {"restarts": 2, "seed": 0}
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
@@ -238,6 +239,15 @@ class TestVerifyCommand:
         assert "entropy gain adds" in row
         assert "8/9 checks passed" in out
 
+    def test_an_off_excess_fails_its_row(self, capsys, monkeypatch):
+        text, value = CLOSED_FORMS[1]["excess"]
+        monkeypatch.setitem(CLOSED_FORMS[1], "excess", (text, value + 1e-3))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        [row] = self.failing_rows(out)
+        assert "singlet excess" in row
+        assert "8/9 checks passed" in out
+
 
 class TestDeterminism:
     def test_identical_flags_identical_bytes(self, capsys):
@@ -325,7 +335,13 @@ class TestErrorHandling:
             main(["min-output", "--spin", "1", "--restarts", "0"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--tolerance", "--restarts", "--seed"])
+    def test_tolerance_is_an_unrecognised_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "1", "--tolerance", "1e-9"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--seed"])
     def test_unparsable_number_is_a_readable_flag_error(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["gain", "--spin", "1/2", flag, "abc"])
@@ -334,13 +350,6 @@ class TestErrorHandling:
         assert flag in err
         for name in ("invalid", "_tolerance", "_positive_int", "_nonnegative_int"):
             assert name not in err
-
-    @pytest.mark.parametrize("tolerance", ["inf", "1e999", "nan"])
-    def test_non_finite_tolerance_is_a_flag_error(self, capsys, tolerance):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
-        assert excinfo.value.code == 2
-        assert "--tolerance" in capsys.readouterr().err
 
     def test_spin_zero_is_a_contract_error(self, capsys):
         code, _, err = run_cli(capsys, "min-output", "--spin", "0")
@@ -452,16 +461,42 @@ def _assert_bits_are_converted_nats(capsys, argv, bits):
         assert bits["gap"] == bits["joint_min"] - bits["sum_of_singles"]
 
 
-def _output_pairs():
-    """Every (command, --output) pair the parser accepts, at both log bases."""
+def _subcommands() -> dict:
+    """The shared parser's subcommand parsers, by name."""
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for name, sub in commands.choices.items():
+    return commands.choices
+
+
+def _output_pairs():
+    """Every (command, --output) pair the parser accepts, at both log bases."""
+    for name, sub in _subcommands().items():
         for action in sub._actions:
             if action.dest == "output":
                 for fmt in action.choices:
                     yield from ((name, fmt, base) for base in ("e", "2"))
+
+
+def test_search_settings_are_restarts_and_seed():
+    """SearchConfig's two fields are the search flags, each defaulting as its field does."""
+    assert [field.name for field in dataclasses.fields(optimize.SearchConfig)] == [
+        "restarts",
+        "seed",
+    ]
+    for name in ("min-output", "gain", "probe"):
+        sub = _subcommands()[name]
+        flags = [flag for action in sub._actions for flag in action.option_strings]
+        assert [flag for flag in flags if flag not in ("-h", "--help")] == [
+            "--spin",
+            "--channel",
+            "--restarts",
+            "--seed",
+            "--log-base",
+            "--output",
+        ], name
+        args = sub.parse_args(["--spin", "1"])
+        assert (args.restarts, args.seed) == (64, 0) == dataclasses.astuple(optimize.SearchConfig())
 
 
 @pytest.mark.parametrize("command, fmt, base", list(_output_pairs()))
@@ -490,24 +525,6 @@ def test_every_output_format(capsys, command, fmt, base):
         rows = lines[1 : len(lines) - notes]
         assert rows and all(_TEXT_ROW.match(row) for row in rows), rows
         assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])
-
-
-class TestToleranceUpperBound:
-    @pytest.mark.parametrize("tolerance", ["1e300", "1", "0.0011"])
-    def test_tolerance_above_the_bound_is_a_flag_error(self, capsys, tolerance):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--tolerance" in err
-        assert "at most" in err
-
-    def test_tolerance_at_the_bound_is_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "gain", "--spin", "1/2", "--restarts", "2", "--tolerance", "1e-3"
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["simplex_tolerance"] == 1e-3
 
 
 def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):

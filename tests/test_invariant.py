@@ -16,6 +16,7 @@ from helpers import (
 from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
+    CLOSED_FORMS,
     EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
     _require_invariant,
@@ -189,6 +190,16 @@ class TestDecoheredSinglet:
         assert abs(one.entropy - EXACT_PAIR_ENTROPY[2]) < 1e-10
         assert abs(one.excess - EXACT_EXCESS[2]) < 1e-9
         assert one.entropy > 2.0 * math.log(2.0)
+
+    def test_closed_form_table_matches_the_references(self):
+        assert sorted(CLOSED_FORMS) == sorted(EXACT_SINGLE_CHANNEL_MIN) == [1, 2]
+        for twice_s, forms in CLOSED_FORMS.items():
+            assert forms["single"][1] == EXACT_SINGLE_CHANNEL_MIN[twice_s]
+            assert abs(forms["singlet"][1] - EXACT_PAIR_ENTROPY[twice_s]) < 1e-15
+            assert abs(forms["excess"][1] - EXACT_EXCESS[twice_s]) < 1e-15
+            report = singlet_decoherence(SpinLabel(twice_s))
+            assert abs(report.entropy - forms["singlet"][1]) < 1e-14
+            assert abs(report.excess - forms["excess"][1]) < 1e-14
 
     def test_reference_fields_follow_known_spins(self):
         half = singlet_decoherence("1/2")
