@@ -341,7 +341,7 @@ class TestErrorHandling:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+    @pytest.mark.parametrize("flag", ["--tolerance", "--restarts", "--seed"])
     def test_unparsable_number_is_a_readable_flag_error(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["gain", "--spin", "1/2", flag, "abc"])
@@ -350,6 +350,13 @@ class TestErrorHandling:
         assert flag in err
         for name in ("invalid", "_tolerance", "_positive_int", "_nonnegative_int"):
             assert name not in err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "1e999", "nan"])
+    def test_non_finite_tolerance_is_a_flag_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_spin_zero_is_a_contract_error(self, capsys):
         code, _, err = run_cli(capsys, "min-output", "--spin", "0")
@@ -525,6 +532,19 @@ def test_every_output_format(capsys, command, fmt, base):
         rows = lines[1 : len(lines) - notes]
         assert rows and all(_TEXT_ROW.match(row) for row in rows), rows
         assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])
+
+
+class TestToleranceUpperBound:
+    """No tolerance reaches the search: the gradient stop is the constant optimize._GRADIENT_TOL."""
+
+    @pytest.mark.parametrize("tolerance", ["1e300", "1", "0.0011"])
+    def test_tolerance_above_the_bound_is_a_flag_error(self, capsys, tolerance):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["min-output", "--spin", "3/2", "--restarts", "4", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tolerance" in err
+        assert "unrecognized arguments" in err
 
 
 def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):

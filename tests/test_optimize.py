@@ -104,6 +104,17 @@ class TestSearchConfig:
             SearchConfig(seed=-1)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("simplex_tolerance", math.nan),
+            ("simplex_tolerance", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_tolerances(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SearchConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"restarts": 2.5, "seed": 1.7},
@@ -406,6 +417,16 @@ def test_qubit_search_is_no_worse_than_a_dense_bloch_grid(seed, n_kraus):
     channel = random_channel(2, n_kraus, seed=seed)
     report = min_output_entropy(channel, SearchConfig(restarts=8, seed=2))
     assert report.value <= _bloch_grid_min_output(channel) + 1e-12
+
+
+class TestToleranceBound:
+    def test_rejects_simplex_tolerance_above_the_bound(self):
+        """No config can switch the gradient stop off: it is a constant within the old 1e-3 bound."""
+        with pytest.raises(TypeError, match="simplex_tolerance"):
+            SearchConfig(simplex_tolerance=1e-3 * 1.01)
+        with pytest.raises(TypeError, match="simplex_tolerance"):
+            SearchConfig(simplex_tolerance=1e300)
+        assert 0.0 < optimize._GRADIENT_TOL <= 1e-3
 
 
 class TestGainLowerBound:
