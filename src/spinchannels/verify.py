@@ -1,17 +1,17 @@
 """Self-check battery behind the `verify` CLI command.
 
 Each check compares a package computation against an independent route
-(closed form, second evaluation path or repeated run) and records the worst
-residual seen. A check passes when its residual stays at or below its
-tolerance. The battery is deterministic: every search is seeded. It checks
-the paper's three claims: the closed-form single-copy minima at spin 1/2
-and 1, the decohered singlet's excess over twice that minimum, and the
-additivity of the minimum entropy gain on one seeded product of random
-channels. The excess row diagonalises the decohered singlet and checks the
-claim against `invariant.CLOSED_FORMS`. The gain row is heuristic search
-evidence, not a certificate. The other rows check the searches' restart
-spread, determinism and subadditivity, and the agreement of the
-block-decomposition routes. Spin algebra, rotations, channel identities and
+(closed form or repeated run) and records the worst residual seen. A check
+passes when its residual stays at or below its tolerance. The battery is
+deterministic: every search is seeded. It checks the paper's three claims:
+the closed-form single-copy minima at spin 1/2 and 1, the decohered
+singlet's excess over twice that minimum, and the additivity of the minimum
+entropy gain on one seeded product of random channels. The closed-form and
+excess rows loop over `invariant.EXACT_SINGLE_CHANNEL_MIN` and
+`invariant.CLOSED_FORMS`, so a new table entry extends them. The gain row is
+heuristic search evidence, not a certificate. One more row checks that a
+repeated search is bit-identical. Restart spread, the additivity probe, the
+block-decomposition routes, spin algebra, rotations, channel identities and
 generic linear algebra are left to the test suite.
 """
 
@@ -28,7 +28,6 @@ from .linalg import spectrum_entropy
 from .spin import SpinLabel
 
 _SEED = 20240817
-_SPINS = [SpinLabel(1), SpinLabel(2), SpinLabel(3), SpinLabel(4)]
 
 
 @dataclass(frozen=True)
@@ -45,58 +44,32 @@ def _result(name: str, worst: float, tolerance: float) -> CheckResult:
 
 def _check_search() -> list:
     cfg = opt.SearchConfig(restarts=12, seed=_SEED)
-    half = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(1)), cfg)
-    one = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(2)), cfg)
-    known = max(
-        abs(half.value - inv.EXACT_SINGLE_CHANNEL_MIN[1]),
-        abs(one.value - inv.EXACT_SINGLE_CHANNEL_MIN[2]),
-    )
-    spread = half.restart_values[-1] - half.restart_values[0]
+    known = 0.0
+    reports = {}
+    for twice_s, exact in inv.EXACT_SINGLE_CHANNEL_MIN.items():
+        reports[twice_s] = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(twice_s)), cfg)
+        known = max(known, abs(reports[twice_s].value - exact))
 
+    one = reports[2]
     again = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(2)), cfg)
     determinism = max(
         abs(one.value - again.value),
         float(np.abs(one.argmin - again.argmin).max()),
         max(abs(p - q) for p, q in zip(one.restart_values, again.restart_values)),
     )
-
-    probe_cfg = opt.SearchConfig(restarts=8, seed=_SEED)
-    iso = ch.isotropic_channel(SpinLabel(1))
-    probe = opt.additivity_probe(iso, iso, probe_cfg)
     return [
         _result("optimize: search recovers the known closed-form minima", known, 1e-6),
-        _result("optimize: the constant objective shows no restart spread", spread, 1e-9),
         _result("optimize: repeated searches are bit-identical", determinism, 0.0),
-        _result("optimize: the probe never violates subadditivity", probe.gap, 1e-8),
     ]
 
 
 def _check_invariant() -> list:
-    # The closed-form report is compared with the matrix route.
-    agreement = 0.0
-    reconstruction = 0.0
-    formula = 0.0
+    # the claim: the singlet's entropy exceeds twice the single minimum by the excess
     excess = 0.0
-    for label in _SPINS:
-        rho = inv.decohered_singlet(label)
-        dist = inv.isotypic_probabilities(rho, label)
-        report = inv.singlet_decoherence(label)
-        agreement = max(agreement, max(abs(a - b) for a, b in zip(dist.probs, report.probs)))
-        rebuilt = inv.state_from_distribution(dist)
-        reconstruction = max(reconstruction, float(np.abs(rebuilt - rho).max()))
-        direct = spectrum_entropy(np.linalg.eigvalsh(rho))
-        for entropy in (inv.invariant_state_entropy(dist), report.entropy):
-            formula = max(formula, abs(entropy - direct))
-        forms = inv.CLOSED_FORMS.get(label.twice_s)
-        if forms is not None:
-            # the claim: the singlet's entropy exceeds twice the single minimum by the excess
-            excess = max(excess, abs(direct - 2.0 * forms["single"][1] - forms["excess"][1]))
-    return [
-        _result("invariant: all block-probability routes agree", agreement, 1e-9),
-        _result("invariant: block mixture reconstructs the output state", reconstruction, 1e-9),
-        _result("invariant: entropy formula matches diagonalization", formula, 1e-10),
-        _result("invariant: decohered singlet excess equals its closed form", excess, 1e-12),
-    ]
+    for twice_s, forms in inv.CLOSED_FORMS.items():
+        direct = spectrum_entropy(np.linalg.eigvalsh(inv.decohered_singlet(SpinLabel(twice_s))))
+        excess = max(excess, abs(direct - 2.0 * forms["single"][1] - forms["excess"][1]))
+    return [_result("invariant: decohered singlet excess equals its closed form", excess, 1e-12)]
 
 
 def _check_gain_additivity() -> list:

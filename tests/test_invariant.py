@@ -147,7 +147,7 @@ class TestInvariantStateEntropy:
 
 
 class TestStateFromDistribution:
-    @pytest.mark.parametrize("label", SPINS[:3])
+    @pytest.mark.parametrize("label", SPINS)
     def test_reconstructs_the_decohered_singlet(self, label):
         rho = decohered_singlet(label)
         dist = isotypic_probabilities(rho, label)
