@@ -14,8 +14,9 @@ reports exactly that, in O(d) at every spin. `isotypic_probabilities` is
 the matrix route for any invariant state: the projector traces tr(P_j rho),
 which must match the matrix elements (2j+1) <j;0|rho|j;0> because an
 invariant state is constant on each block; it raises when the two disagree.
-`verify` compares it with the closed form on `decohered_singlet`, and the
-tests compare both with references of their own.
+The tests compare it with the closed form on `decohered_singlet`, and both
+with references of their own. `verify` takes no block route: it checks the
+closed-form excess against the eigenvalues of `decohered_singlet`.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
@@ -27,7 +28,8 @@ T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
 over all rotations W = U tensor U. Every W fixes T(rho), so
 max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
 once. The residual reuses the block weights' sector gather and sums rho off
-the sectors one row slab at a time, so T(rho) is never built.
+the sectors one row slab at a time, upper triangle doubled, so T(rho) is
+never built.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .linalg import (
 from .spin import (
     SpinLabel,
     _casimir_sectors,
-    _check_zero_m_states,
     _projector_sum,
     singlet_state,
 )
@@ -131,17 +132,22 @@ class SingletDecoherenceReport:
 
 
 def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
-    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), sectors, <j;M|rho|j;M>).
+    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), <j;M|rho|j;M>).
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
     2 ||rho - T(rho)||_F at every W at once. It is summed entrywise (a
     difference of norms cancels to about sqrt(eps) ||rho||): the gathered blocks
     minus V diag(w_j) V^T in the sectors, and rho itself, slab by slab, off them.
+
+    Precondition: rho is Hermitian within `require_hermitian`'s 1e-10 per
+    entry. The off-sector sum therefore reads rows i against columns k > i
+    only and doubles it, which is the residual of the Hermitian matrix with
+    rho's upper triangle.
     """
     # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block
     # j; padded slots gather some entry of rho but meet zero vector entries.
     d = label.dimension
-    sectors = indices, j_values, vectors = _casimir_sectors(label)
+    indices, j_values, vectors = _casimir_sectors(label)
     blocks = rho[indices[:, :, None], indices[:, None, :]]
     columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
     live = j_values >= 0
@@ -150,18 +156,20 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
     blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
     blocks[~(live[:, :, None] & live[:, None, :])] = 0.0
     squares = np.vdot(blocks, blocks).real
-    sector = np.add.outer(np.arange(d), np.arange(d)).ravel()  # 2s - M of each basis state
-    rows = max(1, SLAB_ENTRIES // (d * d))
-    for start in range(0, d * d, rows):
-        outside = rho[start : start + rows][sector[start : start + rows, None] != sector]
-        squares += np.vdot(outside, outside).real
+    n, sector = d * d, np.add.outer(np.arange(d), np.arange(d)).ravel()  # 2s - M of each state
+    rows = max(1, SLAB_ENTRIES // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        upper = np.arange(start, n) > np.arange(start, stop)[:, None]
+        outside = rho[start:stop, start:][upper & (sector[start:stop, None] != sector[start:])]
+        squares += 2.0 * np.vdot(outside, outside).real
     deviation = 2.0 * math.sqrt(squares)
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(
             "state is not rotationally invariant:"
             f" twirl residual {deviation:.3e} > {_INVARIANCE_TOL:.1e}"
         )
-    return traces, sectors, columns
+    return traces, columns
 
 
 def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
@@ -173,8 +181,10 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     rotation, is at most 1e-8. The weights must agree with the matrix
     elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
     projector route's values are returned. The |j;0> are the M = 0 sector's
-    vectors from that same pass, checked by `spin._check_zero_m_states`, and
-    need no phase. Besides rho the call holds O(d^3) memory and a row slab.
+    vectors from that same pass and need no phase. The sectors are solved and
+    checked once per spin per process by `spin._casimir_sectors`, and shared
+    read-only; every check on rho runs on every call. Besides rho the call
+    holds O(d^3) memory and a row slab.
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
@@ -184,9 +194,8 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    traces, (indices, _, vectors), columns = _require_invariant(m, label)
+    traces, columns = _require_invariant(m, label)
     zero = d - 1  # sector M = 0, whose column j is |j;0>
-    _check_zero_m_states(label, indices[zero], vectors[zero].T)
     worst = float(np.abs(traces - (2 * np.arange(d) + 1) * columns[zero]).max())
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
@@ -240,9 +249,10 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
         p = (1/3, q, 2/3 - q, 0, ..., 0),   q = 1 / (2 s(s+1)),
 
     so the report costs O(d) and never builds the d^2 x d^2 output state; the
-    entropy is the block formula over these weights. `isotypic_probabilities`
-    of `decohered_singlet` is the matrix route it is compared against in the
-    tests and in `verify`. For spins with known closed-form single-channel
+    entropy is the block formula over these weights. The tests compare the
+    weights with `isotypic_probabilities` of `decohered_singlet`, the matrix
+    route; `verify` checks the closed-form excess against the eigenvalues of
+    `decohered_singlet`. For spins with known closed-form single-channel
     minima the report also carries the additivity reference 2 * min and the
     strictly positive excess above it.
     """

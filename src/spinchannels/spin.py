@@ -10,12 +10,15 @@ Two-spin indices flatten as (m_row, m'_col) -> row * d + col, matching
 
 The coupled states |j; M> are the eigenvectors of J^2 on the sectors of
 fixed total M, found up to sign by `_casimir_sectors`; the block routes of
-`invariant` need no phase. The one state used with a phase, the singlet
-|0; 0>, comes from its closed form in `singlet_state`.
+`invariant` need no phase. Each spin's sectors are solved and checked once
+per process and shared read-only after that, for up to SECTOR_CACHE_SPINS
+spins. The one state used with a phase, the singlet |0; 0>, comes from its
+closed form in `singlet_state`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +27,11 @@ import numpy as np
 from .linalg import ConsistencyError, ContractViolation
 
 CLUSTER_TOL = 1e-6  # max distance of a computed Casimir eigenvalue from j(j+1)
+# Spins whose checked sectors `_casimir_sectors` keeps. An entry at dimension
+# d holds (2d-1) d (8d + 16) bytes, about 1/d of the d^2 x d^2 complex state
+# that needs it: 85 kB at 2s = 16 and 3.7 MB at 2s = 60, so at most 1.4 MB
+# for spins up to 2s = 16 and 60 MB up to 2s = 60.
+SECTOR_CACHE_SPINS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -179,6 +187,7 @@ def _solve_sectors(label: SpinLabel, ks):
     return matrices, j_values, vectors
 
 
+@functools.lru_cache(maxsize=SECTOR_CACHE_SPINS)
 def _casimir_sectors(label: SpinLabel) -> tuple:
     """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s.
 
@@ -187,6 +196,11 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector M onto
     -M in order, index i to d^2 - 1 - i, with the same J^2 entry for entry
     (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
+
+    The M = 0 sector's columns, the |j;0>, also pass `_check_zero_m_states`.
+    A spin's stacks are kept only once both checks pass, for the last
+    SECTOR_CACHE_SPINS spins asked for, and every caller gets the same
+    read-only arrays; a failed check raises and keeps nothing.
     """
     d, a = label.dimension, np.arange(label.dimension)
     _, j_values, vectors = _solve_sectors(label, a)
@@ -194,7 +208,11 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     indices = np.where(b >= 0, a * d + b, -1)
     mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
     rows = np.r_[a, a[-2::-1]]
-    return np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
+    sectors = np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
+    _check_zero_m_states(label, indices[-1], vectors[-1].T)  # k = d - 1 is M = 0
+    for array in sectors:
+        array.flags.writeable = False
+    return sectors
 
 
 def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) -> None:

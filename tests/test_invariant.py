@@ -321,6 +321,7 @@ class TestZeroMResidualCheck:
         # with |3;0> leaves every trace and matrix element as it was
         label = SpinLabel(4)
         rho = state_from_distribution(IsotypicDistribution(label, (0.1, 0.2, 0.25, 0.35, 0.1)))
+        spin._casimir_sectors.cache_clear()  # so the call below solves the sectors again
         original = spin._solve_sectors
 
         def mixed(lab, ks):
@@ -349,10 +350,11 @@ class TestWorkCount:
             return wrapper
 
         # the |j;0> come from the sector pass, with one residual check
-        for name in ("_casimir_sectors", "_check_zero_m_states"):
-            wrapped = counted(name, getattr(spin, name))
-            monkeypatch.setattr(spin, name, wrapped)
-            monkeypatch.setattr(invariant, name, wrapped)
+        sectors = counted("_casimir_sectors", spin._casimir_sectors)
+        monkeypatch.setattr(spin, "_casimir_sectors", sectors)
+        monkeypatch.setattr(invariant, "_casimir_sectors", sectors)
+        checked = counted("_check_zero_m_states", spin._check_zero_m_states)
+        monkeypatch.setattr(spin, "_check_zero_m_states", checked)
         monkeypatch.setattr(spin, "rotation_unitary", counted("rotation_unitary", spin.rotation_unitary))
         isotypic_probabilities(rho, label)
         assert calls == ["_casimir_sectors", "_check_zero_m_states"]

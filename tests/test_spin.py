@@ -11,10 +11,15 @@ from helpers import (
 )
 from spinchannels import optimize, spin
 from spinchannels.channel import isotropic_channel
-from spinchannels.invariant import IsotypicDistribution, state_from_distribution
+from spinchannels.invariant import (
+    IsotypicDistribution,
+    isotypic_probabilities,
+    state_from_distribution,
+)
 from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
     CLUSTER_TOL,
+    SECTOR_CACHE_SPINS,
     SpinLabel,
     rotation_unitary,
     singlet_state,
@@ -358,10 +363,62 @@ class TestCasimirSectors:
             spin._casimir_sectors(label)
 
 
+def round_trip(label, seed):
+    """isotypic_probabilities(state_from_distribution(p), s) for seeded weights p."""
+    probs = np.random.default_rng(seed).dirichlet(np.ones(label.dimension))
+    state = state_from_distribution(IsotypicDistribution(label, tuple(probs)))
+    return isotypic_probabilities(state, label).probs
+
+
+class TestSectorCache:
+    def test_one_sector_solve_per_spin_per_process(self, monkeypatch):
+        label = SpinLabel(7)
+        original, calls = spin._solve_sectors, []
+
+        def counted(lab, ks):
+            calls.append(lab)
+            return original(lab, ks)
+
+        monkeypatch.setattr(spin, "_solve_sectors", counted)
+        round_trip(label, 1)
+        assert calls == [label]
+        round_trip(label, 2)
+        assert calls == [label]
+
+    def test_returned_arrays_are_read_only(self):
+        for array in spin._casimir_sectors(SpinLabel(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_cold_and_warm_calls_return_the_same_weights(self):
+        for twice_s in range(1, 17):
+            label = SpinLabel(twice_s)
+            spin._casimir_sectors.cache_clear()
+            cold = round_trip(label, twice_s)
+            assert round_trip(label, twice_s) == cold
+
+    def test_the_cache_keeps_at_most_its_bound(self):
+        for twice_s in range(1, SECTOR_CACHE_SPINS + 6):
+            spin._casimir_sectors(SpinLabel(twice_s))
+        assert spin._casimir_sectors.cache_info().currsize == SECTOR_CACHE_SPINS
+
+    def test_a_failed_check_keeps_nothing(self, monkeypatch):
+        label = SpinLabel(3)
+        original = spin._check_zero_m_states
+
+        def failing(lab, index, rows):
+            original(lab, index, rows[::-1])  # row j holds |2s-j;0>
+
+        monkeypatch.setattr(spin, "_check_zero_m_states", failing)
+        with pytest.raises(ConsistencyError, match="residual check"):
+            spin._casimir_sectors(label)
+        assert spin._casimir_sectors.cache_info().currsize == 0
+
+
 def zero_m_sector(label):
-    """Flattened indices and (d, d) vectors of the M = 0 sector from `_casimir_sectors`."""
+    """Writable copies of the M = 0 sector's flattened indices and (d, d) vectors."""
     indices, _, vectors = spin._casimir_sectors(label)
-    return indices[label.twice_s], vectors[label.twice_s]
+    return indices[label.twice_s].copy(), vectors[label.twice_s].copy()
 
 
 class TestZeroMSectorPhase:
