@@ -241,7 +241,7 @@ def load_channel(path) -> KrausChannel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int past 4300 digits
         raise ContractViolation(f"malformed channel file {path}: {exc}") from None
     return channel_from_json(data)
 

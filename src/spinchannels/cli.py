@@ -215,7 +215,7 @@ def _emit_search(args, title, payload, rows, report, reference) -> int:
     if reference is not None:
         payload["reference"], text = reference
         rows.append(("reference", text))
-    restarts = payload["config"]["restarts"]
+    restarts = len(report.restart_values)  # fewer than asked for on a one-point input space
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
     return _emit(args, title, payload, rows, payload["restart_values"])

@@ -19,9 +19,11 @@ with references of their own. `verify` takes no block route: it checks the
 closed-form excess against the eigenvalues of `decohered_singlet`.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
-diagonal over the 2d-1 sectors of fixed M, each of size at most d. Traces
-against P_j and sums of weighted P_j are therefore taken over the padded
-sector stack of `spin._casimir_sectors`, in one gather or scatter and one
+diagonal over the 2d-1 sectors of fixed M, each of size at most d. This
+module owns the padded stack of those sectors: `_casimir_sectors` solves
+J^2 on each, checks the result, and keeps it read-only, once per spin per
+process for up to SECTOR_CACHE_SPINS spins. Traces against P_j and sums of
+weighted P_j are taken over that stack, in one gather or scatter and one
 batched matmul; no d^2 x d^2 projector or eigensolve of the full J^2 is
 formed on this path. Invariance is checked exactly against the twirl
 T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
@@ -34,6 +36,7 @@ never built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,12 +50,7 @@ from .linalg import (
     require_hermitian,
     size_text,
 )
-from .spin import (
-    SpinLabel,
-    _casimir_sectors,
-    _projector_sum,
-    singlet_state,
-)
+from .spin import SpinLabel, _raising_elements, singlet_state
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -85,6 +83,13 @@ _INVARIANCE_TOL = 1e-8
 # million.
 _REPORT_BYTES_PER_WEIGHT = 350
 SINGLET_BYTE_CAP = 2**30
+
+CLUSTER_TOL = 1e-6  # max distance of a computed Casimir eigenvalue from j(j+1)
+# Spins whose checked sectors `_casimir_sectors` keeps. An entry at dimension
+# d holds (2d-1) d (8d + 16) bytes, about 1/d of the d^2 x d^2 complex state
+# that needs it: 85 kB at 2s = 16 and 3.7 MB at 2s = 60, so at most 1.4 MB
+# for spins up to 2s = 16 and 60 MB up to 2s = 60.
+SECTOR_CACHE_SPINS = 16
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,121 @@ class SingletDecoherenceReport:
     single_channel_min: float | None
     two_channel_reference: float | None
     excess: float | None
+
+
+def _sector_matrices(label: SpinLabel, ks) -> np.ndarray:
+    """J^2 on the sectors M = 2s - k >= 0, k in `ks`, as a zero-padded (len(ks), d, d) stack.
+
+    Sector k holds |m_a> x |m_b> with a + b = k, a = 0..k ascending, at
+    flattened index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+
+    keeps a + b fixed, so its restriction is the real symmetric tridiagonal
+    leading (k+1) x (k+1) block: diagonal 2s(s+1) + 2 m_a m_b, and
+    r_a r_(b-1) between (a, b) and (a+1, b-1), with r the ladder elements of
+    `spin.spin_operators`. Entries of J^2 between two sectors are exactly zero.
+    """
+    d = label.dimension
+    k, a = np.asarray(ks)[:, None], np.arange(d)
+    b = np.where(a <= k, k - a, 0)
+    m, ladder = label.s - a, _raising_elements(label)
+    out = np.zeros((len(k), d, d))
+    out[:, a, a] = np.where(a <= k, 2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b], 0.0)
+    off = np.where(a[:-1] < k, ladder[a[:-1]] * ladder[b[:, :-1] - 1], 0.0)
+    out[:, a[:-1], a[1:]] = out[:, a[1:], a[:-1]] = off
+    return out
+
+
+def _solve_sectors(label: SpinLabel, ks):
+    """(matrices, j values, vectors) of J^2 on the sectors M = 2s - k, k in `ks`.
+
+    Padded like `_sector_matrices`, padded j being -1: column c of a sector's
+    vector block is |j; M> for j = M + c, up to sign. Sector M meets each
+    block j = M..2s once, so the c-th eigenvalue must lie within CLUSTER_TOL
+    of j(j+1); one check covers every sector and names the first that fails.
+    Each sector gets its own eigh: a padded batched one is slower from 2s = 32.
+    """
+    matrices = _sector_matrices(label, ks)
+    k, c = np.asarray(ks)[:, None], np.arange(label.dimension)
+    eigenvalues, vectors = np.zeros(matrices.shape[:2]), np.zeros_like(matrices)
+    for row, n in enumerate(k[:, 0] + 1):
+        eigenvalues[row, :n], vectors[row, :n, :n] = np.linalg.eigh(matrices[row, :n, :n])
+    j_values = np.where(c <= k, label.twice_s - k + c, -1)
+    worst = np.where(c <= k, np.abs(eigenvalues - j_values * (j_values + 1)), 0.0).max(axis=1)
+    failing = np.flatnonzero(worst > CLUSTER_TOL)
+    if failing.size:
+        row = failing[0]
+        raise ConsistencyError(
+            f"Casimir eigenvalues of sector M = {j_values[row, 0]} are {worst[row]:.3e} "
+            f"from j(j+1), j = {j_values[row, 0]}..{label.twice_s}; clustering failed"
+        )
+    return matrices, j_values, vectors
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE_SPINS)
+def _casimir_sectors(label: SpinLabel) -> tuple:
+    """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s.
+
+    Row k of the padded (indices, j values, vectors) stacks holds sector
+    M = 2s - k, with its flattened indices (padded with -1). Only sectors
+    M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector M onto
+    -M in order, index i to d^2 - 1 - i, with the same J^2 entry for entry
+    (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
+
+    The M = 0 sector's columns, the |j;0>, also pass `_check_zero_m_states`.
+    A spin's stacks are kept only once both checks pass, for the last
+    SECTOR_CACHE_SPINS spins asked for, and every caller gets the same
+    read-only arrays; a failed check raises and keeps nothing.
+    """
+    d, a = label.dimension, np.arange(label.dimension)
+    _, j_values, vectors = _solve_sectors(label, a)
+    b = a[:, None] - a
+    indices = np.where(b >= 0, a * d + b, -1)
+    mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
+    rows = np.r_[a, a[-2::-1]]
+    sectors = np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
+    _check_zero_m_states(label, indices[-1], vectors[-1].T)  # k = d - 1 is M = 0
+    for array in sectors:
+        array.flags.writeable = False
+    return sectors
+
+
+def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) -> None:
+    """Raise unless row j of the real (d, d) `rows`, on flattened indices `index`, is +-|j;0>.
+
+    Every row at once, residuals at most 1e-10: J^2 |j;0> = j(j+1) |j;0> and
+    J_3 |j;0> = 0. With V = |j;0> as a d x d matrix, J^2 = 2s(s+1) +
+    2 S_3 x S_3 + S_+ x S_- + S_- x S_+ acts in ladder form, in O(d^3) for the
+    stack: (2s(s+1) + 2 m_a m_b) V[a, b] + r_a r_(b-1) V[a+1, b-1] +
+    r_(a-1) r_b V[a-1, b+1], with r the ladder elements of `spin.spin_operators`.
+    """
+    d = label.dimension
+    states = np.zeros((d, d * d))
+    states[:, index] = rows
+    v = states.reshape(d, d, d)
+    m, ladder = label.s - np.arange(d), _raising_elements(label)
+    eigenvalues = np.arange(d) * (np.arange(d) + 1.0)
+    diagonal = 2.0 * label.s * (label.s + 1.0) + 2.0 * np.multiply.outer(m, m)
+    residual = (diagonal - eigenvalues[:, None, None]) * v  # J^2 V - j(j+1) V
+    hops = np.multiply.outer(ladder, ladder)
+    residual[:, :-1, 1:] += hops * v[:, 1:, :-1]
+    residual[:, 1:, :-1] += hops * v[:, :-1, 1:]
+    casimir = np.linalg.norm(residual.reshape(d, -1), axis=1)
+    magnetic = np.linalg.norm(rows * np.add.outer(m, m).ravel()[index], axis=1)
+    failing = np.flatnonzero((casimir > 1e-10) | (magnetic > 1e-10))
+    if failing.size:
+        j = failing[0]
+        operator = "J^2" if casimir[j] > 1e-10 else "J_3"
+        raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
+
+
+def _projector_sum(label: SpinLabel, sectors: tuple, weights) -> np.ndarray:
+    """sum_j w_j P_j: sector M's blocks V diag(w_j) V^T in one batched matmul and one scatter."""
+    indices, j_values, vectors = sectors
+    blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
+    rows, cols = np.broadcast_arrays(indices[:, :, None], indices[:, None, :])
+    live = (rows >= 0) & (cols >= 0)
+    out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
+    out[rows[live], cols[live]] = blocks[live]
+    return out
 
 
 def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
@@ -182,7 +302,7 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
     projector route's values are returned. The |j;0> are the M = 0 sector's
     vectors from that same pass and need no phase. The sectors are solved and
-    checked once per spin per process by `spin._casimir_sectors`, and shared
+    checked once per spin per process by `_casimir_sectors`, and shared
     read-only; every check on rho runs on every call. Besides rho the call
     holds O(d^3) memory and a row slab.
     """
@@ -220,7 +340,7 @@ def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
     """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
 
-    Assembled from all total-M sectors at once by `spin._projector_sum`.
+    Assembled from all total-M sectors at once by `_projector_sum`.
     """
     label = distribution.spin
     weights = np.asarray(distribution.probs) / (2 * np.arange(label.dimension) + 1)

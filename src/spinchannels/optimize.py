@@ -7,7 +7,8 @@ unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) moves every row at once, with one stacked objective call,
 and so one stacked eigh per trial step. The results are heuristic
 upper bounds: nothing here certifies global optimality, and the reports say
-so through their restart statistics rather than pretending to a proof.
+so through their restart statistics rather than pretending to a proof. The
+searches read only Kraus stacks, so nothing here depends on spins.
 
 Parametrizations
 ----------------
@@ -34,7 +35,6 @@ import numpy as np
 
 from .channel import KrausChannel, _apply_stack, _product_columns
 from .linalg import ConsistencyError, ContractViolation, as_count, size_text, spectrum_entropy
-from .spin import SpinLabel, singlet_state
 
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
 # trial steps one line search makes before its restart stops unconverged, the
@@ -410,21 +410,22 @@ def _multistart(objective, config: SearchConfig, leading_states, dim: int) -> Se
     """Shared engine: run the restarts together and report the best point found.
 
     Restart i starts from the complex vector leading_states[i], or past their
-    end from the Haar state haar_pure(dim, [seed, i]) (at dim = 1, the
-    basis vector at phase 1), read as reals; objective maps a stack of
-    points to (values, gradients) and _sphere_lbfgs, which reads no config,
-    advances them all at once. The argmin is the best row as a unit complex
-    vector.
+    end from the Haar state haar_pure(dim, [seed, i]), read as reals;
+    objective maps a stack of points to (values, gradients) and _sphere_lbfgs,
+    which reads no config, advances them all at once. A one-point space
+    (dim = 1) runs one restart, since every start is the same point there.
+    The argmin is the best row as a unit complex vector.
     """
-    haar = [haar_pure(dim, [config.seed, i]) for i in range(len(leading_states), config.restarts)]
-    x0 = np.stack([*leading_states, *haar][: config.restarts], dtype=np.complex128).view(float)
+    restarts = 1 if dim == 1 else config.restarts
+    haar = [haar_pure(dim, [config.seed, i]) for i in range(len(leading_states), restarts)]
+    x0 = np.stack([*leading_states, *haar][:restarts], dtype=np.complex128).view(float)
     values, points, evaluations, converged = _sphere_lbfgs(objective, x0)
     best = int(np.argmin(values))  # the first restart reaching the lowest value
     return SearchReport(
         value=float(values[best]),
         argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
         restart_values=[float(v) for v in np.sort(values)],
-        converged_fraction=int(converged.sum()) / config.restarts,
+        converged_fraction=int(converged.sum()) / restarts,
         evaluations=int(evaluations.sum()),
     )
 
@@ -485,18 +486,13 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
 
 
 def _entangled_init(d_a: int, d_b: int) -> np.ndarray:
-    """Alternating-sign maximally entangled start for the joint search.
+    """Maximally entangled start sum_i (-1)^i |i>|d_b-1-i>, i < min(d_a, d_b), normalised.
 
-    For equal factor dimensions this is the rotation singlet,
-    `spin.singlet_state`; otherwise a plain maximally entangled state on the
-    smaller dimension.
+    For d_a = d_b this is the rotation singlet `spin.singlet_state`, bit for bit.
     """
-    if d_a == d_b:
-        return singlet_state(SpinLabel(d_a - 1))
-    d = min(d_a, d_b)
     v = np.zeros(d_a * d_b, dtype=np.complex128)
-    for i in range(d):
-        v[i * d_b + i] = 1.0
+    for i in range(min(d_a, d_b)):
+        v[i * d_b + (d_b - 1 - i)] = (-1.0) ** i
     return v / np.linalg.norm(v)
 
 

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from spinchannels.spin import _casimir_sectors  # noqa: E402
+from spinchannels.invariant import _casimir_sectors  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

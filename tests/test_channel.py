@@ -49,6 +49,10 @@ class TestKrausChannel:
     def test_rejects_ragged_input(self):
         with pytest.raises(ContractViolation):
             KrausChannel([np.eye(2), np.eye(3)])
+        with pytest.raises(ContractViolation, match="stack of matrices"):
+            KrausChannel(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ContractViolation, match="stack of matrices"):
+            KrausChannel(np.zeros((0, 2, 2)))
 
     def test_kraus_stack_is_read_only(self):
         channel = random_channel(2, 2, seed=1)
@@ -202,6 +206,10 @@ class TestEntropyGain:
             channel = replacement_channel(d)
             gain = entropy_gain(channel, np.eye(d) / d)
             assert abs(gain + math.log(d)) < 1e-12
+
+    def test_rejects_a_state_of_the_wrong_size(self):
+        with pytest.raises(ContractViolation, match="does not match channel input dim 2"):
+            entropy_gain(isotropic_channel("1/2"), np.eye(3) / 3.0)
 
     def test_bistochastic_gain_is_nonnegative(self):
         rng = np.random.default_rng(49)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import EXACT_PAIR_ENTROPY, vector_from_json
-from spinchannels import optimize
+from spinchannels import cli, optimize
 from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
 from spinchannels.invariant import CLOSED_FORMS, EXACT_SINGLE_CHANNEL_MIN
@@ -169,6 +169,13 @@ class TestSingletCommand:
             main(["singlet", "--spin", "1/2", "--output", "csv"])
         assert excinfo.value.code == 2
 
+    def test_an_excess_at_or_below_zero_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(EXACT_SINGLE_CHANNEL_MIN, 1, EXACT_SINGLE_CHANNEL_MIN[1] + 1.0)
+        code, out, err = run_cli(capsys, "singlet", "--spin", "1/2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "additivity reference" in err
+
     def test_spin_400_is_the_closed_form_in_little_memory(self, capsys):
         tracemalloc.start()
         try:
@@ -202,6 +209,39 @@ class TestProbeCommand:
         )
         assert code == 0
         assert "no subadditivity violation detected" in out
+
+    def test_a_joint_minimum_below_the_singles_is_flagged(self, capsys, monkeypatch):
+        probe = cli.additivity_probe
+
+        def undercut(*args):
+            report = probe(*args)
+            return replace(report, joint_min=report.joint_min - 1e-6)
+
+        monkeypatch.setattr(cli, "additivity_probe", undercut)
+        argv = ["probe", "--spin", "1/2", "--restarts", "4"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["additivity_violation_candidate"] is True
+        assert payload["gap"] < -1e-8
+        code, out, _ = run_cli(capsys, *argv, "--output", "text")
+        assert code == 0
+        assert "  ADDITIVITY VIOLATION CANDIDATE: the joint search undercut" in out
+        assert "no subadditivity violation detected" not in out
+
+    def test_a_one_point_input_runs_one_restart(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        save_channel(KrausChannel(np.full((2, 3, 1), 1.0 / math.sqrt(6.0))), path)
+        argv = ["--channel", str(path), "--restarts", "5"]
+        code, out, _ = run_cli(capsys, "probe", *argv)
+        assert code == 0
+        joint = json.loads(out)["joint_search"]
+        assert joint["evaluations"] == 1
+        assert len(joint["restart_values"]) == 1
+        code, out, _ = run_cli(capsys, "min-output", *argv, "--output", "text")
+        assert code == 0
+        assert "  restarts             1 (converged fraction 1.000)" in out.splitlines()
+        assert "  evaluations          1" in out.splitlines()
 
 
 class TestVerifyCommand:
@@ -577,11 +617,28 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
     identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     string_entry = [[[["x", 0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
     null_entry = [[[[None, 0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    two_shapes = [identity, [[[1.0, 0.0]]]]
+    huge_entry = [[[[10**400, 0]]]]
+    # past 4300 digits json.load itself refuses the integer
+    endless_entry = '{"dim_in": 1, "dim_out": 1, "kraus": [[[[1%s, 0]]]]}' % ("0" * 5000)
     files = {
         "string-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": string_entry}),
         "null-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": null_entry}),
         "word-dim.json": json.dumps({"dim_in": "two", "dim_out": 2, "kraus": [identity]}),
         "latin-1.json": b'{"dim_in": 2, "dim_out": 2, "name": "caf\xe9"}',
+        "list.json": json.dumps([identity]),
+        "no-kraus.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": []}),
+        "two-shapes.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": two_shapes}),
+        "empty-row.json": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": [[[]]]}),
+        "huge-entry.json": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": huge_entry}),
+        "endless-entry.json": endless_entry,
+    }
+    reasons = {
+        "list.json": "must be a JSON object",
+        "no-kraus.json": "nonempty list",
+        "two-shapes.json": "inconsistent shapes",
+        "empty-row.json": "nonempty lists",
+        "huge-entry.json": "too large",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -593,6 +650,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         assert code == 1, name
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err, name
+        assert reasons.get(name, "") in err, (name, err)
 
 
 def test_channel_files_with_look_alike_numbers_fail_with_a_reason(capsys, tmp_path):

@@ -282,7 +282,7 @@ class TestEntrywiseTwirlResidual:
         rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + h
         traces = np.array([np.trace(p @ rho).real for p in dense_casimir_projectors(label)])
         weights = traces / (2 * np.arange(label.dimension) + 1)
-        twirl = spin._projector_sum(label, spin._casimir_sectors(label), weights)
+        twirl = invariant._projector_sum(label, invariant._casimir_sectors(label), weights)
         reference = 2.0 * np.linalg.norm(rho - twirl)
         slack = 1e-16 + 1e-12 * reference
         monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference + slack)
@@ -321,8 +321,8 @@ class TestZeroMResidualCheck:
         # with |3;0> leaves every trace and matrix element as it was
         label = SpinLabel(4)
         rho = state_from_distribution(IsotypicDistribution(label, (0.1, 0.2, 0.25, 0.35, 0.1)))
-        spin._casimir_sectors.cache_clear()  # so the call below solves the sectors again
-        original = spin._solve_sectors
+        invariant._casimir_sectors.cache_clear()  # so the call below solves the sectors again
+        original = invariant._solve_sectors
 
         def mixed(lab, ks):
             matrices, j_values, vectors = original(lab, ks)
@@ -331,7 +331,7 @@ class TestZeroMResidualCheck:
             zero[:, 2], zero[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
             return matrices, j_values, vectors
 
-        monkeypatch.setattr(spin, "_solve_sectors", mixed)
+        monkeypatch.setattr(invariant, "_solve_sectors", mixed)
         with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):
             isotypic_probabilities(rho, label)
 
@@ -350,11 +350,10 @@ class TestWorkCount:
             return wrapper
 
         # the |j;0> come from the sector pass, with one residual check
-        sectors = counted("_casimir_sectors", spin._casimir_sectors)
-        monkeypatch.setattr(spin, "_casimir_sectors", sectors)
+        sectors = counted("_casimir_sectors", invariant._casimir_sectors)
         monkeypatch.setattr(invariant, "_casimir_sectors", sectors)
-        checked = counted("_check_zero_m_states", spin._check_zero_m_states)
-        monkeypatch.setattr(spin, "_check_zero_m_states", checked)
+        checked = counted("_check_zero_m_states", invariant._check_zero_m_states)
+        monkeypatch.setattr(invariant, "_check_zero_m_states", checked)
         monkeypatch.setattr(spin, "rotation_unitary", counted("rotation_unitary", spin.rotation_unitary))
         isotypic_probabilities(rho, label)
         assert calls == ["_casimir_sectors", "_check_zero_m_states"]

@@ -22,6 +22,7 @@ from spinchannels.channel import random_channel
 from spinchannels.linalg import (
     SLAB_ENTRIES,
     ContractViolation,
+    as_complex_matrix,
     check_pure_state,
     kron,
     matrix_from_json,
@@ -156,6 +157,17 @@ def test_spectrum_entropy_clamps_noise_but_rejects_violations():
     assert clean == 0.0
     with pytest.raises(ContractViolation, match="positivity"):
         spectrum_entropy([1.05, -0.05])
+    with pytest.raises(ContractViolation, match="empty spectrum"):
+        spectrum_entropy([])
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(np.ones(2), "rank 1"), (np.zeros((0, 2)), "nonempty"), (np.zeros((1, 1, 1)), "rank 3")],
+)
+def test_as_complex_matrix_rejects_what_is_not_a_matrix(bad, reason):
+    with pytest.raises(ContractViolation, match=reason):
+        as_complex_matrix(bad)
 
 
 def test_von_neumann_entropy_pure_and_mixed():
@@ -298,6 +310,8 @@ def test_entropies_reject_non_hermitian_input():
         relative_entropy(lopsided, np.eye(2) / 2.0)
     with pytest.raises(ContractViolation, match="Hermitian"):
         relative_entropy(np.eye(2) / 2.0, lopsided)
+    with pytest.raises(ContractViolation, match=r"not square: shape \(2, 3\)"):
+        require_hermitian(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -574,7 +574,7 @@ def test_every_search_starts_from_its_leading_states_then_seeded_haar_states(mon
         [np.eye(1, 2)[0]],  # the probe's single search
         [np.kron(single, single), singlet_state("1/2"), np.eye(1, 4)[0]],
         [np.eye(3).ravel()],  # vec(I) of the gain's A
-        [np.eye(1, 1)[0]],  # and haar_pure(1, ...) is the same vector at phase 1
+        [np.eye(1, 1)[0]],  # a one-point input runs this restart only
     ]
     assert len(starts) == len(leading)
     for x0, states in zip(starts, leading):
@@ -702,6 +702,40 @@ def test_iteration_cap_is_reported_as_not_converged(monkeypatch):
     full = min_output_entropy(channel, SearchConfig(restarts=6))
     assert full.converged_fraction == 1.0
     assert full.value <= capped.value
+
+
+def test_a_line_search_without_decrease_stops_its_restart_unconverged():
+    """A flat objective with a constant gradient fails every Armijo trial, so each row
+    stops at its normalised start after 1 + _MAX_TRIALS evaluations."""
+    gradient = np.linspace(1.0, 2.0, 6)
+
+    def flat(x):
+        return np.zeros(len(x)), np.tile(gradient, (len(x), 1))
+
+    x0 = np.random.default_rng(23).standard_normal((3, 6))
+    values, points, evaluations, converged = optimize._sphere_lbfgs(flat, x0)
+    assert np.array_equal(points, x0 / np.linalg.norm(x0, axis=1, keepdims=True))
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    assert evaluations.tolist() == [1 + optimize._MAX_TRIALS] * 3
+    assert not converged.any()
+
+
+def test_a_one_point_input_space_runs_one_restart():
+    """Every start of a search over a one-point space is the same point, so one restart runs."""
+    config = SearchConfig(restarts=5)
+    point = KrausChannel(np.full((2, 3, 1), 1.0 / math.sqrt(6.0)))  # dim_in = 1
+    reports = [
+        min_output_entropy(point, config),
+        additivity_probe(point, point, config).joint,
+        min_entropy_gain(KrausChannel(np.ones((1, 1, 1))), config),
+    ]
+    for report in reports:
+        assert len(report.restart_values) == 1
+        assert report.evaluations == 1
+        assert report.converged_fraction == 1.0
+    # the searched dimension of a 1 x 2 product is 2, so it runs every restart
+    pair = additivity_probe(point, isotropic_channel("1/2"), config)
+    assert len(pair.joint.restart_values) == 5
 
 
 def test_an_overlong_first_step_does_not_strand_a_restart():

@@ -9,17 +9,17 @@ from helpers import (
     exact_zero_m_states,
     random_axis_angle,
 )
-from spinchannels import optimize, spin
+from spinchannels import invariant, optimize
 from spinchannels.channel import isotropic_channel
 from spinchannels.invariant import (
+    CLUSTER_TOL,
+    SECTOR_CACHE_SPINS,
     IsotypicDistribution,
     isotypic_probabilities,
     state_from_distribution,
 )
 from spinchannels.linalg import ConsistencyError, ContractViolation
 from spinchannels.spin import (
-    CLUSTER_TOL,
-    SECTOR_CACHE_SPINS,
     SpinLabel,
     rotation_unitary,
     singlet_state,
@@ -54,6 +54,11 @@ class TestSpinLabel:
     def test_parsing_rejects_non_half_integers(self, bad):
         with pytest.raises(ContractViolation):
             SpinLabel.from_string(bad)
+
+    @pytest.mark.parametrize("bad, reason", [(1.5, "int"), (True, "int"), (-1, "nonnegative")])
+    def test_constructor_rejects_what_is_not_a_twice_s(self, bad, reason):
+        with pytest.raises(ContractViolation, match=reason):
+            SpinLabel(bad)
 
     def test_coerce_rejects_bad_values(self):
         with pytest.raises(ContractViolation):
@@ -299,9 +304,9 @@ class TestCasimirSectors:
         d = label.dimension
         j_squared = dense_total_spin_squared(label)
         sector = _sector_of_each_index(label)
-        matrices = spin._sector_matrices(label, range(d))
+        matrices = invariant._sector_matrices(label, range(d))
         covered = []
-        for k, indices in enumerate(spin._casimir_sectors(label)[0]):
+        for k, indices in enumerate(invariant._casimir_sectors(label)[0]):
             n = np.count_nonzero(indices >= 0)
             assert np.all(indices[n:] == -1)
             indices = indices[:n]
@@ -318,7 +323,7 @@ class TestCasimirSectors:
             label = SpinLabel(twice_s)
             d = label.dimension
             j_squared = dense_total_spin_squared(label)
-            for k, (indices, j_values, vectors) in enumerate(zip(*spin._casimir_sectors(label))):
+            for k, (indices, j_values, vectors) in enumerate(zip(*invariant._casimir_sectors(label))):
                 n = d - abs(twice_s - k)
                 assert np.array_equal(j_values, np.r_[abs(twice_s - k) : d, [-1] * (d - n)])
                 assert not vectors[n:].any() and not vectors[:, n:].any()
@@ -330,7 +335,7 @@ class TestCasimirSectors:
     @pytest.mark.parametrize("shift", [10 * CLUSTER_TOL, -10 * CLUSTER_TOL], ids=["up", "down"])
     def test_perturbed_sector_eigenvalue_fails_clustering(self, monkeypatch, shift):
         label = SpinLabel(3)
-        original = spin._sector_matrices
+        original = invariant._sector_matrices
 
         def perturbed(lab, ks):
             # sectors M = 1 and M = 0: the check names the first in order
@@ -340,16 +345,16 @@ class TestCasimirSectors:
                     matrices[row, : k + 1, : k + 1] += shift * np.eye(k + 1)
             return matrices
 
-        monkeypatch.setattr(spin, "_sector_matrices", perturbed)
+        monkeypatch.setattr(invariant, "_sector_matrices", perturbed)
         with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
-            spin._casimir_sectors(label)
+            invariant._casimir_sectors(label)
 
     def test_eigenvalue_on_the_wrong_j_fails_clustering(self, monkeypatch):
         # At spin 1/2 the M = 1 sector holds only |1;1>, with J^2 = 2. Shifted
         # by -2 its eigenvalue lands on j(j+1) for j = 0, which is admissible
         # on its own but not in a sector with |M| = 1.
         label = SpinLabel(1)
-        original = spin._sector_matrices
+        original = invariant._sector_matrices
 
         def shifted(lab, ks):
             matrices = original(lab, ks)
@@ -358,9 +363,9 @@ class TestCasimirSectors:
                     matrices[row, 0, 0] -= 2.0
             return matrices
 
-        monkeypatch.setattr(spin, "_sector_matrices", shifted)
+        monkeypatch.setattr(invariant, "_sector_matrices", shifted)
         with pytest.raises(ConsistencyError, match="sector M = 1"):
-            spin._casimir_sectors(label)
+            invariant._casimir_sectors(label)
 
 
 def round_trip(label, seed):
@@ -373,51 +378,51 @@ def round_trip(label, seed):
 class TestSectorCache:
     def test_one_sector_solve_per_spin_per_process(self, monkeypatch):
         label = SpinLabel(7)
-        original, calls = spin._solve_sectors, []
+        original, calls = invariant._solve_sectors, []
 
         def counted(lab, ks):
             calls.append(lab)
             return original(lab, ks)
 
-        monkeypatch.setattr(spin, "_solve_sectors", counted)
+        monkeypatch.setattr(invariant, "_solve_sectors", counted)
         round_trip(label, 1)
         assert calls == [label]
         round_trip(label, 2)
         assert calls == [label]
 
     def test_returned_arrays_are_read_only(self):
-        for array in spin._casimir_sectors(SpinLabel(3)):
+        for array in invariant._casimir_sectors(SpinLabel(3)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     def test_cold_and_warm_calls_return_the_same_weights(self):
         for twice_s in range(1, 17):
             label = SpinLabel(twice_s)
-            spin._casimir_sectors.cache_clear()
+            invariant._casimir_sectors.cache_clear()
             cold = round_trip(label, twice_s)
             assert round_trip(label, twice_s) == cold
 
     def test_the_cache_keeps_at_most_its_bound(self):
         for twice_s in range(1, SECTOR_CACHE_SPINS + 6):
-            spin._casimir_sectors(SpinLabel(twice_s))
-        assert spin._casimir_sectors.cache_info().currsize == SECTOR_CACHE_SPINS
+            invariant._casimir_sectors(SpinLabel(twice_s))
+        assert invariant._casimir_sectors.cache_info().currsize == SECTOR_CACHE_SPINS
 
     def test_a_failed_check_keeps_nothing(self, monkeypatch):
         label = SpinLabel(3)
-        original = spin._check_zero_m_states
+        original = invariant._check_zero_m_states
 
         def failing(lab, index, rows):
             original(lab, index, rows[::-1])  # row j holds |2s-j;0>
 
-        monkeypatch.setattr(spin, "_check_zero_m_states", failing)
+        monkeypatch.setattr(invariant, "_check_zero_m_states", failing)
         with pytest.raises(ConsistencyError, match="residual check"):
-            spin._casimir_sectors(label)
-        assert spin._casimir_sectors.cache_info().currsize == 0
+            invariant._casimir_sectors(label)
+        assert invariant._casimir_sectors.cache_info().currsize == 0
 
 
 def zero_m_sector(label):
     """Writable copies of the M = 0 sector's flattened indices and (d, d) vectors."""
-    indices, _, vectors = spin._casimir_sectors(label)
+    indices, _, vectors = invariant._casimir_sectors(label)
     return indices[label.twice_s].copy(), vectors[label.twice_s].copy()
 
 
@@ -445,10 +450,10 @@ class TestZeroMSectorPhase:
         # applied factor by factor can notice the wrong eigenvectors
         label = SpinLabel(4)
         q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
-        (matrix,) = spin._sector_matrices(label, [label.twice_s])
+        (matrix,) = invariant._sector_matrices(label, [label.twice_s])
         _, vectors = np.linalg.eigh(q @ matrix @ q.T)
         with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
-            spin._check_zero_m_states(label, zero_m_sector(label)[0], vectors.T)
+            invariant._check_zero_m_states(label, zero_m_sector(label)[0], vectors.T)
 
     def test_residual_check_names_the_first_failing_j(self):
         # mixing |2;0> with |3;0> keeps the stack orthonormal and on M = 0
@@ -457,7 +462,7 @@ class TestZeroMSectorPhase:
         two, three = vectors[:, 2].copy(), vectors[:, 3].copy()
         vectors[:, 2], vectors[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
         with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):
-            spin._check_zero_m_states(label, indices, vectors.T)
+            invariant._check_zero_m_states(label, indices, vectors.T)
 
 
 class TestClosedFormSinglet:
