@@ -22,7 +22,7 @@ from .channel import (
     tensor,
 )
 from .invariant import (
-    EXACT_SINGLE_CHANNEL_MIN,
+    CLOSED_FORMS,
     IsotypicDistribution,
     SingletDecoherenceReport,
     decohered_singlet,
@@ -60,9 +60,9 @@ from .spin import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CLOSED_FORMS",
     "ConsistencyError",
     "ContractViolation",
-    "EXACT_SINGLE_CHANNEL_MIN",
     "IsotypicDistribution",
     "KrausChannel",
     "ProbeReport",

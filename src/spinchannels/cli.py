@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import isotropic_channel, load_channel
-from .invariant import CLOSED_FORMS, EXACT_SINGLE_CHANNEL_MIN, singlet_decoherence
+from .invariant import CLOSED_FORMS, singlet_decoherence
 from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
     SearchConfig,
@@ -225,9 +225,9 @@ def _cmd_min_output(args) -> int:
     channel, config, payload, rows = _search_head(args, "min-output")
     report = min_output_entropy(channel, config)
     reference = None
-    if args.spin is not None and args.spin.twice_s in EXACT_SINGLE_CHANNEL_MIN:
+    if args.spin is not None and args.spin.twice_s in CLOSED_FORMS:
         closed_form = _closed_forms(args.spin.twice_s, args.log_base)["single"]
-        value = EXACT_SINGLE_CHANNEL_MIN[args.spin.twice_s] / _LOG_DIVISOR[args.log_base]
+        value = CLOSED_FORMS[args.spin.twice_s]["single"][1] / _LOG_DIVISOR[args.log_base]
         reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
     payload["argmin"] = vector_to_json(report.argmin)
     return _emit_search(args, "minimum output entropy", payload, rows, report, reference)
@@ -261,7 +261,7 @@ def _cmd_singlet(args) -> int:
     rows.append(("entropy", repr(entropy)))
     if report.excess is not None:
         forms = _closed_forms(label.twice_s, args.log_base)
-        reference = report.two_channel_reference / divisor
+        reference = 2.0 * report.single_channel_min / divisor
         excess = report.excess / divisor
         payload.update(
             single_channel_min=report.single_channel_min / divisor,
@@ -285,7 +285,7 @@ def _cmd_probe(args) -> int:
     divisor = _LOG_DIVISOR[args.log_base]
     # the sum and the gap are taken of the converted values, as they are printed
     singles = [probe.single_a.value / divisor, probe.single_b.value / divisor]
-    joint_min = probe.joint_min / divisor
+    joint_min = probe.joint.value / divisor
     sum_of_singles = singles[0] + singles[1]
     gap = joint_min - sum_of_singles
     violation = gap < -_GAP_ALERT
@@ -296,7 +296,7 @@ def _cmd_probe(args) -> int:
         gap=gap,
         additivity_violation_candidate=violation,
         schmidt_coefficients=[float(c) for c in probe.schmidt_coefficients],
-        argmin=vector_to_json(probe.argmin),
+        argmin=vector_to_json(probe.joint.argmin),
         single_values=singles,
         joint_search=joint_search,
         note=_PROBE_NOTE,

@@ -71,7 +71,6 @@ CLOSED_FORMS = {
         "excess": ("ln 3 - (2/3) ln 2", _LN3 - 2.0 * _LN2 / 3.0),
     },
 }
-EXACT_SINGLE_CHANNEL_MIN = {key: forms["single"][1] for key, forms in CLOSED_FORMS.items()}
 
 _CROSS_CHECK_TOL = 1e-9
 _INVARIANCE_TOL = 1e-8
@@ -124,15 +123,15 @@ class IsotypicDistribution:
 class SingletDecoherenceReport:
     """Everything the singlet decoherence computation produces, entropies in nats.
 
-    Reference fields (single_channel_min, two_channel_reference, excess) are
-    None for spins without a known closed-form single-channel minimum.
+    single_channel_min is the value of CLOSED_FORMS[2s]["single"], and excess
+    is entropy - 2 * single_channel_min, the excess over the additivity
+    reference; both are None for spins without that closed form.
     """
 
     spin: SpinLabel
     probs: tuple
     entropy: float
     single_channel_min: float | None
-    two_channel_reference: float | None
     excess: float | None
 
 
@@ -372,9 +371,9 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
     entropy is the block formula over these weights. The tests compare the
     weights with `isotypic_probabilities` of `decohered_singlet`, the matrix
     route; `verify` checks the closed-form excess against the eigenvalues of
-    `decohered_singlet`. For spins with known closed-form single-channel
-    minima the report also carries the additivity reference 2 * min and the
-    strictly positive excess above it.
+    `decohered_singlet`. For spins in CLOSED_FORMS the report also carries
+    the single-channel minimum and the strictly positive excess above the
+    additivity reference 2 * min.
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
@@ -394,14 +393,13 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
     probs = (1.0 / 3.0, q, 2.0 / 3.0 - q)[:d] + (0.0,) * (d - 3)
     distribution = IsotypicDistribution(label, probs)
     entropy = invariant_state_entropy(distribution)
-    single = EXACT_SINGLE_CHANNEL_MIN.get(label.twice_s)
-    reference = excess = None
-    if single is not None:
-        reference = 2.0 * single
-        excess = entropy - reference
+    single = excess = None
+    if label.twice_s in CLOSED_FORMS:
+        single = CLOSED_FORMS[label.twice_s]["single"][1]
+        excess = entropy - 2.0 * single
         if excess <= 0.0:
             raise ConsistencyError(
                 f"decohered singlet entropy {entropy!r} does not exceed "
-                f"the additivity reference {reference!r}"
+                f"the additivity reference {2.0 * single!r}"
             )
-    return SingletDecoherenceReport(label, distribution.probs, entropy, single, reference, excess)
+    return SingletDecoherenceReport(label, distribution.probs, entropy, single, excess)

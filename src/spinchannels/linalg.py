@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
 
 import numpy as np
 
@@ -155,6 +156,17 @@ def von_neumann_entropy(rho) -> float:
     return spectrum_entropy(np.linalg.eigvalsh(m))
 
 
+def maximally_entangled(d_a: int, d_b: int) -> np.ndarray:
+    """Maximally entangled state sum_i (-1)^i |i>|d_b-1-i>, i < min(d_a, d_b), normalised.
+
+    For d_a = d_b this is the rotation singlet `spin.singlet_state`, bit for bit.
+    """
+    v = np.zeros(d_a * d_b, dtype=np.complex128)
+    for i in range(min(d_a, d_b)):
+        v[i * d_b + (d_b - 1 - i)] = (-1.0) ** i
+    return v / np.linalg.norm(v)
+
+
 def matrix_to_json(matrix) -> list:
     """Rows of [re, im] pairs; the wire format for complex matrices."""
     m = as_complex_matrix(matrix)
@@ -165,18 +177,23 @@ def _complex_from_json(entry, kind: str, index) -> complex:
     """One [re, im] pair of the wire format.
 
     Both parts must be JSON numbers: booleans, strings and null are rejected,
-    as are NaN, inf and integers too large for a float.
+    as are NaN, inf and integers too large for a float. A rejected entry is
+    echoed through `reprlib.repr`, so a huge one gives a short message.
     """
     if not isinstance(entry, list) or len(entry) != 2:
-        raise ContractViolation(f"{kind} entries must be [re, im] pairs, got {entry!r}")
+        raise ContractViolation(f"{kind} entries must be [re, im] pairs, got {reprlib.repr(entry)}")
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry):
-        raise ContractViolation(f"{kind} entry {index} is not a pair of numbers: {entry!r}")
+        raise ContractViolation(
+            f"{kind} entry {index} is not a pair of numbers: {reprlib.repr(entry)}"
+        )
     try:
         z = complex(float(entry[0]), float(entry[1]))
     except OverflowError:
-        raise ContractViolation(f"{kind} entry {index} is too large: {entry!r}") from None
+        raise ContractViolation(
+            f"{kind} entry {index} is too large: {reprlib.repr(entry)}"
+        ) from None
     if not cmath.isfinite(z):
-        raise ContractViolation(f"{kind} entry {index} is not finite: {entry!r}")
+        raise ContractViolation(f"{kind} entry {index} is not finite: {reprlib.repr(entry)}")
     return z
 
 

@@ -34,7 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import KrausChannel, _apply_stack, _product_columns
-from .linalg import ConsistencyError, ContractViolation, as_count, size_text, spectrum_entropy
+from .linalg import (
+    ConsistencyError,
+    ContractViolation,
+    as_count,
+    maximally_entangled,
+    size_text,
+    spectrum_entropy,
+)
 
 # L-BFGS pairs kept per restart, the Armijo sufficient-decrease constant, the
 # trial steps one line search makes before its restart stops unconverged, the
@@ -117,24 +124,21 @@ class SearchReport:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Additivity probe outcome for a product channel.
+    """Additivity probe outcome for a product channel: its three searches.
 
-    gap = joint_min - sum_of_singles. Subadditivity keeps the gap at or below
-    zero up to search noise; a gap well below -1e-8 would mean the joint
-    search found a genuinely better entangled input, which is worth reporting
-    loudly rather than erroring. schmidt_coefficients describe the joint
-    argmin (descending); a vanishing second coefficient means a product state
-    achieved the joint minimum.
+    joint searches the product channel, single_a and single_b its factors. The
+    gap joint.value - single_a.value - single_b.value is left to the printer.
+    Subadditivity keeps it at or below zero up to search noise; a gap well
+    below -1e-8 would mean the joint search found a genuinely better entangled
+    input, worth reporting loudly rather than erroring. schmidt_coefficients
+    describe joint.argmin (descending); a vanishing second one means a product
+    state achieved the joint minimum.
     """
 
-    joint_min: float
-    sum_of_singles: float
-    gap: float
-    argmin: np.ndarray
-    schmidt_coefficients: np.ndarray
     joint: SearchReport
     single_a: SearchReport
     single_b: SearchReport
+    schmidt_coefficients: np.ndarray
 
 
 def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
@@ -485,28 +489,19 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     return report
 
 
-def _entangled_init(d_a: int, d_b: int) -> np.ndarray:
-    """Maximally entangled start sum_i (-1)^i |i>|d_b-1-i>, i < min(d_a, d_b), normalised.
-
-    For d_a = d_b this is the rotation singlet `spin.singlet_state`, bit for bit.
-    """
-    v = np.zeros(d_a * d_b, dtype=np.complex128)
-    for i in range(min(d_a, d_b)):
-        v[i * d_b + (d_b - 1 - i)] = (-1.0) ** i
-    return v / np.linalg.norm(v)
-
-
 def additivity_probe(
     channel_a: KrausChannel, channel_b: KrausChannel, config: SearchConfig | None = None
 ) -> ProbeReport:
-    """Compare the joint minimum output entropy against the sum of singles.
+    """Search a product channel and its two factors, for the additivity gap.
 
     Runs the single-channel searches first, one if channel_b is channel_a,
     then searches the product channel starting from (in order) the product of
-    the single argmins, an entangled state, the first basis vector, and
-    seeded Haar states. The product start guarantees gap <= 0 up to search
-    noise; the entangled start gives entanglement a genuine chance to win.
-    Heuristic evidence only: a zero gap here is not a proof of additivity.
+    the single argmins, `linalg.maximally_entangled`, the first basis vector,
+    and seeded Haar states. The report holds the three searches; the gap is
+    formed from their values. The product start guarantees gap <= 0 up to
+    search noise; the entangled start gives entanglement a genuine chance to
+    win. Heuristic evidence only: a zero gap here is not a proof of
+    additivity.
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("probe", cfg.restarts, channel_a.kraus.shape, channel_b.kraus.shape)
@@ -514,16 +509,6 @@ def additivity_probe(
     report_b = report_a if channel_b is channel_a else min_output_entropy(channel_b, cfg)
     d_a, d_b = channel_a.dim_in, channel_b.dim_in
     product, dim = np.kron(report_a.argmin, report_b.argmin), d_a * d_b
-    starts = [product, _entangled_init(d_a, d_b), np.eye(1, dim)[0]]
+    starts = [product, maximally_entangled(d_a, d_b), np.eye(1, dim)[0]]
     joint = _multistart(_pure_entropy_and_gradient(channel_a, channel_b), cfg, starts, dim)
-    total_singles = report_a.value + report_b.value
-    return ProbeReport(
-        joint_min=joint.value,
-        sum_of_singles=total_singles,
-        gap=joint.value - total_singles,
-        argmin=joint.argmin,
-        schmidt_coefficients=schmidt_coefficients(joint.argmin, (d_a, d_b)),
-        joint=joint,
-        single_a=report_a,
-        single_b=report_b,
-    )
+    return ProbeReport(joint, report_a, report_b, schmidt_coefficients(joint.argmin, (d_a, d_b)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import ContractViolation
+from .linalg import ContractViolation, maximally_entangled
 
 
 @dataclass(frozen=True, order=True)
@@ -133,11 +133,8 @@ def singlet_state(spin) -> np.ndarray:
     """The rotationally invariant two-spin state |0; 0>, from its closed form.
 
     In the m-basis |0; 0> = sum_i (-1)^i |i> x |d-1-i> / sqrt(d), with the
-    Condon-Shortley phase: the coefficient of |s> x |-s> is positive. No
-    eigensolve and no J^2 is built.
+    Condon-Shortley phase: the coefficient of |s> x |-s> is positive. This is
+    `linalg.maximally_entangled(d, d)`; no eigensolve and no J^2 is built.
     """
     d = SpinLabel.coerce(spin).dimension
-    v = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        v[i * d + (d - 1 - i)] = (-1.0) ** i
-    return v / np.linalg.norm(v)
+    return maximally_entangled(d, d)

@@ -7,12 +7,12 @@ deterministic: every search is seeded. It checks the paper's three claims:
 the closed-form single-copy minima at spin 1/2 and 1, the decohered
 singlet's excess over twice that minimum, and the additivity of the minimum
 entropy gain on one seeded product of random channels. The closed-form and
-excess rows loop over `invariant.EXACT_SINGLE_CHANNEL_MIN` and
-`invariant.CLOSED_FORMS`, so a new table entry extends them. The gain row is
-heuristic search evidence, not a certificate. One more row checks that a
-repeated search is bit-identical. Restart spread, the additivity probe, the
-block-decomposition routes, spin algebra, rotations, channel identities and
-generic linear algebra are left to the test suite.
+excess rows both read `invariant.CLOSED_FORMS`, the one table of reference
+values, so a new entry extends them and a wrong one fails them. The gain
+row is heuristic search evidence, not a certificate. One more row checks
+that a repeated search is bit-identical. Restart spread, the additivity
+probe, the block-decomposition routes, spin algebra, rotations, channel
+identities and generic linear algebra are left to the test suite.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def _check_search() -> list:
     cfg = opt.SearchConfig(restarts=12, seed=_SEED)
     known = 0.0
     reports = {}
-    for twice_s, exact in inv.EXACT_SINGLE_CHANNEL_MIN.items():
+    for twice_s, forms in inv.CLOSED_FORMS.items():
         reports[twice_s] = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(twice_s)), cfg)
-        known = max(known, abs(reports[twice_s].value - exact))
+        known = max(known, abs(reports[twice_s].value - forms["single"][1]))
 
     one = reports[2]
     again = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(2)), cfg)

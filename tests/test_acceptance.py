@@ -251,9 +251,9 @@ def test_criterion_11_additivity_probe(criterion):
     with criterion(11, "256-restart probe finds the spin-1/2 pair additive on product states"):
         one = isotropic_channel("1/2")
         probe = additivity_probe(one, one, SearchConfig(restarts=256, seed=0))
-        assert abs(probe.joint_min - 2.0 * SPIN_HALF_MIN) <= 1e-6
+        assert abs(probe.joint.value - 2.0 * SPIN_HALF_MIN) <= 1e-6
         assert probe.schmidt_coefficients[1] <= 1e-3
-        assert probe.gap <= 1e-8
+        assert probe.joint.value - probe.single_a.value - probe.single_b.value <= 1e-8
 
 
 def test_criterion_12_byte_identical_json(criterion, capsys):

@@ -18,7 +18,7 @@ from helpers import EXACT_PAIR_ENTROPY, vector_from_json
 from spinchannels import cli, optimize
 from spinchannels.channel import KrausChannel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
-from spinchannels.invariant import CLOSED_FORMS, EXACT_SINGLE_CHANNEL_MIN
+from spinchannels.invariant import CLOSED_FORMS
 
 LN2 = math.log(2.0)
 
@@ -129,7 +129,7 @@ class TestSingletCommand:
         assert abs(payload["probs"][1] - 2.0 / 3.0) < 1e-10
         assert abs(payload["entropy"] - EXACT_PAIR_ENTROPY[1]) < 1e-10
         assert abs(
-            payload["two_channel_reference"] - 2.0 * EXACT_SINGLE_CHANNEL_MIN[1]
+            payload["two_channel_reference"] - 2.0 * CLOSED_FORMS[1]["single"][1]
         ) < 1e-12
         assert payload["excess"] > 0.0
         assert payload["log_base"] == "e"
@@ -170,7 +170,8 @@ class TestSingletCommand:
         assert excinfo.value.code == 2
 
     def test_an_excess_at_or_below_zero_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setitem(EXACT_SINGLE_CHANNEL_MIN, 1, EXACT_SINGLE_CHANNEL_MIN[1] + 1.0)
+        text, value = CLOSED_FORMS[1]["single"]
+        monkeypatch.setitem(CLOSED_FORMS[1], "single", (text, value + 1.0))
         code, out, err = run_cli(capsys, "singlet", "--spin", "1/2")
         assert code == 1
         assert out == ""
@@ -215,7 +216,7 @@ class TestProbeCommand:
 
         def undercut(*args):
             report = probe(*args)
-            return replace(report, joint_min=report.joint_min - 1e-6)
+            return replace(report, joint=replace(report.joint, value=report.joint.value - 1e-6))
 
         monkeypatch.setattr(cli, "additivity_probe", undercut)
         argv = ["probe", "--spin", "1/2", "--restarts", "4"]
@@ -263,12 +264,30 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_an_off_closed_form_fails_its_row(self, capsys, monkeypatch):
-        monkeypatch.setitem(EXACT_SINGLE_CHANNEL_MIN, 2, EXACT_SINGLE_CHANNEL_MIN[2] + 1e-3)
+        search = optimize.min_output_entropy
+
+        def off(channel, config=None):
+            report = search(channel, config)
+            if channel.dim_in == 3:  # spin 1
+                report = replace(report, value=report.value + 1e-3)
+            return report
+
+        monkeypatch.setattr(optimize, "min_output_entropy", off)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         [row] = self.failing_rows(out)
         assert "closed-form minima" in row
         assert "3/4 checks passed" in out
+
+    def test_one_table_feeds_the_closed_form_and_excess_rows(self, capsys, monkeypatch):
+        text, value = CLOSED_FORMS[2]["single"]
+        monkeypatch.setitem(CLOSED_FORMS[2], "single", (text, value + 1e-3))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        closed_form, excess = self.failing_rows(out)
+        assert "closed-form minima" in closed_form
+        assert "singlet excess" in excess
+        assert "2/4 checks passed" in out
 
     def test_a_nondeterministic_search_fails_its_row(self, capsys, monkeypatch):
         search = optimize.min_output_entropy
@@ -621,6 +640,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
     huge_entry = [[[[10**400, 0]]]]
     # past 4300 digits json.load itself refuses the integer
     endless_entry = '{"dim_in": 1, "dim_out": 1, "kraus": [[[[1%s, 0]]]]}' % ("0" * 5000)
+    long_pair = [[[list(range(5000))]]]
     files = {
         "string-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": string_entry}),
         "null-entry.json": json.dumps({"dim_in": 2, "dim_out": 2, "kraus": null_entry}),
@@ -632,6 +652,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         "empty-row.json": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": [[[]]]}),
         "huge-entry.json": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": huge_entry}),
         "endless-entry.json": endless_entry,
+        "long-pair.json": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": long_pair}),
     }
     reasons = {
         "list.json": "must be a JSON object",
@@ -639,6 +660,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         "two-shapes.json": "inconsistent shapes",
         "empty-row.json": "nonempty lists",
         "huge-entry.json": "too large",
+        "long-pair.json": "[re, im] pairs",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -651,6 +673,9 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err, name
         assert reasons.get(name, "") in err, (name, err)
+        # an offending entry is echoed in short, however long it is; the path is the caller's
+        lines = err.replace(str(path), "PATH").splitlines()
+        assert all(len(line) < 200 for line in lines), (name, len(err))
 
 
 def test_channel_files_with_look_alike_numbers_fail_with_a_reason(capsys, tmp_path):

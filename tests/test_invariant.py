@@ -17,7 +17,6 @@ from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
     CLOSED_FORMS,
-    EXACT_SINGLE_CHANNEL_MIN,
     IsotypicDistribution,
     _require_invariant,
     decohered_singlet,
@@ -192,21 +191,21 @@ class TestDecoheredSinglet:
         assert one.entropy > 2.0 * math.log(2.0)
 
     def test_closed_form_table_matches_the_references(self):
-        assert sorted(CLOSED_FORMS) == sorted(EXACT_SINGLE_CHANNEL_MIN) == [1, 2]
+        assert sorted(CLOSED_FORMS) == [1, 2]
         for twice_s, forms in CLOSED_FORMS.items():
-            assert forms["single"][1] == EXACT_SINGLE_CHANNEL_MIN[twice_s]
             assert abs(forms["singlet"][1] - EXACT_PAIR_ENTROPY[twice_s]) < 1e-15
             assert abs(forms["excess"][1] - EXACT_EXCESS[twice_s]) < 1e-15
             report = singlet_decoherence(SpinLabel(twice_s))
+            assert report.single_channel_min == forms["single"][1]
             assert abs(report.entropy - forms["singlet"][1]) < 1e-14
             assert abs(report.excess - forms["excess"][1]) < 1e-14
 
     def test_reference_fields_follow_known_spins(self):
         half = singlet_decoherence("1/2")
-        assert abs(half.two_channel_reference - 2.0 * EXACT_SINGLE_CHANNEL_MIN[1]) < 1e-12
+        assert abs(2.0 * half.single_channel_min - 2.0 * CLOSED_FORMS[1]["single"][1]) < 1e-12
         high = singlet_decoherence("3/2")
         assert high.single_channel_min is None
-        assert high.two_channel_reference is None
+        assert high.spin.twice_s not in CLOSED_FORMS  # so no two-channel reference either
         assert high.excess is None
 
     def test_spin_zero_rejected(self):

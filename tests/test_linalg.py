@@ -27,6 +27,7 @@ from spinchannels.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
+    maximally_entangled,
     require_hermitian,
     size_text,
     spectrum_entropy,
@@ -106,6 +107,16 @@ def test_kron_index_convention():
     b[1, 0] = 1.0
     full = kron(a, b)
     assert full[0 * 3 + 1, 1 * 3 + 0] == 1.0
+
+
+def test_unequal_maximally_entangled_states_pair_the_smaller_factor():
+    """sum_i (-1)^i |i>|d_b-1-i> over i < min(d_a, d_b), bit for bit."""
+    half = 1.0 / math.sqrt(2)
+    two_three, three_two = np.zeros(6), np.zeros(6)
+    two_three[[0 * 3 + 2, 1 * 3 + 1]] = half, -half  # (|0>|2> - |1>|1>) / sqrt(2)
+    three_two[[0 * 2 + 1, 1 * 2 + 0]] = half, -half  # (|0>|1> - |1>|0>) / sqrt(2)
+    assert np.array_equal(maximally_entangled(2, 3), two_three)
+    assert np.array_equal(maximally_entangled(3, 2), three_two)
 
 
 def test_kron_respects_matrix_products():

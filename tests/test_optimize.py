@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -273,9 +274,10 @@ class TestAdditivityProbe:
     def test_spin_half_pair_is_additive(self):
         one = isotropic_channel("1/2")
         probe = additivity_probe(one, one, SearchConfig(restarts=12, seed=10))
-        assert abs(probe.joint_min - 2.0 * SPIN_HALF_MIN) < 1e-6
-        assert abs(probe.sum_of_singles - 2.0 * SPIN_HALF_MIN) < 1e-8
-        assert probe.gap <= 1e-8
+        sum_of_singles = probe.single_a.value + probe.single_b.value
+        assert abs(probe.joint.value - 2.0 * SPIN_HALF_MIN) < 1e-6
+        assert abs(sum_of_singles - 2.0 * SPIN_HALF_MIN) < 1e-8
+        assert probe.joint.value - sum_of_singles <= 1e-8
         assert probe.schmidt_coefficients[0] > 1.0 - 1e-6
         assert probe.schmidt_coefficients[1] < 1e-3
 
@@ -283,20 +285,20 @@ class TestAdditivityProbe:
         a = isotropic_channel("1/2")
         b = isotropic_channel("1")
         probe = additivity_probe(a, b, SearchConfig(restarts=8, seed=11))
-        assert abs(probe.gap - (probe.joint_min - probe.sum_of_singles)) < 1e-15
-        assert abs(probe.sum_of_singles - probe.single_a.value - probe.single_b.value) < 1e-15
-        assert probe.joint.value == probe.joint_min
+        # the report is its three searches; every derived value is formed by the caller
+        names = [f.name for f in fields(ProbeReport)]
+        assert names == ["joint", "single_a", "single_b", "schmidt_coefficients"]
         assert len(probe.schmidt_coefficients) == 2
-        assert abs(np.linalg.norm(probe.argmin) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(probe.joint.argmin) - 1.0) < 1e-12
         # mixed-spin pair still satisfies subadditivity up to solver noise
-        assert probe.gap <= 1e-8
+        assert probe.joint.value - probe.single_a.value - probe.single_b.value <= 1e-8
 
     def test_unitary_pair_gap_is_zero(self):
         a = random_channel(2, 1, seed=41)
         b = random_channel(2, 1, seed=42)
         probe = additivity_probe(a, b, SearchConfig(restarts=4, seed=12))
-        assert abs(probe.joint_min) < 1e-9
-        assert abs(probe.gap) < 1e-9
+        assert abs(probe.joint.value) < 1e-9
+        assert abs(probe.joint.value - probe.single_a.value - probe.single_b.value) < 1e-9
 
     def test_one_channel_twice_runs_one_single_search(self, monkeypatch):
         calls = []
@@ -566,13 +568,19 @@ def test_every_search_starts_from_its_leading_states_then_seeded_haar_states(mon
     point = KrausChannel(np.full((2, 3, 1), 1.0 / math.sqrt(6.0)))  # dim_in = 1
     min_output_entropy(one, config)
     probe = additivity_probe(half, half, config)
+    unequal = additivity_probe(half, one, config)
     min_entropy_gain(one, config)
     min_output_entropy(point, config)
     single = probe.single_a.argmin
+    entangled = np.zeros(6)
+    entangled[[2, 4]] = 1.0 / math.sqrt(2), -1.0 / math.sqrt(2)  # (|0>|2> - |1>|1>) / sqrt(2)
     leading = [
         [np.eye(1, 3)[0]],
         [np.eye(1, 2)[0]],  # the probe's single search
         [np.kron(single, single), singlet_state("1/2"), np.eye(1, 4)[0]],
+        [np.eye(1, 2)[0]],  # the unequal probe's two single searches
+        [np.eye(1, 3)[0]],
+        [np.kron(unequal.single_a.argmin, unequal.single_b.argmin), entangled, np.eye(1, 6)[0]],
         [np.eye(3).ravel()],  # vec(I) of the gain's A
         [np.eye(1, 1)[0]],  # a one-point input runs this restart only
     ]

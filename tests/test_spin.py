@@ -9,7 +9,7 @@ from helpers import (
     exact_zero_m_states,
     random_axis_angle,
 )
-from spinchannels import invariant, optimize
+from spinchannels import invariant
 from spinchannels.channel import isotropic_channel
 from spinchannels.invariant import (
     CLUSTER_TOL,
@@ -18,7 +18,7 @@ from spinchannels.invariant import (
     isotypic_probabilities,
     state_from_distribution,
 )
-from spinchannels.linalg import ConsistencyError, ContractViolation
+from spinchannels.linalg import ConsistencyError, ContractViolation, maximally_entangled
 from spinchannels.spin import (
     SpinLabel,
     rotation_unitary,
@@ -473,4 +473,4 @@ class TestClosedFormSinglet:
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_is_the_entangled_start_of_the_probe(self, d):
-        assert np.array_equal(optimize._entangled_init(d, d), singlet_state(SpinLabel(d - 1)))
+        assert np.array_equal(maximally_entangled(d, d), singlet_state(SpinLabel(d - 1)))
