@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +242,11 @@ def load_channel(path) -> KrausChannel:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int past 4300 digits
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ContractViolation(f"malformed channel file {path}: {exc}") from None
+    except ValueError:  # int() refuses a literal past the interpreter's digit limit
+        reason = f"an integer entry has more than {sys.get_int_max_str_digits():,} digits"
+        raise ContractViolation(f"malformed channel file {path}: {reason}") from None
     return channel_from_json(data)
 
 

@@ -21,16 +21,17 @@ closed-form excess against the eigenvalues of `decohered_singlet`.
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. This
 module owns the padded stack of those sectors: `_casimir_sectors` solves
-J^2 on each, checks the result, and keeps it read-only, once per spin per
-process for up to SECTOR_CACHE_SPINS spins. Traces against P_j and sums of
-weighted P_j are taken over that stack, in one gather or scatter and one
-batched matmul; no d^2 x d^2 projector or eigensolve of the full J^2 is
-formed on this path. Invariance is checked exactly against the twirl
+J^2 on each, checks the result, and keeps it read-only with the positions
+in rho of the in-sector entries, once per spin per process for up to
+SECTOR_CACHE_SPINS spins. Traces against P_j and sums of weighted P_j go
+through those positions, in one gather or scatter and one batched matmul;
+no d^2 x d^2 projector or eigensolve of the full J^2 is formed on this
+path. Invariance is checked exactly against the twirl
 T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
 over all rotations W = U tensor U. Every W fixes T(rho), so
 max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
-once. The residual reuses the block weights' sector gather and sums rho off
-the sectors one row slab at a time, upper triangle doubled, so T(rho) is
+once. The residual reads rho once, both triangles, in row slabs that hand
+the in-sector entries to the block weights and sum the rest, so T(rho) is
 never built.
 """
 
@@ -45,10 +46,10 @@ import numpy as np
 from .channel import _product_columns, isotropic_channel
 from .linalg import (
     ConsistencyError,
-    SLAB_ENTRIES,
     ContractViolation,
     require_hermitian,
     size_text,
+    slab_rows,
 )
 from .spin import SpinLabel, _raising_elements, singlet_state
 
@@ -84,10 +85,10 @@ _REPORT_BYTES_PER_WEIGHT = 350
 SINGLET_BYTE_CAP = 2**30
 
 CLUSTER_TOL = 1e-6  # max distance of a computed Casimir eigenvalue from j(j+1)
-# Spins whose checked sectors `_casimir_sectors` keeps. An entry at dimension
-# d holds (2d-1) d (8d + 16) bytes, about 1/d of the d^2 x d^2 complex state
-# that needs it: 85 kB at 2s = 16 and 3.7 MB at 2s = 60, so at most 1.4 MB
-# for spins up to 2s = 16 and 60 MB up to 2s = 60.
+# Spins whose checked sectors `_casimir_sectors` keeps. An entry at dimension d holds
+# (2d-1) d (8d + 16) + 16 d (2d^2 + 1) / 3 bytes (stacks, then int64 positions and slots),
+# about 5/(3d) of the d^2 x d^2 complex state that needs it: 138 kB at 2s = 16 and
+# 6.1 MB at 2s = 60, so at most 2.2 MB for spins up to 2s = 16 and 98 MB up to 2s = 60.
 SECTOR_CACHE_SPINS = 16
 
 
@@ -187,13 +188,15 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s.
 
     Row k of the padded (indices, j values, vectors) stacks holds sector
-    M = 2s - k, with its flattened indices (padded with -1). Only sectors
-    M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector M onto
-    -M in order, index i to d^2 - 1 - i, with the same J^2 entry for entry
-    (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
+    M = 2s - k, with its flattened indices (padded with -1). The last two
+    arrays list each in-sector entry of a d^2 x d^2 rho, sorted by row: its
+    position row * d^2 + col and its slot in the flattened stack. Only
+    sectors M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector
+    M onto -M in order, index i to d^2 - 1 - i, with the same J^2 entry for
+    entry (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
 
     The M = 0 sector's columns, the |j;0>, also pass `_check_zero_m_states`.
-    A spin's stacks are kept only once both checks pass, for the last
+    A spin's arrays are kept only once both checks pass, for the last
     SECTOR_CACHE_SPINS spins asked for, and every caller gets the same
     read-only arrays; a failed check raises and keeps nothing.
     """
@@ -203,7 +206,11 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     indices = np.where(b >= 0, a * d + b, -1)
     mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
     rows = np.r_[a, a[-2::-1]]
-    sectors = np.concatenate([indices, mirrored[-2::-1]]), j_values[rows], vectors[rows]
+    stacked = np.concatenate([indices, mirrored[-2::-1]])
+    slots = np.flatnonzero((stacked[:, :, None] >= 0) & (stacked[:, None, :] >= 0))
+    positions = (stacked[:, :, None] * d * d + stacked[:, None, :]).ravel()[slots]
+    order = np.argsort(positions)
+    sectors = stacked, j_values[rows], vectors[rows], positions[order], slots[order]
     _check_zero_m_states(label, indices[-1], vectors[-1].T)  # k = d - 1 is M = 0
     for array in sectors:
         array.flags.writeable = False
@@ -241,13 +248,11 @@ def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) 
 
 def _projector_sum(label: SpinLabel, sectors: tuple, weights) -> np.ndarray:
     """sum_j w_j P_j: sector M's blocks V diag(w_j) V^T in one batched matmul and one scatter."""
-    indices, j_values, vectors = sectors
+    _, j_values, vectors, positions, slots = sectors
     blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
-    rows, cols = np.broadcast_arrays(indices[:, :, None], indices[:, None, :])
-    live = (rows >= 0) & (cols >= 0)
-    out = np.zeros((label.dimension**2,) * 2, dtype=np.complex128)
-    out[rows[live], cols[live]] = blocks[live]
-    return out
+    out = np.zeros(label.dimension**4, dtype=np.complex128)
+    out[positions] = blocks.reshape(-1)[slots]
+    return out.reshape(label.dimension**2, -1)
 
 
 def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
@@ -255,33 +260,31 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
     2 ||rho - T(rho)||_F at every W at once. It is summed entrywise (a
-    difference of norms cancels to about sqrt(eps) ||rho||): the gathered blocks
-    minus V diag(w_j) V^T in the sectors, and rho itself, slab by slab, off them.
-
-    Precondition: rho is Hermitian within `require_hermitian`'s 1e-10 per
-    entry. The off-sector sum therefore reads rows i against columns k > i
-    only and doubles it, which is the residual of the Hermitian matrix with
-    rho's upper triangle.
+    difference of norms cancels to about sqrt(eps) ||rho||). rho is read once,
+    in slabs of `slab_rows` full rows: each slab is copied, its in-sector
+    entries are gathered through the cached positions and zeroed, and one
+    vdot sums the off-sector rest. In the sectors the residual is the
+    gathered blocks minus V diag(w_j) V^T.
     """
-    # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block
-    # j; padded slots gather some entry of rho but meet zero vector entries.
-    d = label.dimension
-    indices, j_values, vectors = _casimir_sectors(label)
-    blocks = rho[indices[:, :, None], indices[:, None, :]]
+    d, n = label.dimension, label.dimension**2
+    _, j_values, vectors, positions, slots = _casimir_sectors(label)
+    inside, squares, rows = np.empty(len(positions), dtype=np.complex128), 0.0, slab_rows(n)
+    bounds = np.searchsorted(positions, np.arange(0, n + rows, rows) * n)  # slab ends
+    for start, lo, hi in zip(range(0, n, rows), bounds, bounds[1:]):
+        slab = rho[start : start + rows].copy().reshape(-1)
+        at = positions[lo:hi] - start * n
+        inside[lo:hi] = slab[at]
+        slab[at] = 0.0
+        squares += np.vdot(slab, slab).real
+    blocks = np.zeros(vectors.shape, dtype=np.complex128)
+    blocks.reshape(-1)[slots] = inside
+    # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block j
     columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
     live = j_values >= 0
     traces = np.bincount(j_values[live], weights=columns[live], minlength=d)
     weights = traces / (2 * np.arange(d) + 1)
     blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
-    blocks[~(live[:, :, None] & live[:, None, :])] = 0.0
-    squares = np.vdot(blocks, blocks).real
-    n, sector = d * d, np.add.outer(np.arange(d), np.arange(d)).ravel()  # 2s - M of each state
-    rows = max(1, SLAB_ENTRIES // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        upper = np.arange(start, n) > np.arange(start, stop)[:, None]
-        outside = rho[start:stop, start:][upper & (sector[start:stop, None] != sector[start:])]
-        squares += 2.0 * np.vdot(outside, outside).real
+    squares += np.vdot(blocks, blocks).real
     deviation = 2.0 * math.sqrt(squares)
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(

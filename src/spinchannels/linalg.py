@@ -21,7 +21,9 @@ HERMITICITY_TOL = 1e-10
 # is treated as float noise and clamped to zero; below that positivity is
 # considered genuinely violated.
 EIGENVALUE_ERROR = 1e-8
-SLAB_ENTRIES = 2**17  # per row slab of a whole-matrix pass: 2 MiB of complex128
+# A row slab of a whole-matrix pass (`slab_rows`) holds at most SLAB_ENTRIES entries, 2 MiB of
+# complex128, and 32 rows, so it stays in cache from its copy to its reduction even for small n.
+SLAB_ENTRIES = 2**17
 
 
 class ContractViolation(ValueError):
@@ -57,10 +59,15 @@ def as_state_vector(vector) -> np.ndarray:
     return out
 
 
+def slab_rows(n: int) -> int:
+    """Rows per slab of a pass over an n x n matrix: at most SLAB_ENTRIES entries and 32 rows."""
+    return max(1, min(32, SLAB_ENTRIES // n))
+
+
 def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     """Return matrix as complex128 if square, finite and within HERMITICITY_TOL of Hermitian.
 
-    max |M - M^dagger| is taken one row slab of at most SLAB_ENTRIES at a time,
+    max |M - M^dagger| is taken one slab of `slab_rows(n)` rows at a time,
     rows i against columns k >= i. A NaN or inf entry makes it NaN or inf, so
     only then is finiteness tested; it is reported first.
     """
@@ -68,7 +75,7 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ContractViolation(f"{name} is not square: shape {m.shape}")
-    rows = max(1, SLAB_ENTRIES // n)
+    rows = slab_rows(n)
     buffer = np.empty((n, min(rows, n)), dtype=np.complex128)
     defect = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN, reported below

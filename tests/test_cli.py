@@ -660,6 +660,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         "two-shapes.json": "inconsistent shapes",
         "empty-row.json": "nonempty lists",
         "huge-entry.json": "too large",
+        "endless-entry.json": "an integer entry has more than 4,300 digits",
         "long-pair.json": "[re, im] pairs",
     }
     for name, content in files.items():
@@ -673,6 +674,7 @@ def test_malformed_channel_files_fail_with_a_reason(capsys, tmp_path):
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err, name
         assert reasons.get(name, "") in err, (name, err)
+        assert "set_int_max_str_digits" not in err, name  # the reason is ours, not the interpreter's
         # an offending entry is echoed in short, however long it is; the path is the caller's
         lines = err.replace(str(path), "PATH").splitlines()
         assert all(len(line) < 200 for line in lines), (name, len(err))

@@ -28,6 +28,7 @@ from spinchannels.invariant import (
 from spinchannels.linalg import (
     ConsistencyError,
     ContractViolation,
+    slab_rows,
     spectrum_entropy,
     von_neumann_entropy,
 )
@@ -290,16 +291,32 @@ class TestEntrywiseTwirlResidual:
         with pytest.raises(ContractViolation, match="not rotationally invariant"):
             _require_invariant(rho, label)
 
-    def test_rejects_an_off_sector_perturbation_in_the_last_slab(self):
-        # at 2s = 20 the 441 rows of rho are two slabs, the second from row 297
-        label = SpinLabel(20)
-        rho = state_from_distribution(IsotypicDistribution(label, (0.0,) * 20 + (1.0,)))
+    @staticmethod
+    def assert_last_slab_perturbation_rejected(twice_s):
+        label = SpinLabel(twice_s)
+        rho = state_from_distribution(IsotypicDistribution(label, (0.0,) * twice_s + (1.0,)))
         _require_invariant(rho, label)
         # the last two basis states, |-s>|-s+1> and |-s>|-s>, have M = 1 - 2s and -2s
         rho[-1, -2] += 1e-8
         rho[-2, -1] += 1e-8
         with pytest.raises(ContractViolation, match="not rotationally invariant"):
             _require_invariant(rho, label)
+
+    def test_rejects_an_off_sector_perturbation_in_the_last_slab(self):
+        # at 2s = 20 the 441 rows of rho are several slabs, both perturbed rows in the last
+        n = 21**2
+        rows = slab_rows(n)
+        last = (n - 1) // rows * rows  # first row of the last slab
+        assert last > 0 and n - 2 >= last
+        self.assert_last_slab_perturbation_rejected(20)
+
+    def test_rejects_an_off_sector_perturbation_in_a_short_final_slab(self):
+        # at 2s = 13 the 196 rows of rho end in a slab of 196 % slab_rows(196) = 4 rows
+        n = 14**2
+        rows = slab_rows(n)
+        last = (n - 1) // rows * rows
+        assert last > 0 and 2 <= n - last < rows
+        self.assert_last_slab_perturbation_rejected(13)
 
     def test_block_weights_at_2s_40_allocate_under_a_quarter_of_the_state(self):
         label = SpinLabel(40)

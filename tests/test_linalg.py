@@ -20,7 +20,6 @@ from helpers import (
 from spinchannels import linalg
 from spinchannels.channel import random_channel
 from spinchannels.linalg import (
-    SLAB_ENTRIES,
     ContractViolation,
     as_complex_matrix,
     check_pure_state,
@@ -30,6 +29,7 @@ from spinchannels.linalg import (
     maximally_entangled,
     require_hermitian,
     size_text,
+    slab_rows,
     spectrum_entropy,
     vector_to_json,
     von_neumann_entropy,
@@ -353,9 +353,11 @@ def test_hermiticity_check_allocates_at_most_one_and_a_half_matrices():
 
 
 class TestSlabbedHermiticityCheck:
-    """A 1100 x 1100 matrix is ten row slabs of 119 rows (SLAB_ENTRIES = 2**17)."""
+    """A 1100 x 1100 matrix spans several row slabs of `slab_rows(1100)` rows, the last one short."""
 
     N = 1100
+    ROWS = slab_rows(N)
+    LAST = (N - 1) // ROWS * ROWS  # first row of the last slab
 
     def matrix(self, seed):
         return random_hermitian(np.random.default_rng(seed), self.N)
@@ -371,7 +373,7 @@ class TestSlabbedHermiticityCheck:
             require_hermitian(m)
 
     def test_defect_is_exactly_the_dense_maximum(self, monkeypatch):
-        assert math.ceil(self.N / (SLAB_ENTRIES // self.N)) == 10
+        assert math.ceil(self.N / self.ROWS) > 2 and 0 < self.N - self.LAST < self.ROWS
         m = self.matrix(71)
         m += 1e-7 * np.random.default_rng(72).standard_normal(m.shape)
         self.assert_defect_is(m, float(np.abs(m - m.conj().T).max()), monkeypatch)
@@ -387,6 +389,7 @@ class TestSlabbedHermiticityCheck:
     @pytest.mark.parametrize("defect", [0.0, 1.0])
     @pytest.mark.parametrize("column", [2, N - 1])
     def test_rejects_a_non_finite_entry_in_the_last_slab_only(self, bad, defect, column):
+        assert self.LAST > 0  # row N - 1 lies in a later slab than row 0
         m = self.matrix(74)
         m[0, 1] += defect  # a Hermiticity defect in the first slab is reported second
         m[self.N - 1, column] = bad

@@ -323,7 +323,7 @@ class TestCasimirSectors:
             label = SpinLabel(twice_s)
             d = label.dimension
             j_squared = dense_total_spin_squared(label)
-            for k, (indices, j_values, vectors) in enumerate(zip(*invariant._casimir_sectors(label))):
+            for k, (indices, j_values, vectors) in enumerate(zip(*invariant._casimir_sectors(label)[:3])):
                 n = d - abs(twice_s - k)
                 assert np.array_equal(j_values, np.r_[abs(twice_s - k) : d, [-1] * (d - n)])
                 assert not vectors[n:].any() and not vectors[:, n:].any()
@@ -391,9 +391,38 @@ class TestSectorCache:
         assert calls == [label]
 
     def test_returned_arrays_are_read_only(self):
-        for array in invariant._casimir_sectors(SpinLabel(3)):
+        sectors = invariant._casimir_sectors(SpinLabel(3))
+        assert len(sectors) == 5  # the three stacks, then the cached positions and slots
+        for array in sectors:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("twice_s", range(1, 17))
+    def test_positions_list_each_in_sector_entry_once_by_row(self, twice_s):
+        label = SpinLabel(twice_s)
+        n = label.dimension**2
+        indices, _, _, positions, slots = invariant._casimir_sectors(label)
+        live = (indices[:, :, None] >= 0) & (indices[:, None, :] >= 0)
+        pairs = indices[:, :, None] * n + indices[:, None, :]
+        assert np.array_equal(np.sort(positions), np.sort(pairs[live]))
+        assert np.unique(positions).size == positions.size == np.count_nonzero(live)
+        assert np.all(np.diff(positions // n) >= 0)  # sorted by row
+        assert live.reshape(-1)[slots].all()
+        assert np.array_equal(pairs.reshape(-1)[slots], positions)
+
+    @pytest.mark.parametrize("twice_s", range(1, 17))
+    def test_gather_through_positions_matches_the_padded_index_gather(self, twice_s):
+        label = SpinLabel(twice_s)
+        n = label.dimension**2
+        indices, _, vectors, positions, slots = invariant._casimir_sectors(label)
+        rng = np.random.default_rng(400 + twice_s)
+        rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gathered = np.zeros(vectors.shape, dtype=complex)
+        gathered.reshape(-1)[slots] = rho.reshape(-1)[positions]
+        padded = rho[indices[:, :, None], indices[:, None, :]]
+        live = (indices[:, :, None] >= 0) & (indices[:, None, :] >= 0)
+        assert np.array_equal(gathered[live], padded[live])
+        assert not gathered[~live].any()
 
     def test_cold_and_warm_calls_return_the_same_weights(self):
         for twice_s in range(1, 17):
@@ -422,7 +451,7 @@ class TestSectorCache:
 
 def zero_m_sector(label):
     """Writable copies of the M = 0 sector's flattened indices and (d, d) vectors."""
-    indices, _, vectors = invariant._casimir_sectors(label)
+    indices, _, vectors = invariant._casimir_sectors(label)[:3]
     return indices[label.twice_s].copy(), vectors[label.twice_s].copy()
 
 
