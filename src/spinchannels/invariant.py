@@ -136,10 +136,10 @@ class SingletDecoherenceReport:
     excess: float | None
 
 
-def _sector_matrices(label: SpinLabel, ks) -> np.ndarray:
-    """J^2 on the sectors M = 2s - k >= 0, k in `ks`, as a zero-padded (len(ks), d, d) stack.
+def _sector_matrices(label: SpinLabel) -> np.ndarray:
+    """J^2 on the sectors M = 2s - k >= 0, k = 0..2s, as a zero-padded (d, d, d) stack.
 
-    Sector k holds |m_a> x |m_b> with a + b = k, a = 0..k ascending, at
+    Row k holds |m_a> x |m_b> with a + b = k, a = 0..k ascending, at
     flattened index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+
     keeps a + b fixed, so its restriction is the real symmetric tridiagonal
     leading (k+1) x (k+1) block: diagonal 2s(s+1) + 2 m_a m_b, and
@@ -147,18 +147,18 @@ def _sector_matrices(label: SpinLabel, ks) -> np.ndarray:
     `spin.spin_operators`. Entries of J^2 between two sectors are exactly zero.
     """
     d = label.dimension
-    k, a = np.asarray(ks)[:, None], np.arange(d)
+    k, a = np.arange(d)[:, None], np.arange(d)
     b = np.where(a <= k, k - a, 0)
     m, ladder = label.s - a, _raising_elements(label)
-    out = np.zeros((len(k), d, d))
+    out = np.zeros((d, d, d))
     out[:, a, a] = np.where(a <= k, 2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b], 0.0)
     off = np.where(a[:-1] < k, ladder[a[:-1]] * ladder[b[:, :-1] - 1], 0.0)
     out[:, a[:-1], a[1:]] = out[:, a[1:], a[:-1]] = off
     return out
 
 
-def _solve_sectors(label: SpinLabel, ks):
-    """(matrices, j values, vectors) of J^2 on the sectors M = 2s - k, k in `ks`.
+def _solve_sectors(label: SpinLabel):
+    """(j values, vectors) of J^2 on the sectors M = 2s - k >= 0, row k as in `_sector_matrices`.
 
     Padded like `_sector_matrices`, padded j being -1: column c of a sector's
     vector block is |j; M> for j = M + c, up to sign. Sector M meets each
@@ -166,8 +166,8 @@ def _solve_sectors(label: SpinLabel, ks):
     of j(j+1); one check covers every sector and names the first that fails.
     Each sector gets its own eigh: a padded batched one is slower from 2s = 32.
     """
-    matrices = _sector_matrices(label, ks)
-    k, c = np.asarray(ks)[:, None], np.arange(label.dimension)
+    matrices = _sector_matrices(label)
+    k, c = np.arange(label.dimension)[:, None], np.arange(label.dimension)
     eigenvalues, vectors = np.zeros(matrices.shape[:2]), np.zeros_like(matrices)
     for row, n in enumerate(k[:, 0] + 1):
         eigenvalues[row, :n], vectors[row, :n, :n] = np.linalg.eigh(matrices[row, :n, :n])
@@ -180,7 +180,7 @@ def _solve_sectors(label: SpinLabel, ks):
             f"Casimir eigenvalues of sector M = {j_values[row, 0]} are {worst[row]:.3e} "
             f"from j(j+1), j = {j_values[row, 0]}..{label.twice_s}; clustering failed"
         )
-    return matrices, j_values, vectors
+    return j_values, vectors
 
 
 @functools.lru_cache(maxsize=SECTOR_CACHE_SPINS)
@@ -201,7 +201,7 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
     read-only arrays; a failed check raises and keeps nothing.
     """
     d, a = label.dimension, np.arange(label.dimension)
-    _, j_values, vectors = _solve_sectors(label, a)
+    j_values, vectors = _solve_sectors(label)
     b = a[:, None] - a
     indices = np.where(b >= 0, a * d + b, -1)
     mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
@@ -246,9 +246,9 @@ def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) 
         raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
 
 
-def _projector_sum(label: SpinLabel, sectors: tuple, weights) -> np.ndarray:
-    """sum_j w_j P_j: sector M's blocks V diag(w_j) V^T in one batched matmul and one scatter."""
-    _, j_values, vectors, positions, slots = sectors
+def _projector_sum(label: SpinLabel, weights) -> np.ndarray:
+    """sum_j w_j P_j: the cached sectors' V diag(w_j) V^T in one batched matmul and one scatter."""
+    _, j_values, vectors, positions, slots = _casimir_sectors(label)
     blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
     out = np.zeros(label.dimension**4, dtype=np.complex128)
     out[positions] = blocks.reshape(-1)[slots]
@@ -342,11 +342,11 @@ def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
     """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
 
-    Assembled from all total-M sectors at once by `_projector_sum`.
+    Assembled by `_projector_sum`, w_j = p_j / (2j+1), from every cached sector at once.
     """
     label = distribution.spin
     weights = np.asarray(distribution.probs) / (2 * np.arange(label.dimension) + 1)
-    return _projector_sum(label, _casimir_sectors(label), weights)
+    return _projector_sum(label, weights)
 
 
 def decohered_singlet(spin) -> np.ndarray:

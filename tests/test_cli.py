@@ -291,13 +291,13 @@ class TestVerifyCommand:
 
     def test_a_nondeterministic_search_fails_its_row(self, capsys, monkeypatch):
         search = optimize.min_output_entropy
-        spin_one_calls = []
+        rerun_calls = []
 
         def drifting(channel, config=None):
             report = search(channel, config)
-            if channel.dim_in == 3:  # spin 1
-                spin_one_calls.append(channel)
-                if len(spin_one_calls) == 2:
+            if channel.dim_in == 4:  # spin 3/2, the rerun search
+                rerun_calls.append(channel)
+                if len(rerun_calls) == 2:
                     report = replace(report, value=math.nextafter(report.value, math.inf))
             return report
 
@@ -336,10 +336,13 @@ class TestVerifyCommand:
 
 class TestDeterminism:
     def test_identical_flags_identical_bytes(self, capsys):
-        argv = ["min-output", "--spin", "1", "--restarts", "6", "--seed", "11"]
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
-        assert first == second
+        # at spin 1 each restart stops at its start; at spin 3/2 the L-BFGS steps are rerun too
+        for spin in ("1", "3/2"):
+            argv = ["min-output", "--spin", spin, "--restarts", "6", "--seed", "11"]
+            _, first, _ = run_cli(capsys, *argv)
+            _, second, _ = run_cli(capsys, *argv)
+            assert first == second
+        assert json.loads(first)["evaluations"] > len(json.loads(first)["restart_values"])
 
     def test_singlet_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "singlet", "--spin", "1")

@@ -282,7 +282,7 @@ class TestEntrywiseTwirlResidual:
         rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + h
         traces = np.array([np.trace(p @ rho).real for p in dense_casimir_projectors(label)])
         weights = traces / (2 * np.arange(label.dimension) + 1)
-        twirl = invariant._projector_sum(label, invariant._casimir_sectors(label), weights)
+        twirl = invariant._projector_sum(label, weights)
         reference = 2.0 * np.linalg.norm(rho - twirl)
         slack = 1e-16 + 1e-12 * reference
         monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference + slack)
@@ -340,12 +340,12 @@ class TestZeroMResidualCheck:
         invariant._casimir_sectors.cache_clear()  # so the call below solves the sectors again
         original = invariant._solve_sectors
 
-        def mixed(lab, ks):
-            matrices, j_values, vectors = original(lab, ks)
-            zero = vectors[list(ks).index(lab.twice_s)]
+        def mixed(lab):
+            j_values, vectors = original(lab)
+            zero = vectors[lab.twice_s]
             two, three = zero[:, 2].copy(), zero[:, 3].copy()
             zero[:, 2], zero[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
-            return matrices, j_values, vectors
+            return j_values, vectors
 
         monkeypatch.setattr(invariant, "_solve_sectors", mixed)
         with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):

@@ -219,14 +219,17 @@ class TestMinOutputEntropy:
         assert abs(von_neumann_entropy(out) - report.value) < 1e-10
 
     def test_deterministic_reports(self):
-        channel = isotropic_channel("1")
+        # at spin 1 each restart stops at its start; at spin 3/2 the L-BFGS steps are rerun too
         cfg = SearchConfig(restarts=6, seed=9)
-        first = min_output_entropy(channel, cfg)
-        second = min_output_entropy(channel, cfg)
-        assert first.value == second.value
-        assert first.restart_values == second.restart_values
-        assert np.array_equal(first.argmin, second.argmin)
-        assert first.evaluations == second.evaluations
+        for spin in ("1", "3/2"):
+            channel = isotropic_channel(spin)
+            first = min_output_entropy(channel, cfg)
+            second = min_output_entropy(channel, cfg)
+            assert first.value == second.value
+            assert first.restart_values == second.restart_values
+            assert np.array_equal(first.argmin, second.argmin)
+            assert first.evaluations == second.evaluations
+        assert first.evaluations > len(first.restart_values)
 
 
 class TestMinEntropyGain:

@@ -304,7 +304,7 @@ class TestCasimirSectors:
         d = label.dimension
         j_squared = dense_total_spin_squared(label)
         sector = _sector_of_each_index(label)
-        matrices = invariant._sector_matrices(label, range(d))
+        matrices = invariant._sector_matrices(label)
         covered = []
         for k, indices in enumerate(invariant._casimir_sectors(label)[0]):
             n = np.count_nonzero(indices >= 0)
@@ -337,12 +337,11 @@ class TestCasimirSectors:
         label = SpinLabel(3)
         original = invariant._sector_matrices
 
-        def perturbed(lab, ks):
-            # sectors M = 1 and M = 0: the check names the first in order
-            matrices = original(lab, ks)
-            for row, k in enumerate(ks):
-                if k in (2, 3):
-                    matrices[row, : k + 1, : k + 1] += shift * np.eye(k + 1)
+        def perturbed(lab):
+            # sectors M = 1 and M = 0, rows k = 2 and 3: the check names the first in order
+            matrices = original(lab)
+            for k in (2, 3):
+                matrices[k, : k + 1, : k + 1] += shift * np.eye(k + 1)
             return matrices
 
         monkeypatch.setattr(invariant, "_sector_matrices", perturbed)
@@ -356,11 +355,9 @@ class TestCasimirSectors:
         label = SpinLabel(1)
         original = invariant._sector_matrices
 
-        def shifted(lab, ks):
-            matrices = original(lab, ks)
-            for row, k in enumerate(ks):
-                if k == 0:
-                    matrices[row, 0, 0] -= 2.0
+        def shifted(lab):
+            matrices = original(lab)
+            matrices[0, 0, 0] -= 2.0  # row k = 0 is sector M = 1
             return matrices
 
         monkeypatch.setattr(invariant, "_sector_matrices", shifted)
@@ -380,9 +377,9 @@ class TestSectorCache:
         label = SpinLabel(7)
         original, calls = invariant._solve_sectors, []
 
-        def counted(lab, ks):
+        def counted(lab):
             calls.append(lab)
-            return original(lab, ks)
+            return original(lab)
 
         monkeypatch.setattr(invariant, "_solve_sectors", counted)
         round_trip(label, 1)
@@ -479,7 +476,7 @@ class TestZeroMSectorPhase:
         # applied factor by factor can notice the wrong eigenvectors
         label = SpinLabel(4)
         q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
-        (matrix,) = invariant._sector_matrices(label, [label.twice_s])
+        matrix = invariant._sector_matrices(label)[label.twice_s]
         _, vectors = np.linalg.eigh(q @ matrix @ q.T)
         with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
             invariant._check_zero_m_states(label, zero_m_sector(label)[0], vectors.T)
