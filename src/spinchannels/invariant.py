@@ -20,19 +20,19 @@ closed-form excess against the eigenvalues of `decohered_singlet`.
 
 J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. This
-module owns the padded stack of those sectors: `_casimir_sectors` solves
-J^2 on each, checks the result, and keeps it read-only with the positions
-in rho of the in-sector entries, once per spin per process for up to
-SECTOR_CACHE_SPINS spins. Traces against P_j and sums of weighted P_j go
-through those positions, in one gather or scatter and one batched matmul;
-no d^2 x d^2 projector or eigensolve of the full J^2 is formed on this
-path. Invariance is checked exactly against the twirl
-T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger
-over all rotations W = U tensor U. Every W fixes T(rho), so
-max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every rotation at
-once. The residual reads rho once, both triangles, in row slabs that hand
-the in-sector entries to the block weights and sum the rest, so T(rho) is
-never built.
+module owns the padded stack of those sectors: `_solve_sectors` lays out,
+solves and checks J^2 on each in one loop, and `_casimir_sectors` keeps
+the result read-only with the positions in rho of the in-sector entries,
+once per spin per process for up to SECTOR_CACHE_SPINS spins. Traces
+against P_j and sums of weighted P_j go through those positions, in one
+gather or scatter and one batched matmul; no d^2 x d^2 projector or
+eigensolve of the full J^2 is formed on this path. Invariance is checked
+exactly against the twirl T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the
+average of W rho W^dagger over all rotations W = U tensor U. Every W fixes
+T(rho), so max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every
+rotation at once. The residual reads rho once, both triangles, in row
+slabs that hand the in-sector entries to the block weights and sum the
+rest, so T(rho) is never built.
 """
 
 from __future__ import annotations
@@ -136,82 +136,59 @@ class SingletDecoherenceReport:
     excess: float | None
 
 
-def _sector_matrices(label: SpinLabel) -> np.ndarray:
-    """J^2 on the sectors M = 2s - k >= 0, k = 0..2s, as a zero-padded (d, d, d) stack.
+def _solve_sectors(label: SpinLabel) -> tuple:
+    """(indices, j values, vectors) of J^2 on every sector M = 2s - k, k = 0..4s, padded to d.
 
-    Row k holds |m_a> x |m_b> with a + b = k, a = 0..k ascending, at
-    flattened index a*d + b. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- + S_- x S_+
-    keeps a + b fixed, so its restriction is the real symmetric tridiagonal
-    leading (k+1) x (k+1) block: diagonal 2s(s+1) + 2 m_a m_b, and
-    r_a r_(b-1) between (a, b) and (a+1, b-1), with r the ladder elements of
-    `spin.spin_operators`. Entries of J^2 between two sectors are exactly zero.
+    Row k holds |m_a> x |m_b> with a + b = k, a ascending, at flattened
+    index a*d + b, padded with -1. J^2 = 2s(s+1) + 2 S_3 x S_3 + S_+ x S_- +
+    S_- x S_+ keeps a + b fixed, so its restriction is real symmetric
+    tridiagonal: diagonal 2s(s+1) + 2 m_a m_b, and r_a r_(b-1) between (a, b)
+    and (a+1, b-1), with r the ladder elements of `spin.spin_operators`.
+    Column c of a sector's vector block is |j; M> for j = |M| + c, up to
+    sign, padded j being -1. Sector M meets each block j = |M|..2s once, so
+    the c-th eigenvalue must lie within CLUSTER_TOL of j(j+1); the first
+    sector that fails is named. Each sector gets its own eigh: a padded
+    batched one is slower from 2s = 32.
     """
-    d = label.dimension
-    k, a = np.arange(d)[:, None], np.arange(d)
-    b = np.where(a <= k, k - a, 0)
-    m, ladder = label.s - a, _raising_elements(label)
-    out = np.zeros((d, d, d))
-    out[:, a, a] = np.where(a <= k, 2.0 * label.s * (label.s + 1.0) + 2.0 * m[a] * m[b], 0.0)
-    off = np.where(a[:-1] < k, ladder[a[:-1]] * ladder[b[:, :-1] - 1], 0.0)
-    out[:, a[:-1], a[1:]] = out[:, a[1:], a[:-1]] = off
-    return out
-
-
-def _solve_sectors(label: SpinLabel):
-    """(j values, vectors) of J^2 on the sectors M = 2s - k >= 0, row k as in `_sector_matrices`.
-
-    Padded like `_sector_matrices`, padded j being -1: column c of a sector's
-    vector block is |j; M> for j = M + c, up to sign. Sector M meets each
-    block j = M..2s once, so the c-th eigenvalue must lie within CLUSTER_TOL
-    of j(j+1); one check covers every sector and names the first that fails.
-    Each sector gets its own eigh: a padded batched one is slower from 2s = 32.
-    """
-    matrices = _sector_matrices(label)
-    k, c = np.arange(label.dimension)[:, None], np.arange(label.dimension)
-    eigenvalues, vectors = np.zeros(matrices.shape[:2]), np.zeros_like(matrices)
-    for row, n in enumerate(k[:, 0] + 1):
-        eigenvalues[row, :n], vectors[row, :n, :n] = np.linalg.eigh(matrices[row, :n, :n])
-    j_values = np.where(c <= k, label.twice_s - k + c, -1)
-    worst = np.where(c <= k, np.abs(eigenvalues - j_values * (j_values + 1)), 0.0).max(axis=1)
-    failing = np.flatnonzero(worst > CLUSTER_TOL)
-    if failing.size:
-        row = failing[0]
-        raise ConsistencyError(
-            f"Casimir eigenvalues of sector M = {j_values[row, 0]} are {worst[row]:.3e} "
-            f"from j(j+1), j = {j_values[row, 0]}..{label.twice_s}; clustering failed"
-        )
-    return j_values, vectors
+    d, s = label.dimension, label.s
+    m, ladder = s - np.arange(d), _raising_elements(label)
+    indices, j_values = np.full((2 * d - 1, d), -1), np.full((2 * d - 1, d), -1)
+    vectors = np.zeros((2 * d - 1, d, d))
+    for k in range(2 * d - 1):
+        a = np.arange(max(0, k - label.twice_s), min(k, label.twice_s) + 1)
+        b, n, j = k - a, a.size, np.arange(abs(label.twice_s - k), d)
+        off = np.diag(ladder[a[:-1]] * ladder[b[1:]], 1)
+        matrix = np.diag(2.0 * s * (s + 1.0) + 2.0 * m[a] * m[b]) + off + off.T
+        eigenvalues, vectors[k, :n, :n] = np.linalg.eigh(matrix)
+        indices[k, :n], j_values[k, :n] = a * d + b, j
+        worst = np.abs(eigenvalues - j * (j + 1)).max()
+        if not worst <= CLUSTER_TOL:
+            raise ConsistencyError(
+                f"Casimir eigenvalues of sector M = {label.twice_s - k} are {worst:.3e} "
+                f"from j(j+1), j = {j[0]}..{label.twice_s}; clustering failed"
+            )
+    return indices, j_values, vectors
 
 
 @functools.lru_cache(maxsize=SECTOR_CACHE_SPINS)
 def _casimir_sectors(label: SpinLabel) -> tuple:
-    """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s.
+    """`_solve_sectors` for every total M, in order M = 2s, 2s-1, ..., -2s, checked and kept.
 
-    Row k of the padded (indices, j values, vectors) stacks holds sector
-    M = 2s - k, with its flattened indices (padded with -1). The last two
-    arrays list each in-sector entry of a d^2 x d^2 rho, sorted by row: its
-    position row * d^2 + col and its slot in the flattened stack. Only
-    sectors M >= 0 are diagonalized: |m> x |m'> -> |-m'> x |-m> maps sector
-    M onto -M in order, index i to d^2 - 1 - i, with the same J^2 entry for
-    entry (m_(d-1-a) = -m_a, r_a = r_(d-2-a)), so sector -M reuses M's vectors.
-
-    The M = 0 sector's columns, the |j;0>, also pass `_check_zero_m_states`.
-    A spin's arrays are kept only once both checks pass, for the last
+    Returns the padded (indices, j values, vectors) stacks, then two arrays
+    listing each in-sector entry of a d^2 x d^2 rho, sorted by row: its
+    position row * d^2 + col and its slot in the flattened stack. The M = 0
+    sector's columns, the |j;0>, also pass `_check_zero_m_states`. A spin's
+    arrays are kept only once both checks pass, for the last
     SECTOR_CACHE_SPINS spins asked for, and every caller gets the same
     read-only arrays; a failed check raises and keeps nothing.
     """
-    d, a = label.dimension, np.arange(label.dimension)
-    j_values, vectors = _solve_sectors(label)
-    b = a[:, None] - a
-    indices = np.where(b >= 0, a * d + b, -1)
-    mirrored = np.where(b >= 0, d * d - 1 - (b * d + a), -1)
-    rows = np.r_[a, a[-2::-1]]
-    stacked = np.concatenate([indices, mirrored[-2::-1]])
-    slots = np.flatnonzero((stacked[:, :, None] >= 0) & (stacked[:, None, :] >= 0))
-    positions = (stacked[:, :, None] * d * d + stacked[:, None, :]).ravel()[slots]
+    d = label.dimension
+    indices, j_values, vectors = _solve_sectors(label)
+    slots = np.flatnonzero((indices[:, :, None] >= 0) & (indices[:, None, :] >= 0))
+    positions = (indices[:, :, None] * d * d + indices[:, None, :]).ravel()[slots]
     order = np.argsort(positions)
-    sectors = stacked, j_values[rows], vectors[rows], positions[order], slots[order]
-    _check_zero_m_states(label, indices[-1], vectors[-1].T)  # k = d - 1 is M = 0
+    sectors = indices, j_values, vectors, positions[order], slots[order]
+    _check_zero_m_states(label, indices[d - 1], vectors[d - 1].T)  # k = d - 1 is M = 0
     for array in sectors:
         array.flags.writeable = False
     return sectors

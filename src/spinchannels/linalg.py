@@ -98,7 +98,9 @@ def check_pure_state(vector) -> np.ndarray:
     """Validate a unit vector (norm 1 within 1e-12) and return it as complex128."""
     v = as_state_vector(vector)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
+        if not np.isfinite(v).all():
+            raise ContractViolation("state vector is not finite")
         raise ContractViolation(f"state vector is not normalized: |phi| = {norm!r}")
     return v
 

@@ -210,6 +210,8 @@ def schmidt_coefficients(phi, dims) -> np.ndarray:
         raise ContractViolation(
             f"state shape {v.shape} does not match factor dimensions ({d_a}, {d_b})"
         )
+    if not np.isfinite(v).all():
+        raise ContractViolation("state vector is not finite")
     return np.linalg.svd(v.reshape(d_a, d_b), compute_uv=False)
 
 

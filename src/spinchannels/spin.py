@@ -120,13 +120,17 @@ def rotation_unitary(spin, axis, angle: float) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,):
         raise ContractViolation(f"rotation axis must be a 3-vector, got shape {n.shape}")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-10:
+    norm, angle = float(np.linalg.norm(n)), float(angle)
+    if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails too
+        if not np.isfinite(n).all():
+            raise ContractViolation("rotation axis is not finite")
         raise ContractViolation(f"rotation axis must be a unit vector, |axis| = {norm!r}")
+    if not np.isfinite(angle):
+        raise ContractViolation(f"rotation angle must be finite, got {angle!r}")
     s1, s2, s3 = spin_operators(label)
     generator = n[0] * s1 + n[1] * s2 + n[2] * s3
     w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * float(angle) * w)) @ v.conj().T
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
 def singlet_state(spin) -> np.ndarray:

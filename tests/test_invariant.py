@@ -341,11 +341,11 @@ class TestZeroMResidualCheck:
         original = invariant._solve_sectors
 
         def mixed(lab):
-            j_values, vectors = original(lab)
+            indices, j_values, vectors = original(lab)
             zero = vectors[lab.twice_s]
             two, three = zero[:, 2].copy(), zero[:, 3].copy()
             zero[:, 2], zero[:, 3] = (two + three) / math.sqrt(2), (two - three) / math.sqrt(2)
-            return j_values, vectors
+            return indices, j_values, vectors
 
         monkeypatch.setattr(invariant, "_solve_sectors", mixed)
         with pytest.raises(ConsistencyError, match=r"^\|2;0> fails the J\^2 eigenvector residual"):

@@ -45,6 +45,13 @@ def test_pure_state_validation():
         check_pure_state(np.eye(2))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_pure_state_validation_rejects_non_finite_entries(entry):
+    # a NaN norm compares False against any tolerance, so it must fail the check itself
+    with pytest.raises(ContractViolation, match="state vector is not finite"):
+        check_pure_state(np.array([entry, 0.0]))
+
+
 def test_partial_trace_inverts_products():
     rng = np.random.default_rng(13)
     for d_a, d_b in ((2, 3), (3, 2), (2, 2), (3, 3)):

@@ -184,6 +184,11 @@ class TestSchmidt:
         with pytest.raises(ContractViolation):
             schmidt_coefficients(np.ones(5) / math.sqrt(5.0), (2, 2))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(ContractViolation, match="not finite"):
+            schmidt_coefficients(np.array([entry, 0.0, 0.0, 1.0]), (2, 2))
+
 
 class TestMinOutputEntropy:
     def test_unitary_channel_reaches_zero(self):

@@ -164,6 +164,20 @@ class TestRotations:
         with pytest.raises(ContractViolation, match="3-vector"):
             rotation_unitary("1/2", [1.0, 0.0], 0.3)
 
+    @pytest.mark.parametrize(
+        "axis, angle, reason",
+        [
+            ([math.nan, 0.0, 0.0], 0.3, "axis is not finite"),
+            ([math.inf, 0.0, 0.0], 0.3, "axis is not finite"),
+            ([1.0, 0.0, 0.0], math.inf, "angle must be finite"),
+            ([1.0, 0.0, 0.0], math.nan, "angle must be finite"),
+        ],
+        ids=["nan-axis", "inf-axis", "inf-angle", "nan-angle"],
+    )
+    def test_rejects_non_finite_axis_or_angle(self, axis, angle, reason):
+        with pytest.raises(ContractViolation, match=reason):
+            rotation_unitary("1/2", axis, angle)
+
 
 class TestCoupledStates:
     def test_spin_half_singlet_and_triplet(self):
@@ -298,28 +312,21 @@ class TestCasimirSectors:
         assert np.count_nonzero(dense_total_spin_squared(label)[between]) == 0
 
     @pytest.mark.parametrize("twice_s", range(1, 13))
-    def test_sector_matrices_are_slices_of_total_spin_squared(self, twice_s):
-        # sector -M is never built: it must be sector M's matrix entry for entry
+    def test_sector_indices_cover_each_index_once_in_its_own_sector(self, twice_s):
+        # the J^2 on these indices is checked through the vectors' residuals below
         label = SpinLabel(twice_s)
-        d = label.dimension
-        j_squared = dense_total_spin_squared(label)
         sector = _sector_of_each_index(label)
-        matrices = invariant._sector_matrices(label)
         covered = []
         for k, indices in enumerate(invariant._casimir_sectors(label)[0]):
             n = np.count_nonzero(indices >= 0)
             assert np.all(indices[n:] == -1)
-            indices = indices[:n]
-            matrix = matrices[min(k, 2 * twice_s - k)]
-            assert np.all(sector[indices] == k)
-            assert np.abs(j_squared[np.ix_(indices, indices)] - matrix[:n, :n]).max() < 1e-12
-            assert not matrix[n:].any() and not matrix[:, n:].any()
-            covered.extend(indices)
-        assert sorted(covered) == list(range(d * d))
+            assert np.all(sector[indices[:n]] == k)
+            covered.extend(indices[:n])
+        assert sorted(covered) == list(range(label.dimension**2))
 
     def test_sector_vectors_carry_the_expected_j(self):
-        # mirrored sectors M < 0 included: their vectors are copied from -M
-        for twice_s in range(1, 13):
+        # sectors M < 0 included, each solved on its own
+        for twice_s in range(1, 17):
             label = SpinLabel(twice_s)
             d = label.dimension
             j_squared = dense_total_spin_squared(label)
@@ -332,37 +339,56 @@ class TestCasimirSectors:
                 residual = j_squared @ full - full * (j_values[:n] * (j_values[:n] + 1))
                 assert np.abs(residual).max() < 1e-10
 
+    @pytest.mark.parametrize("twice_s", range(1, 17))
+    def test_sector_minus_m_repeats_sector_m(self, twice_s):
+        # |m> x |m'> -> |-m'> x |-m> maps sector M onto -M with the same J^2
+        # entry for entry, so the two solves agree bit for bit
+        _, j_values, vectors = invariant._casimir_sectors(SpinLabel(twice_s))[:3]
+        for k in range(twice_s):
+            assert np.array_equal(j_values[k], j_values[2 * twice_s - k])
+            assert np.array_equal(vectors[k], vectors[2 * twice_s - k])
+
     @pytest.mark.parametrize("shift", [10 * CLUSTER_TOL, -10 * CLUSTER_TOL], ids=["up", "down"])
     def test_perturbed_sector_eigenvalue_fails_clustering(self, monkeypatch, shift):
-        label = SpinLabel(3)
-        original = invariant._sector_matrices
+        original = np.linalg.eigh
 
-        def perturbed(lab):
-            # sectors M = 1 and M = 0, rows k = 2 and 3: the check names the first in order
-            matrices = original(lab)
-            for k in (2, 3):
-                matrices[k, : k + 1, : k + 1] += shift * np.eye(k + 1)
-            return matrices
+        def perturbed(matrix):
+            # at spin 3/2 the sectors of size 3 and 4 are M = 1, 0 and -1:
+            # the check names the first in order
+            eigenvalues, vectors = original(matrix)
+            return eigenvalues + (shift if len(matrix) in (3, 4) else 0.0), vectors
 
-        monkeypatch.setattr(invariant, "_sector_matrices", perturbed)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ConsistencyError, match="sector M = 1 .* clustering"):
-            invariant._casimir_sectors(label)
+            invariant._casimir_sectors(SpinLabel(3))
 
     def test_eigenvalue_on_the_wrong_j_fails_clustering(self, monkeypatch):
         # At spin 1/2 the M = 1 sector holds only |1;1>, with J^2 = 2. Shifted
         # by -2 its eigenvalue lands on j(j+1) for j = 0, which is admissible
         # on its own but not in a sector with |M| = 1.
-        label = SpinLabel(1)
-        original = invariant._sector_matrices
+        original = np.linalg.eigh
 
-        def shifted(lab):
-            matrices = original(lab)
-            matrices[0, 0, 0] -= 2.0  # row k = 0 is sector M = 1
-            return matrices
+        def shifted(matrix):
+            eigenvalues, vectors = original(matrix)
+            return eigenvalues - (2.0 if len(matrix) == 1 else 0.0), vectors
 
-        monkeypatch.setattr(invariant, "_sector_matrices", shifted)
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
         with pytest.raises(ConsistencyError, match="sector M = 1"):
-            invariant._casimir_sectors(label)
+            invariant._casimir_sectors(SpinLabel(1))
+
+    def test_a_sector_below_zero_m_is_checked_on_its_own(self, monkeypatch):
+        # the 1 x 1 sectors M = 1 and M = -1 at spin 1/2 hold the same J^2;
+        # only the second solve is shifted, so only M = -1 can fail
+        original, sizes = np.linalg.eigh, []
+
+        def shifted(matrix):
+            sizes.append(len(matrix))
+            eigenvalues, vectors = original(matrix)
+            return eigenvalues - (2.0 if sizes.count(1) == 2 else 0.0), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ConsistencyError, match=r"sector M = -1 .* j = 1\.\.1; clustering"):
+            invariant._casimir_sectors(SpinLabel(1))
 
 
 def round_trip(label, seed):
@@ -476,10 +502,11 @@ class TestZeroMSectorPhase:
         # applied factor by factor can notice the wrong eigenvectors
         label = SpinLabel(4)
         q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((5, 5)))
-        matrix = invariant._sector_matrices(label)[label.twice_s]
+        index = zero_m_sector(label)[0]
+        matrix = dense_total_spin_squared(label)[np.ix_(index, index)].real
         _, vectors = np.linalg.eigh(q @ matrix @ q.T)
         with pytest.raises(ConsistencyError, match=r"J\^2 eigenvector residual"):
-            invariant._check_zero_m_states(label, zero_m_sector(label)[0], vectors.T)
+            invariant._check_zero_m_states(label, index, vectors.T)
 
     def test_residual_check_names_the_first_failing_j(self):
         # mixing |2;0> with |3;0> keeps the stack orthonormal and on M = 0
