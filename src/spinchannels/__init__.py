@@ -3,7 +3,8 @@
 The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs and for the minimum entropy
 gain over density matrices by batched multi-start L-BFGS on the unit sphere
-with exact gradients, and
+with exact gradients, certifying the gain's minimum by convexity where its
+bracket closes, and
 decomposes rotationally invariant two-spin states into total-spin blocks with
 cross-checked closed-form references.
 """
@@ -44,6 +45,7 @@ from .optimize import (
     SearchConfig,
     SearchReport,
     additivity_probe,
+    gain_convexity_bound,
     gain_lower_bound,
     haar_pure,
     min_entropy_gain,
@@ -77,6 +79,7 @@ __all__ = [
     "check_pure_state",
     "decohered_singlet",
     "entropy_gain",
+    "gain_convexity_bound",
     "gain_lower_bound",
     "haar_pure",
     "invariant_state_entropy",

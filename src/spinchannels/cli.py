@@ -40,6 +40,11 @@ from .verify import format_table, run_checks
 
 _GAP_ALERT = 1e-8
 _PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
+_SEARCH_HELP = {
+    "restarts": "run at most this many restarts; a gain search stops after the first"
+    " once its certified bracket closes (default %(default)s)",
+    "seed": "seed of the Haar restart states (default %(default)s)",
+}
 # The library reports nats; a value is divided by its --log-base entry when printed.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0)}
 
@@ -101,7 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         # one flag per SearchConfig field (--restarts, --seed), defaulting as the field does
         for field in fields(SearchConfig):
             sub.add_argument(
-                f"--{field.name}", type=_config_value(field.name), default=field.default
+                f"--{field.name}",
+                type=_config_value(field.name),
+                default=field.default,
+                help=_SEARCH_HELP[field.name],
             )
 
     def add_output(sub, formats=("json", "csv", "text")):
@@ -196,11 +204,15 @@ def _emit(args, title: str, payload: dict, rows, restart_values=(), notes=()) ->
 
 
 def _restart_record(report, divisor: float) -> dict:
-    """A search's restart values in the printed unit, converged fraction and evaluations."""
+    """A search's restart values and lower bound in the printed unit, its converged
+    fraction, evaluations and certificate."""
+    lower = report.lower_bound
     return {
         "restart_values": [v / divisor for v in report.restart_values],
         "converged_fraction": report.converged_fraction,
         "evaluations": report.evaluations,
+        "lower_bound": None if lower is None else lower / divisor,
+        "certificate": report.certificate,
     }
 
 
@@ -215,9 +227,13 @@ def _emit_search(args, title, payload, rows, report, reference) -> int:
     if reference is not None:
         payload["reference"], text = reference
         rows.append(("reference", text))
-    restarts = len(report.restart_values)  # fewer than asked for on a one-point input space
+    # fewer than asked for on a one-point input space, or where a certificate closed the search
+    restarts = len(report.restart_values)
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
+    lower = payload["lower_bound"]
+    rows.append(("lower bound", "none" if lower is None else repr(lower)))
+    rows.append(("certificate", report.certificate))
     return _emit(args, title, payload, rows, payload["restart_values"])
 
 

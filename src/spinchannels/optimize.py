@@ -5,9 +5,13 @@ keep the best local minimum found. The restarts advance together, one row of
 an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack on the
 unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) moves every row at once, with one stacked objective call,
-and so one stacked eigh per trial step. The results are heuristic
-upper bounds: nothing here certifies global optimality, and the reports say
-so through their restart statistics rather than pretending to a proof. The
+and so one stacked eigh per trial step. The pure-state searches are
+heuristic upper bounds: nothing certifies their global optimality, and their
+reports say so through their restart statistics rather than pretending to a
+proof. The entropy gain is convex in the input state, so a first-order bound
+at one full-rank point is a certified lower bound on its minimum
+(`gain_convexity_bound`); the gain search stops after restart 0 when that
+bound closes the bracket, and its report says which case it is in. The
 searches read only Kraus stacks, so nothing here depends on spins.
 
 Parametrizations
@@ -39,6 +43,7 @@ from .linalg import (
     ContractViolation,
     as_count,
     maximally_entangled,
+    require_hermitian,
     size_text,
     spectrum_entropy,
 )
@@ -58,6 +63,9 @@ _REDUCTION_TOL = 1e-12
 
 # Slack of the gain range check [-ln||Lambda(I)||, 0]: 5e-9 nats, under 1e-8 bits.
 _GAIN_SLACK = 5e-9
+
+# Widest bracket [lower_bound, value], in nats, that a report labels "certified".
+CERTIFIED_WIDTH = 1e-6
 
 # Largest array a search may build, in bytes: the 1 GiB of the singlet cap.
 SEARCH_BYTE_CAP = 2**30
@@ -104,12 +112,16 @@ class SearchReport:
     """Outcome of one multi-start search, values in nats.
 
     argmin is the best restart's end point as a unit complex vector (the
-    gain's is the density matrix it encodes). restart_values holds every
-    restart's local minimum, sorted ascending; value equals its first entry.
-    converged_fraction counts restarts that stopped on one of the two
-    tolerance stops (_GRADIENT_TOL on the gradient, _REDUCTION_TOL on the
-    relative reduction) rather than the iteration limit or a line search
-    that found no decrease. Near a flat minimum the value is fixed far more
+    gain's is the density matrix it encodes). restart_values holds the local
+    minimum of every restart that ran, sorted ascending; value equals its
+    first entry. converged_fraction is the share of those restarts that
+    stopped on one of the two tolerance stops (_GRADIENT_TOL on the gradient,
+    _REDUCTION_TOL on the relative reduction) rather than the iteration limit
+    or a line search that found no decrease. lower_bound is a certified lower
+    bound on the true minimum, or None where the search has none (min-output
+    and the probe); certificate is "certified" when value - lower_bound is at
+    most CERTIFIED_WIDTH, and "heuristic" otherwise. A certified gain search
+    ran one restart. Near a flat minimum the value is fixed far more
     tightly than the argmin: for the gain, restarts tie to about 1e-15 and
     np.argmin picks among them, so the argmin is fixed only to about 1e-8
     and its trailing digits are not significant.
@@ -120,6 +132,8 @@ class SearchReport:
     restart_values: list[float]
     converged_fraction: float
     evaluations: int
+    lower_bound: float | None = None
+    certificate: str = "heuristic"
 
 
 @dataclass(frozen=True)
@@ -412,7 +426,9 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
     return final_f, final_x, evaluations, converged
 
 
-def _multistart(objective, config: SearchConfig, leading_states, dim: int) -> SearchReport:
+def _multistart(
+    objective, config: SearchConfig, leading_states, dim: int, certify=None
+) -> SearchReport:
     """Shared engine: run the restarts together and report the best point found.
 
     Restart i starts from the complex vector leading_states[i], or past their
@@ -421,18 +437,45 @@ def _multistart(objective, config: SearchConfig, leading_states, dim: int) -> Se
     which reads no config, advances them all at once. A one-point space
     (dim = 1) runs one restart, since every start is the same point there.
     The argmin is the best row as a unit complex vector.
+
+    certify, when given, maps an end point to a certified lower bound on the
+    objective's minimum. Restart 0 then runs alone, and if its value is within
+    CERTIFIED_WIDTH of the bound at its end point, the bracket is closed and
+    the report holds that one restart. Otherwise restarts 1 to R - 1 run and
+    follow it; no row's arithmetic depends on another's, so that report
+    equals the one without certify apart from the bound. config.restarts is
+    thus the most restarts a search runs, and converged_fraction is taken
+    over the restarts that ran.
     """
     restarts = 1 if dim == 1 else config.restarts
-    haar = [haar_pure(dim, [config.seed, i]) for i in range(len(leading_states), restarts)]
-    x0 = np.stack([*leading_states, *haar][:restarts], dtype=np.complex128).view(float)
-    values, points, evaluations, converged = _sphere_lbfgs(objective, x0)
+
+    def starts(first: int, stop: int) -> np.ndarray:
+        states = [
+            leading_states[i] if i < len(leading_states) else haar_pure(dim, [config.seed, i])
+            for i in range(first, stop)
+        ]
+        return np.stack(states, dtype=np.complex128).view(float)
+
+    lower_bound = None
+    if certify is None:
+        values, points, evaluations, converged = _sphere_lbfgs(objective, starts(0, restarts))
+    else:
+        first = values, points, evaluations, converged = _sphere_lbfgs(objective, starts(0, 1))
+        lower_bound = float(certify(points[0]))
+        if values[0] - lower_bound > CERTIFIED_WIDTH and restarts > 1:
+            rest = _sphere_lbfgs(objective, starts(1, restarts))
+            values, points, evaluations, converged = map(np.concatenate, zip(first, rest))
     best = int(np.argmin(values))  # the first restart reaching the lowest value
+    value = float(values[best])
+    certified = lower_bound is not None and value - lower_bound <= CERTIFIED_WIDTH
     return SearchReport(
-        value=float(values[best]),
+        value=value,
         argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
         restart_values=[float(v) for v in np.sort(values)],
-        converged_fraction=int(converged.sum()) / restarts,
+        converged_fraction=int(converged.sum()) / len(values),
         evaluations=int(evaluations.sum()),
+        lower_bound=lower_bound,
+        certificate="certified" if certified else "heuristic",
     )
 
 
@@ -455,11 +498,50 @@ def gain_lower_bound(channel: KrausChannel) -> float:
     Monotonicity of relative entropy under the channel, applied to D(rho||I)
     and D(Lambda(rho)||Lambda(I)), gives S(Lambda(rho)) - S(rho) >= -ln of
     the largest eigenvalue of Lambda(I). That eigenvalue is at most
-    tr Lambda(I) = d, so the bound is never below -ln d, and it is 0 for
-    unital channels.
+    tr Lambda(I) = d, so -ln of it is never below -ln d, and it is 0 for
+    unital channels. The bound subtracts a rounding margin of 16 d eps, since
+    the eigenvalue is found to about d eps relative to its size.
     """
-    image = _apply_stack(channel.kraus, np.eye(channel.dim_in, dtype=np.complex128)[np.newaxis])[0]
-    return -math.log(float(np.linalg.eigvalsh(image)[-1]))
+    dim = channel.dim_in
+    image = _apply_stack(channel.kraus, np.eye(dim, dtype=np.complex128)[np.newaxis])[0]
+    return float(-math.log(np.linalg.eigvalsh(image)[-1]) - _ROUNDING * dim)
+
+
+def gain_convexity_bound(channel: KrausChannel, rho) -> float:
+    """Certified lower bound on the minimum entropy gain from one state, in nats.
+
+    The gain is convex in the input: through a Stinespring dilation it is
+    -H(E|B), and conditional entropy is concave by strong subadditivity. At
+    a positive definite rho its derivative is -tr(B d rho), with
+    B = Lambda^dagger(f(Lambda rho)) - f(rho) as in `_gain_objective`, so
+    every state sigma has gain(sigma) >= gain(rho) + tr(B rho) - tr(B sigma)
+    >= gain(rho) + tr(B rho) - lambda_max(B). The bound is that minus a
+    rounding margin of 16 d eps (max|eig B| + 1 / w_min): an eigenvalue w of
+    rho or of its image, off by about d eps, moves log w by d eps / w, and
+    lambda_max(B) by at most d eps / w_min, w_min the smallest eigenvalue of
+    rho. rho is a Hermitian d x d matrix, scaled to unit trace here; where it
+    is not positive definite the gain has no derivative and the bound is -inf.
+    """
+    m = require_hermitian(rho, name="state")
+    dim = channel.dim_in
+    if channel.dim_out != dim or m.shape != (dim, dim):
+        raise ContractViolation(
+            f"state shape {m.shape} does not fit a channel from {dim} to {channel.dim_out} dims"
+        )
+    w, u = np.linalg.eigh(m)
+    if not w[0] > 0.0:
+        return -math.inf
+    total = w.sum()
+    w, m = w / total, m / total
+    ops = channel.kraus
+    s_out, f_out = _entropy_and_log_term(_apply_stack(ops, m[np.newaxis]))
+    f_in = (u * (np.log(w) + 1.0)) @ u.conj().T
+    b = _apply_stack(ops.conj().transpose(0, 2, 1), f_out)[0] - f_in
+    spectrum = np.linalg.eigvalsh(b)
+    margin = _ROUNDING * dim * (np.abs(spectrum).max() + 1.0 / w[0])
+    gain = s_out[0] - spectrum_entropy(w)
+    # tr(B rho) = sum_ij conj(rho_ij) B_ij, since rho is Hermitian
+    return float(gain + np.vdot(m, b).real - spectrum[-1] - margin)
 
 
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
@@ -474,16 +556,28 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     fixed to about 1e-15 but the argmin only to about 1e-8, since restarts
     that tie to about 1e-15 end at different points of a flat minimum; the
     argmin's trailing digits are not significant.
+
+    The report's lower_bound is the larger of `gain_lower_bound` and
+    `gain_convexity_bound` at restart 0's end point. The gain is convex, so
+    one full-rank start reaches the minimum, and when restart 0 ends within
+    CERTIFIED_WIDTH of that bound the search stops there, "certified";
+    otherwise it runs every restart, exactly as a search without the bound,
+    and reports "heuristic" unless a later restart closes the bracket.
     """
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("entropy gain search requires matching input and output dims")
     check_search_size("gain", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim).ravel()], dim * dim)
+    lower = gain_lower_bound(channel)
+
+    def certify(x):
+        a = x.view(np.complex128).reshape(dim, dim)
+        return max(lower, gain_convexity_bound(channel, a @ a.conj().T))
+
+    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim).ravel()], dim * dim, certify)
     a = report.argmin.reshape(dim, dim)
     report = replace(report, argmin=a @ a.conj().T)
-    lower = gain_lower_bound(channel)
     if report.value < lower - _GAIN_SLACK or report.value > _GAIN_SLACK:
         raise ConsistencyError(
             f"entropy gain minimum {report.value!r} escaped the certified range [{lower!r}, 0]"

@@ -9,7 +9,8 @@ singlet's excess over twice that minimum, and the additivity of the minimum
 entropy gain on one seeded product of random channels. The closed-form and
 excess rows both read `invariant.CLOSED_FORMS`, the one table of reference
 values, so a new entry extends them and a wrong one fails them. The gain
-row is heuristic search evidence, not a certificate. One more row checks
+row passes only when all three of its searches close a certified bracket
+(`optimize.gain_convexity_bound`) and their values add. One more row checks
 that a repeated spin-3/2 search, whose restarts take steps, is bit-identical.
 Restart spread, the additivity probe, the block-decomposition routes, spin
 algebra, rotations, channel identities and generic linear algebra are left
@@ -18,6 +19,7 @@ to the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +79,16 @@ def _check_gain_additivity() -> list:
     chan_a = ch.random_channel(2, 3, seed=2000)
     chan_b = ch.random_channel(2, 3, seed=3000)
     single_cfg = opt.SearchConfig(restarts=8, seed=20)
-    g_a = opt.min_entropy_gain(chan_a, single_cfg).value
-    g_b = opt.min_entropy_gain(chan_b, single_cfg).value
+    a = opt.min_entropy_gain(chan_a, single_cfg)
+    b = opt.min_entropy_gain(chan_b, single_cfg)
     joint = opt.min_entropy_gain(ch.tensor(chan_a, chan_b), opt.SearchConfig(restarts=12, seed=21))
+    # a search whose bracket stays open fails the row, whatever its value
+    certified = all(r.certificate == "certified" for r in (a, b, joint))
+    gap = abs(joint.value - a.value - b.value) if certified else math.inf
     return [
         _result(
-            "optimize: the minimum entropy gain adds on a seeded pair (heuristic search)",
-            abs(joint.value - g_a - g_b),
+            "optimize: the minimum entropy gain adds on a seeded pair (certified bracket)",
+            gap,
             1e-9,
         )
     ]

@@ -119,6 +119,18 @@ class TestGainCommand:
         assert len(payload["argmin"]) == 2
 
 
+    def test_the_gain_cap_stops_at_its_certified_start(self, capsys):
+        """Lambda_s is unital, so restart 0 (rho = I/d) already meets the bound 0."""
+        code, out, _ = run_cli(capsys, "gain", "--spin", "31.5", "--restarts", "64")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certificate"] == "certified"
+        assert payload["restart_values"] == [payload["value"]]
+        assert payload["evaluations"] == 1
+        assert payload["converged_fraction"] == 1.0
+        assert payload["value"] - payload["lower_bound"] <= optimize.CERTIFIED_WIDTH
+
+
 class TestSingletCommand:
     def test_spin_half_payload(self, capsys):
         code, out, _ = run_cli(capsys, "singlet", "--spin", "1/2")
@@ -258,7 +270,7 @@ class TestVerifyCommand:
             "optimize: search recovers the known closed-form minima",
             "optimize: repeated searches are bit-identical",
             "invariant: decohered singlet excess equals its closed form",
-            "optimize: the minimum entropy gain adds on a seeded pair (heuristic search)",
+            "optimize: the minimum entropy gain adds on a seeded pair (certified bracket)",
         ]
         assert summary == "4/4 checks passed"
         assert "FAIL" not in out
@@ -525,6 +537,7 @@ _ENTROPY_PATHS = [
     ("joint_min",),
     ("single_values",),
     ("joint_search", "restart_values"),
+    ("lower_bound",),
     ("entropy",),
     ("single_channel_min",),
     ("two_channel_reference",),
@@ -608,11 +621,13 @@ def test_every_output_format(capsys, command, fmt, base):
     elif fmt == "csv":
         _, json_out, _ = run_cli(capsys, *argv)
         payload = json.loads(json_out)
-        expected = payload.get("joint_search", payload)["restart_values"]
+        search = payload.get("joint_search", payload)
         lines = out.splitlines()
         assert lines[0] == "rank,value"
-        assert len(lines) == 1 + payload["config"]["restarts"]
-        assert [float(line.split(",")[1]) for line in lines[1:]] == expected
+        # a certified search stopped after restart 0; any other ran every restart
+        ran = 1 if search["certificate"] == "certified" else payload["config"]["restarts"]
+        assert len(lines) == 1 + ran
+        assert [float(line.split(",")[1]) for line in lines[1:]] == search["restart_values"]
     else:
         lines = out.splitlines()
         assert lines[0] == _TITLES[command]
@@ -620,6 +635,14 @@ def test_every_output_format(capsys, command, fmt, base):
         rows = lines[1 : len(lines) - notes]
         assert rows and all(_TEXT_ROW.match(row) for row in rows), rows
         assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])
+
+
+def test_pure_state_searches_claim_no_bound(capsys):
+    for command in ("min-output", "probe"):
+        _, out, _ = run_cli(capsys, command, *_FAST_ARGS[command])
+        payload = json.loads(out)
+        search = payload.get("joint_search", payload)
+        assert (search["lower_bound"], search["certificate"]) == (None, "heuristic")
 
 
 class TestToleranceUpperBound:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from spinchannels.channel import (
     apply,
     entropy_gain,
     isotropic_channel,
+    load_channel,
     random_channel,
+    save_channel,
     tensor,
 )
 from spinchannels.linalg import (
@@ -28,6 +30,7 @@ from spinchannels.optimize import (
     _multistart,
     _pure_entropy_and_gradient,
     additivity_probe,
+    gain_convexity_bound,
     gain_lower_bound,
     haar_pure,
     min_entropy_gain,
@@ -352,7 +355,8 @@ def _joint_report(channel, config):
 def test_report_invariants_of_every_search(search, channel):
     """All three searches report through one engine, so they share its invariants."""
     nats = search(channel, SearchConfig(restarts=5, seed=1))
-    assert len(nats.restart_values) == 5
+    # a certified search stopped after restart 0; any other ran every restart
+    assert len(nats.restart_values) == (1 if nats.certificate == "certified" else 5)
     assert nats.restart_values == sorted(nats.restart_values)
     assert nats.value == nats.restart_values[0]
     assert 0.0 <= nats.converged_fraction <= 1.0
@@ -526,6 +530,80 @@ def test_gain_restarts_agree(dim, n_kraus):
     for seed in range(6):
         report = min_entropy_gain(random_channel(dim, n_kraus, seed), SearchConfig(restarts=10))
         assert report.restart_values[-1] - report.restart_values[0] <= 1e-9
+
+
+def _gain_search_without_bound(channel, config):
+    """The gain search as it runs with no certify callback: every restart, no bracket."""
+    dim = channel.dim_in
+    report = _multistart(optimize._gain_objective(channel), config, [np.eye(dim).ravel()], dim**2)
+    a = report.argmin.reshape(dim, dim)
+    return replace(report, argmin=a @ a.conj().T)
+
+
+@pytest.mark.parametrize("dim, n_kraus", [(2, 3), (3, 2)])
+def test_a_gain_search_stopped_by_its_bracket_keeps_the_full_value(dim, n_kraus):
+    """On the channels of test_gain_restarts_agree, restart 0 alone finds what ten find."""
+    config = SearchConfig(restarts=10)
+    for seed in range(6):
+        channel = random_channel(dim, n_kraus, seed)
+        report = min_entropy_gain(channel, config)
+        full = _gain_search_without_bound(channel, config)
+        assert abs(report.value - full.value) <= 1e-9, seed
+        assert report.lower_bound <= full.value
+        ran = 1 if report.certificate == "certified" else config.restarts
+        assert len(report.restart_values) == ran
+        assert report.converged_fraction == 1.0
+
+
+def test_a_bracket_that_never_closes_runs_every_restart_bit_for_bit(monkeypatch, tmp_path):
+    """With no bracket allowed to close, the gain search is the search without a bound."""
+    path = tmp_path / "random.json"
+    save_channel(random_channel(3, 2, seed=41), path)
+    config = SearchConfig(restarts=8, seed=5)
+    monkeypatch.setattr(optimize, "CERTIFIED_WIDTH", -math.inf)
+    for channel in (isotropic_channel("3/2"), load_channel(path)):
+        report = min_entropy_gain(channel, config)
+        full = _gain_search_without_bound(channel, config)
+        assert report.certificate == "heuristic"
+        assert report.evaluations > len(report.restart_values) == config.restarts
+        assert report.value == full.value
+        assert np.array_equal(report.argmin, full.argmin)
+        assert report.restart_values == full.restart_values
+        assert report.evaluations == full.evaluations
+        assert report.converged_fraction == full.converged_fraction
+
+
+class TestGainConvexityBound:
+    def test_unital_channel_at_the_maximally_mixed_state_is_zero(self):
+        for spin in ("1/2", "3/2"):
+            channel = isotropic_channel(spin)
+            dim = channel.dim_in
+            bound = gain_convexity_bound(channel, np.eye(dim) / dim)
+            assert -1e-12 < bound <= 0.0
+
+    def test_the_trace_is_normalised(self):
+        channel = random_channel(3, 2, seed=4)
+        rho = np.diag([0.5, 0.3, 0.2])
+        assert gain_convexity_bound(channel, 7.0 * rho) == gain_convexity_bound(channel, rho)
+
+    def test_no_bound_where_the_state_is_not_positive_definite(self):
+        channel = random_channel(2, 3, seed=0)
+        for rho in (np.diag([1.0, 0.0]), np.diag([1.2, -0.2]), np.zeros((2, 2))):
+            assert gain_convexity_bound(channel, rho) == -math.inf
+
+    def test_rejects_states_that_do_not_fit(self):
+        channel = random_channel(2, 3, seed=0)
+        with pytest.raises(ContractViolation, match="does not fit"):
+            gain_convexity_bound(channel, np.eye(3) / 3)
+        with pytest.raises(ContractViolation, match="Hermitian"):
+            gain_convexity_bound(channel, np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    def test_a_rank_deficient_minimum_is_certified_by_the_norm_bound(self):
+        """The replacement channel's minimum -ln d sits at pure inputs, where the convexity
+        bound is far below; -ln||Lambda(I)|| closes the bracket instead."""
+        report = min_entropy_gain(replacement_channel(3), SearchConfig(restarts=6, seed=3))
+        assert report.certificate == "certified"
+        assert report.lower_bound == gain_lower_bound(replacement_channel(3))
 
 
 def _joint_search(channel, config):

@@ -1,5 +1,5 @@
 """Property tests: the block round trip, the invariance check, the Kraus channel
-invariants and wire format, and spin labels."""
+invariants and wire format, the entropy gain's convexity bound, and spin labels."""
 
 import json
 import math
@@ -10,12 +10,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_casimir_projectors, random_axis_angle, random_density, random_hermitian
+from helpers import (
+    dense_casimir_projectors,
+    random_axis_angle,
+    random_density,
+    random_hermitian,
+    random_pure,
+)
 from spinchannels.channel import (
     TP_TOL,
     apply,
     channel_from_json,
     channel_to_json,
+    entropy_gain,
     isotropic_channel,
     random_channel,
     tensor,
@@ -27,6 +34,7 @@ from spinchannels.invariant import (
     state_from_distribution,
 )
 from spinchannels.linalg import ContractViolation
+from spinchannels.optimize import gain_convexity_bound
 from spinchannels.spin import SpinLabel, rotation_unitary
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -146,6 +154,35 @@ def test_isotropic_channels_are_bistochastic(twice_s):
     channel = isotropic_channel(SpinLabel(twice_s))
     assert channel.trace_preservation_defect() <= TP_TOL
     assert channel.is_bistochastic()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=4),
+    n_kraus=st.integers(min_value=1, max_value=3),
+    seed=SEEDS,
+    log_mixing=st.floats(min_value=-4.0, max_value=0.0),
+)
+def test_gain_convexity_bound_is_below_every_gain(dim, n_kraus, seed, log_mixing):
+    """The bound at any full-rank state lies below the gain of every state: a global bound.
+
+    rho mixes a pure state with a random one at weight 10**log_mixing, so some
+    are nearly rank-deficient; sigma runs over random mixed states, pure states
+    and states a small step from rho, where the linearization is tightest.
+    """
+    channel = random_channel(dim, n_kraus, seed)
+    rng = np.random.default_rng([seed, 3])
+    pure = random_pure(rng, dim)
+    mixing = 10.0**log_mixing
+    rho = (1.0 - mixing) * np.outer(pure, pure.conj()) + mixing * random_density(rng, dim)
+    bound = gain_convexity_bound(channel, rho)
+    assert math.isfinite(bound)
+    for _ in range(4):
+        mixed = random_density(rng, dim)
+        other = random_pure(rng, dim)
+        near = (1.0 - 1e-3) * rho + 1e-3 * mixed
+        for sigma in (mixed, np.outer(other, other.conj()), near, rho):
+            assert bound <= entropy_gain(channel, sigma)
 
 
 TWICE_S = st.integers(min_value=0, max_value=10**6)
