@@ -4,9 +4,8 @@ The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs and for the minimum entropy
 gain over density matrices by batched multi-start L-BFGS on the unit sphere
 with exact gradients, certifying the gain's minimum by convexity where its
-bracket closes, and
-decomposes rotationally invariant two-spin states into total-spin blocks with
-cross-checked closed-form references.
+bracket closes, and decomposes rotationally invariant two-spin states into
+total-spin blocks with cross-checked closed-form references.
 """
 
 from .channel import (

@@ -31,6 +31,7 @@ from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_
 from .optimize import (
     SearchConfig,
     additivity_probe,
+    bracket,
     check_search_size,
     min_entropy_gain,
     min_output_entropy,
@@ -216,23 +217,21 @@ def _restart_record(report, divisor: float) -> dict:
     }
 
 
-def _emit_search(args, title, payload, rows, report, reference) -> int:
+def _emit_search(args, title, payload, rows, report) -> int:
     """Rows and payload fields shared by min-output and gain.
 
-    reference is None or a (payload entry, text row value) pair.
+    A payload's closed_form, when it has one, spells its lower bound.
     """
     divisor = _LOG_DIVISOR[args.log_base]
     payload.update(value=report.value / divisor, **_restart_record(report, divisor))
     rows.append(("value", repr(payload["value"])))
-    if reference is not None:
-        payload["reference"], text = reference
-        rows.append(("reference", text))
     # fewer than asked for on a one-point input space, or where a certificate closed the search
     restarts = len(report.restart_values)
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
-    lower = payload["lower_bound"]
-    rows.append(("lower bound", "none" if lower is None else repr(lower)))
+    lower = "none" if payload["lower_bound"] is None else repr(payload["lower_bound"])
+    form = payload.get("closed_form")
+    rows.append(("lower bound", lower if form is None else f"{form} = {lower}"))
     rows.append(("certificate", report.certificate))
     return _emit(args, title, payload, rows, payload["restart_values"])
 
@@ -240,24 +239,18 @@ def _emit_search(args, title, payload, rows, report, reference) -> int:
 def _cmd_min_output(args) -> int:
     channel, config, payload, rows = _search_head(args, "min-output")
     report = min_output_entropy(channel, config)
-    reference = None
     if args.spin is not None and args.spin.twice_s in CLOSED_FORMS:
-        closed_form = _closed_forms(args.spin.twice_s, args.log_base)["single"]
-        value = CLOSED_FORMS[args.spin.twice_s]["single"][1] / _LOG_DIVISOR[args.log_base]
-        reference = ({"closed_form": closed_form, "value": value}, f"{closed_form} = {value!r}")
+        report = bracket(report, CLOSED_FORMS[args.spin.twice_s]["single"][1], "closed")
+        payload["closed_form"] = _closed_forms(args.spin.twice_s, args.log_base)["single"]
     payload["argmin"] = vector_to_json(report.argmin)
-    return _emit_search(args, "minimum output entropy", payload, rows, report, reference)
+    return _emit_search(args, "minimum output entropy", payload, rows, report)
 
 
 def _cmd_gain(args) -> int:
     channel, config, payload, rows = _search_head(args, "gain")
     report = min_entropy_gain(channel, config)
-    reference = None
-    if channel.is_bistochastic():
-        # bistochastic channels never shrink entropy, so their minimum gain is 0
-        reference = ({"closed_form": "0", "value": 0.0}, "0 (bistochastic channel)")
     payload["argmin"] = matrix_to_json(report.argmin)
-    return _emit_search(args, "minimum entropy gain", payload, rows, report, reference)
+    return _emit_search(args, "minimum entropy gain", payload, rows, report)
 
 
 def _cmd_singlet(args) -> int:

@@ -61,7 +61,7 @@ _MAX_ITERATIONS = 2000
 _GRADIENT_TOL = 1e-9
 _REDUCTION_TOL = 1e-12
 
-# Slack of the gain range check [-ln||Lambda(I)||, 0]: 5e-9 nats, under 1e-8 bits.
+# Slack of the gain range check [-ln||Lambda(I)||, 0] and of `bracket`: 5e-9 nats, under 1e-8 bits.
 _GAIN_SLACK = 5e-9
 
 # Widest bracket [lower_bound, value], in nats, that a report labels "certified".
@@ -117,14 +117,13 @@ class SearchReport:
     first entry. converged_fraction is the share of those restarts that
     stopped on one of the two tolerance stops (_GRADIENT_TOL on the gradient,
     _REDUCTION_TOL on the relative reduction) rather than the iteration limit
-    or a line search that found no decrease. lower_bound is a certified lower
-    bound on the true minimum, or None where the search has none (min-output
-    and the probe); certificate is "certified" when value - lower_bound is at
-    most CERTIFIED_WIDTH, and "heuristic" otherwise. A certified gain search
-    ran one restart. Near a flat minimum the value is fixed far more
-    tightly than the argmin: for the gain, restarts tie to about 1e-15 and
-    np.argmin picks among them, so the argmin is fixed only to about 1e-8
-    and its trailing digits are not significant.
+    or a line search that found no decrease. lower_bound and certificate are
+    set by `bracket`: the gain's certified bound ("certified"), a closed form
+    the CLI knows for min-output ("closed"), or else None and "heuristic". A
+    certified gain search ran one restart. Near a flat minimum the value is
+    fixed far more tightly than the argmin: for the gain, restarts tie to
+    about 1e-15 and np.argmin picks among them, so the argmin is fixed only
+    to about 1e-8 and its trailing digits are not significant.
     """
 
     value: float
@@ -134,6 +133,16 @@ class SearchReport:
     evaluations: int
     lower_bound: float | None = None
     certificate: str = "heuristic"
+
+
+def bracket(report: SearchReport, lower_bound: float, label: str) -> SearchReport:
+    """report with lower_bound set, labelled label if value - lower_bound is at most
+    CERTIFIED_WIDTH and "heuristic" otherwise; a value more than _GAIN_SLACK
+    below the bound is a ConsistencyError, since no correct bound allows it."""
+    if report.value < lower_bound - _GAIN_SLACK:
+        raise ConsistencyError(f"value {report.value!r} is below its lower bound {lower_bound!r}")
+    closed = report.value - lower_bound <= CERTIFIED_WIDTH
+    return replace(report, lower_bound=lower_bound, certificate=label if closed else "heuristic")
 
 
 @dataclass(frozen=True)
@@ -466,17 +475,14 @@ def _multistart(
             rest = _sphere_lbfgs(objective, starts(1, restarts))
             values, points, evaluations, converged = map(np.concatenate, zip(first, rest))
     best = int(np.argmin(values))  # the first restart reaching the lowest value
-    value = float(values[best])
-    certified = lower_bound is not None and value - lower_bound <= CERTIFIED_WIDTH
-    return SearchReport(
-        value=value,
+    report = SearchReport(
+        value=float(values[best]),
         argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
         restart_values=[float(v) for v in np.sort(values)],
         converged_fraction=int(converged.sum()) / len(values),
         evaluations=int(evaluations.sum()),
-        lower_bound=lower_bound,
-        certificate="certified" if certified else "heuristic",
     )
+    return report if lower_bound is None else bracket(report, lower_bound, "certified")
 
 
 def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:

@@ -45,7 +45,8 @@ class TestMinOutputCommand:
         assert payload["config"]["restarts"] == 8
         assert payload["config"]["seed"] == 3
         assert abs(payload["value"] - LN2) < 1e-6
-        assert abs(payload["reference"]["value"] - LN2) < 1e-15
+        assert abs(payload["lower_bound"] - LN2) < 1e-15
+        assert (payload["closed_form"], payload["certificate"]) == ("ln 2", "closed")
         assert len(payload["restart_values"]) == 8
         argmin = vector_from_json(payload["argmin"])
         assert abs(np.linalg.norm(argmin) - 1.0) < 1e-10
@@ -68,7 +69,9 @@ class TestMinOutputCommand:
         assert code == 0
         assert "minimum output entropy" in out
         assert "isotropic, spin 1/2" in out
-        assert "reference" in out
+        form, value = CLOSED_FORMS[1]["single"]
+        assert f"  lower bound          {form} = {value!r}" in out.splitlines()
+        assert "  certificate          closed" in out.splitlines()
 
     def test_log_base_two(self, capsys):
         _, out_e, _ = run_cli(capsys, "min-output", "--spin", "1", "--restarts", "4")
@@ -87,7 +90,7 @@ class TestMinOutputCommand:
         payload = json.loads(out)
         assert payload["channel"]["kind"] == "file"
         assert abs(payload["value"]) < 1e-9
-        assert "reference" not in payload
+        assert payload["lower_bound"] is None and "closed_form" not in payload
 
     def test_identity_channel_prints_positive_zero(self, capsys, tmp_path):
         # every output is pure, so every entropy prints as +0.0
@@ -105,8 +108,9 @@ class TestGainCommand:
         code, out, _ = run_cli(capsys, "gain", "--spin", "1/2", "--restarts", "6")
         assert code == 0
         payload = json.loads(out)
-        assert abs(payload["value"]) < 1e-8
-        assert payload["reference"] == {"closed_form": "0", "value": 0.0}
+        assert payload["certificate"] == "certified"
+        assert payload["lower_bound"] <= payload["value"] <= 1e-8
+        assert "closed_form" not in payload
 
     def test_random_channel_without_reference(self, capsys, tmp_path):
         path = tmp_path / "channel.json"
@@ -114,7 +118,7 @@ class TestGainCommand:
         code, out, _ = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "6")
         assert code == 0
         payload = json.loads(out)
-        assert "reference" not in payload
+        assert "closed_form" not in payload
         assert -LN2 - 1e-8 <= payload["value"] <= 1e-8
         assert len(payload["argmin"]) == 2
 
@@ -533,7 +537,6 @@ _NOTE_LINES = {"probe": 2}  # free-text lines after the aligned rows
 _ENTROPY_PATHS = [
     ("value",),
     ("restart_values",),
-    ("reference", "value"),
     ("joint_min",),
     ("single_values",),
     ("joint_search", "restart_values"),
@@ -638,11 +641,34 @@ def test_every_output_format(capsys, command, fmt, base):
 
 
 def test_pure_state_searches_claim_no_bound(capsys):
-    for command in ("min-output", "probe"):
-        _, out, _ = run_cli(capsys, command, *_FAST_ARGS[command])
+    """Only a closed form (min-output at 2s = 1 and 2) bounds a pure-state search."""
+    for command, spin in (("min-output", "3/2"), ("probe", "1/2")):
+        _, out, _ = run_cli(capsys, command, "--spin", spin, "--restarts", "3")
         payload = json.loads(out)
         search = payload.get("joint_search", payload)
         assert (search["lower_bound"], search["certificate"]) == (None, "heuristic")
+    _, out, _ = run_cli(capsys, "min-output", *_FAST_ARGS["min-output"])
+    assert json.loads(out)["certificate"] == "closed"
+
+
+def test_every_search_brackets_its_value_at_seeds_0_to_19(capsys, tmp_path):
+    """A bound never lies above its value, and "heuristic" means no bound or an open bracket."""
+    path = tmp_path / "random.json"
+    save_channel(random_channel(3, 2, 5), path)
+    file = ["--channel", str(path)]
+    runs = [("min-output", ["--spin", spin]) for spin in ("1/2", "1", "3/2")]
+    runs += [("min-output", file), ("gain", ["--spin", "1"]), ("gain", file)]
+    runs += [("probe", ["--spin", "1/2"]), ("probe", file)]
+    for seed in range(20):
+        for command, source in runs:
+            code, out, _ = run_cli(capsys, command, *source, "--restarts", "4", "--seed", str(seed))
+            assert code == 0
+            payload = json.loads(out)
+            search = payload.get("joint_search", payload)
+            value, lower = payload.get("joint_min", payload.get("value")), search["lower_bound"]
+            assert lower is None or lower <= value + 1e-12, (command, source, seed)
+            open_bracket = lower is None or value - lower > optimize.CERTIFIED_WIDTH
+            assert (search["certificate"] == "heuristic") == open_bracket, (command, source, seed)
 
 
 class TestToleranceUpperBound:
@@ -849,9 +875,8 @@ def _base_two_forms(capsys, command, spin):
     text = run_cli(capsys, *argv, "--output", "text")[1].splitlines()[1:]
     rows = {line[2:22].strip(): line[23:] for line in text}
     if command == "min-output":
-        form, value = rows["reference"].split(" = ")
-        reference = payload["reference"]
-        return [(reference["closed_form"], reference["value"]), (form, float(value))]
+        form, value = rows["lower bound"].split(" = ")
+        return [(payload["closed_form"], payload["lower_bound"]), (form, float(value))]
     value, form = re.fullmatch(r"(\S+)  \((.*)\)", rows["excess"]).groups()
     keys = ("entropy", "single_channel_min", "excess")
     pairs = [(payload[f"{key}_closed_form"], payload[key]) for key in keys]

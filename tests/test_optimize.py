@@ -30,6 +30,7 @@ from spinchannels.optimize import (
     _multistart,
     _pure_entropy_and_gradient,
     additivity_probe,
+    bracket,
     gain_convexity_bound,
     gain_lower_bound,
     haar_pure,
@@ -604,6 +605,32 @@ class TestGainConvexityBound:
         report = min_entropy_gain(replacement_channel(3), SearchConfig(restarts=6, seed=3))
         assert report.certificate == "certified"
         assert report.lower_bound == gain_lower_bound(replacement_channel(3))
+
+
+class TestBracket:
+    REPORT = SearchReport(
+        value=0.0, argmin=np.ones(1), restart_values=[0.0], converged_fraction=1.0, evaluations=1
+    )
+
+    def test_the_label_holds_only_while_the_bracket_is_closed(self):
+        width = optimize.CERTIFIED_WIDTH
+        closed = bracket(self.REPORT, -width, "closed")
+        assert (closed.lower_bound, closed.certificate) == (-width, "closed")
+        assert bracket(self.REPORT, -2.0 * width, "closed").certificate == "heuristic"
+        assert replace(closed, lower_bound=None, certificate="heuristic") == self.REPORT
+
+    def test_a_bound_above_the_value_is_an_error(self):
+        assert bracket(self.REPORT, optimize._GAIN_SLACK, "closed").certificate == "closed"
+        with pytest.raises(ConsistencyError, match="below its lower bound"):
+            bracket(self.REPORT, 2.0 * optimize._GAIN_SLACK, "closed")
+
+    def test_a_gain_bound_above_the_value_is_caught(self, monkeypatch):
+        """An inverted bracket closes by width alone; the search must refuse it."""
+        monkeypatch.setattr(
+            optimize, "gain_convexity_bound", lambda ch, rho: entropy_gain(ch, rho) + 1.0
+        )
+        with pytest.raises(ConsistencyError, match="below its lower bound"):
+            min_entropy_gain(random_channel(3, 2, seed=1), SearchConfig(restarts=4))
 
 
 def _joint_search(channel, config):
