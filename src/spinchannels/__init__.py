@@ -3,9 +3,10 @@
 The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs and for the minimum entropy
 gain over density matrices by batched multi-start L-BFGS on the unit sphere
-with exact gradients, certifying the gain's minimum by convexity where its
-bracket closes, and decomposes rotationally invariant two-spin states into
-total-spin blocks with cross-checked closed-form references.
+with exact gradients, certifying the gain's minimum by convexity and the
+isotropic channel's minimum output entropy by an eigenvalue bound where
+their brackets close, and decomposes rotationally invariant two-spin states
+into total-spin blocks with cross-checked closed-form references.
 """
 
 from .channel import (
@@ -28,6 +29,7 @@ from .invariant import (
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
+    single_min_bound,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -93,6 +95,7 @@ __all__ = [
     "rotation_unitary",
     "save_channel",
     "schmidt_coefficients",
+    "single_min_bound",
     "singlet_decoherence",
     "singlet_state",
     "spectrum_entropy",

@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import isotropic_channel, load_channel
-from .invariant import CLOSED_FORMS, singlet_decoherence
+from .invariant import CLOSED_FORMS, single_min_bound, singlet_decoherence
 from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
     SearchConfig,
@@ -42,8 +42,9 @@ from .verify import format_table, run_checks
 _GAP_ALERT = 1e-8
 _PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
 _SEARCH_HELP = {
-    "restarts": "run at most this many restarts; a gain search stops after the first"
-    " once its certified bracket closes (default %(default)s)",
+    "restarts": "run at most this many restarts; a gain search, or min-output --spin"
+    " at 2s >= 3, stops after the first once its certified bracket closes"
+    " (default %(default)s)",
     "seed": "seed of the Haar restart states (default %(default)s)",
 }
 # The library reports nats; a value is divided by its --log-base entry when printed.
@@ -238,7 +239,9 @@ def _emit_search(args, title, payload, rows, report) -> int:
 
 def _cmd_min_output(args) -> int:
     channel, config, payload, rows = _search_head(args, "min-output")
-    report = min_output_entropy(channel, config)
+    # None at 2s = 1 and 2, which every restart searches and the closed form brackets
+    bound = None if args.spin is None else single_min_bound(args.spin)
+    report = min_output_entropy(channel, config, bound)
     if args.spin is not None and args.spin.twice_s in CLOSED_FORMS:
         report = bracket(report, CLOSED_FORMS[args.spin.twice_s]["single"][1], "closed")
         payload["closed_form"] = _closed_forms(args.spin.twice_s, args.log_base)["single"]

@@ -33,6 +33,10 @@ T(rho), so max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every
 rotation at once. The residual reads rho once, both triangles, in row
 slabs that hand the in-sector entries to the block weights and sum the
 rest, so T(rho) is never built.
+
+The module also owns the single-use minimum beyond the closed forms:
+`single_min_bound` certifies S_min(Lambda_s) >= h(1/(s+1)) at 2s >= 3, up to
+a stated rounding margin, from the eigenvalues of one real symmetric pencil.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .linalg import (
     size_text,
     slab_rows,
 )
+from .optimize import _ROUNDING, SEARCH_DIMENSION_CAP
 from .spin import SpinLabel, _raising_elements, singlet_state
 
 _LN2 = math.log(2.0)
@@ -383,3 +388,138 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
                 f"the additivity reference {2.0 * single!r}"
             )
     return SingletDecoherenceReport(label, distribution.probs, entropy, single, excess)
+
+
+# Most points of the grid on [phi0, pi/2] that `single_min_bound` evaluates before it
+# gives up; 2s = 3 to 399 need 2 to 15.
+_GRID_BUDGET = 256
+
+
+def _single_min_pencil(label: SpinLabel) -> list:
+    """(P0, X, Y) on each parity block of P(phi) = P0 + (1 - cos phi) X + sin phi Y.
+
+    In the m-basis, P0 = s^2 - S_1^2, X = (S_1^2 - S_2^2) / 2 = (S_+^2 + S_-^2) / 4
+    and Y = S_3 / 2. None of them changes the parity of s - m, so P(phi) is
+    the direct sum of its real symmetric blocks on even and odd s - m, each
+    tridiagonal: S_1^2 = (S_+^2 + S_-^2) / 4 + (s(s+1) - S_3^2) / 2.
+    """
+    d, s = label.dimension, label.s
+    m, ladder = s - np.arange(d), _raising_elements(label)
+    hops = 0.25 * ladder[:-1] * ladder[1:]  # X between rows i and i + 2
+    blocks = []
+    for first in (0, 1):
+        rows = np.arange(first, d, 2)
+        x = np.diag(hops[rows[:-1]], 1)
+        x += x.T
+        p0 = np.diag(s * s - 0.5 * s * (s + 1.0) + 0.5 * m[rows] ** 2) - x
+        blocks.append((p0, x, np.diag(0.5 * m[rows])))
+    return blocks
+
+
+def _covers_near_zero(kernel_terms, s: float, phi0: float, slack: float) -> bool:
+    """Whether every block's P(t) + slack I is positive semidefinite for t in [0, phi0].
+
+    kernel_terms holds, per block, q^T (P0, X, Y) q and |W^T (P0, X, Y) q|
+    for (q, W) the eigenvectors of P0, q the lowest, and the gap w_1 of P0
+    past q. In that basis P(t) has the corner alpha(t) = q^T P(t) q, the
+    column b(t) = W^T P(t) q and the rest C(t) >= w_1 - |E(t)|, with
+    E(t) = (1 - cos t) X + sin t Y, and it is positive semidefinite where
+    C > 0 and alpha >= |b|^2 / lambda_min(C). Through 1 - cos t between
+    t^2 (1/2 - phi0^2 / 24) and t^2 / 2 <= t phi0 / 2, sin t <= t,
+    |X| <= s^2 / 2 and |Y| = s / 2, that holds on [0, phi0] once a quadratic
+    in t is nonnegative for every t >= 0. At 2s >= 3, q is |s>_x +- |-s>_x,
+    where q^T Y q = 0 and q^T X q = (s^2 - s/2) / 2: alpha grows as
+    t^2 (s^2 - s/2) / 4 against |b|^2 / C as t^2 s / (8 (2s - 1)), a factor
+    (2s - 1)^2 to spare. At 2s = 2 the odd block is |0> alone, where
+    q^T X q = 0, and the check fails.
+    """
+    norm_x, norm_y = 0.5 * s * s, 0.5 * s
+    for (w0, xq, yq), (e0, nx, ny), gap in kernel_terms:
+        rest = gap + slack - 0.5 * phi0 * phi0 * norm_x - phi0 * norm_y  # lambda_min(C) >= rest
+        if not rest > 0.0:
+            return False
+        column = 0.5 * phi0 * nx + ny  # |b(t)| <= e0 + t column
+        square = xq * (0.5 - phi0 * phi0 / 24.0) - column * column / rest
+        linear = abs(yq) + 2.0 * e0 * column / rest
+        constant = w0 + slack - e0 * e0 / rest
+        if not (square > 0.0 and constant >= 0.0 and linear * linear <= 4.0 * square * constant):
+            return False
+    return True
+
+
+def _lowest_eigenvalues(blocks, phi: np.ndarray) -> np.ndarray:
+    """lambda_min P(phi) at every angle of phi, one stacked eigvalsh per block."""
+    cos_term, sin_term = (1.0 - np.cos(phi))[:, None, None], np.sin(phi)[:, None, None]
+    lows = [np.linalg.eigvalsh(p0 + cos_term * x + sin_term * y)[:, 0] for p0, x, y in blocks]
+    return np.minimum(*lows)
+
+
+@functools.lru_cache(maxsize=64)
+def single_min_bound(spin) -> float | None:
+    """Certified lower bound on S_min(Lambda_s) in nats, h(1/(s+1)) less a margin, or None.
+
+    A pure input's output has rank at most 3 and the Gram matrix of the
+    S_i psi / sqrt(s(s+1)) as its nonzero spectrum, so its largest
+    eigenvalue is at most max |u.S|^2 / (s(s+1)) over unit u in C^3. A
+    rotation and a phase bring u to cos(theta) e_1 + i sin(theta) e_2, and
+    with phi = 2 theta, s^2 - (u.S)^dagger (u.S) is
+
+        P(phi) = s^2 - cos^2(theta) S_1^2 - sin^2(theta) S_2^2 + sin(phi) S_3 / 2.
+
+    A half turn about x maps P(phi) to P(-phi), a quarter turn about z to
+    P(pi - phi), so phi in [0, pi/2] covers every u. If P(phi) >= -delta
+    there, every output eigenvalue is at most mu = (s^2 + delta) / (s(s+1)),
+    and for mu >= 1/2 the rank-3 spectrum of least entropy under that cap is
+    (mu, 1 - mu, 0), so S_min >= h(mu), h the binary entropy. At delta = 0
+    that is h(1/(s+1)), the entropy at |m = s>, which restart 0 of
+    `optimize.min_output_entropy` starts from.
+
+    P(0) = s^2 - S_1^2 vanishes on |+-s>_x, so the certificate covers
+    [0, phi0] by `_covers_near_zero`, phi0 the widest of pi/2, pi/4, ...,
+    pi/2048 it admits, and [phi0, pi/2] by a grid and Weyl's bound
+    lambda_min P(phi') >= lambda_min P(phi) - L |phi' - phi| with the
+    analytic slope L = (s^2 + s) / 2 >= |X| + |Y|. A grid interval is
+    covered when its two end values sum to at least L times its width. The
+    grid starts at the two ends and halves every interval not yet covered,
+    up to _GRID_BUDGET points.
+
+    Rounding margin: delta = 16 d eps s^2. Every computed eigenvalue,
+    product and norm is taken to be within delta / 2 of its exact value
+    (eigvalsh errs by about d eps |P| and |P| <= s^2), and every check lets
+    its computed value dip to -delta / 2. The returned bound is h(mu) less
+    16 eps for its own evaluation, 16 d eps ln(s) or so below h(1/(s+1)).
+
+    Returns None where a check fails, which it does at 2s = 2, where P(phi)
+    is singular at every phi; at 2s = 1, where mu < 1/2; and past the
+    min-output search cap (d > 400). Cached for the last 64 spins asked for.
+    """
+    label = SpinLabel.coerce(spin)
+    d, s = label.dimension, label.s
+    if d > SEARCH_DIMENSION_CAP["min-output"] or s < 1.0:
+        return None
+    slack = 0.5 * _ROUNDING * d * s * s
+    blocks = _single_min_pencil(label)
+    kernel_terms = []
+    for block in blocks:
+        w, v = np.linalg.eigh(block[0])
+        columns = np.stack(block) @ v[:, 0]  # P0 q, X q, Y q
+        gap = w[1] if len(w) > 1 else math.inf
+        kernel_terms.append((columns @ v[:, 0], np.linalg.norm(columns @ v[:, 1:], axis=1), gap))
+    reaches = (0.5 * math.pi / 2**k for k in range(11))
+    phi0 = next((t for t in reaches if _covers_near_zero(kernel_terms, s, t, slack)), None)
+    if phi0 is None:
+        return None
+    slope = 0.5 * (s * s + s)
+    phi = np.array([phi0, 0.5 * math.pi])
+    low = _lowest_eigenvalues(blocks, phi) + slack
+    while low.min() >= 0.0:  # NaN fails too
+        short = np.flatnonzero(low[:-1] + low[1:] < slope * np.diff(phi))
+        if not short.size:
+            mu = (s * s + 2.0 * slack) / (s * (s + 1.0))
+            return -mu * math.log(mu) - (1.0 - mu) * math.log1p(-mu) - _ROUNDING
+        if len(phi) + short.size > _GRID_BUDGET:
+            break
+        middle = 0.5 * (phi[short] + phi[short + 1])
+        phi = np.insert(phi, short + 1, middle)
+        low = np.insert(low, short + 1, _lowest_eigenvalues(blocks, middle) + slack)
+    return None

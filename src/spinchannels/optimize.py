@@ -5,14 +5,16 @@ keep the best local minimum found. The restarts advance together, one row of
 an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack on the
 unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) moves every row at once, with one stacked objective call,
-and so one stacked eigh per trial step. The pure-state searches are
-heuristic upper bounds: nothing certifies their global optimality, and their
-reports say so through their restart statistics rather than pretending to a
-proof. The entropy gain is convex in the input state, so a first-order bound
-at one full-rank point is a certified lower bound on its minimum
-(`gain_convexity_bound`); the gain search stops after restart 0 when that
-bound closes the bracket, and its report says which case it is in. The
-searches read only Kraus stacks, so nothing here depends on spins.
+and so one stacked eigh per trial step. A pure-state search is a
+heuristic upper bound unless its caller passes a certified lower bound on
+the minimum: `min_output_entropy` then stops after restart 0 when that
+bound closes the bracket (the CLI passes `invariant.single_min_bound` for
+the isotropic channel at 2s >= 3). The entropy gain is convex in the input
+state, so a first-order bound at one full-rank point is a certified lower
+bound on its minimum (`gain_convexity_bound`); the gain search stops after
+restart 0 when that bound closes the bracket. Every report says which case
+it is in. The searches read only Kraus stacks, so nothing here depends on
+spins.
 
 Parametrizations
 ----------------
@@ -118,12 +120,13 @@ class SearchReport:
     stopped on one of the two tolerance stops (_GRADIENT_TOL on the gradient,
     _REDUCTION_TOL on the relative reduction) rather than the iteration limit
     or a line search that found no decrease. lower_bound and certificate are
-    set by `bracket`: the gain's certified bound ("certified"), a closed form
-    the CLI knows for min-output ("closed"), or else None and "heuristic". A
-    certified gain search ran one restart. Near a flat minimum the value is
-    fixed far more tightly than the argmin: for the gain, restarts tie to
-    about 1e-15 and np.argmin picks among them, so the argmin is fixed only
-    to about 1e-8 and its trailing digits are not significant.
+    set by `bracket`: a certified bound passed to min-output or the gain's
+    convexity bound ("certified"), a closed form the CLI knows for min-output
+    ("closed"), or else None and "heuristic". A certified search ran one
+    restart. Near a flat minimum the value is fixed far more tightly than
+    the argmin: for the gain, restarts tie to about 1e-15 and np.argmin
+    picks among them, so the argmin is fixed only to about 1e-8 and its
+    trailing digits are not significant.
     """
 
     value: float
@@ -485,17 +488,27 @@ def _multistart(
     return report if lower_bound is None else bracket(report, lower_bound, "certified")
 
 
-def min_output_entropy(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
+def min_output_entropy(
+    channel: KrausChannel, config: SearchConfig | None = None, lower_bound: float | None = None
+) -> SearchReport:
     """Search for the minimum output entropy over pure inputs.
 
     Restart 0 starts from the first basis vector; the rest start from Haar
     states seeded by (config.seed, restart_index). The returned value is the
     best local minimum seen, an upper bound on the true minimum.
+
+    lower_bound, when given, must be a certified lower bound on that minimum
+    in nats, such as `invariant.single_min_bound` for the isotropic channel,
+    whose restart 0 is |m = s>. When restart 0 ends within CERTIFIED_WIDTH of
+    it the search stops there, "certified"; otherwise it runs every restart,
+    exactly as a search without the bound, and reports "heuristic" unless a
+    later restart closes the bracket.
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("min-output", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-    return _multistart(_pure_entropy_and_gradient(channel), cfg, [np.eye(1, dim)[0]], dim)
+    certify = None if lower_bound is None else lambda x: lower_bound
+    return _multistart(_pure_entropy_and_gradient(channel), cfg, [np.eye(1, dim)[0]], dim, certify)
 
 
 def gain_lower_bound(channel: KrausChannel) -> float:

@@ -11,10 +11,10 @@ excess rows both read `invariant.CLOSED_FORMS`, the one table of reference
 values, so a new entry extends them and a wrong one fails them. The gain
 row passes only when all three of its searches close a certified bracket
 (`optimize.gain_convexity_bound`) and their values add. One more row checks
-that a repeated spin-3/2 search, whose restarts take steps, is bit-identical.
-Restart spread, the additivity probe, the block-decomposition routes, spin
-algebra, rotations, channel identities and generic linear algebra are left
-to the test suite.
+that a repeated spin-3/2 search, run without its certified bound so that
+every restart takes steps, is bit-identical. Restart spread, the additivity
+probe, the block-decomposition routes, spin algebra, rotations, channel
+identities and generic linear algebra are left to the test suite.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ def _check_search() -> list:
         value = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(twice_s)), cfg).value
         known = max(known, abs(value - forms["single"][1]))
 
-    # spin 3/2 takes L-BFGS steps (216 evaluations here); each spin-1 restart stops at its start
+    # spin 3/2 takes L-BFGS steps (216 evaluations here); each spin-1 restart stops at its start.
+    # The search is called without `invariant.single_min_bound`, so every restart runs and steps,
+    # where `min-output --spin 3/2` stops at its certified start.
     one, again = (opt.min_output_entropy(ch.isotropic_channel(SpinLabel(3)), cfg) for _ in range(2))
     determinism = max(
         abs(one.value - again.value),

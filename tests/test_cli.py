@@ -16,7 +16,7 @@ import pytest
 
 from helpers import EXACT_PAIR_ENTROPY, vector_from_json
 from spinchannels import cli, optimize
-from spinchannels.channel import KrausChannel, random_channel, save_channel
+from spinchannels.channel import KrausChannel, isotropic_channel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
 from spinchannels.invariant import CLOSED_FORMS
 
@@ -91,6 +91,34 @@ class TestMinOutputCommand:
         assert payload["channel"]["kind"] == "file"
         assert abs(payload["value"]) < 1e-9
         assert payload["lower_bound"] is None and "closed_form" not in payload
+
+    @pytest.mark.parametrize("spin", ["3/2", "2", "5/2", "3"])
+    def test_spins_past_the_closed_forms_stop_at_their_certified_start(self, capsys, spin):
+        for seed in (1, 2, 3):
+            argv = ["min-output", "--spin", spin, "--restarts", "8", "--seed", str(seed)]
+            payload = json.loads(run_cli(capsys, *argv)[1])
+            assert payload["certificate"] == "certified"
+            assert (len(payload["restart_values"]), payload["evaluations"]) == (1, 1)
+            assert payload["lower_bound"] <= payload["value"] <= payload["lower_bound"] + 1e-6
+            assert "closed_form" not in payload
+
+    def test_a_bracket_that_never_closes_runs_every_restart_bit_for_bit(
+        self, capsys, monkeypatch
+    ):
+        """With no bracket allowed to close, min-output --spin 3/2 is the search without a bound."""
+        monkeypatch.setattr(optimize, "CERTIFIED_WIDTH", -math.inf)
+        argv = ["min-output", "--spin", "3/2", "--restarts", "8", "--seed", "4"]
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        full = optimize.min_output_entropy(
+            isotropic_channel("3/2"), optimize.SearchConfig(restarts=8, seed=4)
+        )
+        assert payload["certificate"] == "heuristic" and payload["lower_bound"] is not None
+        assert payload["evaluations"] > len(payload["restart_values"]) == 8
+        assert payload["value"] == full.value
+        assert np.array_equal(vector_from_json(payload["argmin"]), full.argmin)
+        assert payload["restart_values"] == full.restart_values
+        assert payload["evaluations"] == full.evaluations
+        assert payload["converged_fraction"] == full.converged_fraction
 
     def test_identity_channel_prints_positive_zero(self, capsys, tmp_path):
         # every output is pure, so every entropy prints as +0.0
@@ -351,10 +379,13 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    def test_identical_flags_identical_bytes(self, capsys):
-        # at spin 1 each restart stops at its start; at spin 3/2 the L-BFGS steps are rerun too
-        for spin in ("1", "3/2"):
-            argv = ["min-output", "--spin", spin, "--restarts", "6", "--seed", "11"]
+    def test_identical_flags_identical_bytes(self, capsys, tmp_path):
+        # at spin 1 each restart stops at its start; on the d = 3 file the L-BFGS steps
+        # are rerun too (min-output --spin at 2s >= 3 stops at its certified start)
+        path = tmp_path / "random.json"
+        save_channel(random_channel(3, 2, 5), path)
+        for source in (["--spin", "1"], ["--channel", str(path)]):
+            argv = ["min-output", *source, "--restarts", "6", "--seed", "11"]
             _, first, _ = run_cli(capsys, *argv)
             _, second, _ = run_cli(capsys, *argv)
             assert first == second
@@ -640,15 +671,22 @@ def test_every_output_format(capsys, command, fmt, base):
         assert all(re.match(r"  \S", note) for note in lines[len(lines) - notes :])
 
 
-def test_pure_state_searches_claim_no_bound(capsys):
-    """Only a closed form (min-output at 2s = 1 and 2) bounds a pure-state search."""
-    for command, spin in (("min-output", "3/2"), ("probe", "1/2")):
-        _, out, _ = run_cli(capsys, command, "--spin", spin, "--restarts", "3")
+def test_pure_state_searches_claim_no_bound(capsys, tmp_path):
+    """A pure-state search is bounded by a closed form (min-output at 2s = 1 and 2) or
+    by `single_min_bound` (min-output --spin at 2s >= 3), and by nothing else."""
+    path = tmp_path / "random.json"
+    save_channel(random_channel(3, 2, 5), path)
+    for command, source in (("min-output", ["--channel", str(path)]), ("probe", ["--spin", "1/2"])):
+        _, out, _ = run_cli(capsys, command, *source, "--restarts", "3")
         payload = json.loads(out)
         search = payload.get("joint_search", payload)
         assert (search["lower_bound"], search["certificate"]) == (None, "heuristic")
     _, out, _ = run_cli(capsys, "min-output", *_FAST_ARGS["min-output"])
     assert json.loads(out)["certificate"] == "closed"
+    _, out, _ = run_cli(capsys, "min-output", "--spin", "3/2", "--restarts", "3")
+    payload = json.loads(out)
+    assert payload["certificate"] == "certified"
+    assert payload["lower_bound"] <= payload["value"] <= payload["lower_bound"] + 1e-6
 
 
 def test_every_search_brackets_its_value_at_seeds_0_to_19(capsys, tmp_path):
@@ -656,7 +694,7 @@ def test_every_search_brackets_its_value_at_seeds_0_to_19(capsys, tmp_path):
     path = tmp_path / "random.json"
     save_channel(random_channel(3, 2, 5), path)
     file = ["--channel", str(path)]
-    runs = [("min-output", ["--spin", spin]) for spin in ("1/2", "1", "3/2")]
+    runs = [("min-output", ["--spin", spin]) for spin in ("1/2", "1", "3/2", "2", "5/2", "3")]
     runs += [("min-output", file), ("gain", ["--spin", "1"]), ("gain", file)]
     runs += [("probe", ["--spin", "1/2"]), ("probe", file)]
     for seed in range(20):

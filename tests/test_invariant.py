@@ -22,6 +22,7 @@ from spinchannels.invariant import (
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
+    single_min_bound,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -414,3 +415,60 @@ class TestSizeGuard:
         q = 1.0 / (2.0 * 8.0 * 9.0)
         expected = [1.0 / 3.0, q, 2.0 / 3.0 - q] + [0.0] * 14
         assert np.abs(np.array(report.probs) - expected).max() < 1e-10
+
+
+def _binary_entropy(p):
+    return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
+
+
+class TestSingleMinBound:
+    """`single_min_bound` certifies h(1/(s+1)) at 2s >= 3, and nothing it cannot."""
+
+    @pytest.mark.parametrize("twice_s", range(3, 41))
+    def test_the_bound_lies_within_1e_12_below_the_coherent_state_value(self, twice_s):
+        reference = _binary_entropy(1.0 / (twice_s / 2.0 + 1.0))
+        assert reference - 1e-12 <= single_min_bound(SpinLabel(twice_s)) < reference
+
+    def test_the_pencil_is_the_dense_operator(self):
+        """P(phi) = s^2 - A^dagger A for A = cos(phi/2) S_1 + i sin(phi/2) S_2, block by block."""
+        for label in (SpinLabel(3), SpinLabel(6)):
+            s1, s2, _ = spin.spin_operators(label)
+            blocks = invariant._single_min_pencil(label)
+            for phi in (0.0, 0.3, np.pi / 2, 2.0):
+                a = np.cos(phi / 2) * s1 + 1j * np.sin(phi / 2) * s2
+                dense = label.s**2 * np.eye(label.dimension) - a.conj().T @ a
+                for first, (p0, x, y) in enumerate(blocks):
+                    rows = np.arange(first, label.dimension, 2)
+                    block = p0 + (1 - np.cos(phi)) * x + np.sin(phi) * y
+                    assert np.abs(dense[np.ix_(rows, rows)] - block).max() < 1e-13
+                index = np.arange(label.dimension)
+                across = np.add.outer(index, index) % 2 == 1
+                assert np.abs(dense[across]).max() < 1e-13  # no entry between the blocks
+
+    def test_no_bound_where_it_cannot_be_certified(self):
+        # 2s = 1: mu = 1/3 < 1/2; 2s = 2: P(phi) is singular at every phi; 2s = 400: past the cap
+        for twice_s in (1, 2, 400):
+            assert single_min_bound(SpinLabel(twice_s)) is None
+
+    def test_the_grid_alone_refuses_spin_one(self, monkeypatch):
+        """With the near-zero check waived below pi/32, the grid still finds no room at 2s = 2."""
+
+        def waived(kernel_terms, s, phi0, slack):
+            return phi0 < 0.1
+
+        monkeypatch.setattr(invariant, "_covers_near_zero", waived)
+        assert single_min_bound.__wrapped__(SpinLabel(2)) is None
+        assert single_min_bound.__wrapped__(SpinLabel(3)) is not None
+
+    def test_a_pencil_shifted_below_zero_is_refused(self, monkeypatch):
+        pencil = invariant._single_min_pencil
+
+        def shifted(label):
+            return [(p0 - 1e-9 * np.eye(len(p0)), x, y) for p0, x, y in pencil(label)]
+
+        monkeypatch.setattr(invariant, "_single_min_pencil", shifted)
+        for twice_s in (3, 4, 8):
+            assert single_min_bound.__wrapped__(SpinLabel(twice_s)) is None
+
+    def test_cached_per_spin(self):
+        assert single_min_bound(SpinLabel(5)) is single_min_bound(SpinLabel(5))

@@ -1,5 +1,6 @@
 """Property tests: the block round trip, the invariance check, the Kraus channel
-invariants and wire format, the entropy gain's convexity bound, and spin labels."""
+invariants and wire format, the entropy gain's convexity bound, the single-use
+minimum's certified bound, and spin labels."""
 
 import json
 import math
@@ -31,9 +32,10 @@ from spinchannels.invariant import (
     IsotypicDistribution,
     _require_invariant,
     isotypic_probabilities,
+    single_min_bound,
     state_from_distribution,
 )
-from spinchannels.linalg import ContractViolation
+from spinchannels.linalg import ContractViolation, spectrum_entropy
 from spinchannels.optimize import gain_convexity_bound
 from spinchannels.spin import SpinLabel, rotation_unitary
 
@@ -183,6 +185,34 @@ def test_gain_convexity_bound_is_below_every_gain(dim, n_kraus, seed, log_mixing
         near = (1.0 - 1e-3) * rho + 1e-3 * mixed
         for sigma in (mixed, np.outer(other, other.conj()), near, rho):
             assert bound <= entropy_gain(channel, sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    twice_s=st.integers(min_value=3, max_value=8),
+    seed=SEEDS,
+    start=st.sampled_from(["haar", "+x", "-x", "+y", "-y"]),
+    log_step=st.floats(min_value=-9.0, max_value=0.0),
+)
+def test_single_min_bound_is_below_every_output_entropy(twice_s, seed, start, log_step):
+    """No pure input's output has an eigenvalue above s/(s+1) or an entropy below the bound.
+
+    Besides Haar states, psi starts at |+-s> along x or y, the kernels of P(0)
+    and P(pi) where the certificate is tightest, and steps 10**log_step
+    towards a random state.
+    """
+    label = SpinLabel(twice_s)
+    s, d = label.s, label.dimension
+    rng = np.random.default_rng(seed)
+    psi = random_pure(rng, d)
+    if start != "haar":
+        axis = [0.0, 1.0, 0.0] if start[1] == "x" else [1.0, 0.0, 0.0]  # z turns to x or y
+        top = np.eye(d)[0 if start[0] == "+" else -1]
+        psi = rotation_unitary(label, axis, np.pi / 2) @ top + 10.0**log_step * psi
+        psi /= np.linalg.norm(psi)
+    spectrum = np.linalg.eigvalsh(apply(isotropic_channel(label), np.outer(psi, psi.conj())))
+    assert spectrum[-1] <= s / (s + 1.0) + 1e-14
+    assert spectrum_entropy(spectrum) >= single_min_bound(label)
 
 
 TWICE_S = st.integers(min_value=0, max_value=10**6)
