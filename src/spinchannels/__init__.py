@@ -4,9 +4,9 @@ The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs and for the minimum entropy
 gain over density matrices by batched multi-start L-BFGS on the unit sphere
 with exact gradients, certifying the gain's minimum by convexity and the
-isotropic channel's minimum output entropy by an eigenvalue bound where
-their brackets close, and decomposes rotationally invariant two-spin states
-into total-spin blocks with cross-checked closed-form references.
+isotropic channel's minimum output entropy h(1/(s+1)) up to spin 199.5, and
+decomposes rotationally invariant two-spin states into total-spin blocks
+with cross-checked closed-form references.
 """
 
 from .channel import (
@@ -23,13 +23,13 @@ from .channel import (
     tensor,
 )
 from .invariant import (
-    CLOSED_FORMS,
     IsotypicDistribution,
     SingletDecoherenceReport,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
     single_min_bound,
+    single_min_entropy,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -63,7 +63,6 @@ from .spin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLOSED_FORMS",
     "ConsistencyError",
     "ContractViolation",
     "IsotypicDistribution",
@@ -96,6 +95,7 @@ __all__ = [
     "save_channel",
     "schmidt_coefficients",
     "single_min_bound",
+    "single_min_entropy",
     "singlet_decoherence",
     "singlet_state",
     "spectrum_entropy",

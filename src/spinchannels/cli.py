@@ -26,12 +26,11 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import isotropic_channel, load_channel
-from .invariant import CLOSED_FORMS, single_min_bound, singlet_decoherence
+from .invariant import single_min_bound, singlet_decoherence
 from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
     SearchConfig,
     additivity_probe,
-    bracket,
     check_search_size,
     min_entropy_gain,
     min_output_entropy,
@@ -42,19 +41,26 @@ from .verify import format_table, run_checks
 _GAP_ALERT = 1e-8
 _PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
 _SEARCH_HELP = {
-    "restarts": "run at most this many restarts; a gain search, or min-output --spin"
-    " at 2s >= 3, stops after the first once its certified bracket closes"
-    " (default %(default)s)",
+    "restarts": "run at most this many restarts; a gain search, or min-output --spin,"
+    " stops after the first once its certified bracket closes (default %(default)s)",
     "seed": "seed of the Haar restart states (default %(default)s)",
 }
 # The library reports nats; a value is divided by its --log-base entry when printed.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0)}
-
-
-def _closed_forms(twice_s: int, log_base: str) -> dict:
-    """The texts of `invariant.CLOSED_FORMS[twice_s]`, with log2 in place of ln at base 2."""
-    texts = {quantity: text for quantity, (text, _) in CLOSED_FORMS[twice_s].items()}
-    return texts if log_base == "e" else {q: t.replace("ln", "log2") for q, t in texts.items()}
+# The closed forms `singlet` prints at spins 1/2 and 1, by 2s and payload key (log2 for ln
+# at base 2).
+_CLOSED_FORMS = {
+    1: {
+        "entropy": "(5/3) ln 3 - (2/3) ln 2",
+        "single_channel_min": "ln 3 - (2/3) ln 2",
+        "excess": "(1/3) ln(4/3)",
+    },
+    2: {
+        "entropy": "ln 3 + (4/3) ln 2",
+        "single_channel_min": "ln 2",
+        "excess": "ln 3 - (2/3) ln 2",
+    },
+}
 
 
 def _spin_argument(text: str) -> SpinLabel:
@@ -219,10 +225,7 @@ def _restart_record(report, divisor: float) -> dict:
 
 
 def _emit_search(args, title, payload, rows, report) -> int:
-    """Rows and payload fields shared by min-output and gain.
-
-    A payload's closed_form, when it has one, spells its lower bound.
-    """
+    """Rows and payload fields shared by min-output and gain."""
     divisor = _LOG_DIVISOR[args.log_base]
     payload.update(value=report.value / divisor, **_restart_record(report, divisor))
     rows.append(("value", repr(payload["value"])))
@@ -230,21 +233,16 @@ def _emit_search(args, title, payload, rows, report) -> int:
     restarts = len(report.restart_values)
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
-    lower = "none" if payload["lower_bound"] is None else repr(payload["lower_bound"])
-    form = payload.get("closed_form")
-    rows.append(("lower bound", lower if form is None else f"{form} = {lower}"))
+    lower = payload["lower_bound"]
+    rows.append(("lower bound", "none" if lower is None else repr(lower)))
     rows.append(("certificate", report.certificate))
     return _emit(args, title, payload, rows, payload["restart_values"])
 
 
 def _cmd_min_output(args) -> int:
     channel, config, payload, rows = _search_head(args, "min-output")
-    # None at 2s = 1 and 2, which every restart searches and the closed form brackets
     bound = None if args.spin is None else single_min_bound(args.spin)
     report = min_output_entropy(channel, config, bound)
-    if args.spin is not None and args.spin.twice_s in CLOSED_FORMS:
-        report = bracket(report, CLOSED_FORMS[args.spin.twice_s]["single"][1], "closed")
-        payload["closed_form"] = _closed_forms(args.spin.twice_s, args.log_base)["single"]
     payload["argmin"] = vector_to_json(report.argmin)
     return _emit_search(args, "minimum output entropy", payload, rows, report)
 
@@ -261,33 +259,29 @@ def _cmd_singlet(args) -> int:
     divisor = _LOG_DIVISOR[args.log_base]
     report = singlet_decoherence(label)
     entropy = report.entropy / divisor
+    reference = 2.0 * report.single_channel_min / divisor
+    excess = report.excess / divisor
     payload = {
         "command": "singlet",
         "spin": str(label),
         "probs": list(report.probs),
         "entropy": entropy,
         "log_base": args.log_base,
+        "single_channel_min": report.single_channel_min / divisor,
+        "two_channel_reference": reference,
+        "excess": excess,
     }
     rows = [("spin", label), ("log base", args.log_base)]
     rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
     rows.append(("entropy", repr(entropy)))
-    if report.excess is not None:
-        forms = _closed_forms(label.twice_s, args.log_base)
-        reference = 2.0 * report.single_channel_min / divisor
-        excess = report.excess / divisor
-        payload.update(
-            single_channel_min=report.single_channel_min / divisor,
-            two_channel_reference=reference,
-            excess=excess,
-            entropy_closed_form=forms["singlet"],
-            single_channel_min_closed_form=forms["single"],
-            excess_closed_form=forms["excess"],
-        )
-        rows += [
-            ("entropy closed form", forms["singlet"]),
-            ("2 x single minimum", repr(reference)),
-            ("excess", f"{excess!r}  ({forms['excess']})"),
-        ]
+    excess_row = repr(excess)
+    if label.twice_s in _CLOSED_FORMS:
+        log = "ln" if args.log_base == "e" else "log2"
+        forms = {q: t.replace("ln", log) for q, t in _CLOSED_FORMS[label.twice_s].items()}
+        payload.update({f"{key}_closed_form": form for key, form in forms.items()})
+        rows.append(("entropy closed form", forms["entropy"]))
+        excess_row += f"  ({forms['excess']})"
+    rows += [("2 x single minimum", repr(reference)), ("excess", excess_row)]
     return _emit(args, "decohered singlet block decomposition", payload, rows)
 
 

@@ -34,9 +34,10 @@ rotation at once. The residual reads rho once, both triangles, in row
 slabs that hand the in-sector entries to the block weights and sum the
 rest, so T(rho) is never built.
 
-The module also owns the single-use minimum beyond the closed forms:
-`single_min_bound` certifies S_min(Lambda_s) >= h(1/(s+1)) at 2s >= 3, up to
-a stated rounding margin, from the eigenvalues of one real symmetric pencil.
+The module also owns the single-use minimum S_min(Lambda_s) = h(1/(s+1)), h
+the binary entropy: `single_min_entropy` is its one value at every spin, and
+`single_min_bound` certifies it from below up to a stated rounding margin at
+2s = 1 to 399, past spin 1 from the eigenvalues of one real symmetric pencil.
 """
 
 from __future__ import annotations
@@ -57,26 +58,6 @@ from .linalg import (
 )
 from .optimize import _ROUNDING, SEARCH_DIMENSION_CAP
 from .spin import SpinLabel, _raising_elements, singlet_state
-
-_LN2 = math.log(2.0)
-_LN3 = math.log(3.0)
-
-# The isotropic channel's closed forms, keyed by 2s; only spins 1/2 and 1 have
-# them. Each quantity maps to its (text, value in nats): the single-use minimum
-# output entropy, the decohered singlet's entropy, and its excess over twice
-# the single-use minimum.
-CLOSED_FORMS = {
-    1: {
-        "single": ("ln 3 - (2/3) ln 2", _LN3 - 2.0 * _LN2 / 3.0),
-        "singlet": ("(5/3) ln 3 - (2/3) ln 2", 5.0 * _LN3 / 3.0 - 2.0 * _LN2 / 3.0),
-        "excess": ("(1/3) ln(4/3)", math.log(4.0 / 3.0) / 3.0),
-    },
-    2: {
-        "single": ("ln 2", _LN2),
-        "singlet": ("ln 3 + (4/3) ln 2", _LN3 + 4.0 * _LN2 / 3.0),
-        "excess": ("ln 3 - (2/3) ln 2", _LN3 - 2.0 * _LN2 / 3.0),
-    },
-}
 
 _CROSS_CHECK_TOL = 1e-9
 _INVARIANCE_TOL = 1e-8
@@ -129,16 +110,16 @@ class IsotypicDistribution:
 class SingletDecoherenceReport:
     """Everything the singlet decoherence computation produces, entropies in nats.
 
-    single_channel_min is the value of CLOSED_FORMS[2s]["single"], and excess
-    is entropy - 2 * single_channel_min, the excess over the additivity
-    reference; both are None for spins without that closed form.
+    single_channel_min is `single_min_entropy` of the spin, and excess is
+    entropy - 2 * single_channel_min, the excess over the additivity
+    reference, positive at every spin.
     """
 
     spin: SpinLabel
     probs: tuple
     entropy: float
-    single_channel_min: float | None
-    excess: float | None
+    single_channel_min: float
+    excess: float
 
 
 def _solve_sectors(label: SpinLabel) -> tuple:
@@ -355,10 +336,10 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
     so the report costs O(d) and never builds the d^2 x d^2 output state; the
     entropy is the block formula over these weights. The tests compare the
     weights with `isotypic_probabilities` of `decohered_singlet`, the matrix
-    route; `verify` checks the closed-form excess against the eigenvalues of
-    `decohered_singlet`. For spins in CLOSED_FORMS the report also carries
-    the single-channel minimum and the strictly positive excess above the
-    additivity reference 2 * min.
+    route; `verify` checks the excess against the eigenvalues of
+    `decohered_singlet`. The excess over twice `single_min_entropy` must be
+    positive, or the call raises ConsistencyError; |m = s> attains that
+    minimum, so a positive excess proves the paper's singlet claim.
     """
     label = SpinLabel.coerce(spin)
     if label.twice_s == 0:
@@ -378,19 +359,33 @@ def singlet_decoherence(spin) -> SingletDecoherenceReport:
     probs = (1.0 / 3.0, q, 2.0 / 3.0 - q)[:d] + (0.0,) * (d - 3)
     distribution = IsotypicDistribution(label, probs)
     entropy = invariant_state_entropy(distribution)
-    single = excess = None
-    if label.twice_s in CLOSED_FORMS:
-        single = CLOSED_FORMS[label.twice_s]["single"][1]
-        excess = entropy - 2.0 * single
-        if excess <= 0.0:
-            raise ConsistencyError(
-                f"decohered singlet entropy {entropy!r} does not exceed "
-                f"the additivity reference {2.0 * single!r}"
-            )
+    single = single_min_entropy(label)
+    excess = entropy - 2.0 * single
+    if not excess > 0.0:
+        raise ConsistencyError(
+            f"decohered singlet entropy {entropy!r} does not exceed "
+            f"the additivity reference {2.0 * single!r}"
+        )
     return SingletDecoherenceReport(label, distribution.probs, entropy, single, excess)
 
 
-# Most points of the grid on [phi0, pi/2] that `single_min_bound` evaluates before it
+def _binary_entropy(p: float) -> float:
+    return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
+
+
+def single_min_entropy(spin) -> float:
+    """S_min(Lambda_s) = h(1/(s+1)) in nats, h the binary entropy: the package's one copy.
+
+    |m = s> attains it, with output spectrum s/(s+1) and 1/(s+1). No pure
+    input goes lower: `single_min_bound` certifies it at 2s = 1 to 399.
+    """
+    label = SpinLabel.coerce(spin)
+    if label.twice_s == 0:
+        raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
+    return _binary_entropy(1.0 / (label.s + 1.0))
+
+
+# Most points of the grid on [phi0, pi/2] that `_pencil_bound` evaluates before it
 # gives up; 2s = 3 to 399 need 2 to 15.
 _GRID_BUDGET = 256
 
@@ -458,6 +453,24 @@ def _lowest_eigenvalues(blocks, phi: np.ndarray) -> np.ndarray:
 def single_min_bound(spin) -> float | None:
     """Certified lower bound on S_min(Lambda_s) in nats, h(1/(s+1)) less a margin, or None.
 
+    At spins 1/2 and 1 every pure input has the same output spectrum:
+    Lambda(rho) is (2 - rho) / 3 on a qubit and (1 - rho^T) / 2 at spin 1 in
+    the Cartesian basis. The bound there is `single_min_entropy` less 16 eps,
+    and at 2s = 3 to 399 `_pencil_bound`, whose checks pass at each of them.
+    A Python float, or None past the min-output search cap (d > 400) or where
+    a check fails. Cached for the last 64 spins asked for.
+    """
+    label = SpinLabel.coerce(spin)
+    if label.dimension > SEARCH_DIMENSION_CAP["min-output"]:
+        return None
+    if label.twice_s <= 2:
+        return single_min_entropy(label) - float(_ROUNDING)
+    return _pencil_bound(label)
+
+
+def _pencil_bound(label: SpinLabel) -> float | None:
+    """h(1/(s+1)) less a margin, certified from the pencil P(phi), or None where a check fails.
+
     A pure input's output has rank at most 3 and the Gram matrix of the
     S_i psi / sqrt(s(s+1)) as its nonzero spectrum, so its largest
     eigenvalue is at most max |u.S|^2 / (s(s+1)) over unit u in C^3. A
@@ -488,16 +501,10 @@ def single_min_bound(spin) -> float | None:
     (eigvalsh errs by about d eps |P| and |P| <= s^2), and every check lets
     its computed value dip to -delta / 2. The returned bound is h(mu) less
     16 eps for its own evaluation, 16 d eps ln(s) or so below h(1/(s+1)).
-
-    Returns None where a check fails, which it does at 2s = 2, where P(phi)
-    is singular at every phi; at 2s = 1, where mu < 1/2; and past the
-    min-output search cap (d > 400). Cached for the last 64 spins asked for.
+    It fails at 2s = 2, where P(phi) is singular at every phi.
     """
-    label = SpinLabel.coerce(spin)
     d, s = label.dimension, label.s
-    if d > SEARCH_DIMENSION_CAP["min-output"] or s < 1.0:
-        return None
-    slack = 0.5 * _ROUNDING * d * s * s
+    slack = 0.5 * float(_ROUNDING) * d * s * s
     blocks = _single_min_pencil(label)
     kernel_terms = []
     for block in blocks:
@@ -515,8 +522,7 @@ def single_min_bound(spin) -> float | None:
     while low.min() >= 0.0:  # NaN fails too
         short = np.flatnonzero(low[:-1] + low[1:] < slope * np.diff(phi))
         if not short.size:
-            mu = (s * s + 2.0 * slack) / (s * (s + 1.0))
-            return -mu * math.log(mu) - (1.0 - mu) * math.log1p(-mu) - _ROUNDING
+            return _binary_entropy((s * s + 2.0 * slack) / (s * (s + 1.0))) - float(_ROUNDING)
         if len(phi) + short.size > _GRID_BUDGET:
             break
         middle = 0.5 * (phi[short] + phi[short + 1])

@@ -9,7 +9,7 @@ and so one stacked eigh per trial step. A pure-state search is a
 heuristic upper bound unless its caller passes a certified lower bound on
 the minimum: `min_output_entropy` then stops after restart 0 when that
 bound closes the bracket (the CLI passes `invariant.single_min_bound` for
-the isotropic channel at 2s >= 3). The entropy gain is convex in the input
+the isotropic channel at every spin). The entropy gain is convex in the input
 state, so a first-order bound at one full-rank point is a certified lower
 bound on its minimum (`gain_convexity_bound`); the gain search stops after
 restart 0 when that bound closes the bracket. Every report says which case
@@ -121,12 +121,12 @@ class SearchReport:
     _REDUCTION_TOL on the relative reduction) rather than the iteration limit
     or a line search that found no decrease. lower_bound and certificate are
     set by `bracket`: a certified bound passed to min-output or the gain's
-    convexity bound ("certified"), a closed form the CLI knows for min-output
-    ("closed"), or else None and "heuristic". A certified search ran one
-    restart. Near a flat minimum the value is fixed far more tightly than
-    the argmin: for the gain, restarts tie to about 1e-15 and np.argmin
-    picks among them, so the argmin is fixed only to about 1e-8 and its
-    trailing digits are not significant.
+    convexity bound, and "certified" where the bracket closes; otherwise
+    None and "heuristic". A certified search ran one restart. Near a flat
+    minimum the value is fixed far more tightly than the argmin: for the
+    gain, restarts tie to about 1e-15 and np.argmin picks among them, so the
+    argmin is fixed only to about 1e-8 and its trailing digits are not
+    significant.
     """
 
     value: float
@@ -138,14 +138,14 @@ class SearchReport:
     certificate: str = "heuristic"
 
 
-def bracket(report: SearchReport, lower_bound: float, label: str) -> SearchReport:
-    """report with lower_bound set, labelled label if value - lower_bound is at most
+def bracket(report: SearchReport, lower_bound: float) -> SearchReport:
+    """report with lower_bound set, "certified" if value - lower_bound is at most
     CERTIFIED_WIDTH and "heuristic" otherwise; a value more than _GAIN_SLACK
     below the bound is a ConsistencyError, since no correct bound allows it."""
     if report.value < lower_bound - _GAIN_SLACK:
         raise ConsistencyError(f"value {report.value!r} is below its lower bound {lower_bound!r}")
-    closed = report.value - lower_bound <= CERTIFIED_WIDTH
-    return replace(report, lower_bound=lower_bound, certificate=label if closed else "heuristic")
+    label = "certified" if report.value - lower_bound <= CERTIFIED_WIDTH else "heuristic"
+    return replace(report, lower_bound=lower_bound, certificate=label)
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,7 @@ def _multistart(
         converged_fraction=int(converged.sum()) / len(values),
         evaluations=int(evaluations.sum()),
     )
-    return report if lower_bound is None else bracket(report, lower_bound, "certified")
+    return report if lower_bound is None else bracket(report, lower_bound)
 
 
 def min_output_entropy(

@@ -4,17 +4,16 @@ Each check compares a package computation against an independent route
 (closed form or repeated run) and records the worst residual seen. A check
 passes when its residual stays at or below its tolerance. The battery is
 deterministic: every search is seeded. It checks the paper's three claims:
-the closed-form single-copy minima at spin 1/2 and 1, the decohered
-singlet's excess over twice that minimum, and the additivity of the minimum
-entropy gain on one seeded product of random channels. The closed-form and
-excess rows both read `invariant.CLOSED_FORMS`, the one table of reference
-values, so a new entry extends them and a wrong one fails them. The gain
-row passes only when all three of its searches close a certified bracket
-(`optimize.gain_convexity_bound`) and their values add. One more row checks
-that a repeated spin-3/2 search, run without its certified bound so that
-every restart takes steps, is bit-identical. Restart spread, the additivity
-probe, the block-decomposition routes, spin algebra, rotations, channel
-identities and generic linear algebra are left to the test suite.
+at 2s = 1 to 8, the single-copy minimum `invariant.single_min_entropy`
+against a search, and the decohered singlet's excess over twice it against
+the eigenvalues of its state; and the additivity of the minimum entropy
+gain on one seeded product of random channels. The gain row passes only
+when all three of its searches close a certified bracket
+(`optimize.gain_convexity_bound`) and their values add. One more row
+checks that a repeated spin-3/2 search, run without its certified bound so
+that every restart takes steps, is bit-identical. Restart spread, the
+additivity probe, the block-decomposition routes, spin algebra, rotations,
+channel identities and generic linear algebra are left to the test suite.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .linalg import spectrum_entropy
 from .spin import SpinLabel
 
 _SEED = 20240817
+_SPINS = tuple(map(SpinLabel, range(1, 9)))  # 2s = 1 to 8, the closed-form and excess rows
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,13 @@ def _result(name: str, worst: float, tolerance: float) -> CheckResult:
 
 def _check_search() -> list:
     cfg = opt.SearchConfig(restarts=12, seed=_SEED)
-    known = 0.0
-    for twice_s, forms in inv.CLOSED_FORMS.items():
-        value = opt.min_output_entropy(ch.isotropic_channel(SpinLabel(twice_s)), cfg).value
-        known = max(known, abs(value - forms["single"][1]))
+    searches = {spin: opt.min_output_entropy(ch.isotropic_channel(spin), cfg) for spin in _SPINS}
+    known = max(abs(r.value - inv.single_min_entropy(spin)) for spin, r in searches.items())
 
-    # spin 3/2 takes L-BFGS steps (216 evaluations here); each spin-1 restart stops at its start.
-    # The search is called without `invariant.single_min_bound`, so every restart runs and steps,
-    # where `min-output --spin 3/2` stops at its certified start.
-    one, again = (opt.min_output_entropy(ch.isotropic_channel(SpinLabel(3)), cfg) for _ in range(2))
+    # No search gets `invariant.single_min_bound`, so every restart runs: spin 3/2 takes L-BFGS
+    # steps (216 evaluations here), where `min-output --spin 3/2` stops at restart 0. It reruns.
+    rerun = SpinLabel(3)
+    one, again = searches[rerun], opt.min_output_entropy(ch.isotropic_channel(rerun), cfg)
     determinism = max(
         abs(one.value - again.value),
         float(np.abs(one.argmin - again.argmin).max()),
@@ -70,9 +68,10 @@ def _check_search() -> list:
 def _check_invariant() -> list:
     # the claim: the singlet's entropy exceeds twice the single minimum by the excess
     excess = 0.0
-    for twice_s, forms in inv.CLOSED_FORMS.items():
-        direct = spectrum_entropy(np.linalg.eigvalsh(inv.decohered_singlet(SpinLabel(twice_s))))
-        excess = max(excess, abs(direct - 2.0 * forms["single"][1] - forms["excess"][1]))
+    for label in _SPINS:
+        direct = spectrum_entropy(np.linalg.eigvalsh(inv.decohered_singlet(label)))
+        report = inv.singlet_decoherence(label)
+        excess = max(excess, abs(direct - 2.0 * inv.single_min_entropy(label) - report.excess))
     return [_result("invariant: decohered singlet excess equals its closed form", excess, 1e-12)]
 
 

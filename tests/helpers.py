@@ -18,8 +18,9 @@ from spinchannels.spin import spin_operators
 
 LN2, LN3 = math.log(2.0), math.log(3.0)
 
-# Closed-form output entropy of the doubly decohered singlet and its excess
-# over twice the single-copy minimum, in nats, keyed by 2s.
+# Closed-form single-copy minimum output entropy, output entropy of the doubly
+# decohered singlet and its excess over twice that minimum, in nats, keyed by 2s.
+EXACT_SINGLE_MIN = {1: LN3 - 2.0 * LN2 / 3.0, 2: LN2}
 EXACT_PAIR_ENTROPY = {1: 5.0 * LN3 / 3.0 - 2.0 * LN2 / 3.0, 2: LN3 + 4.0 * LN2 / 3.0}
 EXACT_EXCESS = {1: math.log(4.0 / 3.0) / 3.0, 2: LN3 - 2.0 * LN2 / 3.0}
 

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import EXACT_PAIR_ENTROPY, vector_from_json
-from spinchannels import cli, optimize
+from helpers import EXACT_PAIR_ENTROPY, EXACT_SINGLE_MIN, vector_from_json
+from spinchannels import cli, invariant, optimize
 from spinchannels.channel import KrausChannel, isotropic_channel, random_channel, save_channel
 from spinchannels.cli import build_parser, main
-from spinchannels.invariant import CLOSED_FORMS
 
 LN2 = math.log(2.0)
 
@@ -45,15 +44,18 @@ class TestMinOutputCommand:
         assert payload["config"]["restarts"] == 8
         assert payload["config"]["seed"] == 3
         assert abs(payload["value"] - LN2) < 1e-6
-        assert abs(payload["lower_bound"] - LN2) < 1e-15
-        assert (payload["closed_form"], payload["certificate"]) == ("ln 2", "closed")
-        assert len(payload["restart_values"]) == 8
+        assert LN2 - 1e-14 < payload["lower_bound"] < LN2  # ln 2 less 16 eps
+        assert payload["certificate"] == "certified" and "closed_form" not in payload
+        assert len(payload["restart_values"]) == 1
         argmin = vector_from_json(payload["argmin"])
         assert abs(np.linalg.norm(argmin) - 1.0) < 1e-10
 
-    def test_csv_output(self, capsys):
+    def test_csv_output(self, capsys, tmp_path):
+        # a file channel runs every restart; min-output --spin stops at its certified start
+        path = tmp_path / "random.json"
+        save_channel(random_channel(3, 2, 5), path)
         code, out, _ = run_cli(
-            capsys, "min-output", "--spin", "1/2", "--restarts", "5", "--output", "csv"
+            capsys, "min-output", "--channel", str(path), "--restarts", "5", "--output", "csv"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -69,9 +71,9 @@ class TestMinOutputCommand:
         assert code == 0
         assert "minimum output entropy" in out
         assert "isotropic, spin 1/2" in out
-        form, value = CLOSED_FORMS[1]["single"]
-        assert f"  lower bound          {form} = {value!r}" in out.splitlines()
-        assert "  certificate          closed" in out.splitlines()
+        lower = invariant.single_min_bound("1/2")
+        assert f"  lower bound          {lower!r}" in out.splitlines()
+        assert "  certificate          certified" in out.splitlines()
 
     def test_log_base_two(self, capsys):
         _, out_e, _ = run_cli(capsys, "min-output", "--spin", "1", "--restarts", "4")
@@ -92,14 +94,15 @@ class TestMinOutputCommand:
         assert abs(payload["value"]) < 1e-9
         assert payload["lower_bound"] is None and "closed_form" not in payload
 
-    @pytest.mark.parametrize("spin", ["3/2", "2", "5/2", "3"])
-    def test_spins_past_the_closed_forms_stop_at_their_certified_start(self, capsys, spin):
+    @pytest.mark.parametrize("spin", ["1/2", "1", "3/2", "2", "5/2", "3"])
+    def test_every_spin_stops_at_its_certified_start(self, capsys, spin):
         for seed in (1, 2, 3):
-            argv = ["min-output", "--spin", spin, "--restarts", "8", "--seed", str(seed)]
+            argv = ["min-output", "--spin", spin, "--restarts", "64", "--seed", str(seed)]
             payload = json.loads(run_cli(capsys, *argv)[1])
             assert payload["certificate"] == "certified"
             assert (len(payload["restart_values"]), payload["evaluations"]) == (1, 1)
-            assert payload["lower_bound"] <= payload["value"] <= payload["lower_bound"] + 1e-6
+            lower = payload["lower_bound"]
+            assert lower <= payload["value"] <= lower + optimize.CERTIFIED_WIDTH
             assert "closed_form" not in payload
 
     def test_a_bracket_that_never_closes_runs_every_restart_bit_for_bit(
@@ -172,20 +175,32 @@ class TestSingletCommand:
         assert abs(payload["probs"][0] - 1.0 / 3.0) < 1e-10
         assert abs(payload["probs"][1] - 2.0 / 3.0) < 1e-10
         assert abs(payload["entropy"] - EXACT_PAIR_ENTROPY[1]) < 1e-10
-        assert abs(
-            payload["two_channel_reference"] - 2.0 * CLOSED_FORMS[1]["single"][1]
-        ) < 1e-12
+        assert abs(payload["two_channel_reference"] - 2.0 * EXACT_SINGLE_MIN[1]) < 1e-12
         assert payload["excess"] > 0.0
         assert payload["log_base"] == "e"
         assert payload["entropy_closed_form"] == "(5/3) ln 3 - (2/3) ln 2"
 
-    def test_unreferenced_spin_omits_reference_keys(self, capsys):
+    def test_closed_forms_are_printed_at_spins_half_and_one_only(self, capsys):
         code, out, _ = run_cli(capsys, "singlet", "--spin", "3/2")
         assert code == 0
         payload = json.loads(out)
-        assert "excess" not in payload
-        assert "single_channel_min" not in payload
+        assert not [key for key in payload if key.endswith("closed_form")]
+        assert payload["single_channel_min"] > 0.0 and payload["excess"] > 0.0
         assert len(payload["probs"]) == 4
+        _, out, _ = run_cli(capsys, "singlet", "--spin", "3/2", "--output", "text")
+        assert "closed form" not in out and out.splitlines()[-1].startswith("  excess ")
+
+    def test_every_spin_reports_a_positive_excess(self, capsys):
+        """excess = entropy - 2 single_channel_min > 0 from 2s = 1 up to 2s = 100000."""
+        for twice_s in [*range(1, 41), 1000, 100000]:
+            spin = str(twice_s // 2) if twice_s % 2 == 0 else f"{twice_s}/2"
+            code, out, _ = run_cli(capsys, "singlet", "--spin", spin, "--output", "json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["excess"] > 0.0, twice_s
+            expected = payload["entropy"] - 2.0 * payload["single_channel_min"]
+            assert abs(payload["excess"] - expected) <= 1e-12, twice_s
+            assert payload["two_channel_reference"] == 2.0 * payload["single_channel_min"]
 
     def test_reader_closing_early_exits_141_without_an_error(self):
         # like `| head -c 10`: the reader stops long before the rows end
@@ -214,8 +229,8 @@ class TestSingletCommand:
         assert excinfo.value.code == 2
 
     def test_an_excess_at_or_below_zero_is_an_error(self, capsys, monkeypatch):
-        text, value = CLOSED_FORMS[1]["single"]
-        monkeypatch.setitem(CLOSED_FORMS[1], "single", (text, value + 1.0))
+        owner = invariant.single_min_entropy
+        monkeypatch.setattr(invariant, "single_min_entropy", lambda spin: owner(spin) + 1.0)
         code, out, err = run_cli(capsys, "singlet", "--spin", "1/2")
         assert code == 1
         assert out == ""
@@ -307,31 +322,44 @@ class TestVerifyCommand:
         assert summary == "4/4 checks passed"
         assert "FAIL" not in out
 
-    def test_an_off_closed_form_fails_its_row(self, capsys, monkeypatch):
-        search = optimize.min_output_entropy
+    @pytest.mark.parametrize("twice_s", [2, 5])
+    @pytest.mark.parametrize("wrong", ["search", "owner"])
+    def test_an_off_closed_form_fails_its_row(self, capsys, monkeypatch, wrong, twice_s):
+        """A search or a single_min_entropy value 1e-3 off at one spin fails the first row."""
+        search, owner = optimize.min_output_entropy, invariant.single_min_entropy
 
-        def off(channel, config=None):
+        def off_search(channel, config=None):
             report = search(channel, config)
-            if channel.dim_in == 3:  # spin 1
+            if channel.dim_in == twice_s + 1:
                 report = replace(report, value=report.value + 1e-3)
             return report
 
-        monkeypatch.setattr(optimize, "min_output_entropy", off)
+        def off_owner(label):
+            return owner(label) + (1e-3 if label.twice_s == twice_s else 0.0)
+
+        if wrong == "search":
+            monkeypatch.setattr(optimize, "min_output_entropy", off_search)
+        else:
+            monkeypatch.setattr(invariant, "single_min_entropy", off_owner)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         [row] = self.failing_rows(out)
         assert "closed-form minima" in row
         assert "3/4 checks passed" in out
 
-    def test_one_table_feeds_the_closed_form_and_excess_rows(self, capsys, monkeypatch):
-        text, value = CLOSED_FORMS[2]["single"]
-        monkeypatch.setitem(CLOSED_FORMS[2], "single", (text, value + 1e-3))
+    def test_one_owner_feeds_verify_and_singlet(self, capsys, monkeypatch):
+        """A single_min_entropy 1e-3 high at spin 1 fails verify and moves singlet's fields."""
+        _, before, _ = run_cli(capsys, "singlet", "--spin", "1")
+        owner = invariant.single_min_entropy
+        monkeypatch.setattr(invariant, "single_min_entropy", lambda spin: owner(spin) + 1e-3)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        closed_form, excess = self.failing_rows(out)
-        assert "closed-form minima" in closed_form
-        assert "singlet excess" in excess
-        assert "2/4 checks passed" in out
+        [row] = self.failing_rows(out)
+        assert "closed-form minima" in row
+        _, after, _ = run_cli(capsys, "singlet", "--spin", "1")
+        before, after = json.loads(before), json.loads(after)
+        assert abs(after["single_channel_min"] - before["single_channel_min"] - 1e-3) < 1e-12
+        assert abs(after["excess"] - before["excess"] + 2e-3) < 1e-12
 
     def test_a_nondeterministic_search_fails_its_row(self, capsys, monkeypatch):
         search = optimize.min_output_entropy
@@ -369,8 +397,13 @@ class TestVerifyCommand:
         assert "3/4 checks passed" in out
 
     def test_an_off_excess_fails_its_row(self, capsys, monkeypatch):
-        text, value = CLOSED_FORMS[1]["excess"]
-        monkeypatch.setitem(CLOSED_FORMS[1], "excess", (text, value + 1e-3))
+        report = invariant.singlet_decoherence
+
+        def off(spin):
+            found = report(spin)
+            return replace(found, excess=found.excess + 1e-3) if found.spin.twice_s == 1 else found
+
+        monkeypatch.setattr(invariant, "singlet_decoherence", off)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         [row] = self.failing_rows(out)
@@ -380,8 +413,8 @@ class TestVerifyCommand:
 
 class TestDeterminism:
     def test_identical_flags_identical_bytes(self, capsys, tmp_path):
-        # at spin 1 each restart stops at its start; on the d = 3 file the L-BFGS steps
-        # are rerun too (min-output --spin at 2s >= 3 stops at its certified start)
+        # at spin 1 the search stops at its certified start; on the d = 3 file the
+        # L-BFGS steps of every restart are rerun too
         path = tmp_path / "random.json"
         save_channel(random_channel(3, 2, 5), path)
         for source in (["--spin", "1"], ["--channel", str(path)]):
@@ -672,8 +705,8 @@ def test_every_output_format(capsys, command, fmt, base):
 
 
 def test_pure_state_searches_claim_no_bound(capsys, tmp_path):
-    """A pure-state search is bounded by a closed form (min-output at 2s = 1 and 2) or
-    by `single_min_bound` (min-output --spin at 2s >= 3), and by nothing else."""
+    """A pure-state search is bounded by `single_min_bound` (min-output --spin) and by
+    nothing else."""
     path = tmp_path / "random.json"
     save_channel(random_channel(3, 2, 5), path)
     for command, source in (("min-output", ["--channel", str(path)]), ("probe", ["--spin", "1/2"])):
@@ -682,7 +715,7 @@ def test_pure_state_searches_claim_no_bound(capsys, tmp_path):
         search = payload.get("joint_search", payload)
         assert (search["lower_bound"], search["certificate"]) == (None, "heuristic")
     _, out, _ = run_cli(capsys, "min-output", *_FAST_ARGS["min-output"])
-    assert json.loads(out)["certificate"] == "closed"
+    assert json.loads(out)["certificate"] == "certified"
     _, out, _ = run_cli(capsys, "min-output", "--spin", "3/2", "--restarts", "3")
     payload = json.loads(out)
     assert payload["certificate"] == "certified"
@@ -905,16 +938,12 @@ def _closed_form_value(form):
     return total
 
 
-def _base_two_forms(capsys, command, spin):
-    """(closed form, value printed beside it) pairs of one command at --log-base 2, json and text."""
-    search = ["--restarts", "2"] if command == "min-output" else []
-    argv = [command, "--spin", spin, "--log-base", "2", *search]
+def _base_two_forms(capsys, spin):
+    """(closed form, value printed beside it) pairs of `singlet` at --log-base 2, json and text."""
+    argv = ["singlet", "--spin", spin, "--log-base", "2"]
     payload = json.loads(run_cli(capsys, *argv)[1])
     text = run_cli(capsys, *argv, "--output", "text")[1].splitlines()[1:]
     rows = {line[2:22].strip(): line[23:] for line in text}
-    if command == "min-output":
-        form, value = rows["lower bound"].split(" = ")
-        return [(payload["closed_form"], payload["lower_bound"]), (form, float(value))]
     value, form = re.fullmatch(r"(\S+)  \((.*)\)", rows["excess"]).groups()
     keys = ("entropy", "single_channel_min", "excess")
     pairs = [(payload[f"{key}_closed_form"], payload[key]) for key in keys]
@@ -922,7 +951,6 @@ def _base_two_forms(capsys, command, spin):
 
 
 @pytest.mark.parametrize("spin", ["1/2", "1"])
-@pytest.mark.parametrize("command", ["min-output", "singlet"])
-def test_base_two_closed_forms_equal_the_values_beside_them(capsys, command, spin):
-    for form, value in _base_two_forms(capsys, command, spin):
+def test_base_two_closed_forms_equal_the_values_beside_them(capsys, spin):
+    for form, value in _base_two_forms(capsys, spin):
         assert abs(_closed_form_value(form) - value) < 1e-15, (form, value)

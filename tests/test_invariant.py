@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     EXACT_EXCESS,
     EXACT_PAIR_ENTROPY,
+    EXACT_SINGLE_MIN,
     dense_casimir_projectors,
     exact_moment_probabilities,
     exact_zero_m_states,
@@ -16,13 +17,13 @@ from helpers import (
 from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
-    CLOSED_FORMS,
     IsotypicDistribution,
     _require_invariant,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
     single_min_bound,
+    single_min_entropy,
     singlet_decoherence,
     state_from_distribution,
 )
@@ -192,23 +193,22 @@ class TestDecoheredSinglet:
         assert abs(one.excess - EXACT_EXCESS[2]) < 1e-9
         assert one.entropy > 2.0 * math.log(2.0)
 
-    def test_closed_form_table_matches_the_references(self):
-        assert sorted(CLOSED_FORMS) == [1, 2]
-        for twice_s, forms in CLOSED_FORMS.items():
-            assert abs(forms["singlet"][1] - EXACT_PAIR_ENTROPY[twice_s]) < 1e-15
-            assert abs(forms["excess"][1] - EXACT_EXCESS[twice_s]) < 1e-15
+    def test_the_single_minimum_matches_the_closed_forms(self):
+        for twice_s, single in EXACT_SINGLE_MIN.items():
+            assert abs(single_min_entropy(SpinLabel(twice_s)) - single) < 1e-15
             report = singlet_decoherence(SpinLabel(twice_s))
-            assert report.single_channel_min == forms["single"][1]
-            assert abs(report.entropy - forms["singlet"][1]) < 1e-14
-            assert abs(report.excess - forms["excess"][1]) < 1e-14
+            assert report.single_channel_min == single_min_entropy(SpinLabel(twice_s))
+            assert abs(report.entropy - EXACT_PAIR_ENTROPY[twice_s]) < 1e-14
+            assert abs(report.excess - EXACT_EXCESS[twice_s]) < 1e-14
 
-    def test_reference_fields_follow_known_spins(self):
-        half = singlet_decoherence("1/2")
-        assert abs(2.0 * half.single_channel_min - 2.0 * CLOSED_FORMS[1]["single"][1]) < 1e-12
-        high = singlet_decoherence("3/2")
-        assert high.single_channel_min is None
-        assert high.spin.twice_s not in CLOSED_FORMS  # so no two-channel reference either
-        assert high.excess is None
+    @pytest.mark.parametrize("twice_s", [1, 3, 8, 1000, 10**6])
+    def test_every_spin_carries_its_single_minimum_and_a_positive_excess(self, twice_s):
+        report = singlet_decoherence(SpinLabel(twice_s))
+        s = twice_s / 2.0
+        assert report.single_channel_min == single_min_entropy(SpinLabel(twice_s))
+        assert abs(report.single_channel_min - _binary_entropy(1.0 / (s + 1.0))) < 1e-15
+        assert report.excess == report.entropy - 2.0 * report.single_channel_min
+        assert report.excess > 0.0
 
     def test_spin_zero_rejected(self):
         with pytest.raises(ContractViolation, match="spin 0"):
@@ -422,9 +422,9 @@ def _binary_entropy(p):
 
 
 class TestSingleMinBound:
-    """`single_min_bound` certifies h(1/(s+1)) at 2s >= 3, and nothing it cannot."""
+    """`single_min_bound` certifies h(1/(s+1)) at 2s = 1 to 399, and nothing it cannot."""
 
-    @pytest.mark.parametrize("twice_s", range(3, 41))
+    @pytest.mark.parametrize("twice_s", range(1, 41))
     def test_the_bound_lies_within_1e_12_below_the_coherent_state_value(self, twice_s):
         reference = _binary_entropy(1.0 / (twice_s / 2.0 + 1.0))
         assert reference - 1e-12 <= single_min_bound(SpinLabel(twice_s)) < reference
@@ -446,9 +446,10 @@ class TestSingleMinBound:
                 assert np.abs(dense[across]).max() < 1e-13  # no entry between the blocks
 
     def test_no_bound_where_it_cannot_be_certified(self):
-        # 2s = 1: mu = 1/3 < 1/2; 2s = 2: P(phi) is singular at every phi; 2s = 400: past the cap
-        for twice_s in (1, 2, 400):
-            assert single_min_bound(SpinLabel(twice_s)) is None
+        # the pencil at 2s = 1: mu = 1/3 < 1/2; at 2s = 2: P(phi) is singular at every phi
+        for twice_s in (1, 2):
+            assert invariant._pencil_bound(SpinLabel(twice_s)) is None
+        assert single_min_bound(SpinLabel(400)) is None  # past the cap
 
     def test_the_grid_alone_refuses_spin_one(self, monkeypatch):
         """With the near-zero check waived below pi/32, the grid still finds no room at 2s = 2."""
@@ -457,8 +458,8 @@ class TestSingleMinBound:
             return phi0 < 0.1
 
         monkeypatch.setattr(invariant, "_covers_near_zero", waived)
-        assert single_min_bound.__wrapped__(SpinLabel(2)) is None
-        assert single_min_bound.__wrapped__(SpinLabel(3)) is not None
+        assert invariant._pencil_bound(SpinLabel(2)) is None
+        assert invariant._pencil_bound(SpinLabel(3)) is not None
 
     def test_a_pencil_shifted_below_zero_is_refused(self, monkeypatch):
         pencil = invariant._single_min_pencil
@@ -471,4 +472,6 @@ class TestSingleMinBound:
             assert single_min_bound.__wrapped__(SpinLabel(twice_s)) is None
 
     def test_cached_per_spin(self):
-        assert single_min_bound(SpinLabel(5)) is single_min_bound(SpinLabel(5))
+        for twice_s in (1, 5):
+            assert single_min_bound(SpinLabel(twice_s)) is single_min_bound(SpinLabel(twice_s))
+            assert type(single_min_bound(SpinLabel(twice_s))) is float

@@ -614,15 +614,15 @@ class TestBracket:
 
     def test_the_label_holds_only_while_the_bracket_is_closed(self):
         width = optimize.CERTIFIED_WIDTH
-        closed = bracket(self.REPORT, -width, "closed")
-        assert (closed.lower_bound, closed.certificate) == (-width, "closed")
-        assert bracket(self.REPORT, -2.0 * width, "closed").certificate == "heuristic"
+        closed = bracket(self.REPORT, -width)
+        assert (closed.lower_bound, closed.certificate) == (-width, "certified")
+        assert bracket(self.REPORT, -2.0 * width).certificate == "heuristic"
         assert replace(closed, lower_bound=None, certificate="heuristic") == self.REPORT
 
     def test_a_bound_above_the_value_is_an_error(self):
-        assert bracket(self.REPORT, optimize._GAIN_SLACK, "closed").certificate == "closed"
+        assert bracket(self.REPORT, optimize._GAIN_SLACK).certificate == "certified"
         with pytest.raises(ConsistencyError, match="below its lower bound"):
-            bracket(self.REPORT, 2.0 * optimize._GAIN_SLACK, "closed")
+            bracket(self.REPORT, 2.0 * optimize._GAIN_SLACK)
 
     def test_a_gain_bound_above_the_value_is_caught(self, monkeypatch):
         """An inverted bracket closes by width alone; the search must refuse it."""

@@ -189,13 +189,13 @@ def test_gain_convexity_bound_is_below_every_gain(dim, n_kraus, seed, log_mixing
 
 @settings(max_examples=60, deadline=None)
 @given(
-    twice_s=st.integers(min_value=3, max_value=8),
+    twice_s=st.integers(min_value=1, max_value=8),
     seed=SEEDS,
     start=st.sampled_from(["haar", "+x", "-x", "+y", "-y"]),
     log_step=st.floats(min_value=-9.0, max_value=0.0),
 )
 def test_single_min_bound_is_below_every_output_entropy(twice_s, seed, start, log_step):
-    """No pure input's output has an eigenvalue above s/(s+1) or an entropy below the bound.
+    """No pure input's output has an eigenvalue above max(s, 1)/(s+1) or an entropy below the bound.
 
     Besides Haar states, psi starts at |+-s> along x or y, the kernels of P(0)
     and P(pi) where the certificate is tightest, and steps 10**log_step
@@ -211,7 +211,7 @@ def test_single_min_bound_is_below_every_output_entropy(twice_s, seed, start, lo
         psi = rotation_unitary(label, axis, np.pi / 2) @ top + 10.0**log_step * psi
         psi /= np.linalg.norm(psi)
     spectrum = np.linalg.eigvalsh(apply(isotropic_channel(label), np.outer(psi, psi.conj())))
-    assert spectrum[-1] <= s / (s + 1.0) + 1e-14
+    assert spectrum[-1] <= max(s, 1.0) / (s + 1.0) + 1e-14
     assert spectrum_entropy(spectrum) >= single_min_bound(label)
 
 
