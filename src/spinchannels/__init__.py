@@ -28,6 +28,7 @@ from .invariant import (
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
+    joint_min_bound,
     single_min_bound,
     single_min_entropy,
     singlet_decoherence,
@@ -85,6 +86,7 @@ __all__ = [
     "invariant_state_entropy",
     "isotropic_channel",
     "isotypic_probabilities",
+    "joint_min_bound",
     "kron",
     "load_channel",
     "min_entropy_gain",

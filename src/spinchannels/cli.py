@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, fields
 
 from .channel import isotropic_channel, load_channel
-from .invariant import single_min_bound, singlet_decoherence
+from .invariant import joint_min_bound, single_min_bound, singlet_decoherence
 from .linalg import ConsistencyError, ContractViolation, matrix_to_json, vector_to_json
 from .optimize import (
     SearchConfig,
@@ -39,10 +39,14 @@ from .spin import SpinLabel
 from .verify import format_table, run_checks
 
 _GAP_ALERT = 1e-8
-_PROBE_NOTE = "heuristic search evidence; a zero gap is not a proof of additivity"
+_PROBE_NOTE = {  # by the joint search's certificate
+    "heuristic": "heuristic search evidence; a zero gap is not a proof of additivity",
+    "certified": "certified joint bracket; a zero gap shows additivity to its width",
+}
 _SEARCH_HELP = {
-    "restarts": "run at most this many restarts; a gain search, or min-output --spin,"
-    " stops after the first once its certified bracket closes (default %(default)s)",
+    "restarts": "run at most this many restarts; a gain search, or a min-output or probe"
+    " search of --spin, stops after the first once its certified bracket closes"
+    " (default %(default)s)",
     "seed": "seed of the Haar restart states (default %(default)s)",
 }
 # The library reports nats; a value is divided by its --log-base entry when printed.
@@ -224,6 +228,12 @@ def _restart_record(report, divisor: float) -> dict:
     }
 
 
+def _bracket_rows(record: dict) -> list:
+    """The lower bound and certificate rows of a `_restart_record`."""
+    lower, certificate = record["lower_bound"], record["certificate"]
+    return [("lower bound", "none" if lower is None else repr(lower)), ("certificate", certificate)]
+
+
 def _emit_search(args, title, payload, rows, report) -> int:
     """Rows and payload fields shared by min-output and gain."""
     divisor = _LOG_DIVISOR[args.log_base]
@@ -233,9 +243,7 @@ def _emit_search(args, title, payload, rows, report) -> int:
     restarts = len(report.restart_values)
     rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
-    lower = payload["lower_bound"]
-    rows.append(("lower bound", "none" if lower is None else repr(lower)))
-    rows.append(("certificate", report.certificate))
+    rows += _bracket_rows(payload)
     return _emit(args, title, payload, rows, payload["restart_values"])
 
 
@@ -287,7 +295,9 @@ def _cmd_singlet(args) -> int:
 
 def _cmd_probe(args) -> int:
     channel, config, payload, rows = _search_head(args, "probe")
-    probe = additivity_probe(channel, channel, config)
+    spin = args.spin
+    bounds = (None, None) if spin is None else (single_min_bound(spin), joint_min_bound(spin))
+    probe = additivity_probe(channel, channel, config, *bounds)
     divisor = _LOG_DIVISOR[args.log_base]
     # the sum and the gap are taken of the converted values, as they are printed
     singles = [probe.single_a.value / divisor, probe.single_b.value / divisor]
@@ -305,10 +315,11 @@ def _cmd_probe(args) -> int:
         argmin=vector_to_json(probe.joint.argmin),
         single_values=singles,
         joint_search=joint_search,
-        note=_PROBE_NOTE,
+        note=_PROBE_NOTE[probe.joint.certificate],
     )
     rows += [
         ("joint minimum", repr(joint_min)),
+        *_bracket_rows(joint_search),
         ("sum of singles", repr(sum_of_singles)),
         ("gap", repr(gap)),
         ("schmidt coefficients", ", ".join(f"{c:.6e}" for c in probe.schmidt_coefficients)),
@@ -321,7 +332,7 @@ def _cmd_probe(args) -> int:
     else:
         verdict = "no subadditivity violation detected (gap within tolerance)"
     title = "additivity probe (two copies in parallel)"
-    notes = [verdict, f"note: {_PROBE_NOTE}"]
+    notes = [verdict, f"note: {payload['note']}"]
     return _emit(args, title, payload, rows, joint_search["restart_values"], notes)
 
 

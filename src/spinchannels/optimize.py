@@ -7,14 +7,15 @@ unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008) moves every row at once, with one stacked objective call,
 and so one stacked eigh per trial step. A pure-state search is a
 heuristic upper bound unless its caller passes a certified lower bound on
-the minimum: `min_output_entropy` then stops after restart 0 when that
-bound closes the bracket (the CLI passes `invariant.single_min_bound` for
-the isotropic channel at every spin). The entropy gain is convex in the input
-state, so a first-order bound at one full-rank point is a certified lower
-bound on its minimum (`gain_convexity_bound`); the gain search stops after
-restart 0 when that bound closes the bracket. Every report says which case
-it is in. The searches read only Kraus stacks, so nothing here depends on
-spins.
+the minimum: `min_output_entropy` and each search of `additivity_probe`
+then stop after restart 0 when that bound closes the bracket (for the
+isotropic channel the CLI passes `invariant.single_min_bound` at every spin,
+and `invariant.joint_min_bound` for two copies at spins 1/2 and 1). The
+entropy gain is convex in the input state, so a first-order bound at one
+full-rank point is a certified lower bound on its minimum
+(`gain_convexity_bound`); the gain search stops after restart 0 when that
+bound closes the bracket. Every report says which case it is in. The
+searches read only Kraus stacks, so nothing here depends on spins.
 
 Parametrizations
 ----------------
@@ -120,12 +121,12 @@ class SearchReport:
     stopped on one of the two tolerance stops (_GRADIENT_TOL on the gradient,
     _REDUCTION_TOL on the relative reduction) rather than the iteration limit
     or a line search that found no decrease. lower_bound and certificate are
-    set by `bracket`: a certified bound passed to min-output or the gain's
-    convexity bound, and "certified" where the bracket closes; otherwise
-    None and "heuristic". A certified search ran one restart. Near a flat
-    minimum the value is fixed far more tightly than the argmin: for the
-    gain, restarts tie to about 1e-15 and np.argmin picks among them, so the
-    argmin is fixed only to about 1e-8 and its trailing digits are not
+    set by `bracket`: a certified bound passed to min-output or the probe, or
+    the gain's convexity bound, and "certified" where the bracket closes;
+    otherwise None and "heuristic". A certified search ran one restart. Near
+    a flat minimum the value is fixed far more tightly than the argmin: for
+    the gain, restarts tie to about 1e-15 and np.argmin picks among them, so
+    the argmin is fixed only to about 1e-8 and its trailing digits are not
     significant.
     """
 
@@ -605,7 +606,11 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
 
 
 def additivity_probe(
-    channel_a: KrausChannel, channel_b: KrausChannel, config: SearchConfig | None = None
+    channel_a: KrausChannel,
+    channel_b: KrausChannel,
+    config: SearchConfig | None = None,
+    single_bound: float | None = None,
+    joint_bound: float | None = None,
 ) -> ProbeReport:
     """Search a product channel and its two factors, for the additivity gap.
 
@@ -615,15 +620,22 @@ def additivity_probe(
     and seeded Haar states. The report holds the three searches; the gap is
     formed from their values. The product start guarantees gap <= 0 up to
     search noise; the entangled start gives entanglement a genuine chance to
-    win. Heuristic evidence only: a zero gap here is not a proof of
-    additivity.
+    win. single_bound and joint_bound, when given, are certified lower bounds
+    in nats on each factor's minimum and on the product's, used as
+    `min_output_entropy` uses its bound. Where the joint bracket closes, a
+    zero gap shows additivity to CERTIFIED_WIDTH; otherwise the probe is
+    heuristic evidence only, and a zero gap is not a proof of additivity.
     """
     cfg = config if config is not None else SearchConfig()
     check_search_size("probe", cfg.restarts, channel_a.kraus.shape, channel_b.kraus.shape)
-    report_a = min_output_entropy(channel_a, cfg)
-    report_b = report_a if channel_b is channel_a else min_output_entropy(channel_b, cfg)
+    report_a = min_output_entropy(channel_a, cfg, single_bound)
+    report_b = report_a
+    if channel_b is not channel_a:
+        report_b = min_output_entropy(channel_b, cfg, single_bound)
     d_a, d_b = channel_a.dim_in, channel_b.dim_in
     product, dim = np.kron(report_a.argmin, report_b.argmin), d_a * d_b
     starts = [product, maximally_entangled(d_a, d_b), np.eye(1, dim)[0]]
-    joint = _multistart(_pure_entropy_and_gradient(channel_a, channel_b), cfg, starts, dim)
+    certify = None if joint_bound is None else lambda x: joint_bound
+    objective = _pure_entropy_and_gradient(channel_a, channel_b)
+    joint = _multistart(objective, cfg, starts, dim, certify)
     return ProbeReport(joint, report_a, report_b, schmidt_coefficients(joint.argmin, (d_a, d_b)))

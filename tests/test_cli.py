@@ -270,6 +270,81 @@ class TestProbeCommand:
         assert code == 0
         assert "no subadditivity violation detected" in out
 
+    @pytest.mark.parametrize("spin, certificate", [("1", "certified"), ("3/2", "heuristic")])
+    def test_text_rows_and_note_follow_the_joint_certificate(self, capsys, spin, certificate):
+        argv = ["probe", "--spin", spin, "--restarts", "4"]
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        lines = run_cli(capsys, *argv, "--output", "text")[1].splitlines()
+        lower = payload["joint_search"]["lower_bound"]
+        assert lines[4] == f"  lower bound          {'none' if lower is None else repr(lower)}"
+        assert lines[5] == f"  certificate          {certificate}"
+        assert payload["note"] == cli._PROBE_NOTE[certificate]
+        assert lines[-1] == f"  note: {cli._PROBE_NOTE[certificate]}"
+
+    @pytest.mark.parametrize("spin", ["1/2", "1"])
+    def test_spins_half_and_one_stop_at_their_certified_start(self, capsys, spin):
+        for restarts in ("64", "256") if spin == "1/2" else ("64",):
+            argv = ["probe", "--spin", spin, "--restarts", restarts]
+            for base in ("e", "2"):
+                payload = json.loads(run_cli(capsys, *argv, "--log-base", base)[1])
+                joint = payload["joint_search"]
+                assert (len(joint["restart_values"]), joint["evaluations"]) == (1, 1)
+                assert joint["certificate"] == "certified"
+                lower, value = joint["lower_bound"], payload["joint_min"]
+                assert lower <= value <= lower + optimize.CERTIFIED_WIDTH
+                assert payload["additivity_violation_candidate"] is False
+
+    def test_every_spin_stops_its_single_search_at_the_certified_start(self, capsys, monkeypatch):
+        probe, reports = cli.additivity_probe, []
+
+        def recorded(*args):
+            reports.append(probe(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "additivity_probe", recorded)
+        for spin in ("1/2", "1", "3/2", "2", "5/2", "3"):
+            assert run_cli(capsys, "probe", "--spin", spin, "--restarts", "8")[0] == 0
+            single = reports[-1].single_a
+            assert (single.certificate, single.evaluations) == ("certified", 1), spin
+
+    def test_a_bracket_that_never_closes_runs_every_restart_bit_for_bit(
+        self, capsys, monkeypatch
+    ):
+        """With no bracket allowed to close, probe --spin 1 is the search without bounds."""
+        monkeypatch.setattr(optimize, "CERTIFIED_WIDTH", -math.inf)
+        argv = ["probe", "--spin", "1", "--restarts", "8", "--seed", "4"]
+        payload = json.loads(run_cli(capsys, *argv)[1])
+        one = isotropic_channel("1")
+        full = optimize.additivity_probe(one, one, optimize.SearchConfig(restarts=8, seed=4))
+        joint = payload["joint_search"]
+        assert joint["certificate"] == "heuristic" and joint["lower_bound"] is not None
+        assert joint["evaluations"] > len(joint["restart_values"]) == 8
+        assert payload["single_values"] == [full.single_a.value, full.single_b.value]
+        assert payload["joint_min"] == full.joint.value
+        assert np.array_equal(vector_from_json(payload["argmin"]), full.joint.argmin)
+        assert joint["restart_values"] == full.joint.restart_values
+        assert joint["evaluations"] == full.joint.evaluations
+        assert joint["converged_fraction"] == full.joint.converged_fraction
+
+    def test_past_spin_one_the_joint_search_is_the_bound_free_one(self, capsys):
+        """At 2s >= 3 only the single searches take a bound; the joint search runs as without."""
+        three_halves = isotropic_channel("3/2")
+        for seed in range(4):
+            argv = ["probe", "--spin", "3/2", "--restarts", "8", "--seed", str(seed)]
+            joint = json.loads(run_cli(capsys, *argv)[1])["joint_search"]
+            config = optimize.SearchConfig(restarts=8, seed=seed)
+            full = optimize.additivity_probe(three_halves, three_halves, config).joint
+            assert joint["restart_values"] == full.restart_values
+            assert joint["evaluations"] == full.evaluations
+
+    def test_a_joint_bound_above_the_value_is_an_error(self, capsys, monkeypatch):
+        """A wrong joint bound cannot pass: `bracket` raises and the probe exits 1."""
+        bound = cli.joint_min_bound
+        monkeypatch.setattr(cli, "joint_min_bound", lambda spin: bound(spin) + 1.0)
+        code, out, err = run_cli(capsys, "probe", "--spin", "1", "--restarts", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: value") and "is below its lower bound" in err
+
     def test_a_joint_minimum_below_the_singles_is_flagged(self, capsys, monkeypatch):
         probe = cli.additivity_probe
 
@@ -705,15 +780,22 @@ def test_every_output_format(capsys, command, fmt, base):
 
 
 def test_pure_state_searches_claim_no_bound(capsys, tmp_path):
-    """A pure-state search is bounded by `single_min_bound` (min-output --spin) and by
-    nothing else."""
+    """A pure-state search is bounded by `single_min_bound` (min-output --spin), by
+    `joint_min_bound` (probe --spin 1/2 and 1) and by nothing else."""
     path = tmp_path / "random.json"
     save_channel(random_channel(3, 2, 5), path)
-    for command, source in (("min-output", ["--channel", str(path)]), ("probe", ["--spin", "1/2"])):
+    file = ["--channel", str(path)]
+    for command, source in (("min-output", file), ("probe", ["--spin", "3/2"]), ("probe", file)):
         _, out, _ = run_cli(capsys, command, *source, "--restarts", "3")
         payload = json.loads(out)
         search = payload.get("joint_search", payload)
         assert (search["lower_bound"], search["certificate"]) == (None, "heuristic")
+    for spin in ("1/2", "1"):
+        _, out, _ = run_cli(capsys, "probe", "--spin", spin, "--restarts", "3")
+        payload = json.loads(out)
+        search, value = payload["joint_search"], payload["joint_min"]
+        assert search["certificate"] == "certified"
+        assert search["lower_bound"] <= value <= search["lower_bound"] + optimize.CERTIFIED_WIDTH
     _, out, _ = run_cli(capsys, "min-output", *_FAST_ARGS["min-output"])
     assert json.loads(out)["certificate"] == "certified"
     _, out, _ = run_cli(capsys, "min-output", "--spin", "3/2", "--restarts", "3")
@@ -729,7 +811,7 @@ def test_every_search_brackets_its_value_at_seeds_0_to_19(capsys, tmp_path):
     file = ["--channel", str(path)]
     runs = [("min-output", ["--spin", spin]) for spin in ("1/2", "1", "3/2", "2", "5/2", "3")]
     runs += [("min-output", file), ("gain", ["--spin", "1"]), ("gain", file)]
-    runs += [("probe", ["--spin", "1/2"]), ("probe", file)]
+    runs += [("probe", ["--spin", spin]) for spin in ("1/2", "1", "3/2")] + [("probe", file)]
     for seed in range(20):
         for command, source in runs:
             code, out, _ = run_cli(capsys, command, *source, "--restarts", "4", "--seed", str(seed))

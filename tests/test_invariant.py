@@ -13,6 +13,7 @@ from helpers import (
     exact_zero_m_states,
     random_density,
     random_hermitian,
+    random_pure,
 )
 from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
@@ -22,6 +23,7 @@ from spinchannels.invariant import (
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
+    joint_min_bound,
     single_min_bound,
     single_min_entropy,
     singlet_decoherence,
@@ -475,3 +477,36 @@ class TestSingleMinBound:
         for twice_s in (1, 5):
             assert single_min_bound(SpinLabel(twice_s)) is single_min_bound(SpinLabel(twice_s))
             assert type(single_min_bound(SpinLabel(twice_s))) is float
+
+
+class TestJointMinBound:
+    """`joint_min_bound` certifies 2 h(1/(s+1)) for two copies at spins 1/2 and 1 only."""
+
+    def test_the_spin_half_channel_has_a_ppt_choi_state(self):
+        kraus = isotropic_channel("1/2").kraus
+        # Choi state sum_ij |i><j| x Lambda(|i><j|) / 2, entry [(i, a), (j, b)]
+        choi = np.einsum("kai,kbj->iajb", kraus, kraus.conj()).reshape(4, 4) / 2.0
+        partial_transpose = choi.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+        assert abs(np.linalg.eigvalsh(partial_transpose)[0] - 1.0 / 6.0) <= 1e-15
+
+    def test_the_spin_one_purity_identity(self):
+        """tr[(Lambda x Lambda)(psi)]^2 = (1 + tr rho_A^2) / 8 <= 1/4 on Haar states."""
+        pair = tensor(isotropic_channel("1"), isotropic_channel("1"))
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            psi = random_pure(rng, 9)
+            rho_a = psi.reshape(3, 3) @ psi.reshape(3, 3).conj().T
+            output = apply(pair, np.outer(psi, psi.conj()))
+            purity = np.vdot(output, output).real
+            assert abs(purity - (1.0 + np.vdot(rho_a, rho_a).real) / 8.0) <= 1e-14
+
+    def test_twice_the_single_bound_at_spins_half_and_one(self):
+        for twice_s in (1, 2):
+            bound, exact = joint_min_bound(SpinLabel(twice_s)), 2.0 * EXACT_SINGLE_MIN[twice_s]
+            assert type(bound) is float
+            assert bound == 2.0 * single_min_bound(SpinLabel(twice_s))
+            assert exact - 1e-13 <= bound < exact
+
+    def test_no_bound_past_spin_one(self):
+        for twice_s in range(3, 9):
+            assert joint_min_bound(SpinLabel(twice_s)) is None

@@ -16,6 +16,7 @@ from spinchannels.channel import (
     save_channel,
     tensor,
 )
+from spinchannels.invariant import joint_min_bound, single_min_bound
 from spinchannels.linalg import (
     ConsistencyError,
     ContractViolation,
@@ -338,6 +339,25 @@ class TestAdditivityProbe:
                     assert np.array_equal(mine[key], theirs[key]), (name, key)
             else:
                 assert np.array_equal(mine, theirs), name
+
+
+    @pytest.mark.parametrize("twice_s", range(1, 7))
+    def test_certified_bounds_stop_each_search_at_restart_0(self, twice_s):
+        """The single bound closes at every spin, the joint bound at 2s = 1 and 2 (None past)."""
+        one = isotropic_channel(twice_s / 2)
+        bounds = single_min_bound(twice_s / 2), joint_min_bound(twice_s / 2)
+        probe = additivity_probe(one, one, SearchConfig(restarts=8, seed=3), *bounds)
+        single, joint = probe.single_a, probe.joint
+        assert (single.certificate, single.evaluations) == ("certified", 1)
+        assert single.lower_bound == bounds[0]
+        if twice_s <= 2:
+            assert joint.certificate == "certified"
+            assert joint.evaluations == len(joint.restart_values) == 1
+            width = optimize.CERTIFIED_WIDTH
+            assert joint.lower_bound <= joint.value <= joint.lower_bound + width
+        else:
+            assert (joint.certificate, joint.lower_bound) == ("heuristic", None)
+            assert len(joint.restart_values) == 8
 
 
 def _joint_report(channel, config):

@@ -1,6 +1,7 @@
 """Property tests: the block round trip, the invariance check, the Kraus channel
 invariants and wire format, the entropy gain's convexity bound, the single-use
-minimum's certified bound, and spin labels."""
+minimum's certified bound, the two-copy minimum's certified bound, and spin
+labels."""
 
 import json
 import math
@@ -32,12 +33,13 @@ from spinchannels.invariant import (
     IsotypicDistribution,
     _require_invariant,
     isotypic_probabilities,
+    joint_min_bound,
     single_min_bound,
     state_from_distribution,
 )
 from spinchannels.linalg import ContractViolation, spectrum_entropy
 from spinchannels.optimize import gain_convexity_bound
-from spinchannels.spin import SpinLabel, rotation_unitary
+from spinchannels.spin import SpinLabel, rotation_unitary, singlet_state
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -213,6 +215,34 @@ def test_single_min_bound_is_below_every_output_entropy(twice_s, seed, start, lo
     spectrum = np.linalg.eigvalsh(apply(isotropic_channel(label), np.outer(psi, psi.conj())))
     assert spectrum[-1] <= max(s, 1.0) / (s + 1.0) + 1e-14
     assert spectrum_entropy(spectrum) >= single_min_bound(label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    twice_s=st.sampled_from([1, 2]),
+    seed=SEEDS,
+    start=st.sampled_from(["haar", "product", "singlet", "top"]),
+    log_step=st.floats(min_value=-9.0, max_value=0.0),
+)
+def test_joint_min_bound_is_below_every_two_copy_output_entropy(twice_s, seed, start, log_step):
+    """S((Lambda x Lambda)(psi)) >= `joint_min_bound` at spins 1/2 and 1.
+
+    psi is a Haar state, a product of two, or a step of 10**log_step from
+    the singlet or from |s, s> (the product minimum) towards a Haar state.
+    """
+    label = SpinLabel(twice_s)
+    d = label.dimension
+    rng = np.random.default_rng(seed)
+    psi = random_pure(rng, d * d)
+    if start == "product":
+        psi = np.kron(random_pure(rng, d), random_pure(rng, d))
+    elif start != "haar":
+        near = singlet_state(label) if start == "singlet" else np.eye(d * d)[0]
+        psi = near + 10.0**log_step * psi
+        psi /= np.linalg.norm(psi)
+    pair = tensor(isotropic_channel(label), isotropic_channel(label))
+    spectrum = np.linalg.eigvalsh(apply(pair, np.outer(psi, psi.conj())))
+    assert spectrum_entropy(spectrum) >= joint_min_bound(label)
 
 
 TWICE_S = st.integers(min_value=0, max_value=10**6)
