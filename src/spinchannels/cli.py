@@ -44,10 +44,10 @@ _PROBE_NOTE = {  # by the joint search's certificate
     "certified": "certified joint bracket; a zero gap shows additivity to its width",
 }
 _SEARCH_HELP = {
-    "restarts": "run at most this many restarts; a gain search, or a min-output or probe"
-    " search of --spin, stops after the first once its certified bracket closes"
-    " (default %(default)s)",
-    "seed": "seed of the Haar restart states (default %(default)s)",
+    "restarts": "most restarts of a min-output or probe search, stopped after the first once"
+    " a certified bracket of --spin closes; for gain, most legs of its one descent, stopped"
+    " once its certified bracket closes (default %(default)s)",
+    "seed": "seed of min-output's and probe's Haar starts; gain draws none (default %(default)s)",
 }
 # The library reports nats; a value is divided by its --log-base entry when printed.
 _LOG_DIVISOR = {"e": 1.0, "2": math.log(2.0)}

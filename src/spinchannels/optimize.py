@@ -1,11 +1,11 @@
-"""Multi-start searches for entropy minima of channels.
+"""Searches for entropy minima of channels.
 
-Both searches start from a mix of deterministic and seeded random points and
-keep the best local minimum found. The restarts advance together, one row of
-an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack on the
-unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008) moves every row at once, with one stacked objective call,
-and so one stacked eigh per trial step. A pure-state search is a
+The pure-state searches start from a mix of deterministic and seeded random
+points and keep the best local minimum found. The restarts advance together,
+one row of an (R, n) array each: a Riemannian L-BFGS with an Armijo backtrack
+on the unit sphere (Absil, Mahony and Sepulchre, Optimization Algorithms on
+Matrix Manifolds, 2008) moves every row at once, with one stacked objective
+call, and so one stacked eigh per trial step. A pure-state search is a
 heuristic upper bound unless its caller passes a certified lower bound on
 the minimum: `min_output_entropy` and each search of `additivity_probe`
 then stop after restart 0 when that bound closes the bracket (for the
@@ -13,8 +13,8 @@ isotropic channel the CLI passes `invariant.single_min_bound` at every spin,
 and `invariant.joint_min_bound` for two copies at spins 1/2 and 1). The
 entropy gain is convex in the input state, so a first-order bound at one
 full-rank point is a certified lower bound on its minimum
-(`gain_convexity_bound`); the gain search stops after restart 0 when that
-bound closes the bracket. Every report says which case it is in. The
+(`gain_convexity_bound`), and the gain search is one descent, resumed until
+that bound closes the bracket. Every report says which case it is in. The
 searches read only Kraus stacks, so nothing here depends on spins.
 
 Parametrizations
@@ -90,12 +90,13 @@ MAX_RESTARTS = 4096
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What a caller sets of a multi-start search: how many restarts, and their seed.
+    """What a caller sets of a search: how many restarts, and their seed.
 
     restarts and seed are Python or numpy integers, stored as int. Restart
     seeds derive from (seed, restart_index), so reports are reproducible bit
     for bit at fixed config and identical across channels given on
-    different occasions. The stop rule is fixed: see `_sphere_lbfgs`.
+    different occasions. The gain draws no random state: restarts caps the
+    legs of its one descent. The stop rule is fixed: see `_sphere_lbfgs`.
     """
 
     restarts: int = 64
@@ -112,22 +113,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one multi-start search, values in nats.
+    """Outcome of one search, values in nats.
 
     argmin is the best restart's end point as a unit complex vector (the
     gain's is the density matrix it encodes). restart_values holds the local
-    minimum of every restart that ran, sorted ascending; value equals its
-    first entry. converged_fraction is the share of those restarts that
-    stopped on one of the two tolerance stops (_GRADIENT_TOL on the gradient,
-    _REDUCTION_TOL on the relative reduction) rather than the iteration limit
-    or a line search that found no decrease. lower_bound and certificate are
-    set by `bracket`: a certified bound passed to min-output or the probe, or
-    the gain's convexity bound, and "certified" where the bracket closes;
-    otherwise None and "heuristic". A certified search ran one restart. Near
-    a flat minimum the value is fixed far more tightly than the argmin: for
-    the gain, restarts tie to about 1e-15 and np.argmin picks among them, so
-    the argmin is fixed only to about 1e-8 and its trailing digits are not
-    significant.
+    minimum of every restart that ran (the gain's: every leg's end), sorted
+    ascending; value equals its first entry. converged_fraction is the share
+    of those restarts that stopped on one of the two tolerance stops
+    (_GRADIENT_TOL on the gradient, _REDUCTION_TOL on the relative reduction)
+    rather than the iteration limit or a line search that found no decrease.
+    lower_bound and certificate are set by `bracket`: a certified bound
+    passed to min-output or the probe, or the gain's convexity bound, and
+    "certified" where the bracket closes; otherwise None and "heuristic".
     """
 
     value: float
@@ -139,13 +136,18 @@ class SearchReport:
     certificate: str = "heuristic"
 
 
+def _closes(value: float, lower_bound: float) -> bool:
+    """Whether [lower_bound, value] is at most CERTIFIED_WIDTH wide: the one closing rule."""
+    return value - lower_bound <= CERTIFIED_WIDTH
+
+
 def bracket(report: SearchReport, lower_bound: float) -> SearchReport:
-    """report with lower_bound set, "certified" if value - lower_bound is at most
-    CERTIFIED_WIDTH and "heuristic" otherwise; a value more than _GAIN_SLACK
-    below the bound is a ConsistencyError, since no correct bound allows it."""
+    """report with lower_bound set, "certified" if `_closes` holds for its value and
+    "heuristic" otherwise; a value more than _GAIN_SLACK below the bound is a
+    ConsistencyError, since no correct bound allows it."""
     if report.value < lower_bound - _GAIN_SLACK:
         raise ConsistencyError(f"value {report.value!r} is below its lower bound {lower_bound!r}")
-    label = "certified" if report.value - lower_bound <= CERTIFIED_WIDTH else "heuristic"
+    label = "certified" if _closes(report.value, lower_bound) else "heuristic"
     return replace(report, lower_bound=lower_bound, certificate=label)
 
 
@@ -439,26 +441,36 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
     return final_f, final_x, evaluations, converged
 
 
+def _report(values, points, evaluations, converged) -> SearchReport:
+    """The report of the rows `_sphere_lbfgs` ran, best point as a unit complex vector."""
+    best = int(np.argmin(values))  # the first row reaching the lowest value
+    return SearchReport(
+        value=float(values[best]),
+        argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
+        restart_values=[float(v) for v in np.sort(values)],
+        converged_fraction=int(converged.sum()) / len(values),
+        evaluations=int(evaluations.sum()),
+    )
+
+
 def _multistart(
-    objective, config: SearchConfig, leading_states, dim: int, certify=None
+    objective, config: SearchConfig, leading_states, dim: int, lower_bound: float | None = None
 ) -> SearchReport:
-    """Shared engine: run the restarts together and report the best point found.
+    """Engine of the pure-state searches: run the restarts together, report the best.
 
     Restart i starts from the complex vector leading_states[i], or past their
     end from the Haar state haar_pure(dim, [seed, i]), read as reals;
     objective maps a stack of points to (values, gradients) and _sphere_lbfgs,
     which reads no config, advances them all at once. A one-point space
     (dim = 1) runs one restart, since every start is the same point there.
-    The argmin is the best row as a unit complex vector.
 
-    certify, when given, maps an end point to a certified lower bound on the
-    objective's minimum. Restart 0 then runs alone, and if its value is within
-    CERTIFIED_WIDTH of the bound at its end point, the bracket is closed and
-    the report holds that one restart. Otherwise restarts 1 to R - 1 run and
-    follow it; no row's arithmetic depends on another's, so that report
-    equals the one without certify apart from the bound. config.restarts is
-    thus the most restarts a search runs, and converged_fraction is taken
-    over the restarts that ran.
+    lower_bound, when given, is a certified lower bound on the objective's
+    minimum. Restart 0 then runs alone, and if its value closes the bracket
+    (`_closes`), the report holds that one restart. Otherwise restarts 1 to
+    R - 1 run and follow it; no row's arithmetic depends on another's, so that
+    report equals the one without the bound, apart from the bound. So
+    config.restarts is the most restarts a search runs, and converged_fraction
+    is taken over the restarts that ran.
     """
     restarts = 1 if dim == 1 else config.restarts
 
@@ -469,24 +481,12 @@ def _multistart(
         ]
         return np.stack(states, dtype=np.complex128).view(float)
 
-    lower_bound = None
-    if certify is None:
-        values, points, evaluations, converged = _sphere_lbfgs(objective, starts(0, restarts))
-    else:
-        first = values, points, evaluations, converged = _sphere_lbfgs(objective, starts(0, 1))
-        lower_bound = float(certify(points[0]))
-        if values[0] - lower_bound > CERTIFIED_WIDTH and restarts > 1:
-            rest = _sphere_lbfgs(objective, starts(1, restarts))
-            values, points, evaluations, converged = map(np.concatenate, zip(first, rest))
-    best = int(np.argmin(values))  # the first restart reaching the lowest value
-    report = SearchReport(
-        value=float(values[best]),
-        argmin=points[best].view(np.complex128) / np.linalg.norm(points[best]),
-        restart_values=[float(v) for v in np.sort(values)],
-        converged_fraction=int(converged.sum()) / len(values),
-        evaluations=int(evaluations.sum()),
-    )
-    return report if lower_bound is None else bracket(report, lower_bound)
+    if lower_bound is None:
+        return _report(*_sphere_lbfgs(objective, starts(0, restarts)))
+    rows = _sphere_lbfgs(objective, starts(0, 1))
+    if not _closes(rows[0][0], lower_bound) and restarts > 1:
+        rows = map(np.concatenate, zip(rows, _sphere_lbfgs(objective, starts(1, restarts))))
+    return bracket(_report(*rows), lower_bound)
 
 
 def min_output_entropy(
@@ -508,8 +508,8 @@ def min_output_entropy(
     cfg = config if config is not None else SearchConfig()
     check_search_size("min-output", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-    certify = None if lower_bound is None else lambda x: lower_bound
-    return _multistart(_pure_entropy_and_gradient(channel), cfg, [np.eye(1, dim)[0]], dim, certify)
+    objective = _pure_entropy_and_gradient(channel)
+    return _multistart(objective, cfg, [np.eye(1, dim)[0]], dim, lower_bound)
 
 
 def gain_lower_bound(channel: KrausChannel) -> float:
@@ -565,44 +565,44 @@ def gain_convexity_bound(channel: KrausChannel, rho) -> float:
 
 
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:
-    """Search for the minimum entropy gain over all input states.
+    """Search for the minimum entropy gain over all input states, by one descent.
 
-    Restart 0 starts from A = I, the maximally mixed state (gain <= 0 there
-    for bistochastic channels); the rest from Haar states of d^2 entries read
-    as d x d matrices A, seeded by (config.seed, restart_index). No start is
-    rank-deficient: the gradient B A - tr(B rho) A vanishes on every zero
-    column of A, so such a start would never leave its rank. The report's
-    argmin is the density matrix A A^dagger of the best unit A. The value is
-    fixed to about 1e-15 but the argmin only to about 1e-8, since restarts
-    that tie to about 1e-15 end at different points of a flat minimum; the
-    argmin's trailing digits are not significant.
+    The gain is convex, so one full-rank start reaches the minimum. The
+    descent starts from A = I, the maximally mixed state (gain <= 0 there for
+    bistochastic channels); a rank-deficient start would never leave its
+    rank, since the gradient B A - tr(B rho) A vanishes on every zero column
+    of A. The report's argmin is the density matrix A A^dagger of the best A.
 
-    The report's lower_bound is the larger of `gain_lower_bound` and
-    `gain_convexity_bound` at restart 0's end point. The gain is convex, so
-    one full-rank start reaches the minimum, and when restart 0 ends within
-    CERTIFIED_WIDTH of that bound the search stops there, "certified";
-    otherwise it runs every restart, exactly as a search without the bound,
-    and reports "heuristic" unless a later restart closes the bracket.
+    The descent runs in legs of `_sphere_lbfgs`. After each leg the lower
+    bound is the largest of `gain_lower_bound` and `gain_convexity_bound` at
+    the legs' end points, and the search stops, "certified", once the best
+    value closes the bracket (`_closes`). Otherwise the next leg resumes from
+    the last end point with a fresh L-BFGS history, up to config.restarts
+    legs; restart_values and converged_fraction count legs. No random state
+    is drawn, so config.seed is not read.
     """
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
         raise ContractViolation("entropy gain search requires matching input and output dims")
     check_search_size("gain", cfg.restarts, channel.kraus.shape)
     dim = channel.dim_in
-    lower = gain_lower_bound(channel)
-
-    def certify(x):
+    objective, lower = _gain_objective(channel), gain_lower_bound(channel)
+    x, bound, legs = np.eye(dim, dtype=np.complex128).view(float).reshape(1, -1), lower, []
+    for _ in range(cfg.restarts):
+        legs.append(_sphere_lbfgs(objective, x))
+        x = legs[-1][1]
         a = x.view(np.complex128).reshape(dim, dim)
-        return max(lower, gain_convexity_bound(channel, a @ a.conj().T))
-
-    report = _multistart(_gain_objective(channel), cfg, [np.eye(dim).ravel()], dim * dim, certify)
+        bound = max(bound, gain_convexity_bound(channel, a @ a.conj().T))
+        if _closes(min(leg[0][0] for leg in legs), bound):
+            break
+    report = _report(*map(np.concatenate, zip(*legs)))
     a = report.argmin.reshape(dim, dim)
     report = replace(report, argmin=a @ a.conj().T)
     if report.value < lower - _GAIN_SLACK or report.value > _GAIN_SLACK:
         raise ConsistencyError(
             f"entropy gain minimum {report.value!r} escaped the certified range [{lower!r}, 0]"
         )
-    return report
+    return bracket(report, bound)
 
 
 def additivity_probe(
@@ -635,7 +635,6 @@ def additivity_probe(
     d_a, d_b = channel_a.dim_in, channel_b.dim_in
     product, dim = np.kron(report_a.argmin, report_b.argmin), d_a * d_b
     starts = [product, maximally_entangled(d_a, d_b), np.eye(1, dim)[0]]
-    certify = None if joint_bound is None else lambda x: joint_bound
     objective = _pure_entropy_and_gradient(channel_a, channel_b)
-    joint = _multistart(objective, cfg, starts, dim, certify)
+    joint = _multistart(objective, cfg, starts, dim, joint_bound)
     return ProbeReport(joint, report_a, report_b, schmidt_coefficients(joint.argmin, (d_a, d_b)))

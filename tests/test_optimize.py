@@ -482,15 +482,11 @@ class TestGainLowerBound:
 
     def test_range_check_uses_the_certified_bound(self, monkeypatch):
         channel = random_channel(2, 3, seed=0)
-        # a value inside [-ln d, 0] but below -ln||Lambda(I)|| must be caught
-        fake = SearchReport(
-            value=-0.5,
-            argmin=np.eye(2) / 2.0,
-            restart_values=[-0.5],
-            converged_fraction=1.0,
-            evaluations=1,
-        )
-        monkeypatch.setattr(optimize, "_multistart", lambda *args, **kwargs: fake)
+        # a value inside [-ln d, 0] but below -ln||Lambda(I)|| must be caught, and by the
+        # range check rather than by `bracket`, which would raise without naming the range
+        point = (np.eye(2, dtype=complex) / math.sqrt(2.0)).view(float).reshape(1, -1)
+        fake = (np.array([-0.5]), point, np.array([1]), np.array([True]))
+        monkeypatch.setattr(optimize, "_sphere_lbfgs", lambda *args: fake)
         with pytest.raises(ConsistencyError, match="certified range"):
             min_entropy_gain(channel, SearchConfig(restarts=1))
 
@@ -554,7 +550,7 @@ def test_gain_restarts_agree(dim, n_kraus):
 
 
 def _gain_search_without_bound(channel, config):
-    """The gain search as it runs with no certify callback: every restart, no bracket."""
+    """A bound-free multi-start gain search: A = I, then Haar starts, every restart, no bracket."""
     dim = channel.dim_in
     report = _multistart(optimize._gain_objective(channel), config, [np.eye(dim).ravel()], dim**2)
     a = report.argmin.reshape(dim, dim)
@@ -577,21 +573,62 @@ def test_a_gain_search_stopped_by_its_bracket_keeps_the_full_value(dim, n_kraus)
 
 
 def test_a_bracket_that_never_closes_runs_every_restart_bit_for_bit(monkeypatch, tmp_path):
-    """With no bracket allowed to close, the gain search is the search without a bound."""
+    """With no bracket allowed to close, the gain search is one descent of `restarts` legs,
+    each resumed from the last one's end point, and its first leg is the bound-free restart 0."""
     path = tmp_path / "random.json"
     save_channel(random_channel(3, 2, seed=41), path)
     config = SearchConfig(restarts=8, seed=5)
     monkeypatch.setattr(optimize, "CERTIFIED_WIDTH", -math.inf)
+    descend, legs = optimize._sphere_lbfgs, []
+
+    def recorded(objective, x0):
+        legs.append((x0, descend(objective, x0)))
+        return legs[-1][1]
+
+    monkeypatch.setattr(optimize, "_sphere_lbfgs", recorded)
     for channel in (isotropic_channel("3/2"), load_channel(path)):
+        legs.clear()
         report = min_entropy_gain(channel, config)
-        full = _gain_search_without_bound(channel, config)
         assert report.certificate == "heuristic"
-        assert report.evaluations > len(report.restart_values) == config.restarts
-        assert report.value == full.value
-        assert np.array_equal(report.argmin, full.argmin)
-        assert report.restart_values == full.restart_values
-        assert report.evaluations == full.evaluations
-        assert report.converged_fraction == full.converged_fraction
+        assert len(legs) == len(report.restart_values) == config.restarts
+        assert report.evaluations == sum(int(ends[2].sum()) for _, ends in legs)
+        values = [float(ends[0][0]) for _, ends in legs]
+        for (_, before), (start, _), previous, value in zip(legs, legs[1:], values, values[1:]):
+            assert np.array_equal(start, before[1])
+            assert value <= previous + optimize._ROUNDING * max(abs(previous), 1.0)
+        assert report.value == min(values)
+        one = SearchConfig(restarts=1, seed=5)
+        first, full = min_entropy_gain(channel, one), _gain_search_without_bound(channel, one)
+        assert first.value == full.value
+        assert np.array_equal(first.argmin, full.argmin)
+        assert first.evaluations == full.evaluations
+
+
+# (d, n_Kraus, seed) of the sweep's channels whose first leg ends with its bracket open
+_RESUMED_GAINS = [
+    (4, 2, 102), (4, 2, 103), (5, 2, 101), (6, 2, 101), (7, 2, 101),
+    (7, 2, 102), (7, 3, 101), (8, 2, 101), (8, 2, 102), (8, 3, 102),
+]
+
+
+def test_every_gain_of_the_random_sweep_closes_its_bracket_in_a_few_legs():
+    """d = 2 to 8, 2 and 3 Kraus operators, seeds 100 to 103: one descent certifies each."""
+    config, evaluations = SearchConfig(restarts=16, seed=1), 0
+    for dim in range(2, 9):
+        for n_kraus in (2, 3):
+            for seed in range(100, 104):
+                channel = random_channel(dim, n_kraus, seed)
+                report = min_entropy_gain(channel, config)
+                assert report.certificate == "certified", (dim, n_kraus, seed)
+                assert len(report.restart_values) <= 3
+                evaluations += report.evaluations
+                if (dim, n_kraus, seed) in _RESUMED_GAINS:
+                    full = _gain_search_without_bound(channel, config)
+                    assert abs(report.value - full.value) <= 1e-11, (dim, n_kraus, seed)
+    assert evaluations <= 1300
+    # criterion 10's pair 6, whose joint search ends its first leg with its bracket open
+    pair = tensor(random_channel(2, 3, seed=2006), random_channel(2, 3, seed=3006))
+    assert min_entropy_gain(pair, SearchConfig(restarts=12, seed=21)).certificate == "certified"
 
 
 class TestGainConvexityBound:
