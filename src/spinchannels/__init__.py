@@ -3,10 +3,10 @@
 The package builds the isotropic channel for any half-integer spin, searches
 for the minimum output entropy over pure inputs by batched multi-start L-BFGS
 on the unit sphere with exact gradients and for the minimum entropy gain by
-one such descent, certifying the gain's minimum by convexity and the
-isotropic channel's minimum output entropy h(1/(s+1)) up to spin 199.5, and
-decomposes rotationally invariant two-spin states into total-spin blocks
-with cross-checked closed-form references.
+one such descent, certifying the gain's minimum by its range bound or by
+convexity and the isotropic channel's minimum output entropy h(1/(s+1)) up
+to spin 199.5, and decomposes rotationally invariant two-spin states into
+total-spin blocks with cross-checked closed-form references.
 """
 
 from .channel import (

@@ -7,6 +7,7 @@ two BLAS calls rather than a Python loop.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -103,10 +104,17 @@ class KrausChannel:
 def isotropic_channel(spin) -> KrausChannel:
     """The rotation covariant channel with Kraus operators S_k / sqrt(s(s+1)).
 
-    Bistochastic by construction. Spin 0 is rejected: s(s+1) = 0 leaves no
-    channel to normalize.
+    Bistochastic by construction. Spin 0 is rejected, on every call: s(s+1)
+    = 0 leaves no channel to normalize. Each spin is built once per process:
+    the last 16 spins asked for are kept, by label, and every caller shares
+    the same channel and its read-only Kraus stack, 48 d^2 bytes per spin
+    (7.7 MB at 2s = 399).
     """
-    label = SpinLabel.coerce(spin)
+    return _isotropic_channel(SpinLabel.coerce(spin))
+
+
+@functools.lru_cache(maxsize=16)
+def _isotropic_channel(label: SpinLabel) -> KrausChannel:
     if label.twice_s == 0:
         raise ContractViolation("the isotropic channel is undefined for spin 0 (s(s+1) = 0)")
     scale = 1.0 / math.sqrt(label.s * (label.s + 1.0))

@@ -240,8 +240,9 @@ def _emit_search(args, title, payload, rows, report) -> int:
     payload.update(value=report.value / divisor, **_restart_record(report, divisor))
     rows.append(("value", repr(payload["value"])))
     # fewer than asked for on a one-point input space, or where a certificate closed the search
-    restarts = len(report.restart_values)
-    rows.append(("restarts", f"{restarts} (converged fraction {report.converged_fraction:.3f})"))
+    label = "legs" if payload["command"] == "gain" else "restarts"
+    ran = len(report.restart_values)
+    rows.append((label, f"{ran} (converged fraction {report.converged_fraction:.3f})"))
     rows.append(("evaluations", report.evaluations))
     rows += _bracket_rows(payload)
     return _emit(args, title, payload, rows, payload["restart_values"])

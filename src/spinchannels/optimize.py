@@ -14,8 +14,9 @@ and `invariant.joint_min_bound` for two copies at spins 1/2 and 1). The
 entropy gain is convex in the input state, so a first-order bound at one
 full-rank point is a certified lower bound on its minimum
 (`gain_convexity_bound`), and the gain search is one descent, resumed until
-that bound closes the bracket. Every report says which case it is in. The
-searches read only Kraus stacks, so nothing here depends on spins.
+the range bound `gain_lower_bound`, checked first, or that bound closes the
+bracket. Every report says which case it is in. The searches read only
+Kraus stacks, so nothing here depends on spins.
 
 Parametrizations
 ----------------
@@ -176,18 +177,20 @@ def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
     shape is (n_kraus, dim_out, dim_in) of the searched channel; for "probe",
     of the first factor, and other of the second (by default the same). The
     largest array is a factor's Kraus stack (no product stack is built) or,
-    R times over, the history (s, y, rho s, rho y) of _MEMORY steps in real
+    once per row, the history (s, y, rho s, rho y) of _MEMORY steps in real
     parameters, or the stacked columns (X_k tensor Y_l) phi (pure inputs) or
-    X_k rho (the "gain" command), at 16 bytes per complex entry. Python ints
-    do not overflow, so the estimate holds for any spin.
+    X_k rho (the "gain" command), at 16 bytes per complex entry. A pure
+    search runs R rows, one per restart; the gain runs one row per leg. Python
+    ints do not overflow, so the estimate holds for any spin.
     """
     factors = [shape, other or shape] if command == "probe" else [shape]
     n_kraus, dim_out, dim_in = (math.prod(sizes) for sizes in zip(*factors))
     if command == "gain":
-        per_restart = max(4 * _MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
+        rows, per_row = 1, max(4 * _MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
     else:
-        per_restart = max(4 * _MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
-    return 16 * max(*(math.prod(factor) for factor in factors), restarts * per_restart)
+        rows = restarts
+        per_row = max(4 * _MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
+    return 16 * max(*(math.prod(factor) for factor in factors), rows * per_row)
 
 
 def check_search_size(command: str, restarts: int, shape, other=None) -> None:
@@ -573,13 +576,15 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     rank, since the gradient B A - tr(B rho) A vanishes on every zero column
     of A. The report's argmin is the density matrix A A^dagger of the best A.
 
-    The descent runs in legs of `_sphere_lbfgs`. After each leg the lower
-    bound is the largest of `gain_lower_bound` and `gain_convexity_bound` at
-    the legs' end points, and the search stops, "certified", once the best
-    value closes the bracket (`_closes`). Otherwise the next leg resumes from
-    the last end point with a fresh L-BFGS history, up to config.restarts
-    legs; restart_values and converged_fraction count legs. No random state
-    is drawn, so config.seed is not read.
+    The descent runs in legs of `_sphere_lbfgs`. After each leg the search
+    stops, "certified", once the best value closes the bracket (`_closes`):
+    first with `gain_lower_bound`, as every unital channel does at its
+    start, and else with the largest of it and `gain_convexity_bound` at
+    the legs' end points, computed only where the first leaves it open.
+    Otherwise the next leg resumes from the last end point with a fresh
+    L-BFGS history, up to config.restarts legs; restart_values and
+    converged_fraction count legs. No random state is drawn, so config.seed
+    is not read.
     """
     cfg = config if config is not None else SearchConfig()
     if channel.dim_in != channel.dim_out:
@@ -590,10 +595,12 @@ def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) 
     x, bound, legs = np.eye(dim, dtype=np.complex128).view(float).reshape(1, -1), lower, []
     for _ in range(cfg.restarts):
         legs.append(_sphere_lbfgs(objective, x))
-        x = legs[-1][1]
+        x, best = legs[-1][1], min(leg[0][0] for leg in legs)
+        if _closes(best, lower):  # every unital channel, at its start I/d
+            break
         a = x.view(np.complex128).reshape(dim, dim)
         bound = max(bound, gain_convexity_bound(channel, a @ a.conj().T))
-        if _closes(min(leg[0][0] for leg in legs), bound):
+        if _closes(best, bound):
             break
     report = _report(*map(np.concatenate, zip(*legs)))
     a = report.argmin.reshape(dim, dim)

@@ -11,6 +11,7 @@ from helpers import (
     replacement_channel,
     time_reversal_apply,
 )
+from spinchannels import channel as channel_module
 from spinchannels.channel import (
     KrausChannel,
     apply,
@@ -89,8 +90,18 @@ class TestIsotropicChannel:
                 assert np.abs(left - right).max() < 1e-10
 
     def test_spin_zero_rejected(self):
-        with pytest.raises(ContractViolation, match="spin 0"):
-            isotropic_channel(0)
+        for _ in range(3):  # a failed build keeps nothing, so it raises every time
+            with pytest.raises(ContractViolation, match="spin 0"):
+                isotropic_channel(0)
+
+    def test_each_spin_is_built_once_and_shared_read_only(self):
+        shared = isotropic_channel("3/2")
+        assert isotropic_channel(1.5) is shared and isotropic_channel(SpinLabel(3)) is shared
+        assert not shared.kraus.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared.kraus[0, 0, 0] = 1.0
+        maxsize = channel_module._isotropic_channel.cache_info().maxsize
+        assert maxsize is not None and 6 <= maxsize <= 64
 
 
 class TestApply:

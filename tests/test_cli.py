@@ -153,6 +153,15 @@ class TestGainCommand:
         assert -LN2 - 1e-8 <= payload["value"] <= 1e-8
         assert len(payload["argmin"]) == 2
 
+    def test_text_counts_the_legs_of_the_descent(self, capsys, tmp_path):
+        """The gain's text row is `legs`; its JSON keys are those of min-output."""
+        path = tmp_path / "channel.json"
+        save_channel(random_channel(4, 2, seed=102), path)  # closes after its second leg
+        argv = ["gain", "--channel", str(path), "--restarts", "8"]
+        assert len(json.loads(run_cli(capsys, *argv)[1])["restart_values"]) == 2
+        lines = run_cli(capsys, *argv, "--output", "text")[1].splitlines()
+        assert "  legs                 2 (converged fraction 1.000)" in lines
+        assert not any(line.startswith("  restarts") for line in lines)
 
     def test_the_gain_cap_stops_at_its_certified_start(self, capsys):
         """Lambda_s is unital, so restart 0 (rho = I/d) already meets the bound 0."""
@@ -922,9 +931,9 @@ def _run_under_tracemalloc(capsys, *argv):
         ["gain", "--spin", "1000", "--restarts", "64"],
         ["min-output", "--spin", "1e400"],
         ["probe", "--spin", "1e5000", "--output", "text"],
-        ["gain", "--spin", "100", "--restarts", "2000000"],
+        ["min-output", "--spin", "100", "--restarts", "2000000"],
     ],
-    ids=["gain-spin-1000", "min-output-spin-1e400", "probe-spin-1e5000", "gain-restarts"],
+    ids=["gain-spin-1000", "min-output-spin-1e400", "probe-spin-1e5000", "min-output-restarts"],
 )
 def test_oversized_searches_exit_before_building_anything(capsys, argv):
     code, out, err, peak, seconds = _run_under_tracemalloc(capsys, *argv)
@@ -941,11 +950,13 @@ def test_oversized_searches_exit_before_building_anything(capsys, argv):
     [
         (["min-output", "--spin", "2000"], "min-output searches a 4001-dimensional input"),
         (["probe", "--spin", "20", "--restarts", "64"], "probe searches a 1681-dimensional input"),
+        # the gain's largest array is one row, whatever its number of legs
+        (["gain", "--spin", "100", "--restarts", "2000000"], "gain searches a 201-dimensional"),
     ],
-    ids=["min-output-spin-2000", "probe-spin-20"],
+    ids=["min-output-spin-2000", "probe-spin-20", "gain-restarts"],
 )
 def test_searches_past_the_dimension_cap_exit_at_once(capsys, argv, message):
-    """Both fit the memory cap, but would run for many seconds to minutes."""
+    """Each fits the memory cap, but would run for many seconds to minutes."""
     code, out, err, peak, seconds = _run_under_tracemalloc(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -631,6 +631,43 @@ def test_every_gain_of_the_random_sweep_closes_its_bracket_in_a_few_legs():
     assert min_entropy_gain(pair, SearchConfig(restarts=12, seed=21)).certificate == "certified"
 
 
+def _spied_convexity_bounds(monkeypatch) -> list:
+    """Route optimize.gain_convexity_bound through a spy; the list of its results."""
+    bound, results = optimize.gain_convexity_bound, []
+
+    def spied(channel, rho):
+        results.append(bound(channel, rho))
+        return results[-1]
+
+    monkeypatch.setattr(optimize, "gain_convexity_bound", spied)
+    return results
+
+
+def test_unital_gains_close_on_the_range_bound_alone(monkeypatch):
+    """-ln||Lambda(I)|| = 0 closes every unital bracket at the start I/d, so no
+    convexity bound is computed and the range bound is the report's."""
+    results = _spied_convexity_bounds(monkeypatch)
+    channels = [isotropic_channel(twice_s / 2) for twice_s in range(1, 7)]
+    channels += [random_channel(dim, 1, seed) for dim in (2, 3, 5, 8) for seed in (0, 1)]
+    for channel in channels:
+        report = min_entropy_gain(channel, SearchConfig(restarts=8))
+        assert (report.certificate, len(report.restart_values)) == ("certified", 1)
+        assert report.lower_bound == gain_lower_bound(channel)
+    assert results == []
+
+
+def test_a_non_unital_gain_computes_the_convexity_bound_once_per_open_leg(monkeypatch, tmp_path):
+    path = tmp_path / "random.json"
+    save_channel(random_channel(4, 2, seed=102), path)  # closes after its second leg
+    channel = load_channel(path)
+    lower, results = gain_lower_bound(channel), _spied_convexity_bounds(monkeypatch)
+    report = min_entropy_gain(channel, SearchConfig(restarts=16))
+    assert report.certificate == "certified"
+    assert all(value - lower > optimize.CERTIFIED_WIDTH for value in report.restart_values)
+    assert len(results) == len(report.restart_values) == 2
+    assert report.lower_bound == max(lower, *results)
+
+
 class TestGainConvexityBound:
     def test_unital_channel_at_the_maximally_mixed_state_is_zero(self):
         for spin in ("1/2", "3/2"):
@@ -859,7 +896,7 @@ def test_factorwise_objective_matches_the_product_kraus_stack(channel_a, channel
 
 @pytest.mark.parametrize("make_objective", [_pure_entropy_and_gradient, optimize._gain_objective])
 def test_nan_channel_raises_through_the_stacked_entropy(make_objective):
-    channel = isotropic_channel("1")
+    channel = KrausChannel(isotropic_channel("1").kraus)  # not the one every caller shares
     ops = np.array(channel.kraus)
     ops[0, 0, 0] = math.nan
     object.__setattr__(channel, "kraus", ops)  # past the constructor's own check
@@ -968,6 +1005,15 @@ class TestSearchSizeGuard:
             with pytest.raises(ContractViolation, match=f"at most {allowed} restarts of a {dim}-"):
                 optimize.check_search_size(command, allowed + 1, (3, dim, dim), (1, 1, 1))
 
+    def test_the_gain_budgets_one_row_whatever_its_legs(self):
+        shape = (20000, 4, 4)  # one leg's X_k rho stack takes 4.9 MiB
+        optimize.check_search_size("gain", 1024, shape)
+        assert optimize._search_bytes("gain", 1024, shape) == optimize._search_bytes("gain", 1, shape)
+        with pytest.raises(ContractViolation, match="at most 1024 restarts of a 4-"):
+            optimize.check_search_size("gain", 1025, shape)
+        with pytest.raises(ContractViolation, match="GiB"):  # 1024 rows of a pure search
+            optimize.check_search_size("min-output", 1024, shape)
+
     def test_restart_budget_keeps_the_documented_runs(self):
         optimize.check_search_size("probe", 256, (3, 2, 2))  # README: probe --spin 1/2
         optimize.check_search_size("min-output", 128, (3, 200, 200))  # README: --restarts 128
@@ -977,8 +1023,10 @@ class TestSearchSizeGuard:
     def test_library_entry_points_check_before_searching(self):
         channel = isotropic_channel("1/2")
         config = SearchConfig(restarts=2**40)
-        for search in (min_output_entropy, min_entropy_gain):
-            with pytest.raises(ContractViolation, match="GiB"):
-                search(channel, config)
+        with pytest.raises(ContractViolation, match="GiB"):
+            min_output_entropy(channel, config)
+        # the gain's largest array is one row, whatever its legs; the restart budget stops it
+        with pytest.raises(ContractViolation, match="past the restart budget of gain"):
+            min_entropy_gain(channel, config)
         with pytest.raises(ContractViolation, match="probe.*GiB"):
             additivity_probe(channel, channel, config)
