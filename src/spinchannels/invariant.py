@@ -32,7 +32,9 @@ average of W rho W^dagger over all rotations W = U tensor U. Every W fixes
 T(rho), so max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every
 rotation at once. The residual reads rho once, both triangles, in row
 slabs that hand the in-sector entries to the block weights and sum the
-rest, so T(rho) is never built.
+rest, so T(rho) is never built. T(rho) is Hermitian, so a residual below
+1e-10 proves rho Hermitian too, and `linalg.require_hermitian` reads rho again
+only above it.
 
 The module also owns the single-use minimum S_min(Lambda_s) = h(1/(s+1)), h
 the binary entropy: `single_min_entropy` is its one value at every spin, and
@@ -52,8 +54,10 @@ import numpy as np
 
 from .channel import _product_columns, isotropic_channel
 from .linalg import (
+    HERMITICITY_TOL,
     ConsistencyError,
     ContractViolation,
+    as_complex_matrix,
     require_hermitian,
     size_text,
     slab_rows,
@@ -220,8 +224,8 @@ def _projector_sum(label: SpinLabel, weights) -> np.ndarray:
     return out.reshape(label.dimension**2, -1)
 
 
-def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
-    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), <j;M|rho|j;M>).
+def _twirl_pass(rho: np.ndarray, label: SpinLabel) -> tuple:
+    """(tr(P_j rho), <j;M|rho|j;M>, 2 ||rho - T(rho)||_F, whether rho is proved Hermitian).
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
     2 ||rho - T(rho)||_F at every W at once. It is summed entrywise (a
@@ -229,7 +233,11 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
     in slabs of `slab_rows` full rows: each slab is copied, its in-sector
     entries are gathered through the cached positions and zeroed, and one
     vdot sums the off-sector rest. In the sectors the residual is the
-    gathered blocks minus V diag(w_j) V^T.
+    gathered blocks minus V diag(w_j) V^T. T(rho) is Hermitian, so max |rho -
+    rho^dagger| is at most the residual, and rho is proved Hermitian where the
+    residual times 1 + 1e-6 (d^4 eps < 1e-6 at any size in memory), plus
+    2 (d + 2) eps max |w_j| for the asymmetry of the computed V diag(w_j) V^T,
+    is at most HERMITICITY_TOL. NaN or inf fails both tests.
     """
     d, n = label.dimension, label.dimension**2
     _, j_values, vectors, positions, slots = _casimir_sectors(label)
@@ -243,14 +251,23 @@ def _require_invariant(rho: np.ndarray, label: SpinLabel) -> tuple:
         squares += np.vdot(slab, slab).real
     blocks = np.zeros(vectors.shape, dtype=np.complex128)
     blocks.reshape(-1)[slots] = inside
-    # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block j
-    columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
-    live = j_values >= 0
-    traces = np.bincount(j_values[live], weights=columns[live], minlength=d)
-    weights = traces / (2 * np.arange(d) + 1)
-    blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
-    squares += np.vdot(blocks, blocks).real
-    deviation = 2.0 * math.sqrt(squares)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaNs, which fail both tests
+        # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block j
+        columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
+        live = j_values >= 0
+        traces = np.bincount(j_values[live], weights=columns[live], minlength=d)
+        weights = traces / (2 * np.arange(d) + 1)
+        blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
+        squares += np.vdot(blocks, blocks).real
+        deviation = 2.0 * math.sqrt(squares)
+        slack = 2 * (d + 2) * np.finfo(float).eps * np.abs(weights).max()
+        hermitian = deviation * (1.0 + 1e-6) + slack <= HERMITICITY_TOL
+    return traces, columns, deviation, hermitian
+
+
+def _require_invariant(rho: np.ndarray, label: SpinLabel, measured: tuple = ()) -> tuple:
+    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), <j;M|rho|j;M>)."""
+    traces, columns, deviation, _ = measured or _twirl_pass(rho, label)  # measured: an earlier pass
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(
             "state is not rotationally invariant:"
@@ -265,8 +282,10 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     Computes tr(P_j rho) as the sum of <j;M|rho|j;M> over the total-M sectors
     |M| <= j, all sectors at once. The same pass rejects rho unless its twirl
     residual 2 ||rho - T(rho)||_F, which bounds its deviation under every
-    rotation, is at most 1e-8. The weights must agree with the matrix
-    elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
+    rotation, is at most 1e-8; below 1e-10 it proves rho Hermitian too, so
+    rho is read once. Only above that, or on NaN or inf, does `require_hermitian`
+    read rho again, and its errors come first. The weights must agree with the
+    matrix elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
     projector route's values are returned. The |j;0> are the M = 0 sector's
     vectors from that same pass and need no phase. The sectors are solved and
     checked once per spin per process by `_casimir_sectors`, and shared
@@ -275,13 +294,17 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     """
     label = SpinLabel.coerce(spin)
     d = label.dimension
-    m = require_hermitian(rho, name="invariant state")
+    m = as_complex_matrix(rho)
     if m.shape != (d * d, d * d):
+        require_hermitian(m, name="invariant state")  # not square, finite or Hermitian comes first
         raise ContractViolation(f"state shape {m.shape} does not match two spin-{label} systems")
+    measured = _twirl_pass(m, label)
+    if not measured[3]:  # the residual does not prove m Hermitian
+        require_hermitian(m, name="invariant state")
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    traces, columns = _require_invariant(m, label)
+    traces, columns = _require_invariant(m, label, measured)
     zero = d - 1  # sector M = 0, whose column j is |j;0>
     worst = float(np.abs(traces - (2 * np.arange(d) + 1) * columns[zero]).max())
     if worst > _CROSS_CHECK_TOL:
@@ -451,7 +474,6 @@ def _lowest_eigenvalues(blocks, phi: np.ndarray) -> np.ndarray:
     return np.minimum(*lows)
 
 
-@functools.lru_cache(maxsize=64)
 def single_min_bound(spin) -> float | None:
     """Certified lower bound on S_min(Lambda_s) in nats, h(1/(s+1)) less a margin, or None.
 
@@ -460,9 +482,13 @@ def single_min_bound(spin) -> float | None:
     the Cartesian basis. The bound there is `single_min_entropy` less 16 eps,
     and at 2s = 3 to 399 `_pencil_bound`, whose checks pass at each of them.
     A Python float, or None past the min-output search cap (d > 400) or where
-    a check fails. Cached for the last 64 spins asked for.
+    a check fails. Cached by `SpinLabel`, one entry per spin, for the last 64.
     """
-    label = SpinLabel.coerce(spin)
+    return _single_min_bound(SpinLabel.coerce(spin))
+
+
+@functools.lru_cache(maxsize=64)
+def _single_min_bound(label: SpinLabel) -> float | None:
     if label.dimension > SEARCH_DIMENSION_CAP["min-output"]:
         return None
     if label.twice_s <= 2:
@@ -470,7 +496,6 @@ def single_min_bound(spin) -> float | None:
     return _pencil_bound(label)
 
 
-@functools.lru_cache(maxsize=64)
 def joint_min_bound(spin) -> float | None:
     """Certified lower bound on S_min(Lambda_s x Lambda_s) in nats at 2s = 1 and 2, else None.
 
@@ -483,10 +508,10 @@ def joint_min_bound(spin) -> float | None:
     breaking and additive (Shor, J. Math. Phys. 43, 4334 (2002)). At 2s = 2,
     Lambda(rho) = (1 - rho^T) / 2 in the Cartesian basis (Werner-Holevo), and
     tr[(Lambda x Lambda)(psi psi^dagger)]^2 = (1 + tr rho_A^2) / 8 <= 1/4 for
-    a pure psi with reduced state rho_A, so S >= S_2 >= 2 ln 2. Cached.
+    a pure psi with reduced state rho_A, so S >= S_2 >= 2 ln 2. Not cached itself.
     """
     label = SpinLabel.coerce(spin)
-    return 2.0 * single_min_bound(label) if label.twice_s <= 2 else None
+    return 2.0 * _single_min_bound(label) if label.twice_s <= 2 else None
 
 
 def _pencil_bound(label: SpinLabel) -> float | None:

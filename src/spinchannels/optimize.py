@@ -198,12 +198,15 @@ def check_search_size(command: str, restarts: int, shape, other=None) -> None:
     past the command's SEARCH_DIMENSION_CAP, naming the cap, or past its
     restart budget, naming the budget."""
     needed = _search_bytes(command, restarts, shape, other)
+    dim_in = shape[2] * (other or shape)[2] if command == "probe" else shape[2]
     if needed > SEARCH_BYTE_CAP:
+        of = f"with {restarts} restarts"
+        if command == "gain":  # the gain budgets one row, whatever the restarts
+            of = f"of a {dim_in}-dimensional input"
         raise ContractViolation(
-            f"{command} with {restarts} restarts needs about {size_text(needed, 30)} GiB"
+            f"{command} {of} needs about {size_text(needed, 30)} GiB"
             f" for its largest array, more than the {size_text(SEARCH_BYTE_CAP, 30)} GiB cap"
         )
-    dim_in = shape[2] * (other or shape)[2] if command == "probe" else shape[2]
     cap = SEARCH_DIMENSION_CAP[command]
     if dim_in > cap:
         raise ContractViolation(

@@ -1014,7 +1014,7 @@ def test_oversized_channel_file_is_rejected_after_loading(capsys, tmp_path, monk
     code, out, err = run_cli(capsys, "gain", "--channel", str(path), "--restarts", "2")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: gain with 2 restarts needs about") and "GiB" in err
+    assert err.startswith("error: gain of a 3-dimensional input needs about") and "GiB" in err
 
 
 _FORM_TERM = re.compile(r"([+-]?) ?(?:\((\d+)/(\d+)\) )?(ln|log2) ?\(?(\d+)(?:/(\d+))?\)?")

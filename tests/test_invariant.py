@@ -32,6 +32,7 @@ from spinchannels.invariant import (
 from spinchannels.linalg import (
     ConsistencyError,
     ContractViolation,
+    require_hermitian,
     slab_rows,
     spectrum_entropy,
     von_neumann_entropy,
@@ -261,6 +262,88 @@ class TestTwirlCheck:
         assert np.abs(np.array(found.probs) - probs).max() < 1e-12
 
 
+def _edited(*entries):
+    """The spin-3/2 state with block weights (0.1, 0.2, 0.3, 0.4), entries added at (row, col)."""
+    rho = state_from_distribution(IsotypicDistribution(SpinLabel(3), (0.1, 0.2, 0.3, 0.4)))
+    for row, col, value in entries:
+        rho[row, col] += value
+    return rho
+
+
+def _not_hermitian(defect):
+    return f"invariant state is not Hermitian: max |M - M^dagger| = {defect} exceeds 1.0e-10"
+
+
+# indices 0 and 1 (|s>|s> and |s>|s-1>), and 2 and 7, lie in different sectors; 1 and 4 in one
+_FALLBACK_CASES = {
+    "valid": (_edited, 0, None),
+    "Hermitian off-sector 1e-11": (lambda: _edited((0, 1, 1e-11), (1, 0, 1e-11)), 0, None),
+    "Hermitian off-sector 3e-10": (lambda: _edited((0, 1, 3e-10), (1, 0, 3e-10)), 1, None),
+    "anti-Hermitian off-sector 1e-9": (
+        lambda: _edited((0, 1, 1e-9), (1, 0, -1e-9)),
+        1,
+        _not_hermitian("2.000e-09"),
+    ),
+    "1e-9j on the diagonal": (lambda: _edited((5, 5, 1e-9j)), 1, _not_hermitian("2.000e-09")),
+    "inf off-sector": (lambda: _edited((2, 7, np.inf)), 1, "invariant state is not finite"),
+    "NaN in-sector": (lambda: _edited((1, 4, np.nan)), 1, "invariant state is not finite"),
+    "non-square": (lambda: np.zeros((16, 15)), 1, "invariant state is not square: shape (16, 15)"),
+    "wrongly sized": (
+        lambda: np.eye(9) / 9.0,
+        1,
+        "state shape (9, 9) does not match two spin-3/2 systems",
+    ),
+    "trace 2": (lambda: 2.0 * _edited(), 0, "state trace is (2+0j), not 1"),
+}
+
+
+class TestHermiticityFromTheTwirlPass:
+    """The twirl pass proves rho Hermitian; `require_hermitian` runs only where that proof fails."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        found = []
+
+        def counted(matrix, name="matrix"):
+            found.append(name)
+            return require_hermitian(matrix, name=name)
+
+        monkeypatch.setattr(invariant, "require_hermitian", counted)
+        return found
+
+    def test_invariant_states_need_no_fallback(self, checked):
+        for twice_s in range(1, 17):
+            label = SpinLabel(twice_s)
+            probs = np.random.default_rng(twice_s).dirichlet(np.ones(label.dimension))
+            rho = state_from_distribution(IsotypicDistribution(label, tuple(probs)))
+            assert np.abs(np.array(isotypic_probabilities(rho, label).probs) - probs).max() < 1e-12
+        for twice_s in range(1, 9):
+            isotypic_probabilities(decohered_singlet(SpinLabel(twice_s)), SpinLabel(twice_s))
+        assert checked == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", _FALLBACK_CASES)
+    def test_fallback_calls_and_errors(self, case, checked):
+        make, calls, message = _FALLBACK_CASES[case]
+        if message is None:
+            # off-sector entries do not move the block weights
+            found = isotypic_probabilities(make(), "3/2").probs
+            assert found == isotypic_probabilities(_edited(), "3/2").probs
+            assert np.abs(np.array(found) - (0.1, 0.2, 0.3, 0.4)).max() < 1e-15
+        else:
+            with pytest.raises(ContractViolation) as info:
+                isotypic_probabilities(make(), "3/2")
+            assert str(info.value) == message
+        assert checked == ["invariant state"] * calls
+
+    def test_round_trip_at_2s_40_needs_no_fallback(self, checked):
+        label = SpinLabel(40)
+        probs = np.random.default_rng(68).dirichlet(np.ones(label.dimension))
+        rho = state_from_distribution(IsotypicDistribution(label, tuple(probs)))
+        assert np.abs(np.array(isotypic_probabilities(rho, label).probs) - probs).max() < 1e-12
+        assert checked == []
+
+
 def sector_of(label):
     """2s - M of each two-spin basis state |m_a> x |m_b>: a + b."""
     return np.add.outer(np.arange(label.dimension), np.arange(label.dimension)).ravel()
@@ -471,12 +554,20 @@ class TestSingleMinBound:
 
         monkeypatch.setattr(invariant, "_single_min_pencil", shifted)
         for twice_s in (3, 4, 8):
-            assert single_min_bound.__wrapped__(SpinLabel(twice_s)) is None
+            assert invariant._single_min_bound.__wrapped__(SpinLabel(twice_s)) is None
 
     def test_cached_per_spin(self):
         for twice_s in (1, 5):
             assert single_min_bound(SpinLabel(twice_s)) is single_min_bound(SpinLabel(twice_s))
             assert type(single_min_bound(SpinLabel(twice_s))) is float
+
+    def test_one_cache_entry_per_spin_whatever_its_spelling(self):
+        invariant._single_min_bound.cache_clear()
+        for spelling in ("3/2", 1.5, SpinLabel(3)):
+            assert single_min_bound(spelling) is single_min_bound(SpinLabel(3))
+        for spelling in ("1", 1.0, SpinLabel(2)):
+            assert joint_min_bound(spelling) == 2.0 * single_min_bound(SpinLabel(2))
+        assert invariant._single_min_bound.cache_info().misses == 2
 
 
 class TestJointMinBound:
