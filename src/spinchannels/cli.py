@@ -281,7 +281,8 @@ def _cmd_singlet(args) -> int:
         "excess": excess,
     }
     rows = [("spin", label), ("log base", args.log_base)]
-    rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
+    if args.output == "text":  # json never prints these rows: 2 x 10^6 strings at 2s = 10^6
+        rows += [(f"p_{j}", repr(p)) for j, p in enumerate(report.probs)]
     rows.append(("entropy", repr(entropy)))
     excess_row = repr(excess)
     if label.twice_s in _CLOSED_FORMS:

@@ -22,19 +22,20 @@ J^2 conserves the total magnetic number M = m + m', so every P_j is block
 diagonal over the 2d-1 sectors of fixed M, each of size at most d. This
 module owns the padded stack of those sectors: `_solve_sectors` lays out,
 solves and checks J^2 on each in one loop, and `_casimir_sectors` keeps
-the result read-only with the positions in rho of the in-sector entries,
-once per spin per process for up to SECTOR_CACHE_SPINS spins. Traces
-against P_j and sums of weighted P_j go through those positions, in one
-gather or scatter and one batched matmul; no d^2 x d^2 projector or
-eigensolve of the full J^2 is formed on this path. Invariance is checked
-exactly against the twirl T(rho) = sum_j tr(P_j rho) P_j / (2j+1), the
-average of W rho W^dagger over all rotations W = U tensor U. Every W fixes
-T(rho), so max |W rho W^dagger - rho| <= 2 ||rho - T(rho)||_F at every
-rotation at once. The residual reads rho once, both triangles, in row
-slabs that hand the in-sector entries to the block weights and sum the
-rest, so T(rho) is never built. T(rho) is Hermitian, so a residual below
-1e-10 proves rho Hermitian too, and `linalg.require_hermitian` reads rho again
-only above it.
+the result read-only with the positions in rho of the in-sector entries
+and every other spin-only constant of the passes over rho (slab ends,
+live slots, multiplicities 2j+1), once per spin per process for up to
+SECTOR_CACHE_SPINS spins. Traces against P_j and sums of weighted P_j go
+through those positions, in one gather or scatter and one batched matmul;
+no d^2 x d^2 projector or eigensolve of the full J^2 is formed on this
+path. Invariance is checked exactly against the twirl T(rho) = sum_j
+tr(P_j rho) P_j / (2j+1), the average of W rho W^dagger over all rotations
+W = U tensor U. Every W fixes T(rho), so max |W rho W^dagger - rho| <=
+2 ||rho - T(rho)||_F at every rotation at once. The residual reads rho
+once, both triangles, in row slabs that hand the in-sector entries to the
+block weights and sum the rest, so T(rho) is never built. T(rho) is
+Hermitian, so a residual below 1e-10 proves rho Hermitian too, and
+`linalg.require_hermitian` reads rho again only above it.
 
 The module also owns the single-use minimum S_min(Lambda_s) = h(1/(s+1)), h
 the binary entropy: `single_min_entropy` is its one value at every spin, and
@@ -69,18 +70,21 @@ _CROSS_CHECK_TOL = 1e-9
 _INVARIANCE_TOL = 1e-8
 # Bytes a `singlet` report holds per block weight on its way to stdout: the
 # float and its tuple slot, the array copies `IsotypicDistribution` checks
-# them in, and the rendered row. tracemalloc peaks through the CLI at
-# 2s = 800, 20,000 and 200,000 came to about 290 per weight for json and 350
-# for text; the larger is used, so the 1 GiB cap admits 2s up to about 3
-# million.
+# them in, and for text the rendered row, which json never builds. tracemalloc
+# peaks through the CLI at 2s = 800, 20,000 and 200,000 came to about 120 per
+# weight for json and 350 for text; the larger is used, so the 1 GiB cap
+# admits 2s up to about 3 million.
 _REPORT_BYTES_PER_WEIGHT = 350
 SINGLET_BYTE_CAP = 2**30
 
+_EPS = np.finfo(float).eps
 CLUSTER_TOL = 1e-6  # max distance of a computed Casimir eigenvalue from j(j+1)
 # Spins whose checked sectors `_casimir_sectors` keeps. An entry at dimension d holds
-# (2d-1) d (8d + 16) + 16 d (2d^2 + 1) / 3 bytes (stacks, then int64 positions and slots),
-# about 5/(3d) of the d^2 x d^2 complex state that needs it: 138 kB at 2s = 16 and
-# 6.1 MB at 2s = 60, so at most 2.2 MB for spins up to 2s = 16 and 98 MB up to 2s = 60.
+# (2d-1) d (8d + 17) + 16 d (2d^2 + 1) / 3 + 8 d^2 + 8 d + 8 (ceil(d^2 / r) + 1) bytes,
+# r = slab_rows(d^2) (32 up to 2s = 63): the stacks and live mask, the int64 positions and
+# slots, then live j, 2j + 1 and slab ends. That is about 5/(3d) of the d^2 x d^2 complex
+# state that needs it: 141 kB at 2s = 16 and 6.2 MB at 2s = 60, so at most 2.3 MB for
+# spins up to 2s = 16 and 99 MB up to 2s = 60.
 SECTOR_CACHE_SPINS = 16
 
 
@@ -105,11 +109,11 @@ class IsotypicDistribution:
         lowest = float(raw.min()) if raw.size else 0.0
         if lowest < -1e-8:
             raise ContractViolation(f"block probability {lowest:.3e} violates positivity")
-        clamped = np.clip(raw, 0.0, None)
+        clamped = np.maximum(raw, 0.0)
         total = float(clamped.sum())
         if abs(total - 1.0) > 1e-8:
             raise ContractViolation(f"block probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", tuple(float(p) for p in clamped))
+        object.__setattr__(self, "probs", tuple(clamped.tolist()))
 
 
 @dataclass(frozen=True)
@@ -168,18 +172,25 @@ def _casimir_sectors(label: SpinLabel) -> tuple:
 
     Returns the padded (indices, j values, vectors) stacks, then two arrays
     listing each in-sector entry of a d^2 x d^2 rho, sorted by row: its
-    position row * d^2 + col and its slot in the flattened stack. The M = 0
-    sector's columns, the |j;0>, also pass `_check_zero_m_states`. A spin's
-    arrays are kept only once both checks pass, for the last
-    SECTOR_CACHE_SPINS spins asked for, and every caller gets the same
-    read-only arrays; a failed check raises and keeps nothing.
+    position row * d^2 + col and its slot in the flattened stack. Then the
+    constants each block pass would otherwise recompute: where each row slab
+    of `slab_rows(d^2)` rows starts in those positions (the slab ends, d^2
+    rows included), the live-slot mask j >= 0 of the j stack and its j
+    values, and the multiplicities 2j + 1, j = 0..2s. The M = 0 sector's
+    columns, the |j;0>, also pass `_check_zero_m_states`. A spin's arrays
+    are kept only once both checks pass, for the last SECTOR_CACHE_SPINS
+    spins asked for, and every caller gets the same read-only arrays; a
+    failed check raises and keeps nothing.
     """
-    d = label.dimension
+    d, n = label.dimension, label.dimension**2
     indices, j_values, vectors = _solve_sectors(label)
     slots = np.flatnonzero((indices[:, :, None] >= 0) & (indices[:, None, :] >= 0))
-    positions = (indices[:, :, None] * d * d + indices[:, None, :]).ravel()[slots]
+    positions = (indices[:, :, None] * n + indices[:, None, :]).ravel()[slots]
     order = np.argsort(positions)
-    sectors = indices, j_values, vectors, positions[order], slots[order]
+    positions, rows, live = positions[order], slab_rows(n), j_values >= 0
+    ends = np.searchsorted(positions, np.arange(0, n + rows, rows) * n)  # slab ends
+    sectors = indices, j_values, vectors, positions, slots[order]
+    sectors += ends, live, j_values[live], 2 * np.arange(d) + 1  # multiplicities 2j + 1
     _check_zero_m_states(label, indices[d - 1], vectors[d - 1].T)  # k = d - 1 is M = 0
     for array in sectors:
         array.flags.writeable = False
@@ -215,35 +226,35 @@ def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) 
         raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
 
 
-def _projector_sum(label: SpinLabel, weights) -> np.ndarray:
+def _projector_sum(label: SpinLabel, weights, sectors: tuple = ()) -> np.ndarray:
     """sum_j w_j P_j: the cached sectors' V diag(w_j) V^T in one batched matmul and one scatter."""
-    _, j_values, vectors, positions, slots = _casimir_sectors(label)
+    _, j_values, vectors, positions, slots = (sectors or _casimir_sectors(label))[:5]
     blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
     out = np.zeros(label.dimension**4, dtype=np.complex128)
     out[positions] = blocks.reshape(-1)[slots]
     return out.reshape(label.dimension**2, -1)
 
 
-def _twirl_pass(rho: np.ndarray, label: SpinLabel) -> tuple:
+def _twirl_pass(rho: np.ndarray, sectors: tuple) -> tuple:
     """(tr(P_j rho), <j;M|rho|j;M>, 2 ||rho - T(rho)||_F, whether rho is proved Hermitian).
 
     Every rotation W fixes T(rho), so max |W rho W^dagger - rho| is at most
     2 ||rho - T(rho)||_F at every W at once. It is summed entrywise (a
     difference of norms cancels to about sqrt(eps) ||rho||). rho is read once,
     in slabs of `slab_rows` full rows: each slab is copied, its in-sector
-    entries are gathered through the cached positions and zeroed, and one
-    vdot sums the off-sector rest. In the sectors the residual is the
-    gathered blocks minus V diag(w_j) V^T. T(rho) is Hermitian, so max |rho -
-    rho^dagger| is at most the residual, and rho is proved Hermitian where the
+    entries (between two of the `_casimir_sectors` slab ends) are gathered
+    through the cached positions and zeroed, and one vdot sums the
+    off-sector rest. In the sectors the residual is the gathered blocks
+    minus V diag(w_j) V^T. T(rho) is Hermitian, so max |rho - rho^dagger|
+    is at most the residual, and rho is proved Hermitian where the
     residual times 1 + 1e-6 (d^4 eps < 1e-6 at any size in memory), plus
     2 (d + 2) eps max |w_j| for the asymmetry of the computed V diag(w_j) V^T,
     is at most HERMITICITY_TOL. NaN or inf fails both tests.
     """
-    d, n = label.dimension, label.dimension**2
-    _, j_values, vectors, positions, slots = _casimir_sectors(label)
+    _, j_values, vectors, positions, slots, ends, live, live_j, multiplicities = sectors
+    d, n = len(multiplicities), len(multiplicities) ** 2
     inside, squares, rows = np.empty(len(positions), dtype=np.complex128), 0.0, slab_rows(n)
-    bounds = np.searchsorted(positions, np.arange(0, n + rows, rows) * n)  # slab ends
-    for start, lo, hi in zip(range(0, n, rows), bounds, bounds[1:]):
+    for start, lo, hi in zip(range(0, n, rows), ends, ends[1:]):
         slab = rho[start : start + rows].copy().reshape(-1)
         at = positions[lo:hi] - start * n
         inside[lo:hi] = slab[at]
@@ -253,21 +264,20 @@ def _twirl_pass(rho: np.ndarray, label: SpinLabel) -> tuple:
     blocks.reshape(-1)[slots] = inside
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaNs, which fail both tests
         # tr(P_j rho) sums v^T Re(rho_MM) v over the real sector columns v of block j
-        columns = np.sum(vectors * (blocks.real.copy() @ vectors), axis=1)  # copied for BLAS
-        live = j_values >= 0
-        traces = np.bincount(j_values[live], weights=columns[live], minlength=d)
-        weights = traces / (2 * np.arange(d) + 1)
+        columns = (vectors * (blocks.real.copy() @ vectors)).sum(axis=1)  # copied for BLAS
+        traces = np.bincount(live_j, weights=columns[live], minlength=d)
+        weights = traces / multiplicities
         blocks -= (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
         squares += np.vdot(blocks, blocks).real
         deviation = 2.0 * math.sqrt(squares)
-        slack = 2 * (d + 2) * np.finfo(float).eps * np.abs(weights).max()
+        slack = 2 * (d + 2) * _EPS * np.abs(weights).max()
         hermitian = deviation * (1.0 + 1e-6) + slack <= HERMITICITY_TOL
     return traces, columns, deviation, hermitian
 
 
 def _require_invariant(rho: np.ndarray, label: SpinLabel, measured: tuple = ()) -> tuple:
     """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), <j;M|rho|j;M>)."""
-    traces, columns, deviation, _ = measured or _twirl_pass(rho, label)  # measured: an earlier pass
+    traces, columns, deviation, _ = measured or _twirl_pass(rho, _casimir_sectors(label))
     if not deviation <= _INVARIANCE_TOL:  # NaN fails too
         raise ContractViolation(
             "state is not rotationally invariant:"
@@ -298,7 +308,8 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     if m.shape != (d * d, d * d):
         require_hermitian(m, name="invariant state")  # not square, finite or Hermitian comes first
         raise ContractViolation(f"state shape {m.shape} does not match two spin-{label} systems")
-    measured = _twirl_pass(m, label)
+    sectors = _casimir_sectors(label)
+    measured = _twirl_pass(m, sectors)
     if not measured[3]:  # the residual does not prove m Hermitian
         require_hermitian(m, name="invariant state")
     trace = complex(np.trace(m))
@@ -306,7 +317,7 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
     traces, columns = _require_invariant(m, label, measured)
     zero = d - 1  # sector M = 0, whose column j is |j;0>
-    worst = float(np.abs(traces - (2 * np.arange(d) + 1) * columns[zero]).max())
+    worst = float(np.abs(traces - sectors[-1] * columns[zero]).max())  # sectors[-1]: 2j + 1
     if worst > _CROSS_CHECK_TOL:
         raise ConsistencyError(
             f"projector-trace and matrix-element block probabilities disagree by {worst:.3e}"
@@ -332,9 +343,8 @@ def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
 
     Assembled by `_projector_sum`, w_j = p_j / (2j+1), from every cached sector at once.
     """
-    label = distribution.spin
-    weights = np.asarray(distribution.probs) / (2 * np.arange(label.dimension) + 1)
-    return _projector_sum(label, weights)
+    sectors = _casimir_sectors(distribution.spin)
+    return _projector_sum(distribution.spin, np.asarray(distribution.probs) / sectors[-1], sectors)
 
 
 def decohered_singlet(spin) -> np.ndarray:

@@ -53,37 +53,41 @@ class SpinLabel:
             value = Fraction(str(text).strip())
         except (ValueError, ZeroDivisionError):
             raise ContractViolation(f"cannot parse spin value {text!r}") from None
-        return cls._from_fraction(value, text)
+        return cls._from_ratio(value.numerator, value.denominator, text)
 
     @classmethod
     def coerce(cls, value) -> "SpinLabel":
         """Accept a SpinLabel, a string, or an exact half-integer number.
 
         Python and numpy integer and real scalars count as numbers; bools,
-        NaN and infinities do not.
+        NaN and infinities do not. A number is read exactly as the integer
+        ratio numerator / denominator (`as_integer_ratio`, or value / 1 for
+        an integer), and 2s is the quotient of 2 numerator by denominator,
+        which must leave no remainder.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             return cls.from_string(value)
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-            return cls._from_fraction(Fraction(int(value)), value)
+            return cls._from_ratio(int(value), 1, value)
         if isinstance(value, (float, np.floating)):
             try:
-                frac = Fraction(*value.as_integer_ratio())
+                numerator, denominator = value.as_integer_ratio()
             except (ValueError, OverflowError):
                 raise ContractViolation(f"cannot interpret {value!r} as a spin") from None
-            return cls._from_fraction(frac, value)
+            return cls._from_ratio(numerator, denominator, value)
         raise ContractViolation(f"cannot interpret {value!r} as a spin")
 
     @classmethod
-    def _from_fraction(cls, frac: Fraction, original) -> "SpinLabel":
-        if frac < 0:
+    def _from_ratio(cls, numerator: int, denominator: int, original) -> "SpinLabel":
+        """The label of numerator / denominator, denominator > 0, reported as `original`."""
+        if numerator < 0:
             raise ContractViolation(f"spin must be nonnegative, got {original!r}")
-        doubled = frac * 2
-        if doubled.denominator != 1:
+        twice_s, rest = divmod(2 * numerator, denominator)
+        if rest:
             raise ContractViolation(f"spin must be a half-integer, got {original!r}")
-        return cls(int(doubled))
+        return cls(twice_s)
 
     def __str__(self) -> str:
         if self.twice_s % 2 == 0:

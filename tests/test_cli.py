@@ -1047,3 +1047,12 @@ def _base_two_forms(capsys, spin):
 def test_base_two_closed_forms_equal_the_values_beside_them(capsys, spin):
     for form, value in _base_two_forms(capsys, spin):
         assert abs(_closed_form_value(form) - value) < 1e-15, (form, value)
+
+
+def test_singlet_json_builds_no_text_rows(capsys):
+    # 2s = 100,000: text renders one row per block weight, json prints the payload alone
+    json_run = _run_under_tracemalloc(capsys, "singlet", "--spin", "50000")
+    text_run = _run_under_tracemalloc(capsys, "singlet", "--spin", "50000", "--output", "text")
+    assert json_run[0] == text_run[0] == 0
+    assert len(json.loads(json_run[1])["probs"]) == text_run[1].count("  p_") == 100_001
+    assert json_run[3] < text_run[3] / 2

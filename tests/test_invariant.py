@@ -70,6 +70,39 @@ class TestIsotypicDistribution:
             IsotypicDistribution("1/2", (np.nan, 0.5))
 
 
+class TestIsotypicDistributionTable:
+    @pytest.mark.parametrize("probs", [(0.25, 0.75), [0.25, 0.75], np.array([0.25, 0.75])])
+    def test_probabilities_come_back_as_python_floats(self, probs):
+        dist = IsotypicDistribution(0.5, probs)
+        assert dist.probs == (0.25, 0.75)
+        assert all(type(p) is float for p in dist.probs)
+        assert dist.spin == SpinLabel(1)
+
+    @pytest.mark.parametrize("negative", [-0.0, -1e-9])
+    def test_small_negatives_become_positive_zero(self, negative):
+        dist = IsotypicDistribution(SpinLabel(2), (negative, 0.5, 0.5))
+        assert dist.probs[0] == 0.0 and math.copysign(1.0, dist.probs[0]) == 1.0
+
+    @pytest.mark.parametrize(
+        "spin, probs, message",
+        [
+            # each row also breaks every later check, so it names the first one that runs
+            (1, (np.nan, -1.0), "expected 3 block probabilities for spin 1, got shape (2,)"),
+            (1, [[1.0, 0.0, 0.0]], "expected 3 block probabilities for spin 1, got shape (1, 3)"),
+            (0.5, (np.inf, -1.0), "block probabilities are not finite"),
+            (0.5, (np.nan, 0.5), "block probabilities are not finite"),
+            (0.5, (-0.1, 0.3), "block probability -1.000e-01 violates positivity"),
+            (0.5, (-2e-8, 1.0), "block probability -2.000e-08 violates positivity"),
+            (0.5, (0.5, 0.6), "block probabilities sum to 1.1, not 1"),
+            (0.5, (-1e-9, 0.5), "block probabilities sum to 0.5, not 1"),
+        ],
+    )
+    def test_errors_keep_their_messages_and_order(self, spin, probs, message):
+        with pytest.raises(ContractViolation) as excinfo:
+            IsotypicDistribution(spin, probs)
+        assert str(excinfo.value) == message
+
+
 class TestIsotypicProbabilities:
     @pytest.mark.parametrize("label", SPINS)
     def test_recovers_werner_weights(self, label):

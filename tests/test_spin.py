@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     dense_casimir_projectors,
@@ -18,7 +21,12 @@ from spinchannels.invariant import (
     isotypic_probabilities,
     state_from_distribution,
 )
-from spinchannels.linalg import ConsistencyError, ContractViolation, maximally_entangled
+from spinchannels.linalg import (
+    ConsistencyError,
+    ContractViolation,
+    maximally_entangled,
+    slab_rows,
+)
 from spinchannels.spin import (
     SpinLabel,
     rotation_unitary,
@@ -96,6 +104,79 @@ class TestSpinLabel:
         label = SpinLabel(3)
         assert label.s == 1.5
         assert label.dimension == 4
+
+
+def coerce_by_fraction(value):
+    """What `SpinLabel.coerce` gives for a number or string, worked out in Fraction arithmetic.
+
+    Returns 2s, or the ContractViolation message.
+    """
+    if isinstance(value, str):
+        try:
+            exact = Fraction(value.strip())
+        except ValueError:
+            return f"cannot parse spin value {value!r}"
+    elif isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        return f"cannot interpret {value!r} as a spin"
+    elif isinstance(value, (int, np.integer)):
+        exact = Fraction(int(value))
+    else:
+        try:
+            exact = Fraction(*value.as_integer_ratio())
+        except (ValueError, OverflowError):
+            return f"cannot interpret {value!r} as a spin"
+    if exact < 0:
+        return f"spin must be nonnegative, got {value!r}"
+    if (2 * exact).denominator != 1:
+        return f"spin must be a half-integer, got {value!r}"
+    return int(2 * exact)
+
+
+def coerce_outcome(value):
+    """2s from `SpinLabel.coerce`, or its ContractViolation message."""
+    try:
+        return SpinLabel.coerce(value).twice_s
+    except ContractViolation as exc:
+        return str(exc)
+
+
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).nmant > 52
+COERCE_TABLE = [
+    0, 1, 7, -1, 10**400, -(10**400), 0.5, 1.5, 2.0, -0.5, 0.25, 1 / 3, -0.0, 2.0**1023,
+    5e-324, 1e308, math.nan, math.inf, -math.inf, True, False, None, 1 + 0j, [1],
+    np.float16(2.5), np.float16(0.3), np.float16("inf"), np.float32(0.5), np.float32(0.1),
+    np.float32("nan"), np.float32(-1.5), np.float64(3.5), np.int8(-3), np.uint8(3),
+    np.int64(2**62), np.uint64(2**63), np.bool_(False), np.longdouble(3.5),
+    np.longdouble(1) / 3, np.longdouble("inf"),
+    "3/2", " 2 ", "0.5", "1e400", "2/3", "5/3", "-2/3", "-0", "x",
+    pytest.param(
+        np.longdouble(0.5) + np.longdouble(2) ** -60,
+        marks=pytest.mark.skipif(not LONGDOUBLE_IS_WIDER, reason="longdouble is a double here"),
+        id="longdouble-0.5+2^-60",
+    ),
+]
+
+
+class TestCoerceMatchesFractionArithmetic:
+    @pytest.mark.parametrize("value", COERCE_TABLE)
+    def test_table(self, value):
+        assert coerce_outcome(value) == coerce_by_fraction(value)
+
+    def test_extremes(self):
+        assert SpinLabel.coerce(2.0**1023).twice_s == 2**1024
+        assert SpinLabel.coerce(np.uint64(2**63)).twice_s == 2**64
+        assert coerce_outcome(5e-324) == "spin must be a half-integer, got 5e-324"
+        assert coerce_outcome(-0.0) == 0
+        if LONGDOUBLE_IS_WIDER:
+            assert "half-integer" in coerce_outcome(np.longdouble(0.5) + np.longdouble(2) ** -60)
+
+    @given(st.floats() | st.integers(-(2**70), 2**70).map(lambda k: k / 2))
+    def test_floats(self, value):
+        assert coerce_outcome(value) == coerce_by_fraction(value)
+
+    @given(st.floats(width=32).map(np.float32))
+    def test_float32(self, value):
+        assert coerce_outcome(value) == coerce_by_fraction(value)
 
 
 class TestSpinOperators:
@@ -415,7 +496,8 @@ class TestSectorCache:
 
     def test_returned_arrays_are_read_only(self):
         sectors = invariant._casimir_sectors(SpinLabel(3))
-        assert len(sectors) == 5  # the three stacks, then the cached positions and slots
+        # the three stacks, positions and slots, then slab ends, live mask, live j and 2j + 1
+        assert len(sectors) == 9
         for array in sectors:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -424,7 +506,7 @@ class TestSectorCache:
     def test_positions_list_each_in_sector_entry_once_by_row(self, twice_s):
         label = SpinLabel(twice_s)
         n = label.dimension**2
-        indices, _, _, positions, slots = invariant._casimir_sectors(label)
+        indices, _, _, positions, slots = invariant._casimir_sectors(label)[:5]
         live = (indices[:, :, None] >= 0) & (indices[:, None, :] >= 0)
         pairs = indices[:, :, None] * n + indices[:, None, :]
         assert np.array_equal(np.sort(positions), np.sort(pairs[live]))
@@ -437,7 +519,7 @@ class TestSectorCache:
     def test_gather_through_positions_matches_the_padded_index_gather(self, twice_s):
         label = SpinLabel(twice_s)
         n = label.dimension**2
-        indices, _, vectors, positions, slots = invariant._casimir_sectors(label)
+        indices, _, vectors, positions, slots = invariant._casimir_sectors(label)[:5]
         rng = np.random.default_rng(400 + twice_s)
         rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         gathered = np.zeros(vectors.shape, dtype=complex)
@@ -446,6 +528,20 @@ class TestSectorCache:
         live = (indices[:, :, None] >= 0) & (indices[:, None, :] >= 0)
         assert np.array_equal(gathered[live], padded[live])
         assert not gathered[~live].any()
+
+    @pytest.mark.parametrize("twice_s", [*range(1, 17), 40])
+    def test_pass_constants_match_a_fresh_computation(self, twice_s):
+        label = SpinLabel(twice_s)
+        d, n = label.dimension, label.dimension**2
+        _, j_values, _, positions, _, ends, live, live_j, multiplicities = (
+            invariant._casimir_sectors(label)
+        )
+        starts = np.arange(0, n + slab_rows(n), slab_rows(n))
+        assert np.array_equal(ends, [np.count_nonzero(positions < start * n) for start in starts])
+        assert ends[-1] == positions.size
+        assert np.array_equal(live, j_values != -1)
+        assert np.array_equal(live_j, [j for row in j_values for j in row if j != -1])
+        assert np.array_equal(multiplicities, [2 * j + 1 for j in range(d)])
 
     def test_cold_and_warm_calls_return_the_same_weights(self):
         for twice_s in range(1, 17):
