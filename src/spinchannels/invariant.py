@@ -226,15 +226,6 @@ def _check_zero_m_states(label: SpinLabel, index: np.ndarray, rows: np.ndarray) 
         raise ConsistencyError(f"|{j};0> fails the {operator} eigenvector residual check")
 
 
-def _projector_sum(label: SpinLabel, weights, sectors: tuple = ()) -> np.ndarray:
-    """sum_j w_j P_j: the cached sectors' V diag(w_j) V^T in one batched matmul and one scatter."""
-    _, j_values, vectors, positions, slots = (sectors or _casimir_sectors(label))[:5]
-    blocks = (vectors * np.asarray(weights)[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
-    out = np.zeros(label.dimension**4, dtype=np.complex128)
-    out[positions] = blocks.reshape(-1)[slots]
-    return out.reshape(label.dimension**2, -1)
-
-
 def _twirl_pass(rho: np.ndarray, sectors: tuple) -> tuple:
     """(tr(P_j rho), <j;M|rho|j;M>, 2 ||rho - T(rho)||_F, whether rho is proved Hermitian).
 
@@ -249,7 +240,8 @@ def _twirl_pass(rho: np.ndarray, sectors: tuple) -> tuple:
     is at most the residual, and rho is proved Hermitian where the
     residual times 1 + 1e-6 (d^4 eps < 1e-6 at any size in memory), plus
     2 (d + 2) eps max |w_j| for the asymmetry of the computed V diag(w_j) V^T,
-    is at most HERMITICITY_TOL. NaN or inf fails both tests.
+    is at most HERMITICITY_TOL. NaN or inf fails both tests. The pass raises
+    nothing: `isotypic_probabilities` reads all four results and decides.
     """
     _, j_values, vectors, positions, slots, ends, live, live_j, multiplicities = sectors
     d, n = len(multiplicities), len(multiplicities) ** 2
@@ -275,27 +267,17 @@ def _twirl_pass(rho: np.ndarray, sectors: tuple) -> tuple:
     return traces, columns, deviation, hermitian
 
 
-def _require_invariant(rho: np.ndarray, label: SpinLabel, measured: tuple = ()) -> tuple:
-    """Reject rho unless 2 ||rho - T(rho)||_F <= 1e-8; return (tr(P_j rho), <j;M|rho|j;M>)."""
-    traces, columns, deviation, _ = measured or _twirl_pass(rho, _casimir_sectors(label))
-    if not deviation <= _INVARIANCE_TOL:  # NaN fails too
-        raise ContractViolation(
-            "state is not rotationally invariant:"
-            f" twirl residual {deviation:.3e} > {_INVARIANCE_TOL:.1e}"
-        )
-    return traces, columns
-
-
 def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
     """Block probabilities of an invariant state on two spin-s systems.
 
     Computes tr(P_j rho) as the sum of <j;M|rho|j;M> over the total-M sectors
-    |M| <= j, all sectors at once. The same pass rejects rho unless its twirl
-    residual 2 ||rho - T(rho)||_F, which bounds its deviation under every
-    rotation, is at most 1e-8; below 1e-10 it proves rho Hermitian too, so
-    rho is read once. Only above that, or on NaN or inf, does `require_hermitian`
-    read rho again, and its errors come first. The weights must agree with the
-    matrix elements (2j+1) <j;0|rho|j;0> within 1e-9 or the call fails; the
+    |M| <= j, all sectors at once, in one `_twirl_pass` over rho that also
+    gives the twirl residual 2 ||rho - T(rho)||_F, which bounds rho's
+    deviation under every rotation. The checks fail in this order: shape and
+    Hermiticity (the residual proves rho Hermitian below 1e-10, and only above
+    that, or on NaN or inf, does `require_hermitian` read rho again), trace 1
+    within 1e-10, a residual of at most 1e-8 (NaN fails), and agreement of the
+    weights with the matrix elements (2j+1) <j;0|rho|j;0> within 1e-9; the
     projector route's values are returned. The |j;0> are the M = 0 sector's
     vectors from that same pass and need no phase. The sectors are solved and
     checked once per spin per process by `_casimir_sectors`, and shared
@@ -309,13 +291,17 @@ def isotypic_probabilities(rho, spin) -> IsotypicDistribution:
         require_hermitian(m, name="invariant state")  # not square, finite or Hermitian comes first
         raise ContractViolation(f"state shape {m.shape} does not match two spin-{label} systems")
     sectors = _casimir_sectors(label)
-    measured = _twirl_pass(m, sectors)
-    if not measured[3]:  # the residual does not prove m Hermitian
+    traces, columns, deviation, hermitian = _twirl_pass(m, sectors)
+    if not hermitian:
         require_hermitian(m, name="invariant state")
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > 1e-10:
         raise ContractViolation(f"state trace is {trace!r}, not 1")
-    traces, columns = _require_invariant(m, label, measured)
+    if not deviation <= _INVARIANCE_TOL:  # NaN fails too
+        raise ContractViolation(
+            "state is not rotationally invariant:"
+            f" twirl residual {deviation:.3e} > {_INVARIANCE_TOL:.1e}"
+        )
     zero = d - 1  # sector M = 0, whose column j is |j;0>
     worst = float(np.abs(traces - sectors[-1] * columns[zero]).max())  # sectors[-1]: 2j + 1
     if worst > _CROSS_CHECK_TOL:
@@ -341,10 +327,16 @@ def invariant_state_entropy(distribution: IsotypicDistribution) -> float:
 def state_from_distribution(distribution: IsotypicDistribution) -> np.ndarray:
     """Reconstruct the invariant state sum_j p_j P_j / (2j+1).
 
-    Assembled by `_projector_sum`, w_j = p_j / (2j+1), from every cached sector at once.
+    One `_casimir_sectors` lookup, then V diag(w_j) V^T, w_j = p_j / (2j+1), for
+    every sector in one batched matmul, scattered into rho through the cached positions.
     """
-    sectors = _casimir_sectors(distribution.spin)
-    return _projector_sum(distribution.spin, np.asarray(distribution.probs) / sectors[-1], sectors)
+    d, sectors = distribution.spin.dimension, _casimir_sectors(distribution.spin)
+    _, j_values, vectors, positions, slots = sectors[:5]
+    weights = np.asarray(distribution.probs) / sectors[-1]  # sectors[-1]: 2j + 1
+    blocks = (vectors * weights[j_values][:, None, :]) @ vectors.transpose(0, 2, 1)
+    out = np.zeros(d**4, dtype=np.complex128)
+    out[positions] = blocks.reshape(-1)[slots]
+    return out.reshape(d * d, -1)
 
 
 def decohered_singlet(spin) -> np.ndarray:

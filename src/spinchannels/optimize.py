@@ -189,7 +189,7 @@ def _search_bytes(command: str, restarts: int, shape, other=None) -> int:
         rows, per_row = 1, max(4 * _MEMORY * dim_in * dim_in, n_kraus * dim_out * dim_in)
     else:
         rows = restarts
-        per_row = max(4 * _MEMORY * dim_in, n_kraus * dim_out, min(n_kraus, dim_out) ** 2)
+        per_row = max(4 * _MEMORY * dim_in, n_kraus * dim_out)
     return 16 * max(*(math.prod(factor) for factor in factors), rows * per_row)
 
 

@@ -19,7 +19,8 @@ from spinchannels import invariant, spin
 from spinchannels.channel import apply, isotropic_channel, tensor
 from spinchannels.invariant import (
     IsotypicDistribution,
-    _require_invariant,
+    _casimir_sectors,
+    _twirl_pass,
     decohered_singlet,
     invariant_state_entropy,
     isotypic_probabilities,
@@ -247,8 +248,9 @@ class TestDecoheredSinglet:
         assert report.excess > 0.0
 
     def test_spin_zero_rejected(self):
-        with pytest.raises(ContractViolation, match="spin 0"):
-            singlet_decoherence(0)
+        for entry in (singlet_decoherence, single_min_entropy, single_min_bound, joint_min_bound):
+            with pytest.raises(ContractViolation, match="spin 0"):
+                entry(0)
 
 
 class TestSampledInvariance:
@@ -257,16 +259,16 @@ class TestSampledInvariance:
         for twice_s in (1, 2, 3):
             d = twice_s + 1
             with pytest.raises(ContractViolation, match="invariant"):
-                _require_invariant(random_density(rng, d * d), SpinLabel(twice_s))
+                isotypic_probabilities(random_density(rng, d * d), SpinLabel(twice_s))
             top = np.zeros((d * d, d * d), dtype=complex)
             top[0, 0] = 1.0  # |m=s> x |m=s>, the top of the j = 2s block
             with pytest.raises(ContractViolation, match="invariant"):
-                _require_invariant(top, SpinLabel(twice_s))
+                isotypic_probabilities(top, SpinLabel(twice_s))
 
     @pytest.mark.parametrize("twice_s", range(1, 9))
     def test_accepts_decohered_singlets(self, twice_s):
         label = SpinLabel(twice_s)
-        _require_invariant(decohered_singlet(label), label)
+        isotypic_probabilities(decohered_singlet(label), label)
 
 
 class TestTwirlCheck:
@@ -274,18 +276,18 @@ class TestTwirlCheck:
     def test_rejects_an_off_sector_perturbation(self, twice_s):
         label = SpinLabel(twice_s)
         rho = state_from_distribution(IsotypicDistribution(label, (1.0,) + (0.0,) * twice_s))
-        _require_invariant(rho, label)
+        isotypic_probabilities(rho, label)
         # indices 0 and 1 hold |s>|s> (M = 2s) and |s>|s-1> (M = 2s-1)
         rho[0, 1] += 1e-8
         rho[1, 0] += 1e-8
         with pytest.raises(ContractViolation, match="not rotationally invariant"):
-            _require_invariant(rho, label)
+            isotypic_probabilities(rho, label)
 
     def test_nan_residual_fails(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = rho[1, 0] = np.nan
-        with pytest.raises(ContractViolation, match="not rotationally invariant"):
-            _require_invariant(rho, SpinLabel(1))
+        _, _, deviation, hermitian = _twirl_pass(rho, _casimir_sectors(SpinLabel(1)))
+        assert math.isnan(deviation) and not hermitian
 
     @pytest.mark.parametrize("twice_s", [24, 40])
     def test_round_trip_at_large_spin(self, twice_s):
@@ -345,11 +347,15 @@ class TestHermiticityFromTheTwirlPass:
         return found
 
     def test_invariant_states_need_no_fallback(self, checked):
+        # each spin spelled three ways, each round trip run twice: the same weights every time
         for twice_s in range(1, 17):
-            label = SpinLabel(twice_s)
-            probs = np.random.default_rng(twice_s).dirichlet(np.ones(label.dimension))
-            rho = state_from_distribution(IsotypicDistribution(label, tuple(probs)))
-            assert np.abs(np.array(isotypic_probabilities(rho, label).probs) - probs).max() < 1e-12
+            probs = np.random.default_rng(twice_s).dirichlet(np.ones(twice_s + 1))
+            found = []
+            for spelling in (SpinLabel(twice_s), twice_s / 2, np.float32(twice_s / 2)) * 2:
+                rho = state_from_distribution(IsotypicDistribution(spelling, tuple(probs)))
+                found.append(isotypic_probabilities(rho, spelling).probs)
+            assert found == [found[0]] * 6
+            assert np.abs(np.array(found[0]) - probs).max() < 1e-12
         for twice_s in range(1, 9):
             isotypic_probabilities(decohered_singlet(SpinLabel(twice_s)), SpinLabel(twice_s))
         assert checked == []
@@ -385,7 +391,7 @@ def sector_of(label):
 class TestEntrywiseTwirlResidual:
     @pytest.mark.parametrize("twice_s", range(1, 7))
     @pytest.mark.parametrize("part", ["in-sector real", "in-sector imaginary", "off-sector", "all"])
-    def test_matches_the_dense_residual(self, twice_s, part, monkeypatch):
+    def test_matches_the_dense_residual(self, twice_s, part):
         label = SpinLabel(twice_s)
         d2 = label.dimension**2
         rng = np.random.default_rng(100 * twice_s + len(part))
@@ -399,27 +405,23 @@ class TestEntrywiseTwirlResidual:
         elif part == "off-sector":
             h = np.where(inside, 0.0, h)
         rho = state_from_distribution(IsotypicDistribution(label, tuple(probs))) + h
-        traces = np.array([np.trace(p @ rho).real for p in dense_casimir_projectors(label)])
-        weights = traces / (2 * np.arange(label.dimension) + 1)
-        twirl = invariant._projector_sum(label, weights)
+        projectors = dense_casimir_projectors(label)
+        twirl = sum(np.trace(p @ rho).real * p / (2 * j + 1) for j, p in enumerate(projectors))
         reference = 2.0 * np.linalg.norm(rho - twirl)
         slack = 1e-16 + 1e-12 * reference
-        monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference + slack)
-        _require_invariant(rho, label)
-        monkeypatch.setattr(invariant, "_INVARIANCE_TOL", reference - slack)
-        with pytest.raises(ContractViolation, match="not rotationally invariant"):
-            _require_invariant(rho, label)
+        deviation = _twirl_pass(rho, _casimir_sectors(label))[2]
+        assert reference - slack < deviation <= reference + slack
 
     @staticmethod
     def assert_last_slab_perturbation_rejected(twice_s):
         label = SpinLabel(twice_s)
         rho = state_from_distribution(IsotypicDistribution(label, (0.0,) * twice_s + (1.0,)))
-        _require_invariant(rho, label)
+        isotypic_probabilities(rho, label)
         # the last two basis states, |-s>|-s+1> and |-s>|-s>, have M = 1 - 2s and -2s
         rho[-1, -2] += 1e-8
         rho[-2, -1] += 1e-8
         with pytest.raises(ContractViolation, match="not rotationally invariant"):
-            _require_invariant(rho, label)
+            isotypic_probabilities(rho, label)
 
     def test_rejects_an_off_sector_perturbation_in_the_last_slab(self):
         # at 2s = 20 the 441 rows of rho are several slabs, both perturbed rows in the last
