@@ -202,7 +202,8 @@ def check_search_size(command: str, restarts: int, shape, other=None) -> None:
     if needed > SEARCH_BYTE_CAP:
         of = f"with {restarts} restarts"
         if command == "gain":  # the gain budgets one row, whatever the restarts
-            of = f"of a {dim_in}-dimensional input"
+            shown = dim_in if dim_in.bit_length() <= 1000 else f"~{size_text(dim_in)}"
+            of = f"of a {shown}-dimensional input"
         raise ContractViolation(
             f"{command} {of} needs about {size_text(needed, 30)} GiB"
             f" for its largest array, more than the {size_text(SEARCH_BYTE_CAP, 30)} GiB cap"
@@ -303,14 +304,22 @@ def _pure_entropy_and_gradient(channel_a: KrausChannel, channel_b: KrausChannel 
     return objective
 
 
+def _gain_terms(ops: np.ndarray, adjoint_ops: np.ndarray, rho: np.ndarray):
+    """Gains S(Lambda rho) - S(rho) in nats of a stack of states rho, and
+    B = Lambda^dagger(f(Lambda rho)) - f(rho) for each, from one stacked eigh for
+    both sides; adjoint_ops holds the adjoints of the Kraus operators ops."""
+    values, f_of = _entropy_and_log_term(np.concatenate([rho, _apply_stack(ops, rho)]))
+    s_in, s_out = values.reshape(2, -1)
+    f_in, f_out = f_of.reshape(2, *rho.shape)
+    return s_out - s_in, _apply_stack(adjoint_ops, f_out) - f_in
+
+
 def _gain_objective(channel: KrausChannel):
     """Entropy gain (nats) and its gradient over rho = A A^dagger / t, t = |A|_F^2.
 
-    With B = Lambda^dagger(f(Lambda rho)) - f(rho), the gain changes by
-    -tr(B d rho), so its gradient in A is -(2 / t) (B A - tr(B rho) A),
-    read as reals like A. It stays bounded where rho is rank-deficient: an
-    eigenvalue w of rho enters as w^(1/2) log w. Takes a stack of points
-    (R, 2*dim_in^2), with one stacked eigh for both sides.
+    With the gain and B from `_gain_terms`, the gain changes by -tr(B d rho), so its
+    gradient in A is -(2 / t) (B A - tr(B rho) A), read as reals like A. It stays bounded
+    where rho is rank-deficient: an eigenvalue w of rho enters as w^(1/2) log w.
     """
     ops = channel.kraus
     adjoint_ops = ops.conj().transpose(0, 2, 1)
@@ -320,14 +329,11 @@ def _gain_objective(channel: KrausChannel):
         a = x.view(np.complex128).reshape(-1, dim, dim)
         total = np.vecdot(x, x)[:, np.newaxis, np.newaxis]
         rho = (a @ a.conj().transpose(0, 2, 1)) / total
-        values, f_of = _entropy_and_log_term(np.concatenate([rho, _apply_stack(ops, rho)]))
-        s_in, s_out = values.reshape(2, -1)
-        f_in, f_out = f_of.reshape(2, -1, dim, dim)
-        b = _apply_stack(adjoint_ops, f_out) - f_in
+        gain, b = _gain_terms(ops, adjoint_ops, rho)
         # tr(B rho) = sum_ij conj(rho_ij) B_ij, since rho is Hermitian
         trace = np.vecdot(rho.reshape(len(x), -1), b.reshape(len(x), -1)).real
         g = (-2.0 / total) * (b @ a - trace[:, np.newaxis, np.newaxis] * a)
-        return s_out - s_in, g.view(float).reshape(len(x), -1)
+        return gain, g.view(float).reshape(len(x), -1)
 
     return objective
 
@@ -345,8 +351,10 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
     component also counts as a decrease. A row converges when its largest
     gradient component is at most _GRADIENT_TOL, or when a step lowers
     its value by at most _REDUCTION_TOL relative to max(|f_k|, |f_k+1|, 1):
-    the two stops L-BFGS-B reports as convergence. It stops unconverged
-    after _MAX_ITERATIONS, or when _MAX_TRIALS trial steps find no decrease.
+    the two stops L-BFGS-B reports as convergence. Each line search gives
+    each row one next point: its first accepted trial, or else, when
+    _MAX_TRIALS trial steps find no decrease, its start, where the row stops
+    unconverged, as it does after _MAX_ITERATIONS.
     Stopped rows leave the arrays, so they cost nothing afterwards, and no
     row's arithmetic depends on another's.
 
@@ -402,22 +410,19 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
         f_scale = np.maximum(np.abs(f), 1.0)
         line = [x, p, f, slope, _ROUNDING * f_scale, 0.5 * largest]
         pending, t = np.arange(len(f)), 1.0 / np.maximum(np.sqrt(np.vecdot(p, p)), 1.0)
-        for trial_number in range(_MAX_TRIALS):
+        new_x, new_f, new_g, accepted = x.copy(), f.copy(), g.copy(), np.zeros(len(f), bool)
+        for _ in range(_MAX_TRIALS):
             start, direction, start_f, start_slope, rounding, half_largest = line
             trial = start + t[:, np.newaxis] * direction
             trial /= np.sqrt(np.vecdot(trial, trial, keepdims=True))
             trial_f, trial_g = objective(trial)
             evaluations[index[pending]] += 1
             rise = trial_f - start_f
-            good = rise <= _ARMIJO * t * start_slope
-            if not good.all():
-                good |= (rise <= rounding) & (np.abs(trial_g).max(axis=1) <= half_largest)
-            if trial_number == 0:
-                new_x, new_f, new_g, accepted = trial, trial_f, trial_g, good
-            else:
-                took = pending[good]
-                new_x[took], new_f[took], new_g[took] = trial[good], trial_f[good], trial_g[good]
-                accepted[took] = True
+            flat = (rise <= rounding) & (np.abs(trial_g).max(axis=1) <= half_largest)
+            good = (rise <= _ARMIJO * t * start_slope) | flat
+            took = pending[good]
+            new_x[took], new_f[took], new_g[took] = trial[good], trial_f[good], trial_g[good]
+            accepted[took] = True
             if good.all():
                 break
             back = ~good
@@ -426,9 +431,6 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
             # minimizer of the parabola through f, slope and the trial value, within [t/10, t/2]
             parabola = -start_slope * t * t / (2.0 * (rise - t * start_slope))
             t = np.clip(parabola, 0.1 * t, 0.5 * t)
-        failed = ~accepted
-        if failed.any():  # these rows stop where they were
-            new_x[failed], new_f[failed], new_g[failed] = x[failed], f[failed], g[failed]
 
         slot = iteration % _MEMORY
         s = np.subtract(new_x, x, out=s_hist[slot])
@@ -443,7 +445,7 @@ def _sphere_lbfgs(objective, x0: np.ndarray):
         x, f, g = new_x, new_f, new_g
         largest = np.abs(g).max(axis=1)
         ok = accepted & ((reduction <= _REDUCTION_TOL) | (largest <= _GRADIENT_TOL))
-        done = ok | failed
+        done = ok | ~accepted  # a row whose line search failed stops where it was
     return final_f, final_x, evaluations, converged
 
 
@@ -538,15 +540,15 @@ def gain_convexity_bound(channel: KrausChannel, rho) -> float:
 
     The gain is convex in the input: through a Stinespring dilation it is
     -H(E|B), and conditional entropy is concave by strong subadditivity. At
-    a positive definite rho its derivative is -tr(B d rho), with
-    B = Lambda^dagger(f(Lambda rho)) - f(rho) as in `_gain_objective`, so
-    every state sigma has gain(sigma) >= gain(rho) + tr(B rho) - tr(B sigma)
-    >= gain(rho) + tr(B rho) - lambda_max(B). The bound is that minus a
-    rounding margin of 16 d eps (max|eig B| + 1 / w_min): an eigenvalue w of
-    rho or of its image, off by about d eps, moves log w by d eps / w, and
-    lambda_max(B) by at most d eps / w_min, w_min the smallest eigenvalue of
-    rho. rho is a Hermitian d x d matrix, scaled to unit trace here; where it
-    is not positive definite the gain has no derivative and the bound is -inf.
+    a positive definite rho its derivative is -tr(B d rho), the gain and B from
+    `_gain_terms`, the kernel `_gain_objective` descends on, so every state sigma
+    has gain(sigma) >= gain(rho) + tr(B rho) - tr(B sigma) >=
+    gain(rho) + tr(B rho) - lambda_max(B). The bound is that minus a rounding
+    margin of 16 d eps (max|eig B| + 1 / w_min): an eigenvalue w of rho or of its
+    image, off by about d eps, moves log w by d eps / w, and lambda_max(B) by at
+    most d eps / w_min, w_min the smallest eigenvalue of rho. rho is a Hermitian
+    d x d matrix, scaled to unit trace here; where it is not positive definite
+    the gain has no derivative and the bound is -inf.
     """
     m = require_hermitian(rho, name="state")
     dim = channel.dim_in
@@ -554,20 +556,16 @@ def gain_convexity_bound(channel: KrausChannel, rho) -> float:
         raise ContractViolation(
             f"state shape {m.shape} does not fit a channel from {dim} to {channel.dim_out} dims"
         )
-    w, u = np.linalg.eigh(m)
+    w = np.linalg.eigvalsh(m)
     if not w[0] > 0.0:
         return -math.inf
     total = w.sum()
     w, m = w / total, m / total
-    ops = channel.kraus
-    s_out, f_out = _entropy_and_log_term(_apply_stack(ops, m[np.newaxis]))
-    f_in = (u * (np.log(w) + 1.0)) @ u.conj().T
-    b = _apply_stack(ops.conj().transpose(0, 2, 1), f_out)[0] - f_in
-    spectrum = np.linalg.eigvalsh(b)
+    gain, b = _gain_terms(channel.kraus, channel.kraus.conj().transpose(0, 2, 1), m[np.newaxis])
+    spectrum = np.linalg.eigvalsh(b[0])
     margin = _ROUNDING * dim * (np.abs(spectrum).max() + 1.0 / w[0])
-    gain = s_out[0] - spectrum_entropy(w)
     # tr(B rho) = sum_ij conj(rho_ij) B_ij, since rho is Hermitian
-    return float(gain + np.vdot(m, b).real - spectrum[-1] - margin)
+    return float(gain[0] + np.vdot(m, b[0]).real - spectrum[-1] - margin)
 
 
 def min_entropy_gain(channel: KrausChannel, config: SearchConfig | None = None) -> SearchReport:

@@ -226,6 +226,21 @@ class TestSingletCommand:
         assert err == b""
         assert proc.returncode == 141
 
+    def test_reader_taking_one_line_exits_141_without_an_error(self):
+        # like `| head -n 1`: the reader takes the title line and closes the pipe
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        command = [sys.executable, "-m", "spinchannels", "singlet", "--spin", "100000"]
+        proc = subprocess.Popen(
+            [*command, "--output", "text"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert line == b"decohered singlet block decomposition\n"
+        assert err == b""
+        assert proc.returncode == 141
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "singlet", "--spin", "1", "--output", "text")
         assert code == 0
@@ -997,9 +1012,16 @@ def test_probe_builds_no_product_kraus_stack(capsys):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("spin", ["1e40", "1e400", "1e5000"])
-def test_astronomical_singlet_spins_exit_with_the_size(capsys, spin):
-    code, out, err, peak, _ = _run_under_tracemalloc(capsys, "singlet", "--spin", spin)
+@pytest.mark.parametrize(
+    "command, spin",
+    [
+        pytest.param(command, spin, id=spin if command == "singlet" else f"{command}-{spin}")
+        for command in ("singlet", "gain", "min-output", "probe")
+        for spin in ("1e40", "1e400", "1e5000")
+    ],
+)
+def test_astronomical_singlet_spins_exit_with_the_size(capsys, command, spin):
+    code, out, err, peak, _ = _run_under_tracemalloc(capsys, command, "--spin", spin)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "GiB" in err and len(err) < 200

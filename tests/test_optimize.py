@@ -935,6 +935,47 @@ def test_a_line_search_without_decrease_stops_its_restart_unconverged():
     assert not converged.any()
 
 
+def test_a_stack_with_mixed_line_search_outcomes_matches_its_one_row_runs():
+    """Row 0 accepts its first trial, row 1 after one backtrack, and row 2 fails every trial;
+    each row ends exactly as a one-row run from its start does.
+
+    Each row lives on its own pair of coordinates, which no step leaves: rows 0 and 1 descend
+    sin^2 of their angle (from 1 and 0.1 radians, so the first trial, a 45 degree turn,
+    lands at 0.21 and at -0.69), and row 2 sees a flat value with a constant gradient.
+    """
+    curved = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+    constant = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+
+    def objective(x):
+        norm2 = np.vecdot(x, x)[:, np.newaxis]
+        f = np.vecdot(x, curved * x)[:, np.newaxis] / norm2
+        g = 2.0 * (curved * x - f * x) / norm2
+        g += constant * (np.abs(x[:, 4:]).max(axis=1, keepdims=True) > 0.0)
+        return f[:, 0], g
+
+    calls = []
+
+    def recorded(x):
+        calls.append([int(np.flatnonzero(row)[0]) // 2 for row in x])  # the rows in this call
+        return objective(x)
+
+    x0 = np.zeros((3, 6))
+    x0[0, :2] = math.cos(1.0), math.sin(1.0)
+    x0[1, 2:4] = math.cos(0.1), math.sin(0.1)
+    x0[2, 4:] = 3.0, -1.0
+    stacked = optimize._sphere_lbfgs(recorded, x0)
+    trials = optimize._MAX_TRIALS
+    # the start, the first trial of all three, the backtrack of rows 1 and 2, then row 2 alone
+    assert calls[: trials + 1] == [[0, 1, 2], [0, 1, 2], [1, 2]] + [[2]] * (trials - 2)
+    assert all(2 not in rows for rows in calls[trials + 1 :])
+    assert stacked[2].tolist()[2] == 1 + trials and stacked[3].tolist() == [True, True, False]
+    for row in range(3):
+        alone = optimize._sphere_lbfgs(objective, x0[row : row + 1])
+        for together, single in zip(stacked, alone):
+            assert together[row : row + 1].tobytes() == single.tobytes()
+            assert together.dtype == single.dtype
+
+
 def test_a_one_point_input_space_runs_one_restart():
     """Every start of a search over a one-point space is the same point, so one restart runs."""
     config = SearchConfig(restarts=5)
